@@ -1,8 +1,8 @@
 package oreo
 
 // Benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation (§VI), per DESIGN.md's experiment index. Each
-// benchmark runs the corresponding experiment at a reduced-but-faithful
+// the paper's evaluation (§VI), as internal/experiments assembles them.
+// Each benchmark runs the corresponding experiment at a reduced-but-faithful
 // scale and reports the headline quantities via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem

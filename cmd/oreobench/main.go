@@ -1,5 +1,6 @@
 // Command oreobench regenerates every table and figure of the paper's
-// evaluation as text or CSV tables. Experiment IDs follow DESIGN.md:
+// evaluation as text or CSV tables. Experiment IDs are the paper's own
+// table and figure numbers (internal/experiments builds each one):
 //
 //	oreobench -exp table1
 //	oreobench -exp fig3  [-scale small|default] [-dataset tpch|tpcds|telemetry|all]

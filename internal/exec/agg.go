@@ -208,7 +208,7 @@ func (a *aggAcc) add(blk *table.Dataset, r int) {
 			a.f = v
 		}
 	case table.String:
-		v := blk.StringCol(a.ci)[r]
+		v := blk.StringAt(a.ci, r)
 		if !a.valid || (a.op == AggMin && v < a.s) || (a.op == AggMax && v > a.s) {
 			a.s = v
 		}

@@ -224,19 +224,3 @@ func BenchmarkStoreRebuildTagged(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDictBuild isolates the dictionary-encoding cost of one
-// 131072-cell, 16-distinct-value string column.
-func BenchmarkDictBuild(b *testing.B) {
-	const rows = 131072
-	ds, _ := benchStoreTagged(rows, 64)
-	col := ds.StringCol(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, enc := table.BuildStringDict(col)
-		if d.Len() != 16 || len(enc) != rows {
-			b.Fatalf("dict %d values, %d codes", d.Len(), len(enc))
-		}
-	}
-}

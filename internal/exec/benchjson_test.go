@@ -8,7 +8,6 @@ import (
 
 	"oreo/internal/prune"
 	"oreo/internal/query"
-	"oreo/internal/table"
 )
 
 // TestWriteBenchExecJSON is the repeatable harness step behind the
@@ -50,7 +49,6 @@ func TestWriteBenchExecJSON(t *testing.T) {
 		ParallelScaling  []shape `json:"parallel_scaling"`
 		StringIn         shape   `json:"scan_string_in"`
 		StoreRebuildNs   float64 `json:"store_rebuild_ns_per_op"`
-		DictBuildNs      float64 `json:"dict_build_ns_per_op"`
 		TaggedRebuildNs  float64 `json:"store_rebuild_tagged_ns_per_op"`
 	}{
 		Benchmark: "internal/exec scan kernels",
@@ -179,16 +177,6 @@ func TestWriteBenchExecJSON(t *testing.T) {
 			}
 		})
 		report.TaggedRebuildNs = float64(r.T.Nanoseconds()) / float64(r.N)
-
-		col := tds.StringCol(2)
-		r = testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if d, enc := table.BuildStringDict(col); d.Len() != 16 || len(enc) != rows {
-					b.Fatalf("dict %d values, %d codes", d.Len(), len(enc))
-				}
-			}
-		})
-		report.DictBuildNs = float64(r.T.Nanoseconds()) / float64(r.N)
 	}
 
 	{

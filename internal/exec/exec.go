@@ -9,9 +9,11 @@
 // A Store holds one column-major block per partition: the dataset's
 // rows regrouped by the partitioning's row→partition assignment, each
 // block a small columnar table of its partition's rows. String columns
-// are additionally dictionary-encoded at build time — one shared
-// table.StringDict per column plus a per-block code array — so scans
-// compare interned integer codes instead of hashing strings per row.
+// arrive dictionary-coded — a table.Dataset stores them as one
+// table.StringDict per column plus a code per row — so every block
+// shares its dataset's dictionaries and holds only its rows' codes; the
+// store keeps no dictionary or code array of its own, and scans compare
+// integer codes instead of hashing strings per row.
 // Stores are immutable once built and cheap to share; when the
 // optimizer reorganizes into a new layout the owner builds a fresh
 // Store from the same dataset and atomically swaps it in
@@ -47,8 +49,8 @@ import (
 )
 
 // Store is a dataset materialized per partitioning: one column-major
-// block per partition, with dictionary-encoded string columns.
-// Immutable after NewStore and safe for concurrent use.
+// block per partition, string columns coded against the dataset's
+// dictionaries. Immutable after NewStore and safe for concurrent use.
 type Store struct {
 	schema *table.Schema
 	part   *table.Partitioning
@@ -58,21 +60,21 @@ type Store struct {
 	// rowIDs maps each block row back to its original dataset row index,
 	// ascending within a block (blocks preserve dataset order).
 	rowIDs [][]int
-	// dicts holds one shared dictionary per string column (nil entries
-	// for non-string columns); codes[ci][pid] is block pid's column ci
-	// encoded against that dictionary.
+	// dicts holds the dataset's dictionary per string column (nil
+	// entries for non-string columns); every block's codes for that
+	// column are codes of it.
 	dicts []*table.StringDict
-	codes [][][]uint32
 	// allIDs caches the full-scan survivor list [0..k): AllPartitions
 	// is on the per-request execute path and must not allocate.
 	allIDs []int
 }
 
 // NewStore materializes the dataset's rows into per-partition blocks
-// following the partitioning's assignment, and dictionary-encodes every
-// string column (one shared dict per column, one code array per block).
-// The partitioning must cover the dataset (same row count); partition
-// IDs were already validated by table.BuildPartitioning.
+// following the partitioning's assignment. String columns need no
+// encoding pass: each block copies its rows' codes and shares the
+// dataset's dictionary. The partitioning must cover the dataset (same
+// row count); partition IDs were already validated by
+// table.BuildPartitioning.
 func NewStore(ds *table.Dataset, part *table.Partitioning) (*Store, error) {
 	if len(part.Assign) != ds.NumRows() {
 		return nil, fmt.Errorf("exec: partitioning covers %d rows, dataset has %d",
@@ -104,28 +106,9 @@ func NewStore(ds *table.Dataset, part *table.Partitioning) (*Store, error) {
 		b.AppendRows(ds, rowIDs[pid])
 		s.blocks[pid] = b.Build()
 	}
-	// Dictionary-encode string columns: one dict over the whole dataset
-	// so every block shares one code space, then regroup the encoded
-	// column by the same row assignment the blocks used.
-	ncols := schema.NumCols()
-	s.dicts = make([]*table.StringDict, ncols)
-	s.codes = make([][][]uint32, ncols)
-	for ci := 0; ci < ncols; ci++ {
-		if schema.Col(ci).Type != table.String {
-			continue
-		}
-		dict, enc := table.BuildStringDict(ds.StringCol(ci))
-		per := make([][]uint32, k)
-		for pid := 0; pid < k; pid++ {
-			rows := rowIDs[pid]
-			arr := make([]uint32, len(rows))
-			for j, r := range rows {
-				arr[j] = enc[r]
-			}
-			per[pid] = arr
-		}
-		s.dicts[ci] = dict
-		s.codes[ci] = per
+	s.dicts = make([]*table.StringDict, schema.NumCols())
+	for ci := range s.dicts {
+		s.dicts[ci] = ds.Dict(ci)
 	}
 	s.allIDs = make([]int, k)
 	for i := range s.allIDs {
@@ -159,8 +142,8 @@ func (s *Store) TotalRows() int { return s.part.TotalRows }
 // Block returns partition pid's rows as a columnar table (read-only).
 func (s *Store) Block(pid int) *table.Dataset { return s.blocks[pid] }
 
-// Dict returns the shared dictionary of string column ci, or nil for
-// non-string columns.
+// Dict returns the dictionary string column ci is coded against in
+// every block (the dataset's own), or nil for non-string columns.
 func (s *Store) Dict(ci int) *table.StringDict { return s.dicts[ci] }
 
 // AllPartitions returns the ascending list of every partition ID — the

@@ -25,10 +25,10 @@ import (
 // for every bound — real or sentinel — exactly as MatchRow requires
 // NaN to fail any bounded float predicate.
 //
-// String predicates never touch strings on the hot path: the store
-// dictionary-encodes string columns at build time (table.StringDict),
-// so an IN-set binds to a bitmap over the column's code space and the
-// kernel probes one bit per row. An IN value absent from the
+// String predicates never touch strings on the hot path: blocks hold
+// string columns as codes of the dataset's table.StringDict, so an
+// IN-set binds to a bitmap over the column's code space and the kernel
+// probes one bit per row. An IN value absent from the
 // dictionary occurs in no row of any block, so it simply sets no bit;
 // an IN-set that sets no bits at all collapses to "never matches".
 
@@ -184,7 +184,7 @@ func (s *Store) selectBlock(preds []kernPred, pid int, buf *[]int32) []int32 {
 				sel = selFloat64(col, p.loF, p.hiF, sel)
 			}
 		case table.String:
-			codes := s.codes[p.ci][pid]
+			codes := blk.StringCodes(p.ci)
 			if first {
 				sel = selCodesFull(codes, p.set, sel)
 			} else {
@@ -361,12 +361,16 @@ func foldBlockAgg(blk *table.Dataset, sel []int32, spec *aggAcc) aggAcc {
 			if len(sel) == 0 {
 				break
 			}
-			col := blk.StringCol(p.ci)
-			m := col[sel[0]]
+			codes, dict := blk.StringCodes(p.ci), blk.Dict(p.ci)
+			mc := codes[sel[0]]
+			m := dict.Value(mc)
 			for _, r := range sel[1:] {
-				v := col[r]
-				if (isMin && v < m) || (!isMin && v > m) {
-					m = v
+				c := codes[r]
+				if c == mc {
+					continue
+				}
+				if v := dict.Value(c); (isMin && v < m) || (!isMin && v > m) {
+					m, mc = v, c
 				}
 			}
 			p.s, p.valid = m, true

@@ -151,7 +151,10 @@ func TestDictionaryINSemantics(t *testing.T) {
 	}
 	for pid := 0; pid < store.NumPartitions(); pid++ {
 		blk := store.Block(pid)
-		codes := store.codes[ci][pid]
+		if blk.Dict(ci) != dict {
+			t.Fatalf("block %d does not share the dataset's dictionary", pid)
+		}
+		codes := blk.StringCodes(ci)
 		if len(codes) != blk.NumRows() {
 			t.Fatalf("block %d: %d codes for %d rows", pid, len(codes), blk.NumRows())
 		}

@@ -106,7 +106,7 @@ func (f *rowFilter) match(blk *table.Dataset, r int) bool {
 				return false
 			}
 		case table.String:
-			if _, ok := p.in[blk.StringCol(p.ci)[r]]; !ok {
+			if _, ok := p.in[blk.StringAt(p.ci, r)]; !ok {
 				return false
 			}
 		}

@@ -11,6 +11,7 @@ func BenchmarkQdTreeGenerate(b *testing.B) {
 	d := testDataset(b, 20000, 99)
 	qs := qdWorkload(200, 100)
 	g := NewQdTreeGenerator()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Generate(d, qs, 32)

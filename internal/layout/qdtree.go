@@ -2,8 +2,11 @@ package layout
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 
 	"oreo/internal/query"
 	"oreo/internal/table"
@@ -19,6 +22,15 @@ import (
 // data and cites evidence that sample-built trees are faithful); the
 // resulting tree then routes the full dataset to materialize the
 // partitioning.
+//
+// The whole of it is columnar. Everything that does not depend on the
+// tree node is computed once per Generate: how many window queries
+// provably skip each cut's left and right side, and each cut evaluated
+// over the sample into a bitset. A leaf is a bitset over sample
+// positions, so scoring a cut at a leaf is an AND and a popcount, and a
+// split is an AND and an AND-NOT. The finished tree routes the dataset
+// one node at a time, each node a single sweep of one typed column over
+// the rows that reached it.
 type QdTreeGenerator struct {
 	// SampleSize is the number of rows construction works on (stride
 	// sampled from the dataset for determinism). Zero means 2048.
@@ -35,7 +47,7 @@ func NewQdTreeGenerator() *QdTreeGenerator { return &QdTreeGenerator{} }
 func (g *QdTreeGenerator) Name() string { return "qdtree" }
 
 // cutKind discriminates the predicate forms an inner node can hold.
-type cutKind int
+type cutKind uint8
 
 const (
 	cutIntLT   cutKind = iota // left: value < threshold (int64)
@@ -49,156 +61,298 @@ type cut struct {
 	kind cutKind
 	i    int64
 	f    float64
-	set  map[string]bool
-	key  string // dedup/debug key
+	set  []string // sorted IN values (cutStrIn)
+
+	// avoidL / avoidR count the window queries that can be proven, from
+	// their predicates alone, to never need the left / right child. The
+	// skipping gain of the cut at a node holding nl left and nr right
+	// sample rows is nl*avoidL + nr*avoidR.
+	avoidL, avoidR int
+	// lastL / lastR hold 1 + the index of the last query counted into
+	// avoidL / avoidR, so a query with several predicates on the cut's
+	// column counts once.
+	lastL, lastR int
 }
 
-// routesLeft reports whether row r goes to the left child.
-func (c *cut) routesLeft(d *table.Dataset, r int) bool {
+// cutKey identifies a cut for deduplication. hi separates a float cut
+// harvested from an upper bound from one harvested from a lower bound
+// at the same threshold, which have always been two cuts; set is the
+// sorted IN list joined by "|".
+type cutKey struct {
+	col  int
+	kind cutKind
+	hi   bool
+	bits uint64
+	set  string
+}
+
+// avoids reports, from predicate p on the cut's column alone, whether a
+// query carrying p can be proven to never need the left (respectively
+// right) child subtree. Conservative: (false, false) when nothing can
+// be proven.
+func (c *cut) avoids(p *query.Predicate) (left, right bool) {
+	numeric := len(p.In) == 0
 	switch c.kind {
 	case cutIntLT:
-		return d.Int64At(c.col, r) < c.i
-	case cutFloatLT:
-		return d.Float64At(c.col, r) < c.f
-	case cutStrIn:
-		return c.set[d.StringAt(c.col, r)]
-	default:
-		return false
-	}
-}
-
-// queryAvoids reports, from the predicate alone, whether query q can be
-// proven to never need the left (respectively right) child subtree.
-// Conservative: (false, false) when nothing can be proven.
-func (c *cut) queryAvoids(schema *table.Schema, q query.Query) (avoidsLeft, avoidsRight bool) {
-	colName := schema.Col(c.col).Name
-	for _, p := range q.Preds {
-		if p.Col != colName {
-			continue
+		if numeric {
+			left = p.HasLo && p.LoI >= c.i
+			right = p.HasHi && p.HiI < c.i
 		}
-		switch c.kind {
-		case cutIntLT:
-			if !p.IsNumeric() {
-				continue
-			}
-			if p.HasLo && p.LoI >= c.i {
-				avoidsLeft = true
-			}
-			if p.HasHi && p.HiI < c.i {
-				avoidsRight = true
-			}
-		case cutFloatLT:
-			if !p.IsNumeric() {
-				continue
-			}
-			if p.HasLo && p.LoF >= c.f {
-				avoidsLeft = true
-			}
-			if p.HasHi && p.HiF < c.f {
-				avoidsRight = true
-			}
-		case cutStrIn:
-			if p.IsNumeric() {
-				continue
-			}
+	case cutFloatLT:
+		if numeric {
+			left = p.HasLo && p.LoF >= c.f
+			right = p.HasHi && p.HiF < c.f
+		}
+	case cutStrIn:
+		if !numeric {
 			anyIn, anyOut := false, false
 			for _, v := range p.In {
-				if c.set[v] {
+				if c.has(v) {
 					anyIn = true
 				} else {
 					anyOut = true
 				}
 			}
-			if !anyIn {
-				avoidsLeft = true
-			}
-			if !anyOut {
-				avoidsRight = true
-			}
+			left, right = !anyIn, !anyOut
 		}
 	}
-	return avoidsLeft, avoidsRight
+	return left, right
 }
 
-// harvestCuts extracts deduplicated candidate cuts from the workload.
-func harvestCuts(schema *table.Schema, qs []query.Query) []*cut {
-	seen := make(map[string]bool)
-	var cuts []*cut
-	add := func(c *cut) {
-		if !seen[c.key] {
-			seen[c.key] = true
+// has reports whether v is in a string cut's IN set.
+func (c *cut) has(v string) bool {
+	i := sort.SearchStrings(c.set, v)
+	return i < len(c.set) && c.set[i] == v
+}
+
+// harvestCuts extracts deduplicated candidate cuts from the workload,
+// in first-appearance order, and tallies each cut's avoidL / avoidR
+// over the same workload.
+func harvestCuts(schema *table.Schema, qs []query.Query) []cut {
+	seen := make(map[cutKey]struct{})
+	var cuts []cut
+	add := func(k cutKey, c cut) {
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
 			cuts = append(cuts, c)
 		}
 	}
-	for _, q := range qs {
-		for _, p := range q.Preds {
+	floatKey := func(ci int, f float64, hi bool) cutKey {
+		if math.IsNaN(f) {
+			f = math.NaN() // every NaN threshold is the same cut
+		}
+		return cutKey{col: ci, kind: cutFloatLT, hi: hi, bits: math.Float64bits(f)}
+	}
+	for qi := range qs {
+		preds := qs[qi].Preds
+		for pi := range preds {
+			p := &preds[pi]
 			ci, ok := schema.Index(p.Col)
 			if !ok {
 				continue
 			}
+			numeric := len(p.In) == 0
 			switch schema.Col(ci).Type {
 			case table.Int64:
-				if !p.IsNumeric() {
+				if !numeric {
 					continue
 				}
 				if p.HasLo {
-					add(&cut{col: ci, kind: cutIntLT, i: p.LoI,
-						key: fmt.Sprintf("i%d<%d", ci, p.LoI)})
+					add(cutKey{col: ci, kind: cutIntLT, bits: uint64(p.LoI)},
+						cut{col: ci, kind: cutIntLT, i: p.LoI})
 				}
 				if p.HasHi {
-					add(&cut{col: ci, kind: cutIntLT, i: p.HiI + 1,
-						key: fmt.Sprintf("i%d<%d", ci, p.HiI+1)})
+					add(cutKey{col: ci, kind: cutIntLT, bits: uint64(p.HiI + 1)},
+						cut{col: ci, kind: cutIntLT, i: p.HiI + 1})
 				}
 			case table.Float64:
-				if !p.IsNumeric() {
+				if !numeric {
 					continue
 				}
 				if p.HasLo {
-					add(&cut{col: ci, kind: cutFloatLT, f: p.LoF,
-						key: fmt.Sprintf("f%d<%g", ci, p.LoF)})
+					add(floatKey(ci, p.LoF, false), cut{col: ci, kind: cutFloatLT, f: p.LoF})
 				}
 				if p.HasHi {
-					add(&cut{col: ci, kind: cutFloatLT, f: p.HiF,
-						key: fmt.Sprintf("f%d<=%g", ci, p.HiF)})
+					add(floatKey(ci, p.HiF, true), cut{col: ci, kind: cutFloatLT, f: p.HiF})
 				}
 			case table.String:
-				if p.IsNumeric() || len(p.In) == 0 {
+				if numeric {
 					continue
 				}
-				set := make(map[string]bool, len(p.In))
-				vals := append([]string(nil), p.In...)
-				sort.Strings(vals)
-				for _, v := range vals {
-					set[v] = true
+				vals := p.In // read-only here; copied only to sort
+				if !sort.StringsAreSorted(vals) {
+					vals = append([]string(nil), vals...)
+					sort.Strings(vals)
 				}
-				add(&cut{col: ci, kind: cutStrIn, set: set,
-					key: fmt.Sprintf("s%d∈%s", ci, strings.Join(vals, "|"))})
+				add(cutKey{col: ci, kind: cutStrIn, set: strings.Join(vals, "|")},
+					cut{col: ci, kind: cutStrIn, set: vals})
+			}
+		}
+	}
+
+	// Tally the avoid counts: each predicate meets only the cuts on its
+	// own column.
+	byCol := make([][]int32, schema.NumCols())
+	for x := range cuts {
+		byCol[cuts[x].col] = append(byCol[cuts[x].col], int32(x))
+	}
+	for qi := range qs {
+		preds := qs[qi].Preds
+		for pi := range preds {
+			p := &preds[pi]
+			ci, ok := schema.Index(p.Col)
+			if !ok {
+				continue
+			}
+			for _, x := range byCol[ci] {
+				c := &cuts[x]
+				left, right := c.avoids(p)
+				if left && c.lastL != qi+1 {
+					c.lastL = qi + 1
+					c.avoidL++
+				}
+				if right && c.lastR != qi+1 {
+					c.lastR = qi + 1
+					c.avoidR++
+				}
 			}
 		}
 	}
 	return cuts
 }
 
-// qdNode is a tree node. Leaves have cut == nil and carry the partition
-// ID assigned at finalization.
-type qdNode struct {
-	cut         *cut
-	left, right *qdNode
-	leafID      int
-	// rows holds sample-row indices during construction (cleared after).
-	rows []int
-}
-
-// route returns the leaf ID for row r of dataset d.
-func (n *qdNode) route(d *table.Dataset, r int) int {
-	for n.cut != nil {
-		if n.cut.routesLeft(d, r) {
-			n = n.left
-		} else {
-			n = n.right
+// codeSet translates a string cut's IN set into a bitmap over the
+// dictionary's code space, written into buf (grown as needed). Values
+// the dictionary lacks occur in no row and set no bit.
+func (c *cut) codeSet(dict *table.StringDict, buf []uint64) []uint64 {
+	buf = zeroed(buf, (dict.Len()+63)/64)
+	for _, v := range c.set {
+		if code, ok := dict.Code(v); ok {
+			buf[code>>6] |= 1 << (code & 63)
 		}
 	}
-	return n.leafID
+	return buf
+}
+
+// sampleMask sets bit j of mask when sample row rows[j] routes left.
+func (c *cut) sampleMask(d *table.Dataset, rows []int32, mask []uint64, sc *qdScratch) {
+	switch c.kind {
+	case cutIntLT:
+		col, t := d.Int64Col(c.col), c.i
+		for j, r := range rows {
+			if col[r] < t {
+				mask[j>>6] |= 1 << (uint(j) & 63)
+			}
+		}
+	case cutFloatLT:
+		col, t := d.Float64Col(c.col), c.f
+		for j, r := range rows {
+			if col[r] < t {
+				mask[j>>6] |= 1 << (uint(j) & 63)
+			}
+		}
+	case cutStrIn:
+		sc.codeSet = c.codeSet(d.Dict(c.col), sc.codeSet)
+		codes, set := d.StringCodes(c.col), sc.codeSet
+		for j, r := range rows {
+			if code := codes[r]; set[code>>6]&(1<<(code&63)) != 0 {
+				mask[j>>6] |= 1 << (uint(j) & 63)
+			}
+		}
+	}
+}
+
+// partition stably reorders rows so that those routing left come first,
+// and returns how many do. tmp must be at least as long as rows. The
+// loops store unconditionally and advance conditionally, so they carry
+// no data-dependent branch around a store.
+func (c *cut) partition(d *table.Dataset, rows, tmp []int32, sc *qdScratch) int {
+	nl, nr := 0, 0
+	switch c.kind {
+	case cutIntLT:
+		col, t := d.Int64Col(c.col), c.i
+		for _, r := range rows {
+			rows[nl], tmp[nr] = r, r
+			if col[r] < t {
+				nl++
+			} else {
+				nr++
+			}
+		}
+	case cutFloatLT:
+		col, t := d.Float64Col(c.col), c.f
+		for _, r := range rows {
+			rows[nl], tmp[nr] = r, r
+			if col[r] < t {
+				nl++
+			} else {
+				nr++
+			}
+		}
+	case cutStrIn:
+		sc.codeSet = c.codeSet(d.Dict(c.col), sc.codeSet)
+		codes, set := d.StringCodes(c.col), sc.codeSet
+		for _, r := range rows {
+			rows[nl], tmp[nr] = r, r
+			if code := codes[r]; set[code>>6]&(1<<(code&63)) != 0 {
+				nl++
+			} else {
+				nr++
+			}
+		}
+	}
+	copy(rows[nl:], tmp[:nr])
+	return nl
+}
+
+// qdNode is a tree node. During construction a leaf carries its sample
+// rows as a bitset and the best split found for it; an inner node keeps
+// only its cut and children.
+type qdNode struct {
+	cut         int32 // index into the cuts; -1 for a leaf
+	left, right int32 // child node indices
+	leafID      int32 // partition ID, assigned when construction ends
+
+	rows     []uint64 // sample positions in this leaf
+	n        int      // popcount of rows
+	best     int32    // best cut for splitting this leaf; -1 for none
+	bestGain float64
+}
+
+// qdScratch holds one Generate call's working memory. It is recycled
+// through qdPool, so steady-state candidate generation allocates only
+// what it returns.
+type qdScratch struct {
+	sample  []int32  // stride-sampled dataset rows
+	masks   []uint64 // one left-mask per cut over sample positions
+	leaves  []uint64 // arena of leaf bitsets
+	nodes   []qdNode
+	order   []int32  // leaf order: position = partition ID
+	codeSet []uint64 // a string cut's IN set over dictionary codes
+	rows    []int32  // dataset rows grouped by tree node while routing
+	tmp     []int32
+}
+
+var qdPool = sync.Pool{New: func() any { return new(qdScratch) }}
+
+// zeroed returns buf resized to n zero words, reallocating only to grow.
+func zeroed(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = 0
+	}
+	return buf
+}
+
+// sized returns buf resized to n entries (contents unspecified).
+func sized(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
 // Generate implements Generator.
@@ -214,122 +368,156 @@ func (g *QdTreeGenerator) Generate(d *table.Dataset, qs []query.Query, k int) *L
 	if k < 1 {
 		k = 1
 	}
+	n := d.NumRows()
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("layout: qd-tree routing indexes rows as int32; dataset has %d", n))
+	}
 
-	// Stride-sample rows for construction (deterministic).
-	sample := strideSample(d.NumRows(), sampleSize)
+	sc := qdPool.Get().(*qdScratch)
+	defer qdPool.Put(sc)
 
 	cuts := harvestCuts(d.Schema(), qs)
 
-	root := &qdNode{rows: sample}
-	leaves := []*qdNode{root}
-
-	// Global greedy: repeatedly split the leaf whose best cut yields the
-	// largest skipping gain, until k leaves or no positive-gain split.
-	type bestSplit struct {
-		gain        float64
-		cut         *cut
-		left, right []int
+	// Evaluate every cut once over the stride sample (deterministic).
+	sc.sample = strideSample(sc.sample, n, sampleSize)
+	words := (len(sc.sample) + 63) / 64
+	sc.masks = zeroed(sc.masks, len(cuts)*words)
+	for x := range cuts {
+		cuts[x].sampleMask(d, sc.sample, sc.masks[x*words:(x+1)*words], sc)
 	}
-	best := make(map[*qdNode]*bestSplit)
-	eval := func(n *qdNode) {
-		var b *bestSplit
-		for _, c := range cuts {
+
+	// eval finds the leaf's best split: the cut with the largest
+	// skipping gain among those leaving both children at least minLeaf
+	// sample rows; the first such cut wins ties.
+	eval := func(nd *qdNode) {
+		nd.best, nd.bestGain = -1, 0
+		for x := range cuts {
+			mask := sc.masks[x*words : (x+1)*words]
 			nl := 0
-			for _, r := range n.rows {
-				if c.routesLeft(d, r) {
-					nl++
-				}
+			for w, m := range mask {
+				nl += bits.OnesCount64(nd.rows[w] & m)
 			}
-			nr := len(n.rows) - nl
+			nr := nd.n - nl
 			if nl < minLeaf || nr < minLeaf {
 				continue
 			}
-			gain := 0.0
-			for _, q := range qs {
-				aL, aR := c.queryAvoids(d.Schema(), q)
-				if aL {
-					gain += float64(nl)
-				}
-				if aR {
-					gain += float64(nr)
-				}
-			}
-			if gain > 0 && (b == nil || gain > b.gain) {
-				b = &bestSplit{gain: gain, cut: c}
+			// An integer below 2^53, so the float is exact and equal to
+			// adding nl or nr once per avoiding query.
+			gain := float64(nl*cuts[x].avoidL + nr*cuts[x].avoidR)
+			if gain > nd.bestGain {
+				nd.best, nd.bestGain = int32(x), gain
 			}
 		}
-		if b != nil {
-			left := make([]int, 0, len(n.rows)/2)
-			right := make([]int, 0, len(n.rows)/2)
-			for _, r := range n.rows {
-				if b.cut.routesLeft(d, r) {
-					left = append(left, r)
-				} else {
-					right = append(right, r)
-				}
-			}
-			b.left, b.right = left, right
-		}
-		best[n] = b
 	}
-	eval(root)
 
-	for len(leaves) < k {
-		var pick *qdNode
-		var pickIdx int
-		for i, n := range leaves {
-			b := best[n]
-			if b == nil {
-				continue
-			}
-			if pick == nil || b.gain > best[pick].gain {
-				pick, pickIdx = n, i
+	// The root holds every sample position. Every other leaf holds at
+	// least minLeaf of them, which bounds the tree whatever k says.
+	maxLeaves := len(sc.sample) / minLeaf
+	if maxLeaves > k {
+		maxLeaves = k
+	}
+	if maxLeaves < 1 {
+		maxLeaves = 1
+	}
+	maxNodes := 2*maxLeaves - 1
+	sc.leaves = zeroed(sc.leaves, maxNodes*words)
+	if cap(sc.nodes) < maxNodes {
+		sc.nodes = make([]qdNode, 0, maxNodes)
+	}
+	nodes := sc.nodes[:0]
+	newLeaf := func() *qdNode {
+		i := len(nodes)
+		nodes = append(nodes, qdNode{cut: -1, rows: sc.leaves[i*words : (i+1)*words]})
+		return &nodes[i]
+	}
+	root := newLeaf()
+	for j := range sc.sample {
+		root.rows[j>>6] |= 1 << (uint(j) & 63)
+	}
+	root.n = len(sc.sample)
+	eval(root)
+	order := append(sc.order[:0], 0)
+
+	// Global greedy: repeatedly split the leaf whose best cut yields the
+	// largest skipping gain, until k leaves or no positive-gain split.
+	for len(order) < k {
+		pick := -1
+		for i, ni := range order {
+			nd := &nodes[ni]
+			if nd.best >= 0 && (pick < 0 || nd.bestGain > nodes[order[pick]].bestGain) {
+				pick = i
 			}
 		}
-		if pick == nil {
+		if pick < 0 {
 			break // no leaf has a positive-gain split left
 		}
-		b := best[pick]
-		pick.cut = b.cut
-		pick.left = &qdNode{rows: b.left}
-		pick.right = &qdNode{rows: b.right}
-		pick.rows = nil
-		delete(best, pick)
-		leaves[pickIdx] = pick.left
-		leaves = append(leaves, pick.right)
-		eval(pick.left)
-		eval(pick.right)
+		pi := order[pick]
+		mask := sc.masks[int(nodes[pi].best)*words : (int(nodes[pi].best)+1)*words]
+		li, ri := int32(len(nodes)), int32(len(nodes)+1)
+		left, right := newLeaf(), newLeaf() // within maxNodes: nodes never regrows
+		parent := &nodes[pi]
+		for w, m := range mask {
+			left.rows[w] = parent.rows[w] & m
+			right.rows[w] = parent.rows[w] &^ m
+			left.n += bits.OnesCount64(left.rows[w])
+		}
+		right.n = parent.n - left.n
+		parent.cut, parent.left, parent.right, parent.rows = parent.best, li, ri, nil
+		// The left child takes the parent's place, the right one the end.
+		order[pick] = li
+		order = append(order, ri)
+		eval(left)
+		eval(right)
 	}
+	for i, ni := range order {
+		nodes[ni].leafID = int32(i)
+	}
+	numLeaves := len(order)
+	sc.nodes, sc.order = nodes[:0], order[:0]
 
-	for i, n := range leaves {
-		n.leafID = i
-		n.rows = nil
+	// Route the full dataset through the tree, one node at a time: a
+	// node's rows sit contiguously in sc.rows, in ascending order, and a
+	// split reorders them into its left child's rows then its right's.
+	assign := make([]int, n)
+	sc.rows, sc.tmp = sized(sc.rows, n), sized(sc.tmp, n)
+	for r := range sc.rows {
+		sc.rows[r] = int32(r)
 	}
+	var route func(ni int32, rows []int32)
+	route = func(ni int32, rows []int32) {
+		nd := &nodes[ni]
+		if nd.cut < 0 {
+			for _, r := range rows {
+				assign[r] = int(nd.leafID)
+			}
+			return
+		}
+		nl := cuts[nd.cut].partition(d, rows, sc.tmp, sc)
+		route(nd.left, rows[:nl])
+		route(nd.right, rows[nl:])
+	}
+	route(0, sc.rows)
 
-	// Route the full dataset through the tree.
-	assign := make([]int, d.NumRows())
-	for r := 0; r < d.NumRows(); r++ {
-		assign[r] = root.route(d, r)
-	}
-	part := table.MustBuildPartitioning(d, assign, len(leaves))
-	name := fmt.Sprintf("qdtree(cuts=%d,leaves=%d,w=%s)", len(cuts), len(leaves), workloadTag(qs))
+	part := table.MustBuildPartitioning(d, assign, numLeaves)
+	name := fmt.Sprintf("qdtree(cuts=%d,leaves=%d,w=%s)", len(cuts), numLeaves, workloadTag(qs))
 	return New(name, d.Schema(), part)
 }
 
-// strideSample returns up to size row indices evenly spread over n rows.
-func strideSample(n, size int) []int {
+// strideSample fills buf with up to size row indices evenly spread over
+// n rows.
+func strideSample(buf []int32, n, size int) []int32 {
 	if size >= n {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
+		buf = sized(buf, n)
+		for i := range buf {
+			buf[i] = int32(i)
 		}
-		return all
+		return buf
 	}
-	out := make([]int, 0, size)
-	for i := 0; i < size; i++ {
-		out = append(out, i*n/size)
+	buf = sized(buf, size)
+	for i := range buf {
+		buf[i] = int32(i * n / size)
 	}
-	return out
+	return buf
 }
 
 // workloadTag summarizes a workload for layout names: the ID range of
@@ -340,12 +528,11 @@ func workloadTag(qs []query.Query) string {
 		return "empty"
 	}
 	lo, hi := qs[0].ID, qs[0].ID
-	for _, q := range qs {
-		if q.ID < lo {
-			lo = q.ID
-		}
-		if q.ID > hi {
-			hi = q.ID
+	for i := range qs {
+		if id := qs[i].ID; id < lo {
+			lo = id
+		} else if id > hi {
+			hi = id
 		}
 	}
 	return fmt.Sprintf("q%d..%d", lo, hi)

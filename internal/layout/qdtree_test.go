@@ -1,11 +1,18 @@
 package layout
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"oreo/internal/query"
+	"oreo/internal/table"
 )
 
 func qdWorkload(n int, seed int64) []query.Query {
@@ -147,23 +154,36 @@ func TestHarvestCutsDedup(t *testing.T) {
 	}
 }
 
+// avoidsOf reports whether query q provably skips cut c's left and
+// right side: the OR of cut.avoids over q's predicates on c's column,
+// which is what harvestCuts tallies per query.
+func avoidsOf(t *testing.T, schema *table.Schema, c cut, q query.Query) (left, right bool) {
+	t.Helper()
+	for i := range q.Preds {
+		if ci, ok := schema.Index(q.Preds[i].Col); ok && ci == c.col {
+			l, r := c.avoids(&q.Preds[i])
+			left, right = left || l, right || r
+		}
+	}
+	return left, right
+}
+
 func TestCutQueryAvoids(t *testing.T) {
 	schema := testSchema()
-	ci := schema.MustIndex("ts")
-	c := &cut{col: ci, kind: cutIntLT, i: 100}
+	c := cut{col: schema.MustIndex("ts"), kind: cutIntLT, i: 100}
 
 	q := query.Query{Preds: []query.Predicate{query.IntGE("ts", 100)}}
-	aL, aR := c.queryAvoids(schema, q)
+	aL, aR := avoidsOf(t, schema, c, q)
 	if !aL || aR {
 		t.Errorf("q[ts>=100] vs cut ts<100: avoids = (%v,%v), want (true,false)", aL, aR)
 	}
 	q2 := query.Query{Preds: []query.Predicate{query.IntLE("ts", 99)}}
-	aL, aR = c.queryAvoids(schema, q2)
+	aL, aR = avoidsOf(t, schema, c, q2)
 	if aL || !aR {
 		t.Errorf("q[ts<=99] vs cut ts<100: avoids = (%v,%v), want (false,true)", aL, aR)
 	}
 	q3 := query.Query{Preds: []query.Predicate{query.IntRange("ts", 50, 150)}}
-	aL, aR = c.queryAvoids(schema, q3)
+	aL, aR = avoidsOf(t, schema, c, q3)
 	if aL || aR {
 		t.Errorf("straddling query avoids = (%v,%v), want (false,false)", aL, aR)
 	}
@@ -171,32 +191,69 @@ func TestCutQueryAvoids(t *testing.T) {
 
 func TestCutStrInAvoids(t *testing.T) {
 	schema := testSchema()
-	ci := schema.MustIndex("cat")
-	c := &cut{col: ci, kind: cutStrIn, set: map[string]bool{"a": true, "b": true}}
+	c := cut{col: schema.MustIndex("cat"), kind: cutStrIn, set: []string{"a", "b"}}
 
 	q := query.Query{Preds: []query.Predicate{query.StrEq("cat", "c")}}
-	aL, aR := c.queryAvoids(schema, q)
+	aL, aR := avoidsOf(t, schema, c, q)
 	if !aL || aR {
 		t.Errorf("cat=c vs IN(a,b) cut: (%v,%v), want (true,false)", aL, aR)
 	}
 	q2 := query.Query{Preds: []query.Predicate{query.StrEq("cat", "a")}}
-	aL, aR = c.queryAvoids(schema, q2)
+	aL, aR = avoidsOf(t, schema, c, q2)
 	if aL || !aR {
 		t.Errorf("cat=a vs IN(a,b) cut: (%v,%v), want (false,true)", aL, aR)
 	}
 	q3 := query.Query{Preds: []query.Predicate{query.StrIn("cat", "a", "c")}}
-	aL, aR = c.queryAvoids(schema, q3)
+	aL, aR = avoidsOf(t, schema, c, q3)
 	if aL || aR {
 		t.Errorf("cat IN (a,c) vs IN(a,b) cut: (%v,%v), want (false,false)", aL, aR)
 	}
 }
 
+// TestHarvestTalliesMatchOracle holds the once-per-Generate avoid
+// tallies to the oracle's per-(cut, query) queryAvoids, on a workload
+// whose queries repeat a column (two predicates on one cut's column
+// must count the query once).
+func TestHarvestTalliesMatchOracle(t *testing.T) {
+	schema := testSchema()
+	qs := qdWorkload(120, 7)
+	qs = append(qs,
+		query.Query{ID: 900, Preds: []query.Predicate{query.IntGE("ts", 300), query.IntGE("ts", 500)}},
+		query.Query{ID: 901, Preds: []query.Predicate{query.StrIn("cat", "a", "b"), query.StrEq("cat", "zz")}},
+		query.Query{ID: 902, Preds: []query.Predicate{query.IntRange("nope", 1, 2)}},
+	)
+	cuts := harvestCuts(schema, qs)
+	want := oracleHarvestCuts(schema, qs)
+	if len(cuts) != len(want) {
+		t.Fatalf("harvested %d cuts, oracle %d", len(cuts), len(want))
+	}
+	for x, oc := range want {
+		c := cuts[x]
+		if c.col != oc.col || c.kind != oc.kind || c.i != oc.i || c.f != oc.f || len(c.set) != len(oc.set) {
+			t.Fatalf("cut %d = %+v, oracle %+v", x, c, oc)
+		}
+		wantL, wantR := 0, 0
+		for _, q := range qs {
+			aL, aR := oc.queryAvoids(schema, q)
+			if aL {
+				wantL++
+			}
+			if aR {
+				wantR++
+			}
+		}
+		if c.avoidL != wantL || c.avoidR != wantR {
+			t.Errorf("cut %d (%s): tallies (%d,%d), oracle (%d,%d)", x, oc.key, c.avoidL, c.avoidR, wantL, wantR)
+		}
+	}
+}
+
 func TestStrideSample(t *testing.T) {
-	s := strideSample(10, 20)
+	s := strideSample(nil, 10, 20)
 	if len(s) != 10 {
 		t.Errorf("oversized request returned %d rows", len(s))
 	}
-	s = strideSample(100, 10)
+	s = strideSample(s, 100, 10)
 	if len(s) != 10 {
 		t.Fatalf("got %d rows, want 10", len(s))
 	}
@@ -231,4 +288,528 @@ func TestQdTreeSampleSizeOption(t *testing.T) {
 	if l.Part.TotalRows != 2000 {
 		t.Errorf("total rows = %d", l.Part.TotalRows)
 	}
+}
+
+// qdRandomCase draws a schema, a dataset, a workload and generator
+// settings built to reach the corners where a columnar rewrite could
+// drift from the row-at-a-time oracle: NaN, ±0.0 and ±Inf floats,
+// extreme ints (HiI+1 wraps), empty strings, string columns below and
+// far above table.MaxTrackedDistinct (so partitions hold exact sets and
+// Bloom filters), IN lists with duplicates and with values no row has,
+// predicates on unknown or type-mismatched columns, repeated predicates
+// on one column, datasets smaller than the sample, and k from 1 to far
+// more leaves than can be split.
+func qdRandomCase(rng *rand.Rand) (*table.Dataset, []query.Query, int, *QdTreeGenerator) {
+	ncols := 1 + rng.Intn(6)
+	cols := make([]table.Column, ncols)
+	vocab := make([][]string, ncols)
+	for c := range cols {
+		cols[c] = table.Column{Name: fmt.Sprintf("c%d", c), Type: []table.ColType{table.Int64, table.Float64, table.String}[rng.Intn(3)]}
+		n := []int{1, 3, 40, 3 * table.MaxTrackedDistinct}[rng.Intn(4)]
+		for v := 0; v < n; v++ {
+			vocab[c] = append(vocab[c], fmt.Sprintf("v%d", v*7%n))
+		}
+		if rng.Intn(2) == 0 {
+			vocab[c][rng.Intn(n)] = ""
+		}
+	}
+	schema := table.NewSchema(cols...)
+
+	ints := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1}
+	floats := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), -2.5}
+	randInt := func() int64 {
+		if rng.Intn(12) == 0 {
+			return ints[rng.Intn(len(ints))]
+		}
+		return rng.Int63n(200) - 50
+	}
+	randFloat := func() float64 {
+		if rng.Intn(6) == 0 {
+			return floats[rng.Intn(len(floats))]
+		}
+		return float64(rng.Intn(400))/4 - 20
+	}
+
+	rows := []int{0, 1, 7, 60, 400, 2500}[rng.Intn(6)]
+	b := table.NewBuilder(schema, rows)
+	row := make([]table.Value, ncols)
+	for r := 0; r < rows; r++ {
+		for c := range cols {
+			switch cols[c].Type {
+			case table.Int64:
+				row[c] = table.Int(randInt())
+			case table.Float64:
+				row[c] = table.Float(randFloat())
+			case table.String:
+				row[c] = table.Str(vocab[c][rng.Intn(len(vocab[c]))])
+			}
+		}
+		b.AppendRow(row...)
+	}
+
+	qs := make([]query.Query, rng.Intn(60))
+	for qi := range qs {
+		qs[qi].ID = rng.Intn(1000)
+		for np := 1 + rng.Intn(3); np > 0; np-- {
+			c := rng.Intn(ncols)
+			name := cols[c].Name
+			if rng.Intn(25) == 0 {
+				name = "unknown"
+			}
+			shape := cols[c].Type
+			if rng.Intn(15) == 0 {
+				shape = table.ColType(rng.Intn(3)) // possibly mismatched
+			}
+			p := query.Predicate{Col: name}
+			switch shape {
+			case table.Int64:
+				p.HasLo, p.HasHi = rng.Intn(3) > 0, rng.Intn(3) > 0
+				p.LoI, p.HiI = randInt(), randInt()
+			case table.Float64:
+				p.HasLo, p.HasHi = rng.Intn(3) > 0, rng.Intn(3) > 0
+				p.LoF, p.HiF = randFloat(), randFloat()
+			case table.String:
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					switch rng.Intn(6) {
+					case 0:
+						p.In = append(p.In, fmt.Sprintf("absent%d", rng.Intn(3)))
+					case 1:
+						if len(p.In) > 0 {
+							p.In = append(p.In, p.In[0]) // duplicate
+							break
+						}
+						fallthrough
+					default:
+						p.In = append(p.In, vocab[c][rng.Intn(len(vocab[c]))])
+					}
+				}
+			}
+			qs[qi].Preds = append(qs[qi].Preds, p)
+		}
+	}
+
+	g := &QdTreeGenerator{
+		SampleSize:  []int{0, 16, 100, 700}[rng.Intn(4)],
+		MinLeafRows: []int{0, 1, 3}[rng.Intn(3)],
+	}
+	k := []int{0, 1, 2, 5, 16, 64, 500}[rng.Intn(7)]
+	return b.Build(), qs, k, g
+}
+
+// sameLayout compares two layouts field by field: name, assignment and
+// every PartitionMeta field, floats by bit pattern, distinct sets and
+// Bloom filters in full.
+func sameLayout(got, want *Layout) error {
+	if got.Name != want.Name {
+		return fmt.Errorf("name %q, want %q", got.Name, want.Name)
+	}
+	gp, wp := got.Part, want.Part
+	if gp.NumPartitions != wp.NumPartitions || gp.TotalRows != wp.TotalRows || len(gp.Meta) != len(wp.Meta) {
+		return fmt.Errorf("shape (%d parts, %d rows, %d metas), want (%d, %d, %d)",
+			gp.NumPartitions, gp.TotalRows, len(gp.Meta), wp.NumPartitions, wp.TotalRows, len(wp.Meta))
+	}
+	if !reflect.DeepEqual(gp.Assign, wp.Assign) {
+		return fmt.Errorf("assignments differ")
+	}
+	for pid := range wp.Meta {
+		g, w := gp.Meta[pid], wp.Meta[pid]
+		if g.ID != w.ID || g.NumRows != w.NumRows || len(g.Stats) != len(w.Stats) {
+			return fmt.Errorf("partition %d: (id %d, %d rows), want (id %d, %d rows)", pid, g.ID, g.NumRows, w.ID, w.NumRows)
+		}
+		for c := range w.Stats {
+			gs, ws := &g.Stats[c], &w.Stats[c]
+			if gs.Type != ws.Type || gs.Empty() != ws.Empty() ||
+				gs.MinI != ws.MinI || gs.MaxI != ws.MaxI ||
+				math.Float64bits(gs.MinF) != math.Float64bits(ws.MinF) ||
+				math.Float64bits(gs.MaxF) != math.Float64bits(ws.MaxF) ||
+				gs.MinS != ws.MinS || gs.MaxS != ws.MaxS ||
+				!reflect.DeepEqual(gs.Distinct, ws.Distinct) || !reflect.DeepEqual(gs.Bloom, ws.Bloom) {
+				return fmt.Errorf("partition %d column %d: stats %+v, want %+v", pid, c, *gs, *ws)
+			}
+		}
+	}
+	return nil
+}
+
+// TestQdTreeMatchesOracle is the rewrite's contract: the columnar
+// construction returns, field for field, what the row-at-a-time oracle
+// at the end of this file returns.
+func TestQdTreeMatchesOracle(t *testing.T) {
+	cases := 400
+	if testing.Short() {
+		cases = 60
+	}
+	bloomSeen := false
+	for seed := int64(0); seed < int64(cases); seed++ {
+		d, qs, k, g := qdRandomCase(rand.New(rand.NewSource(seed)))
+		got, want := g.Generate(d, qs, k), oracleGenerate(g, d, qs, k)
+		if err := sameLayout(got, want); err != nil {
+			t.Fatalf("seed %d (%d rows, %d queries, k=%d, %+v): %v", seed, d.NumRows(), len(qs), k, *g, err)
+		}
+		for _, m := range got.Part.Meta {
+			for c := range m.Stats {
+				bloomSeen = bloomSeen || m.Stats[c].Bloom != nil
+			}
+		}
+	}
+	if !bloomSeen {
+		t.Error("no case overflowed a distinct set into a Bloom filter; the generator lost that corner")
+	}
+}
+
+// TestQdTreeMatchesOracleTPCHShape runs the equivalence at the
+// benchmark's shape: a wide table, default sampling, a 200-query
+// window, more partitions than a window can carve.
+func TestQdTreeMatchesOracleTPCHShape(t *testing.T) {
+	d := testDataset(t, 30000, 41)
+	for _, k := range []int{8, 66} {
+		qs := qdWorkload(200, int64(k))
+		g := NewQdTreeGenerator()
+		if err := sameLayout(g.Generate(d, qs, k), oracleGenerate(g, d, qs, k)); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+}
+
+// allocsPer runs f n times and returns the mean heap allocations and
+// bytes per run.
+func allocsPer(n int, f func()) (count, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestQdTreeGenerateAllocations pins what a Generate call may allocate
+// to what it hands back — the Assign vector, the partition metadata and
+// layout built over it — plus the harvested cuts. Sample masks, leaf
+// bitsets, tree nodes and the two dataset-sized row lists that routing
+// reorders are pooled scratch: un-pooled, the row lists alone cost as
+// much again as Assign on every candidate.
+func TestQdTreeGenerateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	d := testDataset(t, 20000, 99)
+	qs := qdWorkload(200, 100)
+	g := NewQdTreeGenerator()
+	l := g.Generate(d, qs, 32) // also warms the pool
+	k := l.Part.NumPartitions
+
+	const runs = 20
+	needCount, needBytes := allocsPer(runs, func() {
+		harvestCuts(d.Schema(), qs)
+		assign := append(make([]int, 0, d.NumRows()), l.Part.Assign...)
+		New(l.Name, d.Schema(), table.MustBuildPartitioning(d, assign, k))
+	})
+	gotCount, gotBytes := allocsPer(runs, func() { g.Generate(d, qs, 32) })
+	t.Logf("Generate: %.0f allocations, %.0f B; Assign + metadata + cuts alone: %.0f allocations, %.0f B",
+		gotCount, gotBytes, needCount, needBytes)
+	if gotCount > 1.25*needCount+16 {
+		t.Errorf("Generate makes %.0f allocations, more than 1.25x the %.0f its result needs", gotCount, needCount)
+	}
+	if gotBytes > 1.25*needBytes {
+		t.Errorf("Generate allocates %.0f B, more than 1.25x the %.0f B its result needs", gotBytes, needBytes)
+	}
+}
+
+// What follows is the row-at-a-time Qd-tree construction the generator
+// shipped with before it went columnar, kept verbatim as the oracle the
+// equivalence property tests hold QdTreeGenerator.Generate to: string
+// dedup keys, a per-leaf eval that re-tests every sample row per cut and
+// re-derives every (cut, query) avoidance, per-row tree routing, and
+// partition metadata folded one row at a time through
+// PartitionMeta.AddRow.
+
+type oracleCut struct {
+	col  int
+	kind cutKind
+	i    int64
+	f    float64
+	set  map[string]bool
+	key  string
+}
+
+func (c *oracleCut) routesLeft(d *table.Dataset, r int) bool {
+	switch c.kind {
+	case cutIntLT:
+		return d.Int64At(c.col, r) < c.i
+	case cutFloatLT:
+		return d.Float64At(c.col, r) < c.f
+	case cutStrIn:
+		return c.set[d.StringAt(c.col, r)]
+	default:
+		return false
+	}
+}
+
+func (c *oracleCut) queryAvoids(schema *table.Schema, q query.Query) (avoidsLeft, avoidsRight bool) {
+	colName := schema.Col(c.col).Name
+	for _, p := range q.Preds {
+		if p.Col != colName {
+			continue
+		}
+		switch c.kind {
+		case cutIntLT:
+			if !p.IsNumeric() {
+				continue
+			}
+			if p.HasLo && p.LoI >= c.i {
+				avoidsLeft = true
+			}
+			if p.HasHi && p.HiI < c.i {
+				avoidsRight = true
+			}
+		case cutFloatLT:
+			if !p.IsNumeric() {
+				continue
+			}
+			if p.HasLo && p.LoF >= c.f {
+				avoidsLeft = true
+			}
+			if p.HasHi && p.HiF < c.f {
+				avoidsRight = true
+			}
+		case cutStrIn:
+			if p.IsNumeric() {
+				continue
+			}
+			anyIn, anyOut := false, false
+			for _, v := range p.In {
+				if c.set[v] {
+					anyIn = true
+				} else {
+					anyOut = true
+				}
+			}
+			if !anyIn {
+				avoidsLeft = true
+			}
+			if !anyOut {
+				avoidsRight = true
+			}
+		}
+	}
+	return avoidsLeft, avoidsRight
+}
+
+func oracleHarvestCuts(schema *table.Schema, qs []query.Query) []*oracleCut {
+	seen := make(map[string]bool)
+	var cuts []*oracleCut
+	add := func(c *oracleCut) {
+		if !seen[c.key] {
+			seen[c.key] = true
+			cuts = append(cuts, c)
+		}
+	}
+	for _, q := range qs {
+		for _, p := range q.Preds {
+			ci, ok := schema.Index(p.Col)
+			if !ok {
+				continue
+			}
+			switch schema.Col(ci).Type {
+			case table.Int64:
+				if !p.IsNumeric() {
+					continue
+				}
+				if p.HasLo {
+					add(&oracleCut{col: ci, kind: cutIntLT, i: p.LoI,
+						key: fmt.Sprintf("i%d<%d", ci, p.LoI)})
+				}
+				if p.HasHi {
+					add(&oracleCut{col: ci, kind: cutIntLT, i: p.HiI + 1,
+						key: fmt.Sprintf("i%d<%d", ci, p.HiI+1)})
+				}
+			case table.Float64:
+				if !p.IsNumeric() {
+					continue
+				}
+				if p.HasLo {
+					add(&oracleCut{col: ci, kind: cutFloatLT, f: p.LoF,
+						key: fmt.Sprintf("f%d<%g", ci, p.LoF)})
+				}
+				if p.HasHi {
+					add(&oracleCut{col: ci, kind: cutFloatLT, f: p.HiF,
+						key: fmt.Sprintf("f%d<=%g", ci, p.HiF)})
+				}
+			case table.String:
+				if p.IsNumeric() || len(p.In) == 0 {
+					continue
+				}
+				set := make(map[string]bool, len(p.In))
+				vals := append([]string(nil), p.In...)
+				sort.Strings(vals)
+				for _, v := range vals {
+					set[v] = true
+				}
+				add(&oracleCut{col: ci, kind: cutStrIn, set: set,
+					key: fmt.Sprintf("s%d∈%s", ci, strings.Join(vals, "|"))})
+			}
+		}
+	}
+	return cuts
+}
+
+type oracleNode struct {
+	cut         *oracleCut
+	left, right *oracleNode
+	leafID      int
+	rows        []int
+}
+
+func (n *oracleNode) route(d *table.Dataset, r int) int {
+	for n.cut != nil {
+		if n.cut.routesLeft(d, r) {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n.leafID
+}
+
+func oracleStrideSample(n, size int) []int {
+	if size >= n {
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	}
+	out := make([]int, 0, size)
+	for i := 0; i < size; i++ {
+		out = append(out, i*n/size)
+	}
+	return out
+}
+
+// oraclePartitioning folds every row through PartitionMeta.AddRow in
+// ascending row order — the reference table.BuildPartitioning is held to.
+func oraclePartitioning(d *table.Dataset, assign []int, k int) *table.Partitioning {
+	p := &table.Partitioning{
+		NumPartitions: k,
+		Assign:        assign,
+		Meta:          make([]*table.PartitionMeta, k),
+		TotalRows:     d.NumRows(),
+	}
+	for i := range p.Meta {
+		p.Meta[i] = table.NewPartitionMeta(i, d.Schema())
+	}
+	for r, pid := range assign {
+		p.Meta[pid].AddRow(d, r)
+	}
+	return p
+}
+
+// oracleGenerate is the pre-columnar QdTreeGenerator.Generate.
+func oracleGenerate(g *QdTreeGenerator, d *table.Dataset, qs []query.Query, k int) *Layout {
+	sampleSize := g.SampleSize
+	if sampleSize <= 0 {
+		sampleSize = 2048
+	}
+	minLeaf := g.MinLeafRows
+	if minLeaf <= 0 {
+		minLeaf = 8
+	}
+	if k < 1 {
+		k = 1
+	}
+	sample := oracleStrideSample(d.NumRows(), sampleSize)
+	cuts := oracleHarvestCuts(d.Schema(), qs)
+
+	root := &oracleNode{rows: sample}
+	leaves := []*oracleNode{root}
+
+	type bestSplit struct {
+		gain        float64
+		cut         *oracleCut
+		left, right []int
+	}
+	best := make(map[*oracleNode]*bestSplit)
+	eval := func(n *oracleNode) {
+		var b *bestSplit
+		for _, c := range cuts {
+			nl := 0
+			for _, r := range n.rows {
+				if c.routesLeft(d, r) {
+					nl++
+				}
+			}
+			nr := len(n.rows) - nl
+			if nl < minLeaf || nr < minLeaf {
+				continue
+			}
+			gain := 0.0
+			for _, q := range qs {
+				aL, aR := c.queryAvoids(d.Schema(), q)
+				if aL {
+					gain += float64(nl)
+				}
+				if aR {
+					gain += float64(nr)
+				}
+			}
+			if gain > 0 && (b == nil || gain > b.gain) {
+				b = &bestSplit{gain: gain, cut: c}
+			}
+		}
+		if b != nil {
+			left := make([]int, 0, len(n.rows)/2)
+			right := make([]int, 0, len(n.rows)/2)
+			for _, r := range n.rows {
+				if b.cut.routesLeft(d, r) {
+					left = append(left, r)
+				} else {
+					right = append(right, r)
+				}
+			}
+			b.left, b.right = left, right
+		}
+		best[n] = b
+	}
+	eval(root)
+
+	for len(leaves) < k {
+		var pick *oracleNode
+		var pickIdx int
+		for i, n := range leaves {
+			b := best[n]
+			if b == nil {
+				continue
+			}
+			if pick == nil || b.gain > best[pick].gain {
+				pick, pickIdx = n, i
+			}
+		}
+		if pick == nil {
+			break
+		}
+		b := best[pick]
+		pick.cut = b.cut
+		pick.left = &oracleNode{rows: b.left}
+		pick.right = &oracleNode{rows: b.right}
+		pick.rows = nil
+		delete(best, pick)
+		leaves[pickIdx] = pick.left
+		leaves = append(leaves, pick.right)
+		eval(pick.left)
+		eval(pick.right)
+	}
+
+	for i, n := range leaves {
+		n.leafID = i
+		n.rows = nil
+	}
+
+	assign := make([]int, d.NumRows())
+	for r := 0; r < d.NumRows(); r++ {
+		assign[r] = root.route(d, r)
+	}
+	part := oraclePartitioning(d, assign, len(leaves))
+	name := fmt.Sprintf("qdtree(cuts=%d,leaves=%d,w=%s)", len(cuts), len(leaves), workloadTag(qs))
+	return New(name, d.Schema(), part)
 }

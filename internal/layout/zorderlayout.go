@@ -129,8 +129,12 @@ func (g *ZOrderGenerator) Generate(d *table.Dataset, qs []query.Query, k int) *L
 			col := ci
 			rankers[i] = func(row int) uint64 { return b.RankFloat(d.Float64At(col, row)) }
 		case table.String:
-			b := zorder.NewStringBucketizer(d.StringCol(ci), bits)
 			col := ci
+			vals := make([]string, d.NumRows())
+			for r := range vals {
+				vals[r] = d.StringAt(col, r)
+			}
+			b := zorder.NewStringBucketizer(vals, bits)
 			rankers[i] = func(row int) uint64 { return b.RankString(d.StringAt(col, row)) }
 		}
 	}

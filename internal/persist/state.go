@@ -112,7 +112,11 @@ func CaptureRows(ds *table.Dataset, from, to int) (*RowsDoc, error) {
 			}
 			f.FloatBits[c] = bits
 		case table.String:
-			f.Strs[c] = append([]string(nil), ds.StringCol(c)[from:to]...)
+			strs := make([]string, 0, to-from)
+			for r := from; r < to; r++ {
+				strs = append(strs, ds.StringAt(c, r))
+			}
+			f.Strs[c] = strs
 		}
 	}
 	return f, nil

@@ -141,13 +141,15 @@ type Follower struct {
 	applied   map[string]bool
 	// bases and deltas are the follower's local copies of each table's
 	// partitioned base (grown past the boot dataset by applied
-	// compactions) and uncompacted live tail (nil ≡ empty). Snapshot
-	// records reset both; append records extend the delta; compact
-	// records fold the delta into the base. Layout records bind against
-	// bases, never the boot dataset — a switch after a compaction
-	// describes the grown row set.
+	// compactions) and uncompacted live tail — a table.Delta, as on the
+	// leader's shard, so an append costs its own rows and not a copy of
+	// the tail so far. Snapshot records reset both; append records
+	// extend the delta; compact records fold the delta into the base.
+	// Layout records bind against bases, never the boot dataset — a
+	// switch after a compaction describes the grown row set. Deltas are
+	// mutated only by the goroutine applying records.
 	bases  map[string]*oreo.Dataset
-	deltas map[string]*oreo.Dataset
+	deltas map[string]*table.Delta
 	// seen is the newest epoch decoded off the stream per table, ahead
 	// of apply: seen minus positions is the follower-side replication
 	// lag gauge — nonzero exactly while an apply (a store rebuild, say)
@@ -217,7 +219,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		layouts:   make(map[string]*oreo.Layout, len(cfg.Tables)),
 		applied:   make(map[string]bool, len(cfg.Tables)),
 		bases:     make(map[string]*oreo.Dataset, len(cfg.Tables)),
-		deltas:    make(map[string]*oreo.Dataset, len(cfg.Tables)),
+		deltas:    make(map[string]*table.Delta, len(cfg.Tables)),
 		seen:      make(map[string]uint64, len(cfg.Tables)),
 		ready:     make(chan struct{}),
 		failed:    make(chan struct{}),
@@ -662,7 +664,11 @@ func (f *Follower) apply(rec *Record) error {
 			// would answer bit-different costs — fail loudly instead.
 			return fmt.Errorf("%w: table %q statistics block mismatch (local data differs from leader's)", errDiverged, rec.Table)
 		}
-		if err := f.publish(rec, lay, base, delta, 0, false); err != nil {
+		tail := table.NewDelta(boot.Schema())
+		if delta != nil {
+			tail.AppendDataset(delta)
+		}
+		if err := f.publish(rec, lay, base, tail, 0, false); err != nil {
 			return err
 		}
 		f.stats.snapshots.Add(1)
@@ -703,17 +709,14 @@ func (f *Follower) apply(rec *Record) error {
 		if err != nil {
 			return fmt.Errorf("%w: rebuilding %q append batch: %v", errDiverged, rec.Table, err)
 		}
-		if delta == nil {
-			delta = batch
-		} else {
-			delta = table.Concat(delta, batch)
-		}
-		if rec.DeltaRows != delta.NumRows() {
+		if after := delta.Rows() + batch.NumRows(); rec.DeltaRows != after {
 			// The leader's post-append delta size disagrees with ours: a
 			// record was lost in a way the epoch discipline missed.
+			// Checked before the batch lands: a delta cannot un-append.
 			return fmt.Errorf("%w: table %q delta is %d rows after append, leader reports %d",
-				errDiverged, rec.Table, delta.NumRows(), rec.DeltaRows)
+				errDiverged, rec.Table, after, rec.DeltaRows)
 		}
+		delta.AppendDataset(batch)
 		if err := f.publish(rec, lay, base, delta, batch.NumRows(), false); err != nil {
 			return err
 		}
@@ -728,10 +731,7 @@ func (f *Follower) apply(rec *Record) error {
 		if rec.State == nil {
 			return fmt.Errorf("compact record for %q carries no state", rec.Table)
 		}
-		var deltaRows int
-		if delta != nil {
-			deltaRows = delta.NumRows()
-		}
+		deltaRows := delta.Rows()
 		if rec.Folded != deltaRows {
 			return fmt.Errorf("%w: table %q compaction folded %d rows on the leader, local delta holds %d",
 				errDiverged, rec.Table, rec.Folded, deltaRows)
@@ -741,7 +741,7 @@ func (f *Follower) apply(rec *Record) error {
 		// prove the result bit-identical to the leader's compacted data.
 		grown := base
 		if deltaRows > 0 {
-			grown = table.Concat(base, delta)
+			grown = table.Concat(base, delta.View().Data)
 		}
 		lay, warm, err := rec.State.Bind(grown)
 		if err != nil {
@@ -750,7 +750,7 @@ func (f *Follower) apply(rec *Record) error {
 		if !warm {
 			return fmt.Errorf("%w: table %q compacted statistics block mismatch (local rows differ from leader's)", errDiverged, rec.Table)
 		}
-		if err := f.publish(rec, lay, grown, nil, 0, true); err != nil {
+		if err := f.publish(rec, lay, grown, table.NewDelta(boot.Schema()), 0, true); err != nil {
 			return err
 		}
 		f.stats.compactions.Add(1)
@@ -769,7 +769,7 @@ func (f *Follower) apply(rec *Record) error {
 // records and returns the table's current local state. skip reports a
 // duplicate (already covered by a re-snapshot) that must be ignored
 // without applying anything.
-func (f *Follower) nextEpoch(rec *Record) (base, delta *oreo.Dataset, lay *oreo.Layout, skip bool, err error) {
+func (f *Follower) nextEpoch(rec *Record) (base *oreo.Dataset, delta *table.Delta, lay *oreo.Layout, skip bool, err error) {
 	f.mu.Lock()
 	last, seen := f.positions[rec.Table], f.applied[rec.Table]
 	base, delta, lay = f.bases[rec.Table], f.deltas[rec.Table], f.layouts[rec.Table]
@@ -787,9 +787,9 @@ func (f *Follower) nextEpoch(rec *Record) (base, delta *oreo.Dataset, lay *oreo.
 	return base, delta, lay, false, nil
 }
 
-// publish pushes (epoch, snapshot, base, delta) into the core and
-// updates the follower's positions and local data copies.
-func (f *Follower) publish(rec *Record, lay *oreo.Layout, base, delta *oreo.Dataset, appended int, compacted bool) error {
+// publish pushes (epoch, snapshot, base, the delta's current view) into
+// the core and updates the follower's positions and local data copies.
+func (f *Follower) publish(rec *Record, lay *oreo.Layout, base *oreo.Dataset, delta *table.Delta, appended int, compacted bool) error {
 	snap := oreo.OptimizerSnapshot{Serving: lay}
 	if rec.Stats != nil {
 		snap.Stats = *rec.Stats
@@ -804,7 +804,7 @@ func (f *Follower) publish(rec *Record, lay *oreo.Layout, base, delta *oreo.Data
 		Epoch:     rec.Epoch,
 		Snapshot:  snap,
 		Dataset:   base,
-		Delta:     delta,
+		Delta:     delta.View().Data,
 		Appended:  appended,
 		Compacted: compacted,
 	}

@@ -4,14 +4,18 @@ import "fmt"
 
 // Dataset is an immutable, column-oriented table. Each column is stored
 // as a typed slice so that scans, sorts, and layout construction touch
-// contiguous memory. Datasets are cheap to share: all accessors are
-// read-only after construction.
+// contiguous memory; string columns are dictionary-coded — one
+// immutable StringDict per column plus a []uint32 code per row — so a
+// dataset holds no per-row string headers and nothing the collector has
+// to scan. Datasets are cheap to share: all accessors are read-only
+// after construction.
 type Dataset struct {
 	schema  *Schema
 	numRows int
-	ints    [][]int64   // indexed by column position; nil unless Int64
-	floats  [][]float64 // indexed by column position; nil unless Float64
-	strs    [][]string  // indexed by column position; nil unless String
+	ints    [][]int64     // indexed by column position; nil unless Int64
+	floats  [][]float64   // indexed by column position; nil unless Float64
+	dicts   []*StringDict // indexed by column position; nil unless String
+	codes   [][]uint32    // indexed by column position; nil unless String
 }
 
 // Schema returns the dataset's schema.
@@ -27,7 +31,7 @@ func (d *Dataset) Int64At(col, row int) int64 { return d.ints[col][row] }
 func (d *Dataset) Float64At(col, row int) float64 { return d.floats[col][row] }
 
 // StringAt returns the string cell at (col, row). The column must be String.
-func (d *Dataset) StringAt(col, row int) string { return d.strs[col][row] }
+func (d *Dataset) StringAt(col, row int) string { return d.dicts[col].values[d.codes[col][row]] }
 
 // ValueAt returns the cell at (col, row) boxed as a Value.
 func (d *Dataset) ValueAt(col, row int) Value {
@@ -37,7 +41,7 @@ func (d *Dataset) ValueAt(col, row int) Value {
 	case Float64:
 		return Float(d.floats[col][row])
 	case String:
-		return Str(d.strs[col][row])
+		return Str(d.StringAt(col, row))
 	default:
 		panic("table: unknown column type")
 	}
@@ -50,31 +54,28 @@ func (d *Dataset) Int64Col(col int) []int64 { return d.ints[col] }
 // Float64Col returns the backing slice of a Float64 column. Read-only.
 func (d *Dataset) Float64Col(col int) []float64 { return d.floats[col] }
 
-// StringCol returns the backing slice of a String column. Read-only.
-func (d *Dataset) StringCol(col int) []string { return d.strs[col] }
+// StringCodes returns the backing code slice of a String column:
+// StringCodes(col)[r] is row r's value as a code of Dict(col). Read-only.
+func (d *Dataset) StringCodes(col int) []uint32 { return d.codes[col] }
+
+// Dict returns the dictionary a String column is coded against, or nil
+// for a column of another type. It may be shared with other datasets
+// and may hold values none of this dataset's rows use.
+func (d *Dataset) Dict(col int) *StringDict { return d.dicts[col] }
 
 // Sample returns a new dataset containing the rows at the given indices,
-// in order. It copies cell values, so the sample is independent of the
-// original. Layout generators use this to build layouts from small row
-// samples, as the paper prescribes for Qd-tree construction.
+// in order. Numeric cells and string codes are copied; the string
+// dictionaries are shared with the original (both are immutable).
+// Layout generators use this to build layouts from small row samples,
+// as the paper prescribes for Qd-tree construction.
 func (d *Dataset) Sample(rows []int) *Dataset {
-	b := NewBuilder(d.schema, len(rows))
 	for _, r := range rows {
 		if r < 0 || r >= d.numRows {
 			panic(fmt.Sprintf("table: sample row %d out of range [0,%d)", r, d.numRows))
 		}
-		for c := 0; c < d.schema.NumCols(); c++ {
-			switch d.schema.Col(c).Type {
-			case Int64:
-				b.ints[c] = append(b.ints[c], d.ints[c][r])
-			case Float64:
-				b.floats[c] = append(b.floats[c], d.floats[c][r])
-			case String:
-				b.strs[c] = append(b.strs[c], d.strs[c][r])
-			}
-		}
-		b.numRows++
 	}
+	b := NewBuilder(d.schema, len(rows))
+	b.AppendRows(d, rows)
 	return b.Build()
 }
 
@@ -85,7 +86,8 @@ type Builder struct {
 	numRows int
 	ints    [][]int64
 	floats  [][]float64
-	strs    [][]string
+	dicts   []dictWriter
+	codes   [][]uint32
 	built   bool
 }
 
@@ -95,7 +97,8 @@ func NewBuilder(schema *Schema, capacity int) *Builder {
 		schema: schema,
 		ints:   make([][]int64, schema.NumCols()),
 		floats: make([][]float64, schema.NumCols()),
-		strs:   make([][]string, schema.NumCols()),
+		dicts:  make([]dictWriter, schema.NumCols()),
+		codes:  make([][]uint32, schema.NumCols()),
 	}
 	for i := 0; i < schema.NumCols(); i++ {
 		switch schema.Col(i).Type {
@@ -104,7 +107,7 @@ func NewBuilder(schema *Schema, capacity int) *Builder {
 		case Float64:
 			b.floats[i] = make([]float64, 0, capacity)
 		case String:
-			b.strs[i] = make([]string, 0, capacity)
+			b.codes[i] = make([]uint32, 0, capacity)
 		}
 	}
 	return b
@@ -129,7 +132,7 @@ func (b *Builder) AppendRow(vals ...Value) {
 		case Float64:
 			b.floats[i] = append(b.floats[i], v.F)
 		case String:
-			b.strs[i] = append(b.strs[i], v.S)
+			b.codes[i] = append(b.codes[i], b.dicts[i].code(v.S))
 		}
 	}
 	b.numRows++
@@ -141,6 +144,12 @@ func (b *Builder) AppendRow(vals ...Value) {
 // the per-cell boxing and re-validation of AppendRow — the fast path
 // for regrouping a dataset's rows (the execution layer rebuilds its
 // per-partition blocks this way on every reorganization).
+//
+// String columns: a builder whose column is still empty shares d's
+// dictionary and copies codes; so does any later AppendRows from a
+// dataset coded against that same dictionary. Otherwise d's codes are
+// translated, and the first value the builder's dictionary lacks makes
+// it extend a private copy, in first-appearance order.
 func (b *Builder) AppendRows(d *Dataset, rows []int) {
 	if d.schema != b.schema {
 		panic("table: AppendRows across different schemas")
@@ -158,13 +167,42 @@ func (b *Builder) AppendRows(d *Dataset, rows []int) {
 				b.floats[c] = append(b.floats[c], src[r])
 			}
 		case String:
-			src := d.strs[c]
+			src, start := d.codes[c], len(b.codes[c])
 			for _, r := range rows {
-				b.strs[c] = append(b.strs[c], src[r])
+				b.codes[c] = append(b.codes[c], src[r])
 			}
+			b.recode(c, start, d)
 		}
 	}
 	b.numRows += len(rows)
+}
+
+// appendAll is AppendRows over every row of d, in order.
+func (b *Builder) appendAll(d *Dataset) {
+	for c := 0; c < b.schema.NumCols(); c++ {
+		switch b.schema.Col(c).Type {
+		case Int64:
+			b.ints[c] = append(b.ints[c], d.ints[c]...)
+		case Float64:
+			b.floats[c] = append(b.floats[c], d.floats[c]...)
+		case String:
+			start := len(b.codes[c])
+			b.codes[c] = append(b.codes[c], d.codes[c]...)
+			b.recode(c, start, d)
+		}
+	}
+	b.numRows += d.numRows
+}
+
+// recode brings string column c's cells from start on, just copied from
+// src as src's codes, into the builder's code space. A column with no
+// cells before them shares src's dictionary, so the copy already is.
+func (b *Builder) recode(c, start int, src *Dataset) {
+	w := &b.dicts[c]
+	if start == 0 {
+		w.adopt(src.dicts[c])
+	}
+	w.recode(b.codes[c][start:], src.dicts[c], nil)
 }
 
 // NumRows returns the number of rows appended so far.
@@ -176,11 +214,18 @@ func (b *Builder) Build() *Dataset {
 		panic("table: Builder.Build called twice")
 	}
 	b.built = true
-	return &Dataset{
+	ds := &Dataset{
 		schema:  b.schema,
 		numRows: b.numRows,
 		ints:    b.ints,
 		floats:  b.floats,
-		strs:    b.strs,
+		dicts:   make([]*StringDict, len(b.dicts)),
+		codes:   b.codes,
 	}
+	for c := range b.dicts {
+		if b.schema.Col(c).Type == String {
+			ds.dicts[c] = b.dicts[c].freeze()
+		}
+	}
+	return ds
 }

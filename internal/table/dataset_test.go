@@ -59,8 +59,12 @@ func TestColumnSlices(t *testing.T) {
 	if got := d.Float64Col(1); len(got) != 4 || got[2] != 1 {
 		t.Errorf("Float64Col = %v", got)
 	}
-	if got := d.StringCol(2); len(got) != 4 || got[1] != "b" {
-		t.Errorf("StringCol = %v", got)
+	codes, dict := d.StringCodes(2), d.Dict(2)
+	if len(codes) != 4 || dict.Value(codes[1]) != "b" {
+		t.Errorf("StringCodes = %v over %d values", codes, dict.Len())
+	}
+	if d.Dict(0) != nil || d.Dict(1) != nil {
+		t.Error("numeric column has a dictionary")
 	}
 }
 

@@ -16,14 +16,21 @@ import "fmt"
 // its Dataset exposes the first n rows over the shared backing arrays,
 // and appends past n either write beyond every view's length or
 // reallocate the backing array entirely, so published views are stable
-// either way.
+// either way. String dictionaries follow the same rule: a view's
+// StringDict covers the first m values of the append-only value list,
+// and the value→code map the delta encodes against stays private to
+// the writer.
 type Delta struct {
 	schema *Schema
 	ints   [][]int64
 	floats [][]float64
-	strs   [][]string
-	rows   int
-	stats  []ColumnStats
+	dicts  []dictWriter
+	codes  [][]uint32
+	// pub caches, per string column, the dictionary last handed to a
+	// view; reused while the column has gained no value since.
+	pub   []*StringDict
+	rows  int
+	stats []ColumnStats
 
 	// view caches the last snapshot; invalidated on append, so
 	// back-to-back View calls with no intervening writes are free.
@@ -53,7 +60,9 @@ func NewDelta(schema *Schema) *Delta {
 		schema: schema,
 		ints:   make([][]int64, schema.NumCols()),
 		floats: make([][]float64, schema.NumCols()),
-		strs:   make([][]string, schema.NumCols()),
+		dicts:  make([]dictWriter, schema.NumCols()),
+		codes:  make([][]uint32, schema.NumCols()),
+		pub:    make([]*StringDict, schema.NumCols()),
 		stats:  make([]ColumnStats, schema.NumCols()),
 	}
 	for i := 0; i < schema.NumCols(); i++ {
@@ -72,6 +81,11 @@ func (d *Delta) Rows() int { return d.rows }
 // the incremental stats. The source must have been built over the
 // delta's exact schema (pointer identity, like Builder.AppendRows);
 // anything else is a programming error upstream of the write path.
+// String cells are re-coded against the delta's own dictionaries, which
+// grow in first-appearance order; their stats fold once per distinct
+// value of the batch, which leaves the same ColumnStats as folding
+// every cell (min/max, the distinct set and Bloom bits are all
+// functions of the value set alone).
 func (d *Delta) AppendDataset(src *Dataset) {
 	if src.schema != d.schema {
 		panic("table: Delta.AppendDataset across different schemas")
@@ -92,10 +106,9 @@ func (d *Delta) AppendDataset(src *Dataset) {
 			}
 			d.floats[c] = append(d.floats[c], src.floats[c]...)
 		case String:
-			for _, v := range src.strs[c] {
-				d.stats[c].AddString(v)
-			}
-			d.strs[c] = append(d.strs[c], src.strs[c]...)
+			start := len(d.codes[c])
+			d.codes[c] = append(d.codes[c], src.codes[c]...)
+			d.dicts[c].recode(d.codes[c][start:], src.dicts[c], d.stats[c].AddString)
 		}
 	}
 	d.rows += src.numRows
@@ -113,7 +126,9 @@ func (d *Delta) Reset(folded int) {
 	for c := 0; c < d.schema.NumCols(); c++ {
 		d.ints[c] = nil
 		d.floats[c] = nil
-		d.strs[c] = nil
+		d.dicts[c] = dictWriter{}
+		d.codes[c] = nil
+		d.pub[c] = nil
 		d.stats[c] = newColumnStats(d.schema.Col(c).Type)
 	}
 	d.rows = 0
@@ -132,7 +147,8 @@ func (d *Delta) View() *DeltaView {
 		numRows: d.rows,
 		ints:    make([][]int64, len(d.ints)),
 		floats:  make([][]float64, len(d.floats)),
-		strs:    make([][]string, len(d.strs)),
+		dicts:   make([]*StringDict, len(d.dicts)),
+		codes:   make([][]uint32, len(d.codes)),
 	}
 	stats := make([]ColumnStats, len(d.stats))
 	for c := 0; c < d.schema.NumCols(); c++ {
@@ -142,7 +158,11 @@ func (d *Delta) View() *DeltaView {
 		case Float64:
 			ds.floats[c] = d.floats[c][:d.rows:d.rows]
 		case String:
-			ds.strs[c] = d.strs[c][:d.rows:d.rows]
+			ds.codes[c] = d.codes[c][:d.rows:d.rows]
+			if n := len(d.dicts[c].values); d.pub[c] == nil || d.pub[c].Len() != n {
+				d.pub[c] = &StringDict{values: d.dicts[c].values[:n:n]}
+			}
+			ds.dicts[c] = d.pub[c]
 		}
 		stats[c] = d.stats[c].Clone()
 	}
@@ -153,23 +173,16 @@ func (d *Delta) View() *DeltaView {
 // Concat returns a new dataset holding base's rows followed by tail's,
 // sharing base's schema. Compaction grows a table's base this way; both
 // inputs are left untouched. The tail must share the base's schema
-// pointer, the same contract as Builder.AppendRows.
+// pointer, the same contract as Builder.AppendRows. The result shares
+// base's string dictionaries unless the tail holds a value they lack,
+// in which case that column gets base's dictionary extended by the
+// tail's new values in first-appearance order (base codes unchanged).
 func Concat(base, tail *Dataset) *Dataset {
 	if tail.schema != base.schema {
 		panic("table: Concat across different schemas")
 	}
 	b := NewBuilder(base.schema, base.numRows+tail.numRows)
-	all := make([]int, base.numRows)
-	for i := range all {
-		all[i] = i
-	}
-	b.AppendRows(base, all)
-	if tail.numRows > 0 {
-		tailRows := make([]int, tail.numRows)
-		for i := range tailRows {
-			tailRows[i] = i
-		}
-		b.AppendRows(tail, tailRows)
-	}
+	b.appendAll(base)
+	b.appendAll(tail)
 	return b.Build()
 }

@@ -1,7 +1,10 @@
 package table
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -100,5 +103,185 @@ func TestPartitioningConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomPartitioningCase draws a dataset and an assignment built to
+// reach what a column-major fold could get wrong: NaN, ±0.0 and ±Inf
+// floats in every order, extreme ints, empty strings, string columns
+// far above MaxTrackedDistinct (partitions overflow into Bloom filters),
+// dictionaries shared with a parent dataset (values no row uses), empty
+// partitions, and k = 1.
+func randomPartitioningCase(rng *rand.Rand) (*Dataset, []int, int) {
+	ncols := 1 + rng.Intn(5)
+	cols := make([]Column, ncols)
+	card := make([]int, ncols)
+	for c := range cols {
+		cols[c] = Column{Name: fmt.Sprintf("c%d", c), Type: []ColType{Int64, Float64, String}[rng.Intn(3)]}
+		card[c] = []int{1, 4, MaxTrackedDistinct, 4 * MaxTrackedDistinct}[rng.Intn(4)]
+	}
+	schema := NewSchema(cols...)
+	floats := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	ints := []int64{math.MinInt64, math.MaxInt64, 0}
+
+	rows := []int{0, 1, 9, 200, 1500}[rng.Intn(5)]
+	b := NewBuilder(schema, rows)
+	row := make([]Value, ncols)
+	for r := 0; r < rows; r++ {
+		for c := range cols {
+			switch cols[c].Type {
+			case Int64:
+				row[c] = Int(rng.Int63n(100) - 50)
+				if rng.Intn(10) == 0 {
+					row[c] = Int(ints[rng.Intn(len(ints))])
+				}
+			case Float64:
+				row[c] = Float(float64(rng.Intn(40))/4 - 5)
+				if rng.Intn(4) == 0 {
+					row[c] = Float(floats[rng.Intn(len(floats))])
+				}
+			case String:
+				v := rng.Intn(card[c])
+				row[c] = Str(fmt.Sprintf("s%d", v))
+				if v == 0 && rng.Intn(2) == 0 {
+					row[c] = Str("")
+				}
+			}
+		}
+		b.AppendRow(row...)
+	}
+	d := b.Build()
+	if rows > 1 && rng.Intn(3) == 0 {
+		// A sample keeps its parent's dictionaries: codes are sparse.
+		keep := make([]int, 0, rows)
+		for r := 0; r < rows; r++ {
+			if rng.Intn(3) > 0 {
+				keep = append(keep, r)
+			}
+		}
+		d = d.Sample(keep)
+	}
+
+	k := []int{1, 2, 7, 70}[rng.Intn(4)]
+	assign := make([]int, d.NumRows())
+	for r := range assign {
+		assign[r] = rng.Intn(k)
+		if k > 2 && assign[r] == 1 {
+			assign[r] = 0 // partition 1 stays empty
+		}
+	}
+	return d, assign, k
+}
+
+// checkBuildMatchesAddRowFold holds BuildPartitioning to the reference
+// it replaces: every row folded through PartitionMeta.AddRow in
+// ascending order. Every field is compared — floats by bit pattern,
+// distinct sets and Bloom filters in full — and so is the statistics
+// block built from each.
+func checkBuildMatchesAddRowFold(t *testing.T, d *Dataset, assign []int, k int) {
+	t.Helper()
+	got := MustBuildPartitioning(d, assign, k)
+	want := &Partitioning{NumPartitions: k, Assign: assign, Meta: make([]*PartitionMeta, k), TotalRows: d.NumRows()}
+	for i := range want.Meta {
+		want.Meta[i] = NewPartitionMeta(i, d.Schema())
+	}
+	for r, pid := range assign {
+		want.Meta[pid].AddRow(d, r)
+	}
+	if got.NumPartitions != k || got.TotalRows != d.NumRows() || len(got.Meta) != k {
+		t.Fatalf("shape = (%d, %d, %d metas), want (%d, %d, %d)", got.NumPartitions, got.TotalRows, len(got.Meta), k, d.NumRows(), k)
+	}
+	for pid := range want.Meta {
+		g, w := got.Meta[pid], want.Meta[pid]
+		if g.ID != w.ID || g.NumRows != w.NumRows {
+			t.Fatalf("partition %d = (id %d, %d rows), want (id %d, %d rows)", pid, g.ID, g.NumRows, w.ID, w.NumRows)
+		}
+		for c := range w.Stats {
+			statsEqual(t, g.Stats[c], w.Stats[c])
+			if !reflect.DeepEqual(g.Stats[c].Bloom, w.Stats[c].Bloom) {
+				t.Fatalf("partition %d column %d: Bloom bits differ", pid, c)
+			}
+			if g.Stats[c].MinI != w.Stats[c].MinI || g.Stats[c].MaxI != w.Stats[c].MaxI ||
+				math.Float64bits(g.Stats[c].MinF) != math.Float64bits(w.Stats[c].MinF) ||
+				math.Float64bits(g.Stats[c].MaxF) != math.Float64bits(w.Stats[c].MaxF) {
+				t.Fatalf("partition %d column %d: off-type slots differ", pid, c)
+			}
+		}
+	}
+	gb, wb := got.Stats(), want.Stats()
+	gb.Col, wb.Col = nil, nil // pointers into each side's own Meta
+	if !reflect.DeepEqual(bitsOf(gb.MinF), bitsOf(wb.MinF)) || !reflect.DeepEqual(bitsOf(gb.MaxF), bitsOf(wb.MaxF)) {
+		t.Fatal("statistics block float bits differ")
+	}
+	gb.MinF, gb.MaxF, wb.MinF, wb.MaxF = nil, nil, nil, nil
+	if !reflect.DeepEqual(gb, wb) {
+		t.Fatal("statistics blocks differ")
+	}
+}
+
+func bitsOf(fs []float64) []uint64 {
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = math.Float64bits(f)
+	}
+	return out
+}
+
+func TestBuildPartitioningMatchesAddRowFold(t *testing.T) {
+	bloomSeen := false
+	for seed := int64(0); seed < 300; seed++ {
+		d, assign, k := randomPartitioningCase(rand.New(rand.NewSource(seed)))
+		checkBuildMatchesAddRowFold(t, d, assign, k)
+		for _, m := range MustBuildPartitioning(d, assign, k).Meta {
+			for c := range m.Stats {
+				bloomSeen = bloomSeen || m.Stats[c].Bloom != nil
+			}
+		}
+	}
+	if !bloomSeen {
+		t.Error("no case overflowed a distinct set into a Bloom filter; the generator lost that corner")
+	}
+}
+
+// FuzzBuildPartitioningEquivalence is the native-fuzzing form of the
+// property.
+func FuzzBuildPartitioningEquivalence(f *testing.F) {
+	for _, seed := range []int64{0, 1, 7, 42, 1234, 999983} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		d, assign, k := randomPartitioningCase(rand.New(rand.NewSource(seed)))
+		checkBuildMatchesAddRowFold(t, d, assign, k)
+	})
+}
+
+// BenchmarkBuildPartitioning folds a 100 000-row table of the
+// benchmark's column mix (ints, floats, low- and mid-cardinality
+// strings) into 64 partitions.
+func BenchmarkBuildPartitioning(b *testing.B) {
+	const rows, k = 100000, 64
+	schema := NewSchema(
+		Column{Name: "key", Type: Int64}, Column{Name: "date", Type: Int64},
+		Column{Name: "price", Type: Float64}, Column{Name: "discount", Type: Float64},
+		Column{Name: "flag", Type: String}, Column{Name: "mode", Type: String},
+		Column{Name: "brand", Type: String}, Column{Name: "container", Type: String},
+	)
+	rng := rand.New(rand.NewSource(1))
+	bld := NewBuilder(schema, rows)
+	for i := 0; i < rows; i++ {
+		bld.AppendRow(Int(int64(i)), Int(rng.Int63n(2500)),
+			Float(rng.Float64()*1e5), Float(float64(rng.Intn(11))/100),
+			Str(fmt.Sprintf("F%d", rng.Intn(3))), Str(fmt.Sprintf("M%d", rng.Intn(7))),
+			Str(fmt.Sprintf("Brand#%d", rng.Intn(25))), Str(fmt.Sprintf("C%d", rng.Intn(40))))
+	}
+	d := bld.Build()
+	assign := make([]int, rows)
+	for r := range assign {
+		assign[r] = (r*k/rows + rng.Intn(3)) % k
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MustBuildPartitioning(d, assign, k)
 	}
 }

@@ -175,7 +175,10 @@ func NewPartitionMeta(id int, schema *Schema) *PartitionMeta {
 	return m
 }
 
-// AddRow folds row r of dataset d into the metadata.
+// AddRow folds row r of dataset d into the metadata. Folding every row
+// of a partition in ascending order is the definition of its metadata;
+// BuildPartitioning computes the same thing one column at a time and is
+// property-tested field for field against this fold.
 func (m *PartitionMeta) AddRow(d *Dataset, r int) {
 	m.NumRows++
 	for c := 0; c < d.Schema().NumCols(); c++ {

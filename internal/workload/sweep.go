@@ -65,14 +65,13 @@ func ColumnSweepTemplates(d *table.Dataset) []Template {
 				},
 			})
 		case table.String:
-			vals := d.StringCol(ci)
-			if len(vals) == 0 {
+			if d.NumRows() == 0 {
 				continue
 			}
 			templates = append(templates, Template{
 				Name: "sweep-" + col.Name,
 				Make: func(rng *rand.Rand) []query.Predicate {
-					return []query.Predicate{query.StrEq(col.Name, vals[rng.Intn(len(vals))])}
+					return []query.Predicate{query.StrEq(col.Name, d.StringAt(ci, rng.Intn(d.NumRows())))}
 				},
 			})
 		}

@@ -119,10 +119,17 @@
 // The execution layer (internal/exec) closes the serving loop: it is
 // where layout decisions finally pay off as bytes not read. An
 // exec.Store materializes the table's rows into one column-major block
-// per partition of a layout — string columns dictionary-encoded at
-// build time into dense interned codes (one table.StringDict per
-// column, per-block uint32 code arrays) — and a scan takes a query
-// plus the survivor skip-list and reads exactly the listed blocks.
+// per partition of a layout, and a scan takes a query plus the
+// survivor skip-list and reads exactly the listed blocks. There is one
+// string dictionary in the system and it lives in the data: a Dataset
+// stores each string column as an immutable table.StringDict plus one
+// uint32 code per row, every dataset derived from it (samples, delta
+// views, a compacted base whose tail brought no new value, the store's
+// blocks) shares that dictionary and copies only codes, and the store
+// keeps neither dictionaries nor code arrays of its own. Candidate
+// generation reads the same codes: Qd-tree construction routes IN cuts
+// over them and BuildPartitioning folds each partition's distinct
+// codes into its metadata.
 //
 // Scans run on vectorized kernels, not per-row interpretation: each
 // compiled predicate sweeps its column block-at-a-time into a reusable
