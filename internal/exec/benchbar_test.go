@@ -16,7 +16,8 @@ import (
 //
 //   - TestScanSpeedupBar: the vectorized kernels are >= 4x faster than
 //     the interpreted row-at-a-time engine, single-threaded, on the
-//     BenchmarkScanBySurvivorCount shapes.
+//     BenchmarkScanBySurvivorCount shapes plus a float predicate, which
+//     metadata never covers, so the bar times kernels, not summaries.
 //   - TestParallelScalingBar: the worker pool scales near-linearly —
 //     W workers must deliver at least W/2 of the sequential time.
 
@@ -49,6 +50,7 @@ func TestScanSpeedupBar(t *testing.T) {
 	for _, nsurv := range []int{4, 64} {
 		q := query.Query{Preds: []query.Predicate{
 			query.IntRange("ts", 0, per*int64(nsurv)-1),
+			query.FloatGE("val", 0),
 		}}
 		ids, _ := prune.Compile(ds.Schema(), q).Survivors(store.Partitioning())
 		want := int(per) * nsurv

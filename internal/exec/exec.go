@@ -3,8 +3,12 @@
 // pruning engine, the serving layer's survivor skip-lists — reasons
 // about which partitions a scan may skip; this package materializes the
 // actual rows arranged per layout and executes scans that read only the
-// partitions a skip-list names, re-checking every predicate against the
-// data.
+// partitions a skip-list names, re-checking against the data every
+// predicate the partition metadata cannot answer. A block meets one of
+// three outcomes: skipped (absent from the survivor list, never
+// touched), covered (its metadata proves every predicate true for every
+// row, so it is answered from its row count and stored sums), or
+// scanned (the kernels sweep its predicate columns).
 //
 // A Store holds one column-major block per partition: the dataset's
 // rows regrouped by the partitioning's row→partition assignment, each
@@ -21,8 +25,8 @@
 // snapshots).
 //
 // Scan executes vectorized: predicates bind to typed columnar kernels
-// that sweep each block into a selection vector, aggregates fold in
-// tight per-column loops over the selected indices, and per-scan
+// that sweep each scanned block into a selection vector, aggregates
+// fold in tight per-column loops over the selected indices, and per-scan
 // scratch recycles through a pool so steady-state scans allocate
 // nothing beyond their Result (kernels.go). With Options.Parallelism
 // > 1 a worker pool scans survivor blocks concurrently and merges
@@ -33,11 +37,12 @@
 //
 // Scan is the paper's premise made observable: the survivor skip-list
 // bounds the partitions touched (c(s, q) is exactly the fraction of
-// rows examined), while the per-row predicate re-check filters the
-// false positives metadata pruning necessarily admits. False negatives
-// are impossible to hide: a partition wrongly pruned upstream would
-// change the result set, which is what the pruned-scan ≡ full-scan
-// property tests in this package pin down, bitwise.
+// rows examined, covered blocks included), while the per-row predicate
+// re-check filters the false positives metadata pruning necessarily
+// admits. False negatives are impossible to hide: a partition wrongly
+// pruned upstream would change the result set, which is what the
+// pruned-scan ≡ full-scan property tests in this package pin down,
+// bitwise.
 package exec
 
 import (
@@ -64,6 +69,11 @@ type Store struct {
 	// entries for non-string columns); every block's codes for that
 	// column are codes of it.
 	dicts []*table.StringDict
+	// sums holds every block's row-order sum over each numeric column,
+	// indexed pid*NumCols+ci (zero entries for string columns): the
+	// partial foldBlockAgg folds over the whole block, kept so a covered
+	// block answers a sum without reading the column.
+	sums []blockSum
 	// allIDs caches the full-scan survivor list [0..k): AllPartitions
 	// is on the per-request execute path and must not allocate.
 	allIDs []int
@@ -101,10 +111,24 @@ func NewStore(ds *table.Dataset, part *table.Partitioning) (*Store, error) {
 		blocks: make([]*table.Dataset, k),
 		rowIDs: rowIDs,
 	}
+	nc := schema.NumCols()
+	s.sums = make([]blockSum, k*nc)
+	var all []int32
 	for pid := 0; pid < k; pid++ {
 		b := table.NewBuilder(schema, len(rowIDs[pid]))
 		b.AppendRows(ds, rowIDs[pid])
-		s.blocks[pid] = b.Build()
+		blk := b.Build()
+		s.blocks[pid] = blk
+		// Summed while the block just copied is still in cache, through
+		// the fold a scan uses, so the stored partial is the scan's own.
+		n := blk.NumRows()
+		all = identity(all, n)
+		for ci := 0; ci < nc; ci++ {
+			if typ := schema.Col(ci).Type; typ != table.String {
+				p := foldBlockAgg(blk, all[:n], &aggAcc{op: AggSum, ci: ci, typ: typ})
+				s.sums[pid*nc+ci] = blockSum{i: p.i, f: p.f, overflowed: p.overflowed}
+			}
+		}
 	}
 	s.dicts = make([]*table.StringDict, schema.NumCols())
 	for ci := range s.dicts {
@@ -195,7 +219,8 @@ type Result struct {
 	// PartitionsRead is the number of blocks visited (the skip-list's
 	// length), and RowsExamined the rows they hold — RowsExamined over
 	// the table size is exactly the service cost c(s, q) the optimizer
-	// predicted for the skip-list.
+	// predicted for the skip-list. Covered blocks count in full in both:
+	// they are the cost model's quantities, not a count of cells touched.
 	PartitionsRead int
 	RowsExamined   int
 	// Aggs holds one result per requested aggregate, in request order.
@@ -209,6 +234,12 @@ type Result struct {
 	// delta is always read in full — but not in PartitionsRead, which
 	// counts base partitions only.
 	DeltaRows int
+	// PartitionsCovered is how many of the PartitionsRead blocks the
+	// partition metadata proved every predicate true for, and the scan
+	// therefore answered from block summaries instead of reading their
+	// predicate columns. Purely observational, like Workers: results do
+	// not depend on it, and ScanInterpreted always reports zero.
+	PartitionsCovered int
 	// Workers is the number of scan workers actually used: 1 for a
 	// sequential scan, Options.Parallelism clamped to the survivor
 	// count otherwise. Purely observational — results do not depend on
@@ -234,11 +265,12 @@ func (s *Store) validateSurvivors(survivors []int) error {
 	return nil
 }
 
-// Scan executes the query over exactly the listed partitions: each
-// block named by survivors is read in full and every row is re-checked
-// against the query's predicates (row semantics identical to
-// query.Query.MatchRow), so partitions the metadata admitted wrongly
-// are filtered out row by row. The query is bound once into typed
+// Scan executes the query over exactly the listed partitions: in each
+// block named by survivors every row is re-checked against the query's
+// predicates (row semantics identical to query.Query.MatchRow), so
+// partitions the metadata admitted wrongly are filtered out row by row
+// — except where the block's metadata already proves a predicate true
+// for all its rows (selectBlock). The query is bound once into typed
 // columnar kernels; unknown columns or type-mismatched predicates
 // match no rows, exactly as MatchRow treats them. survivors must be
 // strictly ascending partition IDs within range.
@@ -272,7 +304,7 @@ func (s *Store) Scan(q query.Query, survivors []int, aggs []AggSpec, opts Option
 	if err != nil {
 		return Result{}, err
 	}
-	if err := s.scanDelta(&res, q, accs, opts); err != nil {
+	if err := s.scanDelta(&res, q, accs, sc.blockPartials(len(accs)), opts); err != nil {
 		return Result{}, err
 	}
 	res.Aggs = make([]AggValue, len(accs))
@@ -291,7 +323,7 @@ func (s *Store) Scan(q query.Query, survivors []int, aggs []AggSpec, opts Option
 // results across engines and skip-lists — and matched rows are indexed
 // past the base (TotalRows()+r). Parallel scans run it sequentially
 // after the pool drains, inside the ordered merge.
-func (s *Store) scanDelta(res *Result, q query.Query, accs []aggAcc, opts Options) error {
+func (s *Store) scanDelta(res *Result, q query.Query, accs, partials []aggAcc, opts Options) error {
 	delta := opts.Delta
 	if delta == nil || delta.NumRows() == 0 {
 		return nil
@@ -311,7 +343,6 @@ func (s *Store) scanDelta(res *Result, q query.Query, accs []aggAcc, opts Option
 	if f.never {
 		return nil
 	}
-	partials := make([]aggAcc, len(accs))
 	for i := range accs {
 		partials[i] = aggAcc{op: accs[i].op, col: accs[i].col, ci: accs[i].ci, typ: accs[i].typ,
 			valid: accs[i].op == AggCount || accs[i].op == AggSum}
@@ -346,33 +377,32 @@ func (s *Store) scanDelta(res *Result, q query.Query, accs []aggAcc, opts Option
 // predicates, and accumulators all live in pooled scratch.
 func (s *Store) scanSequential(res *Result, sc *scanScratch, survivors []int, accs []aggAcc, never bool, opts Options) error {
 	ctx := opts.Context
+	partials := sc.blockPartials(len(accs))
 	for _, pid := range survivors {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("exec: scan canceled: %w", err)
 			}
 		}
-		blk := s.blocks[pid]
-		n := blk.NumRows()
+		n := s.blocks[pid].NumRows()
 		res.PartitionsRead++
 		res.RowsExamined += n
 		if never || n == 0 {
 			continue
 		}
-		sel := s.selectBlock(sc.preds, pid, &sc.sel)
-		if len(sel) == 0 {
+		sel, matched, covered := s.scanBlock(sc, sc.preds, pid, accs, partials)
+		if covered {
+			res.PartitionsCovered++
+		}
+		if matched == 0 {
 			continue
 		}
-		res.Matched += len(sel)
+		res.Matched += matched
 		for i := range accs {
-			p := foldBlockAgg(blk, sel, &accs[i])
-			mergeAgg(&accs[i], &p)
+			mergeAgg(&accs[i], &partials[i])
 		}
 		if opts.CollectRows {
-			ids := s.rowIDs[pid]
-			for _, r := range sel {
-				res.RowIDs = append(res.RowIDs, ids[r])
-			}
+			res.RowIDs = s.appendRowIDs(res.RowIDs, pid, sel, covered)
 		}
 	}
 	return nil
@@ -440,7 +470,7 @@ func (s *Store) ScanInterpreted(q query.Query, survivors []int, aggs []AggSpec, 
 			mergeAgg(&accs[i], &partials[i])
 		}
 	}
-	if err := s.scanDelta(&res, q, accs, opts); err != nil {
+	if err := s.scanDelta(&res, q, accs, partials, opts); err != nil {
 		return Result{}, err
 	}
 	res.Aggs = make([]AggValue, len(accs))

@@ -298,12 +298,19 @@ func TestScanEqualityAcrossReorganizations(t *testing.T) {
 }
 
 // FuzzPrunedScanEquality is the native-fuzzing form of the property.
+// Negative seeds draw the clustered, extreme-valued corpus
+// (checkCoveredScenario), so the fuzzer starts from covered blocks and
+// domain-edge bounds as well as from random layouts.
 func FuzzPrunedScanEquality(f *testing.F) {
-	for _, seed := range []int64{0, 1, 7, 42, 1234, 999983} {
+	for _, seed := range []int64{0, 1, 7, 42, 1234, 999983, -1, -7, -42, math.MinInt64} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
+		if seed < 0 {
+			checkCoveredScenario(t, rng, 10)
+			return
+		}
 		ds, part := randomScenario(rng)
 		store := MustNewStore(ds, part)
 		for i := 0; i < 15; i++ {

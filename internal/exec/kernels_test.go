@@ -25,7 +25,7 @@ func checkEngineEquality(t testing.TB, store *Store, q query.Query, aggs []AggSp
 	if err != nil {
 		t.Fatalf("interpreted scan: %v", err)
 	}
-	for _, par := range []int{0, 1, 2, 3, 7} {
+	for _, par := range []int{0, 1, 2, 3, 8} {
 		got, err := store.Scan(q, survivors, aggs, Options{CollectRows: true, Parallelism: par})
 		if err != nil {
 			t.Fatalf("scan par=%d: %v", par, err)
@@ -79,12 +79,18 @@ func TestParallelScanEqualsSequentialProperty(t *testing.T) {
 
 // FuzzParallelScanEquality is the native-fuzzing form: any seed the
 // fuzzer invents must keep all three engines bitwise identical.
+// Negative seeds draw the clustered, extreme-valued corpus, as in
+// FuzzPrunedScanEquality.
 func FuzzParallelScanEquality(f *testing.F) {
-	for _, seed := range []int64{0, 3, 8, 23, 4321, 424243} {
+	for _, seed := range []int64{0, 3, 8, 23, 4321, 424243, -3, -8, -23, math.MinInt64} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
+		if seed < 0 {
+			checkCoveredScenario(t, rng, 10)
+			return
+		}
 		ds, part := randomScenario(rng)
 		store := MustNewStore(ds, part)
 		for i := 0; i < 10; i++ {

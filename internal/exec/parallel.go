@@ -7,20 +7,21 @@ import (
 )
 
 // Parallel scan driver: a bounded worker pool claims survivor blocks
-// off an atomic counter, scans each block independently (selection +
-// per-block aggregate partials, using pooled per-worker scratch), and
-// the driver merges the per-block outputs strictly in skip-list order
-// after all workers drain. Because aggregate partials are merged in
-// the same block order the sequential path uses — and blocks with zero
-// matched rows are skipped by both — the parallel result is
-// bit-identical to the sequential one: same Result.RowIDs sequence,
-// same aggregate IEEE-754 bits, regardless of worker count or
+// off an atomic counter, scans each block independently (scanBlock:
+// selection or summary, then per-block aggregate partials, using pooled
+// per-worker scratch), and the driver merges the per-block outputs
+// strictly in skip-list order after all workers drain. Because aggregate
+// partials are merged in the same block order the sequential path uses —
+// and blocks with zero matched rows are skipped by both — the parallel
+// result is bit-identical to the sequential one: same Result.RowIDs
+// sequence, same aggregate IEEE-754 bits, regardless of worker count or
 // scheduling.
 
 // blockOut is one survivor block's scan output, indexed by position in
 // the survivor list.
 type blockOut struct {
 	matched  int
+	covered  bool
 	partials []aggAcc
 	rowIDs   []int
 }
@@ -61,29 +62,15 @@ func (s *Store) scanParallel(res *Result, preds []kernPred, survivors []int, acc
 					return
 				}
 				pid := survivors[idx]
-				blk := s.blocks[pid]
-				if blk.NumRows() == 0 {
-					continue
-				}
-				sel := s.selectBlock(preds, pid, &wsc.sel)
-				if len(sel) == 0 {
+				if s.blocks[pid].NumRows() == 0 {
 					continue
 				}
 				out := &outs[idx]
-				out.matched = len(sel)
-				if len(accs) > 0 {
-					out.partials = parts[idx*len(accs) : (idx+1)*len(accs)]
-					for i := range accs {
-						out.partials[i] = foldBlockAgg(blk, sel, &accs[i])
-					}
-				}
-				if opts.CollectRows {
-					ids := s.rowIDs[pid]
-					rids := make([]int, len(sel))
-					for j, r := range sel {
-						rids[j] = ids[r]
-					}
-					out.rowIDs = rids
+				out.partials = parts[idx*len(accs) : (idx+1)*len(accs)]
+				var sel []int32
+				sel, out.matched, out.covered = s.scanBlock(wsc, preds, pid, accs, out.partials)
+				if opts.CollectRows && out.matched > 0 {
+					out.rowIDs = s.appendRowIDs(make([]int, 0, out.matched), pid, sel, out.covered)
 				}
 			}
 		}()
@@ -97,6 +84,9 @@ func (s *Store) scanParallel(res *Result, preds []kernPred, survivors []int, acc
 		res.PartitionsRead++
 		res.RowsExamined += s.blocks[pid].NumRows()
 		out := &outs[idx]
+		if out.covered {
+			res.PartitionsCovered++
+		}
 		if out.matched == 0 {
 			continue
 		}

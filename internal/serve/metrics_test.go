@@ -130,6 +130,26 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("malformed exposition line: %q", line)
 		}
 	}
+
+	// The execution above read order_ts 0..99 out of a block holding
+	// 0..249: scanned, not covered. A range made of whole blocks (the
+	// boot layout sorts order_ts into 16 blocks of 250) is answered from
+	// their summaries, and only then does the covered counter move.
+	const covered = `oreo_scan_partitions_covered_total{table="orders"}`
+	if got := sampleValue(t, body, covered); got != 0 {
+		t.Errorf("covered partitions after an uncovered execution = %v, want 0", got)
+	}
+	exec["preds"] = []map[string]any{{"col": "order_ts", "has_lo": true, "has_hi": true, "lo_i": 0, "hi_i": 499}}
+	if resp, _ := postJSON(t, ts.URL+"/v1/query", exec); resp.StatusCode != http.StatusOK {
+		t.Fatalf("covered execute: %d", resp.StatusCode)
+	}
+	body = scrape(t, ts)
+	if got := sampleValue(t, body, covered); got != 2 {
+		t.Errorf("covered partitions after a two-block range = %v, want 2", got)
+	}
+	if got := sampleValue(t, body, `oreo_executions_total{table="orders"}`); got != 2 {
+		t.Errorf("executions = %v, want 2", got)
+	}
 }
 
 // TestMetricsStatsAgree pins the unified-counter contract: /stats,

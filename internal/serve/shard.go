@@ -144,10 +144,12 @@ type shard struct {
 	// decision-path hit/miss counters.
 	compiles *metrics.Counter
 	// executions / execRows count row-level scans and the rows they
-	// examined; parallelScans counts the executions that ran with more
-	// than one scan worker (see scanPar).
+	// examined; execCovered counts the survivor blocks those scans
+	// answered from block summaries; parallelScans counts the executions
+	// that ran with more than one scan worker (see scanPar).
 	executions    *metrics.Counter
 	execRows      *metrics.Counter
+	execCovered   *metrics.Counter
 	parallelScans *metrics.Counter
 	// rowsAppended counts rows landed through the live write path (on a
 	// follower: applied from the leader's stream); compactions counts
@@ -305,6 +307,8 @@ func (s *shard) registerMetrics(reg *metrics.Registry) {
 		"Served queries that also ran a row-level scan over their survivor partitions.", lbl)
 	s.execRows = reg.Counter("oreo_scan_rows_examined_total",
 		"Rows examined by execution scans; rate() of this is scan rows per second.", lbl)
+	s.execCovered = reg.Counter("oreo_scan_partitions_covered_total",
+		"Survivor partitions execution scans answered from block summaries, their metadata proving every predicate true.", lbl)
 	s.parallelScans = reg.Counter("oreo_parallel_scans_total",
 		"Execution scans that ran with more than one worker.", lbl)
 	s.rowsAppended = reg.Counter("oreo_rows_appended_total",
@@ -910,6 +914,7 @@ func (s *shard) serveExecute(ctx context.Context, q oreo.Query, aggs []exec.AggS
 	observed := s.record(q, cost)
 	s.executions.Add(1)
 	s.execRows.Add(uint64(scan.RowsExamined))
+	s.execCovered.Add(uint64(scan.PartitionsCovered))
 	if scan.Workers > 1 {
 		s.parallelScans.Add(1)
 	}

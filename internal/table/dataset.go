@@ -1,6 +1,9 @@
 package table
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Dataset is an immutable, column-oriented table. Each column is stored
 // as a typed slice so that scans, sorts, and layout construction touch
@@ -157,24 +160,27 @@ func (b *Builder) AppendRows(d *Dataset, rows []int) {
 	for c := 0; c < b.schema.NumCols(); c++ {
 		switch b.schema.Col(c).Type {
 		case Int64:
-			src := d.ints[c]
-			for _, r := range rows {
-				b.ints[c] = append(b.ints[c], src[r])
-			}
+			b.ints[c] = gather(b.ints[c], d.ints[c], rows)
 		case Float64:
-			src := d.floats[c]
-			for _, r := range rows {
-				b.floats[c] = append(b.floats[c], src[r])
-			}
+			b.floats[c] = gather(b.floats[c], d.floats[c], rows)
 		case String:
-			src, start := d.codes[c], len(b.codes[c])
-			for _, r := range rows {
-				b.codes[c] = append(b.codes[c], src[r])
-			}
+			start := len(b.codes[c])
+			b.codes[c] = gather(b.codes[c], d.codes[c], rows)
 			b.recode(c, start, d)
 		}
 	}
 	b.numRows += len(rows)
+}
+
+// gather appends src's cells at the given rows to dst, growing dst once.
+func gather[T any](dst, src []T, rows []int) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
+	out := dst[n:]
+	for j, r := range rows {
+		out[j] = src[r]
+	}
+	return dst
 }
 
 // appendAll is AppendRows over every row of d, in order.

@@ -131,18 +131,31 @@
 // over them and BuildPartitioning folds each partition's distinct
 // codes into its metadata.
 //
-// Scans run on vectorized kernels, not per-row interpretation: each
-// compiled predicate sweeps its column block-at-a-time into a reusable
-// selection vector (typed int64/float64 range kernels with sentinel
-// bounds; string IN-sets precompiled to a dictionary-code bitmap, so
-// membership is one bit probe per row instead of a string compare),
-// then tight per-column aggregate loops (count, sum, min, max) fold
-// only the selected indices — no table.Value boxing, and pooled
-// per-scan scratch keeps the steady state at one allocation (the
-// result slice). Measured on BenchmarkScanBySurvivorCount this is
-// 5–7x the row-at-a-time engine single-threaded, and 13x on string
-// IN scans; BENCH_exec.json records the trajectory and CI enforces a
-// 4x floor (TestScanSpeedupBar).
+// A scan reads only what the partition metadata cannot answer, so each
+// block of the table meets one of three outcomes. It is skipped when
+// the survivor skip-list does not name it: never touched. It is covered
+// when its metadata proves every predicate true for all its rows (an
+// int64 range containing the block's [min, max]): count is the block's
+// row count and sum a per-(block, numeric column) partial the store
+// computed when it copied the block, so no column is read. Otherwise it
+// is scanned: each remaining predicate sweeps its column into a
+// reusable selection vector (typed int64/float64 range kernels with
+// sentinel bounds; string IN-sets precompiled to a dictionary-code
+// bitmap, so membership is one bit test per row instead of a string
+// compare), then tight per-column aggregate loops (count, sum, min,
+// max) fold only the selected indices — no table.Value boxing, and
+// pooled per-scan scratch keeps the steady state at one allocation (the
+// result slice). The kernels are branch-free in the data — the
+// selection cursor advances by a computed 0/1 — so their cost per row
+// does not depend on how many rows match (BenchmarkScanBySelectivity).
+// Covered blocks still count in full in partitions_read and
+// rows_examined, which report the cost model's c(s, q), not cells
+// touched; oreo_scan_partitions_covered_total over
+// oreo_executions_total says how many blocks per executed query were
+// answered from summaries. Against the row-at-a-time engine the kernels
+// are several times faster single-threaded; BENCH_exec.json records the
+// trajectory and CI enforces a 4x floor on a scanned (not covered)
+// shape (TestScanSpeedupBar).
 //
 // Survivor blocks are independent, so Options.Parallelism fans a scan
 // across a bounded worker pool (serve defaults it to NumCPU,
@@ -337,6 +350,10 @@
 //     oreo_observations_total, oreo_observations_dropped_total,
 //     oreo_observation_queue_depth / _capacity,
 //     oreo_executions_total, oreo_scan_rows_examined_total,
+//     oreo_scan_partitions_covered_total (survivor blocks an executed
+//     scan answered from block summaries because partition metadata
+//     proved every predicate true for them; flat on a workload whose
+//     predicates never contain a block's range),
 //     oreo_parallel_scans_total, oreo_snapshot_compiles_total,
 //     oreo_served_cost_total
 //   - decision loop, per {table}: oreo_decisions_total,
