@@ -2,10 +2,12 @@
 //
 // It speaks both wire surfaces of the server (internal/serve behind
 // cmd/oreoserve): the frozen v1 unary endpoints and the v2 streaming
-// bulk endpoint built for query-log replay. The package imports only
-// the standard library — embedding it pulls in zero OREO internals —
-// and its predicate encoding is exactly the query-log format, so a
-// captured production log is a valid request stream as-is.
+// bulk endpoint built for query-log replay. The package is
+// transitively standard library only — embedding it pulls in nothing
+// of OREO but the small JSON scanner it shares with the server
+// (internal/wire, itself standard library only) — and its predicate
+// encoding is exactly the query-log format, so a captured production
+// log is a valid request stream as-is.
 //
 //	c, err := client.New("http://localhost:8080")
 //	results, err := c.Query(ctx, client.Query{
@@ -28,6 +30,16 @@
 //		{"order_ts": 1700000001, "status": "new", "amount": 12.5},
 //	})
 //
+// Query, Batch and the stream encode Query and decode TableResult and
+// BatchItem with a codec written for those shapes (codec.go): requests
+// go out as the bytes encoding/json would write, and an answer in the
+// canonical spelling a server's encoder produces is decoded in one pass
+// without reflection. Any other answer — an escaped or non-ASCII
+// string, a null, a key the codec does not know — is decoded by
+// encoding/json from the same bytes, so results and errors do not
+// depend on which of the two ran; nothing selects between them but the
+// answer itself. Every other call is encoding/json throughout.
+//
 // Failures surface as *APIError carrying the HTTP status and server
 // message; errors.Is(err, client.ErrNotFound) (and ErrInvalid,
 // ErrTooLarge, ErrUnavailable) matches without status-code arithmetic
@@ -44,6 +56,8 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+
+	"oreo/internal/wire"
 )
 
 // Sentinel errors for errors.Is matching against *APIError answers.
@@ -97,7 +111,14 @@ func (e *APIError) Is(target error) bool {
 type Client struct {
 	base string
 	hc   *http.Client
+	// The two endpoints every query goes to, parsed once.
+	queryURL, batchURL *url.URL
 }
+
+const (
+	queryPath = "/v1/query"
+	batchPath = "/v1/query/batch"
+)
 
 // Option configures a Client.
 type Option func(*Client)
@@ -121,6 +142,12 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		return nil, fmt.Errorf("client: base URL %q must be http or https", baseURL)
 	}
 	c := &Client{base: strings.TrimRight(u.String(), "/"), hc: &http.Client{}}
+	if c.queryURL, err = url.Parse(c.base + queryPath); err != nil {
+		return nil, fmt.Errorf("client: parsing base URL: %w", err)
+	}
+	if c.batchURL, err = url.Parse(c.base + batchPath); err != nil {
+		return nil, fmt.Errorf("client: parsing base URL: %w", err)
+	}
 	for _, o := range opts {
 		o(c)
 	}
@@ -130,10 +157,15 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 // Query answers one query: per-table cost, survivor skip-list, and —
 // with Execute set — row counts and aggregates.
 func (c *Client) Query(ctx context.Context, q Query) ([]TableResult, error) {
+	body, err := appendQuery(make([]byte, 0, 512), &q)
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding request: %w", err)
+	}
 	var resp struct {
 		Results []TableResult `json:"results"`
 	}
-	if err := c.post(ctx, "/v1/query", q, &resp); err != nil {
+	canonical := func(answer []byte) bool { return decodeQueryAnswer(answer, &resp.Results) }
+	if err := c.roundTrip(ctx, http.MethodPost, c.queryURL, body, canonical, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Results, nil
@@ -143,13 +175,15 @@ func (c *Client) Query(ctx context.Context, q Query) ([]TableResult, error) {
 // partial-failure contract: the call fails only if the whole batch
 // does; per-query failures come back in each item's Error.
 func (c *Client) Batch(ctx context.Context, queries []Query) ([]BatchItem, error) {
-	req := struct {
-		Queries []Query `json:"queries"`
-	}{queries}
+	body, err := appendBatch(make([]byte, 0, 256*(1+len(queries))), queries)
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding request: %w", err)
+	}
 	var resp struct {
 		Results []BatchItem `json:"results"`
 	}
-	if err := c.post(ctx, "/v1/query/batch", req, &resp); err != nil {
+	canonical := func(answer []byte) bool { return decodeBatchAnswer(answer, &resp.Results) }
+	if err := c.roundTrip(ctx, http.MethodPost, c.batchURL, body, canonical, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Results, nil
@@ -309,30 +343,50 @@ func LoadTrace(r io.Reader) ([]Query, error) {
 	return out, nil
 }
 
-// post sends a JSON body and decodes a JSON answer.
+// post sends a JSON body and decodes a JSON answer with encoding/json —
+// every POST but the query shapes, which have their own codec.
 func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("client: encoding request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
+	u, err := url.Parse(c.base + path)
 	if err != nil {
 		return fmt.Errorf("client: building request: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, out)
+	return c.roundTrip(ctx, http.MethodPost, u, data, nil, out)
 }
 
 // get fetches and decodes a JSON answer.
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	u, err := url.Parse(c.base + path)
 	if err != nil {
 		return fmt.Errorf("client: building request: %w", err)
 	}
-	return c.do(req, out)
+	return c.roundTrip(ctx, http.MethodGet, u, nil, nil, out)
 }
 
-func (c *Client) do(req *http.Request, out any) error {
+// roundTrip sends one request (body nil: none) and decodes the 200
+// answer into out. The answer is read whole — to EOF, which is what
+// lets the transport keep the connection — into a pooled buffer and
+// offered to canonical, the purpose-built decoder of the endpoint's
+// shape (nil: none); whatever that declines, encoding/json decodes from
+// the same bytes, the read's own error included.
+func (c *Client) roundTrip(ctx context.Context, method string, u *url.URL, body []byte, canonical func([]byte) bool, out any) error {
+	// http.NewRequest without its URL parse: u was parsed once.
+	req := (&http.Request{
+		Method: method, URL: u, Host: u.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header, 1),
+	}).WithContext(ctx)
+	if body != nil {
+		req.Header["Content-Type"] = []string{"application/json"}
+		req.ContentLength = int64(len(body))
+		// The transport rewinds with GetBody to retry on a connection
+		// the server closed while it sat idle.
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.Body, _ = req.GetBody()
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
@@ -341,7 +395,13 @@ func (c *Client) do(req *http.Request, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		return decodeAPIError(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	*bp, err = wire.ReadAll(*bp, resp.Body, resp.ContentLength)
+	if err == nil && canonical != nil && canonical(*bp) {
+		return nil
+	}
+	if err := json.NewDecoder(&wire.Replay{Data: *bp, Err: err}).Decode(out); err != nil {
 		return fmt.Errorf("client: decoding response: %w", err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -27,8 +28,16 @@ type Stream struct {
 	// stream): later Recv calls re-return it and Close knows the
 	// background exchange was already reaped.
 	respErr error
-	dec     *json.Decoder
 	sent    int
+	// out is the query line under construction, reused across Sends (a
+	// pipe write returns only once the transport has taken the bytes).
+	out []byte
+	// in[read:] is what has been read off the answer body and not yet
+	// returned by Recv; readErr is what ended the body (io.EOF, or the
+	// failure), kept to be reported once in[read:] has been used up.
+	in      []byte
+	read    int
+	readErr error
 }
 
 type streamResp struct {
@@ -89,11 +98,12 @@ func (c *Client) OpenStream(ctx context.Context, opts ...StreamOption) (*Stream,
 // the wire whole — the server sees complete lines, never a partial
 // JSON document awaiting the next chunk.
 func (s *Stream) Send(q Query) error {
-	data, err := json.Marshal(q)
-	if err != nil {
+	var err error
+	if s.out, err = appendQuery(s.out[:0], &q); err != nil {
 		return fmt.Errorf("client: encoding query: %w", err)
 	}
-	if _, err := s.pw.Write(append(data, '\n')); err != nil {
+	s.out = append(s.out, '\n')
+	if _, err := s.pw.Write(s.out); err != nil {
 		return fmt.Errorf("client: stream send: %w", err)
 	}
 	s.sent++
@@ -127,7 +137,6 @@ func (s *Stream) rendezvous() error {
 		return s.respErr
 	}
 	s.resp = r.resp
-	s.dec = json.NewDecoder(s.resp.Body)
 	return nil
 }
 
@@ -138,14 +147,87 @@ func (s *Stream) Recv() (*BatchItem, error) {
 	if err := s.rendezvous(); err != nil {
 		return nil, err
 	}
-	var item BatchItem
-	if err := s.dec.Decode(&item); err != nil {
-		if err == io.EOF {
+	line := s.nextLine()
+	for len(line) > 0 && len(bytes.TrimSpace(line)) == 0 {
+		s.read += len(line) // blank lines separate answers
+		line = s.nextLine()
+	}
+	if len(line) == 0 {
+		// The body has ended, as encoding/json would report it.
+		if s.readErr == io.EOF {
 			return nil, io.EOF
 		}
+		return nil, fmt.Errorf("client: decoding stream answer: %w", s.readErr)
+	}
+	var item BatchItem
+	if decodeBatchItem(line, &item) {
+		s.read += len(line)
+		return &item, nil
+	}
+	// Not the canonical line a server's encoder writes: encoding/json
+	// decodes the next value from the same bytes, running on into the
+	// body as far as it needs; what it read past the value goes back in
+	// front of the unread bytes.
+	dec := json.NewDecoder(streamTail{s})
+	err := dec.Decode(&item)
+	rest, _ := io.ReadAll(dec.Buffered())
+	s.in, s.read = append(rest, s.in[s.read:]...), 0
+	if err != nil {
 		return nil, fmt.Errorf("client: decoding stream answer: %w", err)
 	}
 	return &item, nil
+}
+
+// nextLine returns the unread bytes through the first newline, reading
+// more of the body as needed: the protocol is one answer per line, and
+// Recv waits for the line's end before it looks at the answer. Once the
+// body has ended it returns what is left, without a newline; s.readErr
+// then says how it ended.
+func (s *Stream) nextLine() []byte {
+	searched := s.read
+	for {
+		if i := bytes.IndexByte(s.in[searched:], '\n'); i >= 0 {
+			return s.in[s.read : searched+i+1]
+		}
+		if s.readErr != nil {
+			return s.in[s.read:]
+		}
+		searched = len(s.in)
+		if s.read > 0 && s.read == len(s.in) {
+			s.in, s.read, searched = s.in[:0], 0, 0
+		}
+		if len(s.in) == cap(s.in) {
+			// Full: make room by dropping what Recv has returned, and
+			// by doubling when the unread part alone fills the buffer.
+			grown := s.in[:0]
+			if unread := len(s.in) - s.read; 2*unread >= cap(s.in) {
+				grown = make([]byte, 0, max(4096, 2*cap(s.in)))
+			}
+			searched -= s.read
+			s.in, s.read = append(grown, s.in[s.read:]...), 0
+		}
+		n, err := s.resp.Body.Read(s.in[len(s.in):cap(s.in)])
+		s.in, s.readErr = s.in[:len(s.in)+n], err
+	}
+}
+
+// streamTail reads a Stream's unread answer bytes and then the rest of
+// its body — the stream as encoding/json would have read it.
+type streamTail struct{ s *Stream }
+
+func (t streamTail) Read(p []byte) (int, error) {
+	s := t.s
+	if s.read < len(s.in) {
+		n := copy(p, s.in[s.read:])
+		s.read += n
+		return n, nil
+	}
+	if s.readErr != nil {
+		return 0, s.readErr
+	}
+	n, err := s.resp.Body.Read(p)
+	s.readErr = err
+	return n, err
 }
 
 // Sent reports how many queries have been sent on the stream.

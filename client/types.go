@@ -3,9 +3,9 @@ package client
 // Wire types. These mirror the server's JSON shapes field for field —
 // the same query-log predicate encoding internal/persist writes, so a
 // captured production log IS a valid request stream. They are defined
-// here rather than imported so the SDK depends on nothing but the
-// standard library: a downstream service embedding this client pulls
-// in zero OREO internals.
+// here rather than imported so the SDK stays transitively standard
+// library only: a downstream service embedding this client pulls in
+// nothing of the server.
 
 // Predicate is one single-column filter in the query-log wire
 // encoding: numeric predicates carry an int64 and/or float64 bound

@@ -200,9 +200,11 @@ func walkParents(root ast.Node, fn func(n ast.Node, parents []ast.Node)) {
 // can target "oreo/internal/serve" in the real tree and a testdata
 // package whose import path merely ends in "/serve"-like suffixes in
 // tests.
-func pathMatch(pkg *Package, paths []string) bool {
+func pathMatch(pkg *Package, paths []string) bool { return matchPath(pkg.ImportPath, paths) }
+
+func matchPath(importPath string, paths []string) bool {
 	for _, p := range paths {
-		if pkg.ImportPath == p || strings.HasSuffix(pkg.ImportPath, "/"+p) {
+		if importPath == p || strings.HasSuffix(importPath, "/"+p) {
 			return true
 		}
 	}

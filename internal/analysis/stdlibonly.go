@@ -6,20 +6,23 @@ import (
 )
 
 // Stdlibonly enforces the dependency contract of the designated leaf
-// packages (the client SDK and internal/metrics in the real tree):
-// every import must be standard library. A downstream service
-// embedding the SDK, or an operator scraping the metrics encoder,
-// must never pull OREO internals — or anything else — into its build.
+// packages (the client SDK, internal/metrics and internal/wire in the
+// real tree): each is transitively standard library only. A downstream
+// service embedding the SDK, or an operator scraping the metrics
+// encoder, must never pull OREO internals — or anything else — into
+// its build.
 //
-// The rule is the same one the client package used to enforce with a
-// bespoke go/parser test (since retired in favor of this analyzer):
-// an import path containing a dot is a domain — not stdlib — and an
-// import path inside this module is an internal dependency; both are
-// violations. Standard-library paths never contain a dot.
+// Checked import by import: a path containing a dot is a domain — not
+// stdlib, standard-library paths never contain one — and a path inside
+// this module is an internal dependency; both are violations, except
+// that a designated package may import another designated package,
+// which is held to the same rule and so adds nothing but standard
+// library to the closure. (That is how the SDK shares its JSON scanner
+// with the server without the promise weakening.)
 func Stdlibonly(pkgs ...string) *Analyzer {
 	a := &Analyzer{
 		Name: "stdlibonly",
-		Doc:  "designated leaf packages (client SDK, metrics) import only the standard library",
+		Doc:  "designated leaf packages (client SDK, metrics, wire) are transitively standard library only",
 	}
 	a.Run = func(pass *Pass) {
 		if !pathMatch(pass.Pkg, pkgs) {
@@ -36,6 +39,7 @@ func Stdlibonly(pkgs ...string) *Analyzer {
 					continue
 				}
 				switch {
+				case matchPath(path, pkgs):
 				case path == mod || strings.HasPrefix(path, mod+"/"):
 					pass.Reportf(imp.Pos(), "package %s is stdlib-only: import %q reaches back into the module", pass.Pkg.Types.Name(), path)
 				case strings.Contains(path, "."):

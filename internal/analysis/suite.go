@@ -46,8 +46,9 @@ var ServeWirefreeze = WirefreezeConfig{
 //   - blockingsend: bounded queues drop or 503, never backpressure
 //   - atomicdiscipline: lock-free published state is only touched
 //     atomically
-//   - stdlibonly: the client SDK and metrics encoder stay
-//     dependency-free
+//   - stdlibonly: the client SDK, the metrics encoder and the JSON
+//     scanner the SDK shares with the server are transitively
+//     standard library only
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Wirefreeze(ServeWirefreeze),
@@ -55,7 +56,7 @@ func Suite() []*Analyzer {
 		Floatbits("oreo/internal/persist", "oreo/internal/replica"),
 		Blockingsend("oreo/internal/serve", "oreo/internal/replica"),
 		Atomicdiscipline(),
-		Stdlibonly("oreo/client", "oreo/internal/metrics"),
+		Stdlibonly("oreo/client", "oreo/internal/metrics", "oreo/internal/wire"),
 	}
 }
 

@@ -3,6 +3,8 @@ package layout
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -231,5 +233,47 @@ func TestZOrderClustersQueriedColumns(t *testing.T) {
 	probe := query.Query{Preds: []query.Predicate{query.StrEq("cat", "a")}}
 	if zc, tc := zl.Cost(probe), tl.Cost(probe); zc >= tc {
 		t.Errorf("zorder cost %g not better than time-sort cost %g for clustered column", zc, tc)
+	}
+}
+
+// TestSortedRowsMatchesValueCompare holds the typed-column sort to the
+// permutation the boxed comparison produced: a stable sort by
+// ValueAt().Compare over the same columns. The data is made to hurt —
+// few distinct values per column so every key ties often, NaN (unordered
+// against everything, so the comparison is not even a weak order and the
+// result depends on the exact sequence of comparisons made), and -0.0
+// beside +0.0.
+func TestSortedRowsMatchesValueCompare(t *testing.T) {
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2, math.Inf(1), math.Inf(-1)}
+	cats := []string{"", "a", "ab", "b", "é"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(3000)
+		b := table.NewBuilder(testSchema(), n)
+		for i := 0; i < n; i++ {
+			b.AppendRow(
+				table.Int(int64(rng.Intn(7))-3),
+				table.Float(floats[rng.Intn(len(floats))]),
+				table.Str(cats[rng.Intn(len(cats))]),
+			)
+		}
+		d := b.Build()
+		for _, cols := range [][]int{{0}, {1}, {2}, {2, 0}, {1, 2}, {0, 1, 2}, {2, 1, 0}} {
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				for _, c := range cols {
+					if cmp := d.ValueAt(c, want[a]).Compare(d.ValueAt(c, want[b])); cmp != 0 {
+						return cmp < 0
+					}
+				}
+				return false
+			})
+			if got := sortedRows(d, cols); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %d rows, columns %v: typed sort order differs from ValueAt().Compare order", seed, n, cols)
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@ package layout
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"oreo/internal/query"
@@ -41,25 +41,83 @@ func (g *SortGenerator) Generate(d *table.Dataset, _ []query.Query, k int) *Layo
 		}
 		cols = append(cols, ci)
 	}
+	order := sortedRows(d, cols)
+	assign := chopSorted(order, d.NumRows(), k)
+	part := table.MustBuildPartitioning(d, assign, k)
+	return New(fmt.Sprintf("sort(%s)", strings.Join(g.Columns, ",")), d.Schema(), part)
+}
 
+// sortedRows returns the row indices of d stably sorted by the given
+// columns, major to minor.
+func sortedRows(d *table.Dataset, cols []int) []int {
+	keys := make([]sortKey, len(cols))
+	for i, c := range cols {
+		keys[i] = newSortKey(d, c)
+	}
 	order := make([]int, d.NumRows())
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := order[a], order[b]
-		for _, c := range cols {
-			cmp := d.ValueAt(c, ra).Compare(d.ValueAt(c, rb))
-			if cmp != 0 {
-				return cmp < 0
+	slices.SortStableFunc(order, func(ra, rb int) int {
+		for i := range keys {
+			if cmp := keys[i].compare(ra, rb); cmp != 0 {
+				return cmp
 			}
 		}
-		return false
+		return 0
 	})
+	return order
+}
 
-	assign := chopSorted(order, d.NumRows(), k)
-	part := table.MustBuildPartitioning(d, assign, k)
-	return New(fmt.Sprintf("sort(%s)", strings.Join(g.Columns, ",")), d.Schema(), part)
+// sortKey compares two rows on one column through the column's typed
+// backing slice, in the order of table.Value.Compare but without boxing
+// two Values per comparison, which was most of the sort's cost. typ
+// says which of ints, floats, codes (with dict) is set.
+type sortKey struct {
+	typ    table.ColType
+	ints   []int64
+	floats []float64
+	codes  []uint32
+	dict   *table.StringDict
+}
+
+func newSortKey(d *table.Dataset, col int) sortKey {
+	k := sortKey{typ: d.Schema().Col(col).Type}
+	switch k.typ {
+	case table.Int64:
+		k.ints = d.Int64Col(col)
+	case table.Float64:
+		k.floats = d.Float64Col(col)
+	default:
+		k.codes, k.dict = d.StringCodes(col), d.Dict(col)
+	}
+	return k
+}
+
+// compare orders rows a and b. Floats use < and > alone, as
+// Value.Compare does: NaN is unordered against everything and -0 equals
+// +0, so both read as ties and the stable sort leaves them in row order.
+func (k *sortKey) compare(a, b int) int {
+	switch k.typ {
+	case table.Int64:
+		return threeWay(k.ints[a], k.ints[b])
+	case table.Float64:
+		return threeWay(k.floats[a], k.floats[b])
+	}
+	if k.codes[a] == k.codes[b] {
+		return 0
+	}
+	return strings.Compare(k.dict.Value(k.codes[a]), k.dict.Value(k.codes[b]))
+}
+
+func threeWay[T int64 | float64](x, y T) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }
 
 // chopSorted assigns the rows (listed in sorted order) to k contiguous

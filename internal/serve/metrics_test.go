@@ -121,6 +121,26 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("epoch %v != decisions %v on a leader", epoch, decided)
 	}
 
+	// Every body so far was in the canonical wire shape, so none went to
+	// the general decoder; a column name spelled with an escape does, is
+	// answered all the same, and is counted.
+	const fallback = `oreo_wire_fallback_total{endpoint="query"}`
+	if got := sampleValue(t, body, fallback); got != 0 {
+		t.Errorf("wire fallbacks over canonical requests = %v, want 0", got)
+	}
+	escaped := `{"table":"orders","preds":[{"col":"order\u005fts","has_lo":true,"lo_i":10}]}`
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(escaped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("escaped column name: %d", resp.StatusCode)
+	}
+	if got := sampleValue(t, scrape(t, ts), fallback); got != 1 {
+		t.Errorf("wire fallbacks after an escaped column name = %v, want 1", got)
+	}
+
 	lineRe := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|[+-]Inf|-?[0-9][0-9eE.+-]*)$`)
 	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {

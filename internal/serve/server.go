@@ -74,18 +74,25 @@
 // internal/persist, so captured production logs replay against the
 // server unchanged. The public client package speaks both surfaces
 // with stdlib-only dependencies.
+//
+// Query, batch and stream bodies are decoded and their answers encoded
+// by the purpose-built codec in codec.go; a body outside the canonical
+// shape falls through to encoding/json (oreo_wire_fallback_total), and
+// every other endpoint is encoding/json throughout.
 package serve
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"oreo"
 	"oreo/internal/metrics"
+	"oreo/internal/wire"
 )
 
 // DefaultQueueSize bounds each shard's observation queue when Config
@@ -137,6 +144,10 @@ type Server struct {
 	core    *Core
 	mux     *http.ServeMux
 	maxBody int64
+	// queryFallback, batchFallback and streamFallback count the request
+	// bodies (stream: lines) the purpose-built decoder declined to
+	// encoding/json — oreo_wire_fallback_total{endpoint}.
+	queryFallback, batchFallback, streamFallback *metrics.Counter
 }
 
 // New builds an HTTP server over the registered tables. The
@@ -164,6 +175,12 @@ func NewServer(core *Core, cfg Config) *Server {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	s := &Server{core: core, mux: http.NewServeMux(), maxBody: cfg.MaxBodyBytes}
+	fallback := func(endpoint string) *metrics.Counter {
+		return core.Metrics().Counter("oreo_wire_fallback_total",
+			"Query bodies (stream: lines) outside the canonical wire shape, decoded by encoding/json instead of the purpose-built codec, by endpoint.",
+			metrics.Labels{"endpoint": endpoint})
+	}
+	s.queryFallback, s.batchFallback, s.streamFallback = fallback("query"), fallback("batch"), fallback("stream")
 
 	// Both versions are codecs over the same Core. v1 is the frozen
 	// compatibility surface; v2 adds the streaming bulk endpoint. Every
@@ -285,10 +302,20 @@ func (s *Server) decodeBodyNumber(w http.ResponseWriter, r *http.Request, v any)
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any, useNumber bool) bool {
-	body := r.Body
+	return decodeGeneral(w, s.capped(w, r), v, useNumber)
+}
+
+// capped is the request body under the configured size cap.
+func (s *Server) capped(w http.ResponseWriter, r *http.Request) io.Reader {
 	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
+		return http.MaxBytesReader(w, r.Body, s.maxBody)
 	}
+	return r.Body
+}
+
+// decodeGeneral is the encoding/json decode of a request body, and the
+// one place its failures are worded.
+func decodeGeneral(w http.ResponseWriter, body io.Reader, v any, useNumber bool) bool {
 	dec := json.NewDecoder(body)
 	if useNumber {
 		dec.UseNumber()
@@ -306,9 +333,26 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any, useNumber
 	return true
 }
 
+// decodeWire decodes a query body: read whole under the size cap into a
+// pooled buffer, offered to the purpose-built decoder, and — when that
+// declines, or the read itself failed — replayed to encoding/json, read
+// error included, so every body is answered as decodeBody would answer
+// it. The choice is made by the bytes; fallback counts the declines.
+func decodeWire[T any](s *Server, w http.ResponseWriter, r *http.Request, fallback *metrics.Counter, fast func([]byte, *T) bool, v *T) bool {
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	var err error
+	*bp, err = wire.ReadAll(*bp, s.capped(w, r), r.ContentLength)
+	if err == nil && fast(*bp, v) {
+		return true
+	}
+	fallback.Inc()
+	return decodeGeneral(w, &wire.Replay{Data: *bp, Err: err}, v, false)
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeWire(s, w, r, s.queryFallback, decodeQueryRequest, &req) {
 		return
 	}
 	results, err := s.core.Answer(r.Context(), req)
@@ -316,12 +360,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{Results: results})
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	*bp, err = appendQueryResponse(*bp, results)
+	writeEncoded(w, http.StatusOK, bp, err)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeWire(s, w, r, s.batchFallback, decodeBatchRequest, &req) {
 		return
 	}
 	resp, err := s.core.Batch(r.Context(), req)
@@ -329,7 +376,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	*bp, err = appendBatchResponse(*bp, &resp)
+	writeEncoded(w, http.StatusOK, bp, err)
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -398,13 +448,22 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // under an already-committed 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)
+	writeEncoded(w, status, &data, err)
+}
+
+// writeEncoded writes an encoded body (or, if encoding failed, the 500
+// that says so) and its newline. It holds the whole body, so it states
+// Content-Length itself: net/http only does that for answers that fit
+// its write buffer, and sends the rest chunked.
+func writeEncoded(w http.ResponseWriter, status int, body *[]byte, err error) {
 	if err != nil {
-		data, status = []byte(`{"error":"response not encodable"}`), http.StatusInternalServerError
+		*body, status = append((*body)[:0], `{"error":"response not encodable"}`...), http.StatusInternalServerError
 	}
+	*body = append(*body, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*body)))
 	w.WriteHeader(status)
-	data = append(data, '\n')
-	_, _ = w.Write(data)
+	_, _ = w.Write(*body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

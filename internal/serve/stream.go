@@ -67,7 +67,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// threshold the first data flush could otherwise be megabytes away.
 	_ = rc.Flush()
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	// out is the answer line under construction, reused across lines. A
+	// failed write means the client is gone; an item JSON cannot spell
+	// (a non-finite cost) ends the stream the same way, unwritten.
+	var out []byte
+	emit := func(item *BatchItem) bool {
+		var err error
+		if out, err = appendBatchItem(out[:0], item); err != nil {
+			return false
+		}
+		out = append(out, '\n')
+		_, err = bw.Write(out)
+		return err == nil
+	}
 	flush := func() {
 		_ = bw.Flush()
 		_ = rc.Flush()
@@ -100,7 +112,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		item := BatchItem{Index: idx}
 		var req QueryRequest
-		if err := json.Unmarshal(line, &req); err != nil {
+		var err error
+		if !decodeQueryRequest(line, &req) {
+			s.streamFallback.Inc()
+			err = json.Unmarshal(line, &req)
+		}
+		if err != nil {
 			item.Error = fmt.Sprintf("decoding request: %v", err)
 		} else {
 			item.ID = req.ID
@@ -111,8 +128,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				item.Results = results
 			}
 		}
-		if err := enc.Encode(item); err != nil {
-			return // client gone; nothing left to tell it
+		if !emit(&item) {
+			return // nothing left to tell the client
 		}
 		idx++
 		if idx%flushEvery == 0 {
@@ -130,7 +147,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, bufio.ErrTooLong) {
 			msg = fmt.Sprintf("reading stream: line exceeds %d bytes", maxLine)
 		}
-		_ = enc.Encode(BatchItem{Index: idx, Error: msg})
+		emit(&BatchItem{Index: idx, Error: msg})
 	}
 	flush()
 }

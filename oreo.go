@@ -103,6 +103,23 @@
 //     query (≥3x unary throughput on a 1k-query replay; measured ~8x —
 //     see BenchmarkStreamVsUnary).
 //
+// The shapes every query carries have a codec of their own, without
+// reflection: on the server QueryRequest and BatchRequest are decoded
+// and TableResult, QueryResponse, BatchItem and BatchResponse encoded
+// by internal/serve/codec.go; in the SDK Query is encoded and
+// TableResult and BatchItem decoded by client/codec.go; both over the
+// one JSON scanner of internal/wire. Encoding writes the bytes
+// json.Marshal writes. Decoding takes only the canonical spelling —
+// plain ASCII strings, numbers the field's type holds, each known key
+// at most once, no null — and anything else (an escaped or non-ASCII
+// string, a key in another case, an unknown or repeated key, bytes
+// after the value) is decoded by encoding/json from the same bytes,
+// with the results and the error messages it has always had. The
+// choice is made by the input and nothing configures it;
+// oreo_wire_fallback_total counts the bodies that took the general
+// path. Every other body (append rows, layout, stats, trace, health)
+// is encoding/json's throughout. See BenchmarkWireCodec.
+//
 // cmd/oreoserve boots the stack (with slow-loris header/idle timeouts
 // as flags); the public client package is the typed Go SDK — stdlib-
 // only, speaking both surfaces with the query-log predicate encoding,
@@ -345,7 +362,12 @@
 // _bucket/_sum/_count):
 //
 //   - HTTP: oreo_http_requests_total{endpoint,code},
-//     oreo_http_request_duration_seconds{endpoint}
+//     oreo_http_request_duration_seconds{endpoint},
+//     oreo_wire_fallback_total{endpoint} (query, batch: request bodies;
+//     stream: lines — outside the canonical wire shape and so decoded
+//     by encoding/json instead of the purpose-built codec; 0 against
+//     the SDK, and a steady non-zero rate means some client spells
+//     its requests in a way the fast path does not cover)
 //   - serving, per {table}: oreo_queries_served_total,
 //     oreo_observations_total, oreo_observations_dropped_total,
 //     oreo_observation_queue_depth / _capacity,
@@ -411,8 +433,9 @@
 //     justification — the bounded-queue discipline, enforced.
 //   - atomicdiscipline: a field published via sync/atomic is never
 //     read or written directly, and typed atomics are never copied.
-//   - stdlibonly: client/ and internal/metrics import only the
-//     standard library.
+//   - stdlibonly: client/, internal/metrics and internal/wire are
+//     transitively standard library only — each imports the standard
+//     library and, at most, another package on this list.
 //
 // Findings are suppressed line-by-line with
 // `//oreovet:ignore <analyzer> <reason>`; the reason is mandatory — a
