@@ -158,6 +158,15 @@ func bindAggsInto(dst []aggAcc, schema *table.Schema, aggs []AggSpec) ([]aggAcc,
 	return accs, nil
 }
 
+// addInt64 returns a+b and whether it is exact: the one int64 SUM
+// overflow rule (two's complement: same-signed operands whose sum flips
+// sign). A wrapped value with valid:true would be silent corruption, so
+// every fold latches invalid on !ok instead.
+func addInt64(a, b int64) (sum int64, ok bool) {
+	sum = a + b
+	return sum, !((a > 0 && b > 0 && sum < 0) || (a < 0 && b < 0 && sum >= 0))
+}
+
 // add folds row r of the block into the accumulator. The caller has
 // already established that the row matches the query.
 func (a *aggAcc) add(blk *table.Dataset, r int) {
@@ -171,12 +180,8 @@ func (a *aggAcc) add(blk *table.Dataset, r int) {
 			if a.overflowed {
 				return
 			}
-			v := blk.Int64Col(a.ci)[r]
-			sum := a.i + v
-			// Two's-complement overflow: same-signed operands whose sum
-			// flips sign. A wrapped value with valid:true would be
-			// silent corruption; latch invalid instead.
-			if (a.i > 0 && v > 0 && sum < 0) || (a.i < 0 && v < 0 && sum >= 0) {
+			sum, ok := addInt64(a.i, blk.Int64Col(a.ci)[r])
+			if !ok {
 				a.overflowed = true
 				a.i = 0
 				return

@@ -427,14 +427,12 @@ func foldBlockAgg(blk *table.Dataset, sel []int32, spec *aggAcc) aggAcc {
 			col := blk.Int64Col(p.ci)
 			var sum int64
 			for _, r := range sel {
-				v := col[r]
-				next := sum + v
-				if (sum > 0 && v > 0 && next < 0) || (sum < 0 && v < 0 && next >= 0) {
+				var ok bool
+				if sum, ok = addInt64(sum, col[r]); !ok {
 					p.overflowed = true
 					p.i = 0
 					return p
 				}
-				sum = next
 			}
 			p.i = sum
 		case table.Float64:
@@ -519,8 +517,8 @@ func mergeAgg(dst, src *aggAcc) {
 				dst.i = 0
 				return
 			}
-			sum := dst.i + src.i
-			if (dst.i > 0 && src.i > 0 && sum < 0) || (dst.i < 0 && src.i < 0 && sum >= 0) {
+			sum, ok := addInt64(dst.i, src.i)
+			if !ok {
 				dst.overflowed = true
 				dst.i = 0
 				return

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log"
 	"net/http"
@@ -205,30 +204,39 @@ func (a *Archiver) Generation() uint64 {
 // promotion never republishes at a term its followers have already
 // moved past.
 func ArchiveGeneration(dir string) (uint64, error) {
+	var gen uint64
+	_, err := scanHeaders(dir, func(m *recordMeta) {
+		if m.Generation > gen {
+			gen = m.Generation
+		}
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
+	return gen, err
+}
+
+// scanHeaders streams the cheap header of every archived record, in
+// replay order, through fn, and returns how many segments it read.
+func scanHeaders(dir string, fn func(*recordMeta)) (int, error) {
 	segs, err := segments(dir)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return 0, nil
-		}
 		return 0, fmt.Errorf("replica: %w", err)
 	}
-	var gen uint64
 	for _, seg := range segs {
 		err := scanSegment(seg, func(line []byte) error {
 			var m recordMeta
 			if err := json.Unmarshal(line, &m); err != nil {
 				return err
 			}
-			if m.Generation > gen {
-				gen = m.Generation
-			}
+			fn(&m)
 			return nil
 		})
 		if err != nil {
-			return 0, fmt.Errorf("replica: recovering generation from %s: %w", seg, err)
+			return 0, fmt.Errorf("replica: scanning archive record headers in %s: %w", seg, err)
 		}
 	}
-	return gen, nil
+	return len(segs), nil
 }
 
 // segments lists the archive's segment files in replay (lexical)
@@ -253,26 +261,13 @@ func segments(dir string) ([]string, error) {
 // positions and fencing term, so a restarted archiver resumes instead
 // of re-snapshotting. Only the cheap record header is decoded.
 func (a *Archiver) recover() error {
-	segs, err := segments(a.cfg.Dir)
+	n, err := scanHeaders(a.cfg.Dir, a.note)
 	if err != nil {
-		return fmt.Errorf("replica: %w", err)
+		return err
 	}
-	for _, seg := range segs {
-		err := scanSegment(seg, func(line []byte) error {
-			var m recordMeta
-			if err := json.Unmarshal(line, &m); err != nil {
-				return err
-			}
-			a.note(&m)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("replica: recovering archive positions from %s: %w", seg, err)
-		}
-	}
-	if len(segs) > 0 {
+	if n > 0 {
 		a.logf("replica: archive %s: recovered positions %v at generation %d from %d segments",
-			a.cfg.Dir, a.positions, a.gen, len(segs))
+			a.cfg.Dir, a.positions, a.gen, n)
 	}
 	return nil
 }
@@ -306,34 +301,13 @@ func (a *Archiver) note(m *recordMeta) {
 // only ever appends records the leader actually sent.
 func (a *Archiver) run() {
 	defer a.wg.Done()
-	backoff := a.cfg.ReconnectMin
-	first := true
-	for {
-		if a.ctx.Err() != nil {
-			return
-		}
-		if !first {
-			a.stats.reconnects.Add(1)
-		}
-		n, err := a.subscribeOnce()
-		if a.ctx.Err() != nil {
-			return
-		}
-		if err != nil {
-			a.logf("replica: archiver stream from %s ended: %v (retrying in %v)", a.cfg.Upstream, err, backoff)
-		}
-		if n > 0 {
-			backoff = a.cfg.ReconnectMin
-		} else if backoff *= 2; backoff > a.cfg.ReconnectMax {
-			backoff = a.cfg.ReconnectMax
-		}
-		first = false
-		select {
-		case <-a.ctx.Done():
-			return
-		case <-time.After(backoff):
-		}
-	}
+	never := func(error) bool { return false }
+	_ = retrySessions(a.ctx, a.cfg.ReconnectMin, a.cfg.ReconnectMax, &a.stats.reconnects, a.subscribeOnce, never,
+		func(err error, backoff time.Duration) {
+			if err != nil {
+				a.logf("replica: archiver stream from %s ended: %v (retrying in %v)", a.cfg.Upstream, err, backoff)
+			}
+		})
 }
 
 // subscribeOnce opens one subscription session and archives its
@@ -353,27 +327,8 @@ func (a *Archiver) subscribeOnce() (archived int, err error) {
 	}
 	a.mu.Unlock()
 
-	body, err := json.Marshal(&req)
-	if err != nil {
-		return 0, fmt.Errorf("encoding subscribe request: %w", err)
-	}
-	hreq, err := http.NewRequestWithContext(a.ctx, http.MethodPost,
-		a.cfg.Upstream+"/v2/replication/subscribe", strings.NewReader(string(body)))
-	if err != nil {
-		return 0, fmt.Errorf("building subscribe request: %w", err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := a.hc.Do(hreq)
-	if err != nil {
-		return 0, fmt.Errorf("subscribing: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
-		return 0, fmt.Errorf("subscribe answered %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
-	}
-
 	var seg *os.File
+	written := 0
 	defer func() {
 		if seg != nil {
 			// Fsync before close: the session's tail must be durable by
@@ -382,44 +337,33 @@ func (a *Archiver) subscribeOnce() (archived int, err error) {
 			seg.Close()
 		}
 	}()
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	return subscribeSession(a.ctx, a.hc, a.cfg.Upstream, &req, func(line []byte) error {
 		var m recordMeta
 		if err := json.Unmarshal(line, &m); err != nil {
-			return archived, fmt.Errorf("decoding stream record: %w", err)
+			return fmt.Errorf("decoding stream record: %w", err)
 		}
 		if seg == nil {
 			if seg, err = a.newSegment(); err != nil {
-				return archived, err
+				return err
 			}
 		}
 		if _, err := seg.Write(append(line, '\n')); err != nil {
-			return archived, fmt.Errorf("writing archive segment: %w", err)
+			return fmt.Errorf("writing archive segment: %w", err)
 		}
 		a.note(&m)
 		a.stats.records.Add(1)
 		if m.Type == RecordResume {
 			a.stats.resumes.Add(1)
 		}
-		archived++
 		// Periodic fsync bounds how much a power loss can take with it;
 		// a torn or missing tail is exactly what recovery tolerates.
-		if archived%archiveSyncEvery == 0 {
+		if written++; written%archiveSyncEvery == 0 {
 			if err := seg.Sync(); err != nil {
-				return archived, fmt.Errorf("syncing archive segment: %w", err)
+				return fmt.Errorf("syncing archive segment: %w", err)
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return archived, fmt.Errorf("reading stream: %w", err)
-	}
-	return archived, nil
+		return nil
+	})
 }
 
 // newSegment creates the next segment file, numbered above everything

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"oreo/internal/serve"
 	"oreo/internal/testleak"
 )
 
@@ -222,5 +225,66 @@ func TestReplayArchiveTornTail(t *testing.T) {
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("apply error on the final line came back as %v, want the apply error", err)
+	}
+}
+
+// TestFollowerBootstrapsFromParentArchive pins Record compatibility
+// across commits: testdata/archive-parent holds one segment (18 records:
+// a snapshot, decisions including a layout switch, three appends and a
+// compaction) written by an Archiver built from the commit BEFORE the
+// single-transition refactor, against a 96-row buildOrders leader. A
+// follower built from this tree must replay it, offline, to the recorded
+// tail: epoch 17 on layout compact-1 with a 2-row delta over a 101-row
+// base. Never regenerate the segment to make a codec change pass.
+func TestFollowerBootstrapsFromParentArchive(t *testing.T) {
+	testleak.Check(t)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // a refused connection: the follower has only the archive
+	fol, err := NewFollower(FollowerConfig{
+		Upstream:     dead.URL,
+		Tables:       []TableData{{Name: "orders", Dataset: buildOrders(96)}},
+		ArchiveDir:   filepath.Join("testdata", "archive-parent"),
+		Logf:         t.Logf,
+		ForwardQueue: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	if err := fol.WaitReady(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	pos, ok := fol.Core().ReplicaPosition("orders")
+	if !ok || pos.Epoch != 17 || fol.Position("orders") != 17 {
+		t.Fatalf("bootstrap reached epoch %d (ok=%v), want 17", pos.Epoch, ok)
+	}
+	if name := pos.Snapshot.Serving.Name; name != "compact-1" {
+		t.Fatalf("serving layout %q, want compact-1", name)
+	}
+	if pos.Dataset.NumRows() != 101 || pos.Delta == nil || pos.Delta.NumRows() != 2 {
+		t.Fatalf("base %d rows, delta %v; want 101 and 2", pos.Dataset.NumRows(), pos.Delta)
+	}
+	if got, want := pos.Snapshot.Stats.Queries, 13; got != want {
+		t.Fatalf("replicated decision count %d, want %d", got, want)
+	}
+	st := fol.Stats()
+	if st.Snapshots != 1 || st.Decisions != 13 || st.Appends != 3 || st.Compactions != 1 || st.Gaps != 0 {
+		t.Fatalf("applied-record counters %+v, want 1 snapshot, 13 decisions, 3 appends, 1 compaction", st)
+	}
+	if fol.Generation() != 1 {
+		t.Fatalf("generation %d, want the archived term 1", fol.Generation())
+	}
+	// Rows 96..102 arrived through the archive's append records; five of
+	// them were folded into the base and two still sit in the delta.
+	res, err := fol.Core().Answer(context.Background(), serve.QueryRequest{
+		Table: "orders", Execute: true,
+		Preds: []serve.PredicateJSON{{Col: "order_ts", HasLo: true, LoI: 96}},
+		Aggs:  []serve.AggregateJSON{{Op: "count"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := res[0].Execution; ex == nil || ex.MatchedRows != 7 || ex.DeltaRows != 2 || res[0].Layout != "compact-1" {
+		t.Fatalf("probe over the appended rows: %+v / %+v", res[0], res[0].Execution)
 	}
 }

@@ -1,12 +1,10 @@
 package replica
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -17,7 +15,6 @@ import (
 	"oreo"
 	"oreo/internal/metrics"
 	"oreo/internal/serve"
-	"oreo/internal/table"
 )
 
 // Follower defaults.
@@ -27,12 +24,6 @@ const (
 	DefaultForwardInterval = 200 * time.Millisecond
 	DefaultReconnectMin    = 100 * time.Millisecond
 	DefaultReconnectMax    = 5 * time.Second
-
-	// maxStreamLine caps one decision-stream line. Snapshot records
-	// carry the layout RLE and statistics block, which grow with table
-	// size; 256 MiB covers hundreds of millions of rows while still
-	// bounding a runaway line.
-	maxStreamLine = 256 << 20
 )
 
 // TableData names one table a follower serves and the follower's local
@@ -97,8 +88,8 @@ type FollowerStats struct {
 	Gaps       uint64
 	Reconnects uint64
 	// Appends / Compactions count applied live-write records: append
-	// batches extended into the local delta copy, and delta folds
-	// rebuilt into a grown local base.
+	// batches landed in the replica's delta, and delta folds grown into
+	// its base.
 	Appends     uint64
 	Compactions uint64
 	// Forwarded / ForwardDropped / ForwardRejected count upstream
@@ -122,38 +113,22 @@ type Follower struct {
 	fwd  *forwarder // nil when forwarding is disabled
 	logf func(format string, args ...any)
 
+	// datasets holds each table's boot source: the rows a snapshot does
+	// not ship. Everything that advances — positions, layouts, the grown
+	// base, the delta tail, the applied fencing term — lives in core.
 	datasets map[string]*oreo.Dataset
-	names    []string
 
 	mu sync.Mutex
-	// gen is the highest leadership fencing term this follower has
-	// applied (0 before the first stream record). It is echoed on
-	// resubscription and mirrored into the core for /healthz; a stream
-	// regressing below it is a deposed leader and is fenced terminally.
-	gen uint64
 	// boot is the boot ID of the publisher the applied state came from
 	// ("" before the first snapshot or resume). Echoed on
 	// resubscription: resume is only offered when the upstream is the
 	// same process life the positions were applied from.
-	boot      string
-	positions map[string]uint64
-	layouts   map[string]*oreo.Layout
-	applied   map[string]bool
-	// bases and deltas are the follower's local copies of each table's
-	// partitioned base (grown past the boot dataset by applied
-	// compactions) and uncompacted live tail — a table.Delta, as on the
-	// leader's shard, so an append costs its own rows and not a copy of
-	// the tail so far. Snapshot records reset both; append records
-	// extend the delta; compact records fold the delta into the base.
-	// Layout records bind against bases, never the boot dataset — a
-	// switch after a compaction describes the grown row set. Deltas are
-	// mutated only by the goroutine applying records.
-	bases  map[string]*oreo.Dataset
-	deltas map[string]*table.Delta
+	boot string
 	// seen is the newest epoch decoded off the stream per table, ahead
-	// of apply: seen minus positions is the follower-side replication
-	// lag gauge — nonzero exactly while an apply (a store rebuild, say)
-	// is in flight behind freshly arrived records.
+	// of apply: seen minus the core's applied position is the
+	// follower-side replication lag gauge — nonzero exactly while an
+	// apply (a store rebuild, say) is in flight behind freshly arrived
+	// records.
 	seen map[string]uint64
 
 	ready     chan struct{}
@@ -211,18 +186,13 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	cfg.Upstream = strings.TrimRight(u.String(), "/")
 
 	f := &Follower{
-		cfg:       cfg,
-		hc:        cfg.HTTPClient,
-		logf:      cfg.Logf,
-		datasets:  make(map[string]*oreo.Dataset, len(cfg.Tables)),
-		positions: make(map[string]uint64, len(cfg.Tables)),
-		layouts:   make(map[string]*oreo.Layout, len(cfg.Tables)),
-		applied:   make(map[string]bool, len(cfg.Tables)),
-		bases:     make(map[string]*oreo.Dataset, len(cfg.Tables)),
-		deltas:    make(map[string]*table.Delta, len(cfg.Tables)),
-		seen:      make(map[string]uint64, len(cfg.Tables)),
-		ready:     make(chan struct{}),
-		failed:    make(chan struct{}),
+		cfg:      cfg,
+		hc:       cfg.HTTPClient,
+		logf:     cfg.Logf,
+		datasets: make(map[string]*oreo.Dataset, len(cfg.Tables)),
+		seen:     make(map[string]uint64, len(cfg.Tables)),
+		ready:    make(chan struct{}),
+		failed:   make(chan struct{}),
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 
@@ -239,7 +209,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 			return nil, fmt.Errorf("replica: table %q listed twice", t.Name)
 		}
 		f.datasets[t.Name] = t.Dataset
-		f.names = append(f.names, t.Name)
 		name := t.Name
 		var forward func(oreo.Query) bool
 		if f.fwd != nil {
@@ -280,29 +249,23 @@ func (f *Follower) bootstrapFromArchive(dir string) error {
 		if _, ok := f.datasets[rec.Table]; !ok && rec.Table != "" {
 			return nil
 		}
-		if rec.Epoch > 0 && rec.Table != "" {
-			f.mu.Lock()
-			if rec.Epoch > f.seen[rec.Table] {
-				f.seen[rec.Table] = rec.Epoch
-			}
-			f.mu.Unlock()
-		}
 		return f.apply(rec)
 	})
 	if err != nil {
 		return err
 	}
-	f.logf("replica: bootstrapped from archive %s: %d records, positions %v", dir, n, f.snapshotPositions())
+	f.logf("replica: bootstrapped from archive %s: %d records, positions %v", dir, n, f.positions())
 	return nil
 }
 
-// snapshotPositions returns a copy of the applied positions, for logs.
-func (f *Follower) snapshotPositions() map[string]uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]uint64, len(f.positions))
-	for t, e := range f.positions {
-		out[t] = e
+// positions returns the applied epoch of every table that has applied
+// a snapshot — what a resubscription claims.
+func (f *Follower) positions() map[string]uint64 {
+	out := make(map[string]uint64, len(f.datasets))
+	for _, t := range f.core.Tables() {
+		if pos, ok := f.core.ReplicaPosition(t); ok {
+			out[t] = pos.Epoch
+		}
 	}
 	return out
 }
@@ -361,14 +324,15 @@ func (f *Follower) registerMetrics() {
 			"Observations waiting in the forward queue.",
 			nil, func() float64 { return float64(len(f.fwd.ch)) })
 	}
-	for _, t := range f.names {
+	for _, t := range f.core.Tables() {
 		table := t
 		reg.GaugeFunc("oreo_replication_lag_epochs",
 			"Follower-side replication lag: the newest epoch decoded off the stream minus the last applied epoch for this table.",
 			metrics.Labels{"table": table}, func() float64 {
 				f.mu.Lock()
-				seen, applied := f.seen[table], f.positions[table]
+				seen := f.seen[table]
 				f.mu.Unlock()
+				applied := f.Position(table)
 				if seen <= applied {
 					return 0
 				}
@@ -403,20 +367,18 @@ func (f *Follower) Err() error {
 	}
 }
 
-// Position returns the last applied epoch for the table.
+// Position returns the last applied epoch for the table (0 before its
+// first snapshot).
 func (f *Follower) Position(table string) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.positions[table]
+	pos, _ := f.core.ReplicaPosition(table)
+	return pos.Epoch
 }
 
 // Generation returns the highest leadership fencing term this follower
-// has applied from the stream (0 before the first record).
-func (f *Follower) Generation() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.gen
-}
+// has applied from the stream (0 before the first record). It is echoed
+// on resubscription and surfaced on the core's /healthz; a stream
+// regressing below it is a deposed leader and is fenced terminally.
+func (f *Follower) Generation() uint64 { return f.core.Generation() }
 
 // Stats returns the follower's replication and forwarding counters.
 func (f *Follower) Stats() FollowerStats {
@@ -441,8 +403,7 @@ func (f *Follower) Stats() FollowerStats {
 // replica core. Idempotent; safe to combine with a Server.Close over
 // the same core.
 func (f *Follower) Close() {
-	f.cancel()
-	f.wg.Wait()
+	f.Detach()
 	f.core.Close()
 }
 
@@ -466,16 +427,6 @@ func (f *Follower) fail(err error) {
 	f.logf("replica: follower stopped: %v", err)
 }
 
-// errDiverged marks failures that retrying cannot fix.
-var errDiverged = errors.New("replica: follower data diverges from leader")
-
-// errRejected marks subscriptions the leader permanently refuses — an
-// unknown table, a protocol-version mismatch, or an upstream that does
-// not serve replication at all. Retrying cannot fix a rejection, so it
-// is terminal like a divergence; transient upstream trouble (refused
-// connections, 5xx from a booting proxy) stays retryable.
-var errRejected = errors.New("replica: subscription rejected by leader")
-
 // errFenced marks a stream whose leadership term regressed below what
 // this follower has already applied: the upstream is a deposed leader
 // (typically a revived process that lost a promotion race). Applying
@@ -484,44 +435,24 @@ var errRejected = errors.New("replica: subscription rejected by leader")
 var errFenced = errors.New("replica: stream fenced (upstream generation is older than applied state)")
 
 // run is the subscription loop: subscribe, apply until the stream
-// breaks, back off, repeat. Only a divergence failure is terminal.
+// breaks, back off, repeat. Only failures retrying cannot fix — local
+// rows that diverge from the leader's, a rejected subscription, a
+// fenced stream — are terminal.
 func (f *Follower) run() {
 	defer f.wg.Done()
-	backoff := f.cfg.ReconnectMin
-	first := true
-	for {
-		if f.ctx.Err() != nil {
-			return
-		}
-		if !first {
-			f.stats.reconnects.Add(1)
-		}
-		applied, err := f.subscribeOnce()
-		if f.ctx.Err() != nil {
-			return
-		}
-		if err != nil && (errors.Is(err, errDiverged) || errors.Is(err, errRejected) || errors.Is(err, errFenced)) {
-			f.fail(err)
-			return
-		}
-		if err != nil {
-			f.logf("replica: subscription to %s ended: %v (retrying in %v)", f.cfg.Upstream, err, backoff)
-		} else {
-			f.logf("replica: subscription to %s closed (retrying in %v)", f.cfg.Upstream, backoff)
-		}
-		// A session that applied records earned a fresh backoff; a
-		// session that failed straight away backs off harder.
-		if applied > 0 {
-			backoff = f.cfg.ReconnectMin
-		} else if backoff *= 2; backoff > f.cfg.ReconnectMax {
-			backoff = f.cfg.ReconnectMax
-		}
-		first = false
-		select {
-		case <-f.ctx.Done():
-			return
-		case <-time.After(backoff):
-		}
+	terminal := func(err error) bool {
+		return errors.Is(err, serve.ErrDiverged) || errors.Is(err, errRejected) || errors.Is(err, errFenced)
+	}
+	err := retrySessions(f.ctx, f.cfg.ReconnectMin, f.cfg.ReconnectMax, &f.stats.reconnects, f.subscribeOnce, terminal,
+		func(err error, backoff time.Duration) {
+			if err != nil {
+				f.logf("replica: subscription to %s ended: %v (retrying in %v)", f.cfg.Upstream, err, backoff)
+			} else {
+				f.logf("replica: subscription to %s closed (retrying in %v)", f.cfg.Upstream, backoff)
+			}
+		})
+	if err != nil {
+		f.fail(err)
 	}
 }
 
@@ -532,230 +463,60 @@ func (f *Follower) subscribeOnce() (applied int, err error) {
 	f.mu.Lock()
 	req := SubscribeRequest{
 		Version:    ProtocolVersion,
-		Tables:     append([]string(nil), f.names...),
-		Generation: f.gen,
+		Tables:     f.core.Tables(),
+		Generation: f.Generation(),
 		Boot:       f.boot,
-		Positions:  make(map[string]uint64, len(f.positions)),
-	}
-	for t, e := range f.positions {
-		if f.applied[t] {
-			req.Positions[t] = e
-		}
+		Positions:  f.positions(),
 	}
 	f.mu.Unlock()
-
-	body, err := json.Marshal(&req)
-	if err != nil {
-		return 0, fmt.Errorf("encoding subscribe request: %w", err)
-	}
-	hreq, err := http.NewRequestWithContext(f.ctx, http.MethodPost,
-		f.cfg.Upstream+"/v2/replication/subscribe", strings.NewReader(string(body)))
-	if err != nil {
-		return 0, fmt.Errorf("building subscribe request: %w", err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := f.hc.Do(hreq)
-	if err != nil {
-		return 0, fmt.Errorf("subscribing: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
-		msg := strings.TrimSpace(string(data))
-		// 400/404 are the leader's own rejection statuses (protocol
-		// mismatch, unknown table — including a pre-replication leader
-		// whose mux 404s the endpoint): permanent configuration errors
-		// that must fail loudly, not retry forever.
-		if resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusNotFound {
-			return 0, fmt.Errorf("%w: answered %d: %s", errRejected, resp.StatusCode, msg)
-		}
-		return 0, fmt.Errorf("subscribe answered %d: %s", resp.StatusCode, msg)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	return subscribeSession(f.ctx, f.hc, f.cfg.Upstream, &req, func(line []byte) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return applied, fmt.Errorf("decoding stream record: %w", err)
+			return fmt.Errorf("decoding stream record: %w", err)
 		}
-		if rec.Epoch > 0 && rec.Table != "" {
-			f.mu.Lock()
-			if rec.Epoch > f.seen[rec.Table] {
-				f.seen[rec.Table] = rec.Epoch
-			}
-			f.mu.Unlock()
-		}
-		if err := f.apply(&rec); err != nil {
-			return applied, err
-		}
-		applied++
-	}
-	if err := sc.Err(); err != nil {
-		return applied, fmt.Errorf("reading stream: %w", err)
-	}
-	return applied, nil // leader closed the stream cleanly
+		return f.apply(&rec)
+	})
 }
 
-// apply applies one stream record to the replica core. Layout, data,
-// and snapshot records share one epoch counter, so the ordering
-// discipline is uniform: duplicates (epoch at or below the applied
-// position) are post-re-snapshot overlap and skip silently; anything
-// other than the exact next epoch is a gap that forces a reconnect.
+// apply applies one stream record: fence it, decode it into the update
+// the leader's transition emitted, and hand that to the replica core,
+// whose shards run the same transition — the epoch discipline
+// (duplicates after a re-snapshot skip silently, anything but the exact
+// next epoch is a gap that forces a reconnect), the delta mechanics and
+// every coherence check live there, not here. What remains is this
+// side's bookkeeping: lag, counters, the fencing term, readiness.
 func (f *Follower) apply(rec *Record) error {
 	boot, ok := f.datasets[rec.Table]
 	if !ok {
 		return fmt.Errorf("stream record for unsubscribed table %q", rec.Table)
 	}
+	f.mu.Lock()
+	if rec.Epoch > f.seen[rec.Table] {
+		f.seen[rec.Table] = rec.Epoch
+	}
+	f.mu.Unlock()
 	// Fence before applying anything: a record claiming a leadership
 	// term below what this follower has already applied comes from a
 	// deposed leader, and nothing it says may touch local state. Equal
 	// terms are the normal case; higher terms (a promotion happened
-	// upstream) are adopted by the per-record bookkeeping below.
-	if rec.Generation != 0 {
-		f.mu.Lock()
-		cur := f.gen
-		f.mu.Unlock()
-		if rec.Generation < cur {
-			return fmt.Errorf("%w: record claims generation %d, follower has applied %d", errFenced, rec.Generation, cur)
-		}
+	// upstream) are adopted once the record has applied.
+	if gen := f.Generation(); rec.Generation != 0 && rec.Generation < gen {
+		return fmt.Errorf("%w: record claims generation %d, follower has applied %d", errFenced, rec.Generation, gen)
 	}
+	var counter *atomicUint64
 	switch rec.Type {
 	case RecordResume:
-		f.mu.Lock()
-		if rec.Generation != 0 {
-			f.gen = rec.Generation
-		}
-		if rec.Boot != "" {
-			f.boot = rec.Boot
-		}
-		f.mu.Unlock()
-		if rec.Generation != 0 {
-			f.core.SetGeneration(rec.Generation)
-		}
+		f.adopt(rec)
 		f.stats.resumes.Add(1)
 		return nil
-
 	case RecordSnapshot:
-		if rec.State == nil {
-			return fmt.Errorf("snapshot record for %q has no state", rec.Table)
-		}
-		// Reassemble the rows the snapshot describes: the local boot
-		// dataset plus whatever tail and delta the leader shipped (only
-		// rows the boot source cannot reproduce travel on the wire).
-		base, delta, err := rec.State.BindData(boot)
-		if err != nil {
-			return fmt.Errorf("%w: reassembling %q snapshot data: %v", errDiverged, rec.Table, err)
-		}
-		lay, warm, err := rec.State.Bind(base)
-		if err != nil {
-			// The shape itself does not fit the local data: wrong table,
-			// wrong schema, wrong row count. Retrying cannot fix it.
-			return fmt.Errorf("%w: binding %q snapshot: %v", errDiverged, rec.Table, err)
-		}
-		if !warm {
-			// The layout bound, but the statistics block recomputed from
-			// the local data does not match the leader's bit-for-bit:
-			// the follower holds different rows. Serving from this state
-			// would answer bit-different costs — fail loudly instead.
-			return fmt.Errorf("%w: table %q statistics block mismatch (local data differs from leader's)", errDiverged, rec.Table)
-		}
-		tail := table.NewDelta(boot.Schema())
-		if delta != nil {
-			tail.AppendDataset(delta)
-		}
-		if err := f.publish(rec, lay, base, tail, 0, false); err != nil {
-			return err
-		}
-		f.stats.snapshots.Add(1)
-		return nil
-
+		counter = &f.stats.snapshots
 	case RecordDecision:
-		base, delta, lay, skip, err := f.nextEpoch(rec)
-		if err != nil || skip {
-			return err
-		}
-		if rec.Switched {
-			if rec.Layout == nil {
-				return fmt.Errorf("switch record for %q carries no layout", rec.Table)
-			}
-			// Bind against the current base, not the boot dataset: a
-			// switch after a compaction describes the grown row set.
-			newLay, err := rec.Layout.Bind(base)
-			if err != nil {
-				return fmt.Errorf("%w: binding %q switched layout: %v", errDiverged, rec.Table, err)
-			}
-			lay = newLay
-		}
-		if err := f.publish(rec, lay, base, delta, 0, false); err != nil {
-			return err
-		}
-		f.stats.decisions.Add(1)
-		return nil
-
+		counter = &f.stats.decisions
 	case RecordAppend:
-		base, delta, lay, skip, err := f.nextEpoch(rec)
-		if err != nil || skip {
-			return err
-		}
-		if rec.Rows == nil {
-			return fmt.Errorf("append record for %q carries no rows", rec.Table)
-		}
-		batch, err := rec.Rows.Dataset(boot.Schema())
-		if err != nil {
-			return fmt.Errorf("%w: rebuilding %q append batch: %v", errDiverged, rec.Table, err)
-		}
-		if after := delta.Rows() + batch.NumRows(); rec.DeltaRows != after {
-			// The leader's post-append delta size disagrees with ours: a
-			// record was lost in a way the epoch discipline missed.
-			// Checked before the batch lands: a delta cannot un-append.
-			return fmt.Errorf("%w: table %q delta is %d rows after append, leader reports %d",
-				errDiverged, rec.Table, after, rec.DeltaRows)
-		}
-		delta.AppendDataset(batch)
-		if err := f.publish(rec, lay, base, delta, batch.NumRows(), false); err != nil {
-			return err
-		}
-		f.stats.appends.Add(1)
-		return nil
-
+		counter = &f.stats.appends
 	case RecordCompact:
-		base, delta, _, skip, err := f.nextEpoch(rec)
-		if err != nil || skip {
-			return err
-		}
-		if rec.State == nil {
-			return fmt.Errorf("compact record for %q carries no state", rec.Table)
-		}
-		deltaRows := delta.Rows()
-		if rec.Folded != deltaRows {
-			return fmt.Errorf("%w: table %q compaction folded %d rows on the leader, local delta holds %d",
-				errDiverged, rec.Table, rec.Folded, deltaRows)
-		}
-		// The compact record carries no rows: grow the base from rows
-		// already applied, and let the shipped state's statistics block
-		// prove the result bit-identical to the leader's compacted data.
-		grown := base
-		if deltaRows > 0 {
-			grown = table.Concat(base, delta.View().Data)
-		}
-		lay, warm, err := rec.State.Bind(grown)
-		if err != nil {
-			return fmt.Errorf("%w: binding %q compacted state: %v", errDiverged, rec.Table, err)
-		}
-		if !warm {
-			return fmt.Errorf("%w: table %q compacted statistics block mismatch (local rows differ from leader's)", errDiverged, rec.Table)
-		}
-		if err := f.publish(rec, lay, grown, table.NewDelta(boot.Schema()), 0, true); err != nil {
-			return err
-		}
-		f.stats.compactions.Add(1)
-		return nil
-
+		counter = &f.stats.compactions
 	default:
 		// Forward compatibility: an unknown record type from a newer
 		// leader is skipped, not fatal — the epoch discipline catches
@@ -763,73 +524,38 @@ func (f *Follower) apply(rec *Record) error {
 		f.logf("replica: skipping unknown record type %q", rec.Type)
 		return nil
 	}
-}
-
-// nextEpoch runs the shared ordering discipline for post-snapshot
-// records and returns the table's current local state. skip reports a
-// duplicate (already covered by a re-snapshot) that must be ignored
-// without applying anything.
-func (f *Follower) nextEpoch(rec *Record) (base *oreo.Dataset, delta *table.Delta, lay *oreo.Layout, skip bool, err error) {
-	f.mu.Lock()
-	last, seen := f.positions[rec.Table], f.applied[rec.Table]
-	base, delta, lay = f.bases[rec.Table], f.deltas[rec.Table], f.layouts[rec.Table]
-	f.mu.Unlock()
-	if !seen {
-		return nil, nil, nil, false, fmt.Errorf("%s record for %q before any snapshot", rec.Type, rec.Table)
+	upd, err := DecodeRecord(rec, boot)
+	if err != nil {
+		return err
 	}
-	if rec.Epoch <= last {
-		return nil, nil, nil, true, nil // overlap after a (re-)snapshot; already covered
+	applied, err := f.core.Apply(rec.Table, upd)
+	if err != nil {
+		if errors.Is(err, serve.ErrEpochGap) {
+			f.stats.gaps.Add(1)
+		}
+		return err
 	}
-	if rec.Epoch != last+1 {
-		f.stats.gaps.Add(1)
-		return nil, nil, nil, false, fmt.Errorf("epoch gap on %q: have %d, got %d", rec.Table, last, rec.Epoch)
+	if !applied {
+		return nil // overlap after a (re-)snapshot; already covered
 	}
-	return base, delta, lay, false, nil
-}
-
-// publish pushes (epoch, snapshot, base, the delta's current view) into
-// the core and updates the follower's positions and local data copies.
-func (f *Follower) publish(rec *Record, lay *oreo.Layout, base *oreo.Dataset, delta *table.Delta, appended int, compacted bool) error {
-	snap := oreo.OptimizerSnapshot{Serving: lay}
-	if rec.Stats != nil {
-		snap.Stats = *rec.Stats
-	}
-	if rec.Pending != "" {
-		// The pending layout's partitioning is never read on the
-		// follower (only its name, for reorganizing reports); a
-		// name-only stand-in keeps the wire record small.
-		snap.Pending = &oreo.Layout{Name: rec.Pending}
-	}
-	st := serve.ReplicaState{
-		Epoch:     rec.Epoch,
-		Snapshot:  snap,
-		Dataset:   base,
-		Delta:     delta.View().Data,
-		Appended:  appended,
-		Compacted: compacted,
-	}
-	if err := f.core.ApplyReplica(rec.Table, st); err != nil {
-		return fmt.Errorf("applying %q state: %w", rec.Table, err)
-	}
-	f.mu.Lock()
-	f.positions[rec.Table] = rec.Epoch
-	f.layouts[rec.Table] = lay
-	f.bases[rec.Table] = base
-	f.deltas[rec.Table] = delta
-	if rec.Generation != 0 && rec.Generation > f.gen {
-		f.gen = rec.Generation
-	}
-	if rec.Boot != "" {
-		f.boot = rec.Boot
-	}
-	f.applied[rec.Table] = true
-	allApplied := len(f.applied) == len(f.names)
-	f.mu.Unlock()
-	if rec.Generation != 0 {
-		f.core.SetGeneration(rec.Generation)
-	}
-	if allApplied {
+	counter.Add(1)
+	f.adopt(rec)
+	if rec.Type == RecordSnapshot && len(f.positions()) == len(f.datasets) {
 		f.readyOnce.Do(func() { close(f.ready) })
 	}
 	return nil
+}
+
+// adopt records the leadership term (never lower than the one already
+// applied — apply fenced the record) and publisher boot ID an applied
+// record came from.
+func (f *Follower) adopt(rec *Record) {
+	if rec.Generation != 0 {
+		f.core.SetGeneration(rec.Generation)
+	}
+	if rec.Boot != "" {
+		f.mu.Lock()
+		f.boot = rec.Boot
+		f.mu.Unlock()
+	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"oreo"
 	"oreo/internal/metrics"
-	"oreo/internal/persist"
 	"oreo/internal/serve"
 )
 
@@ -298,63 +297,17 @@ func (p *Publisher) publish(table string, upd serve.DecisionUpdate) {
 		return
 	}
 
-	rec := Record{
-		Table:    table,
-		Epoch:    upd.Epoch,
-		Cost:     upd.Cost,
-		Switched: upd.Switched,
-		Stats:    &upd.Snapshot.Stats,
+	var data []byte
+	rec, err := EncodeUpdate(table, upd, 0)
+	if err == nil {
+		data, err = json.Marshal(rec)
 	}
-	if upd.Snapshot.Pending != nil {
-		rec.Pending = upd.Snapshot.Pending.Name
-	}
-	gapAll := func(context string, err error) {
-		// A state that cannot be captured cannot be replicated; force
-		// every interested subscriber through the snapshot path rather
-		// than shipping a record they cannot apply. (Unreachable for
-		// states the serve core produces.)
-		p.logf("replica: %s for %s: %v", context, table, err)
-		for _, s := range interested {
-			s.markGapped()
-		}
-	}
-	switch upd.Kind {
-	case serve.UpdateAppend:
-		rec.Type = RecordAppend
-		rec.DeltaRows = upd.DeltaRows
-		rows, err := persist.CaptureRows(upd.Rows, 0, upd.Rows.NumRows())
-		if err != nil {
-			gapAll("capturing append batch", err)
-			return
-		}
-		rec.Rows = rows
-	case serve.UpdateCompact:
-		rec.Type = RecordCompact
-		rec.DeltaRows = upd.DeltaRows
-		rec.Folded = upd.Folded
-		// The compacted layout ships with stats + memo but no rows: the
-		// follower reassembles the grown base from records it already
-		// applied and binds this state against it.
-		state, err := persist.CaptureState(upd.Snapshot.Serving)
-		if err != nil {
-			gapAll("capturing compacted state", err)
-			return
-		}
-		rec.State = state
-	default:
-		rec.Type = RecordDecision
-		if upd.Switched {
-			doc, err := persist.CaptureLayout(upd.Snapshot.Serving)
-			if err != nil {
-				gapAll("capturing switched layout", err)
-				return
-			}
-			rec.Layout = doc
-		}
-	}
-	data, err := json.Marshal(&rec)
 	if err != nil {
-		p.logf("replica: encoding decision record for %s: %v", table, err)
+		// A state that cannot be captured or encoded cannot be
+		// replicated; force every interested subscriber through the
+		// snapshot path rather than shipping a record they cannot apply.
+		// (Unreachable for states the serve core produces.)
+		p.logf("replica: encoding %s update for %s: %v", upd.Kind, table, err)
 		for _, s := range interested {
 			s.markGapped()
 		}
@@ -369,32 +322,21 @@ func (p *Publisher) publish(table string, upd serve.DecisionUpdate) {
 // snapshotRecord captures one table's current state as a snapshot
 // record. The whole position — epoch, snapshot, grown base, live delta
 // — comes from the core's published replication position, so it is
-// coherent by construction; the state document carries every row the
-// follower's boot source cannot reproduce (compacted tail + delta).
+// coherent by construction.
 func (p *Publisher) snapshotRecord(table string) (*Record, error) {
 	pos, ok := p.core.ReplicaPosition(table)
 	if !ok {
 		return nil, fmt.Errorf("replica: no position for table %q", table)
 	}
-	state, err := persist.CaptureStateWithData(pos.Snapshot.Serving, pos.Dataset, pos.SeedRows, pos.Delta)
-	if err != nil {
-		return nil, fmt.Errorf("replica: capturing state for %q: %w", table, err)
-	}
-	rec := &Record{
-		Type:       RecordSnapshot,
-		Table:      table,
-		Epoch:      pos.Epoch,
-		Generation: p.gen,
-		Boot:       p.boot,
-		State:      state,
-		Stats:      &pos.Snapshot.Stats,
-	}
-	if pos.Snapshot.Pending != nil {
-		rec.Pending = pos.Snapshot.Pending.Name
-	}
+	upd := serve.DecisionUpdate{Kind: serve.UpdateSnapshot, Epoch: pos.Epoch, Snapshot: pos.Snapshot, Base: pos.Dataset, Rows: pos.Delta}
 	if pos.Delta != nil {
-		rec.DeltaRows = pos.Delta.NumRows()
+		upd.DeltaRows = pos.Delta.NumRows()
 	}
+	rec, err := EncodeUpdate(table, upd, pos.SeedRows)
+	if err != nil {
+		return nil, err
+	}
+	rec.Generation, rec.Boot = p.gen, p.boot
 	return rec, nil
 }
 

@@ -5,18 +5,29 @@
 // process — the leader — runs OREO's decision loops (admission, D-UMTS
 // counters, reorganization), and any number of followers serve the
 // full read surface from replicas of the leader's serving state.
-// Followers run no optimizer at all: they apply an epoch-numbered
-// decision log to an atomically published snapshot per table, so a
-// follower's answer for any query — cost, survivor skip-list, executed
-// aggregates — is bit-identical to the leader's at the same epoch, by
-// construction rather than by approximation.
+// Followers run no optimizer and keep no state of their own. A table's
+// (epoch, snapshot, base, delta) state lives in its serve shard and
+// advances through exactly one transition function (serve's step,
+// wrapped by shard.advance — the only writer of the published state);
+// the roles differ only in who computes its input. On the leader the
+// shard's consumer builds a serve.DecisionUpdate from what only a
+// leader has — the optimizer's decision, the repartitioned base and
+// fresh engine of a fold — and the transition mints its epoch; the
+// applied update comes out of the decision hook. This package moves
+// that update: EncodeUpdate frames it as one Record, DecodeRecord turns
+// the Record back into the same update, and serve.Core.Apply feeds it
+// to the same transition, which now checks the carried epoch instead
+// of minting one. A follower's answer for any query — cost, survivor
+// skip-list, executed aggregates — is therefore bit-identical to the
+// leader's at the same epoch because both ran one function over the
+// same inputs, and a promoted follower continues the log from state
+// that function already built (see Promote).
 //
 // # The decision stream
 //
-// The leader attaches a Publisher to its serve.Core. Each table's
-// decision consumer reports every processed query as a DecisionUpdate,
-// which the publisher encodes once and fans out to all subscribers as
-// one NDJSON record on POST /v2/replication/subscribe:
+// The leader attaches a Publisher to its serve.Core. Every update a
+// table's transition applies is encoded once and fanned out to all
+// subscribers as one NDJSON record on POST /v2/replication/subscribe:
 //
 //   - A subscription begins with one snapshot record per table: the
 //     serving layout in the persist state framing (row→partition RLE +
@@ -29,17 +40,17 @@
 //   - Every subsequent decision record carries the table's next epoch,
 //     the served cost, the post-decision optimizer counters, and — only
 //     when the serving layout physically changed — the new layout's
-//     RLE. Followers apply records in epoch order; non-switch records
-//     are a pointer update, switch records rebuild the layout (and the
-//     execution store, in lockstep) off the request path.
+//     RLE. Non-switch records are a pointer update; switch records bind
+//     the layout against the current base inside the transition (and
+//     the execution store follows, in lockstep) off the request path.
 //   - Live writes travel in the same stream, on the same epoch counter:
 //     append records carry the landed rows (columnar, floats as bit
 //     patterns), and compact records carry the post-fold layout with no
-//     rows at all — the follower already holds every row and rebuilds
-//     the grown base locally, with the statistics block proving the
-//     result bit-identical to the leader's. Data and layout share one
-//     totally ordered log, so a follower is bit-identical to the
-//     leader at every epoch, not just at layout boundaries.
+//     rows at all — the transition grows the base from rows already in
+//     the table's state, on every node alike, and the statistics block
+//     proves the result bit-identical to the leader's. Data and layout
+//     share one totally ordered log, so a follower is bit-identical to
+//     the leader at every epoch, not just at layout boundaries.
 //
 // Epochs are per-table monotonic decision sequence numbers, surfaced
 // as layout_epochs on /healthz of both leader and follower, so
@@ -50,8 +61,9 @@
 // A slow subscriber never backpressures the leader: each subscriber
 // has a bounded record queue, and on overflow the publisher drops the
 // backlog and transparently re-snapshots every subscribed table in the
-// same stream. On the follower side, any out-of-order epoch (a gap the
-// publisher could not repair, a proxy hiccup) abandons the connection;
+// same stream. On the follower side, the transition skips replayed
+// epochs and rejects any other out-of-order one (a gap the publisher
+// could not repair, a proxy hiccup), which abandons the connection;
 // the follower resubscribes with its current generation + boot ID +
 // positions, and the leader answers with a cheap resume record when
 // nothing was missed or a fresh snapshot otherwise — which is also how
@@ -70,6 +82,8 @@
 package replica
 
 import (
+	"fmt"
+
 	"oreo"
 	"oreo/internal/persist"
 	"oreo/internal/serve"
@@ -80,32 +94,33 @@ import (
 // loudly at connect time, not as a decode error mid-stream.
 const ProtocolVersion = 1
 
-// Record types; see the package comment for the protocol.
+// Record types; see the package comment for the protocol. A record
+// that carries an update is typed by the update's kind.
 const (
 	// RecordSnapshot carries a full table state: persist-format layout
 	// + statistics block + memo seed, the leader's counters, and the
 	// epoch the state was captured at. Sent at subscribe time and
 	// whenever the publisher must repair a gap in-stream.
-	RecordSnapshot = "snapshot"
+	RecordSnapshot = serve.UpdateSnapshot
 	// RecordDecision carries one processed query: the next epoch, its
 	// served cost, post-decision counters, and the new layout RLE when
 	// the serving layout switched.
-	RecordDecision = "decision"
+	RecordDecision = serve.UpdateDecision
 	// RecordResume confirms a resubscription that missed nothing: the
 	// follower's position matches the leader's, so no snapshot is sent.
 	RecordResume = "resume"
 	// RecordAppend carries one live-write batch: the next epoch, the
 	// appended rows in the persist columnar framing (float cells as bit
 	// patterns, so follower ≡ leader stays exact), and the delta size
-	// after the append. Followers extend their local delta copy.
-	RecordAppend = "append"
+	// after the append, which the receiving transition checks.
+	RecordAppend = serve.UpdateAppend
 	// RecordCompact announces a delta fold: the next epoch, the folded
 	// row count, and the compacted layout in the persist state framing —
-	// WITHOUT rows. The follower already holds every row (base + delta
-	// from prior records); it concatenates them locally and binds the
-	// shipped layout against the result, with the statistics block as
-	// the bit-exactness gate.
-	RecordCompact = "compact"
+	// WITHOUT rows. The follower's core already holds every row (base +
+	// delta from prior records); its transition concatenates them and
+	// binds the shipped layout against the result, with the statistics
+	// block as the bit-exactness gate.
+	RecordCompact = serve.UpdateCompact
 )
 
 // Record is one NDJSON line of the replication stream (leader →
@@ -162,6 +177,137 @@ type Record struct {
 	// (compact records only). A follower whose local delta disagrees has
 	// diverged and must fail rather than build a different base.
 	Folded int `json:"folded,omitempty"`
+}
+
+// EncodeUpdate frames one applied update as its stream record: the
+// leader half of the wire. bootRows matters to snapshot updates only —
+// the prefix of the base the receiver's boot source reproduces; only
+// the rows past it (compacted tail + delta) travel. Generation and Boot
+// are the publisher's to stamp.
+func EncodeUpdate(table string, upd serve.DecisionUpdate, bootRows int) (*Record, error) {
+	rec := &Record{
+		Type:     upd.Kind,
+		Table:    table,
+		Epoch:    upd.Epoch,
+		Cost:     upd.Cost,
+		Switched: upd.Switched,
+		Stats:    &upd.Snapshot.Stats,
+	}
+	if upd.Snapshot.Pending != nil {
+		rec.Pending = upd.Snapshot.Pending.Name
+	}
+	var err error
+	switch upd.Kind {
+	case serve.UpdateSnapshot:
+		rec.DeltaRows = upd.DeltaRows
+		rec.State, err = persist.CaptureStateWithData(upd.Snapshot.Serving, upd.Base, bootRows, upd.Rows)
+	case serve.UpdateDecision:
+		if upd.Switched {
+			rec.Layout, err = persist.CaptureLayout(upd.Snapshot.Serving)
+		}
+	case serve.UpdateAppend:
+		rec.DeltaRows = upd.DeltaRows
+		rec.Rows, err = persist.CaptureRows(upd.Rows, 0, upd.Rows.NumRows())
+	case serve.UpdateCompact:
+		// Layout, stats and memo, but no rows; see RecordCompact.
+		rec.DeltaRows, rec.Folded = upd.DeltaRows, upd.Folded
+		rec.State, err = persist.CaptureState(upd.Snapshot.Serving)
+	default:
+		err = fmt.Errorf("unknown update kind %q", upd.Kind)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("replica: capturing %s update for %q: %w", upd.Kind, table, err)
+	}
+	return rec, nil
+}
+
+// DecodeRecord is EncodeUpdate's inverse: the follower half of the
+// wire. boot is the follower's local copy of the table's boot source —
+// the rows a snapshot does not ship and the schema every batch is
+// rebuilt over. A shipped layout binds against rows only the transition
+// knows (the current base for a switch, the grown one for a fold), so
+// it travels on as the update's Bind. A document that does not fit the
+// local rows wraps serve.ErrDiverged: retrying cannot fix it. Resume
+// records carry no update.
+func DecodeRecord(rec *Record, boot *oreo.Dataset) (upd serve.DecisionUpdate, err error) {
+	upd = serve.DecisionUpdate{
+		Kind:      rec.Type, // an update's record type is its kind
+		Epoch:     rec.Epoch,
+		Cost:      rec.Cost,
+		Switched:  rec.Switched,
+		DeltaRows: rec.DeltaRows,
+		Folded:    rec.Folded,
+	}
+	if rec.Stats != nil {
+		upd.Snapshot.Stats = *rec.Stats
+	}
+	if rec.Pending != "" {
+		// The pending layout's partitioning is never read on the follower
+		// (only its name, for reorganizing reports); a name-only stand-in
+		// keeps the wire record small.
+		upd.Snapshot.Pending = &oreo.Layout{Name: rec.Pending}
+	}
+	shipsLayout := true
+	switch rec.Type {
+	case RecordSnapshot:
+		if rec.State == nil {
+			return upd, fmt.Errorf("snapshot record for %q has no state", rec.Table)
+		}
+		// Reassemble the rows the snapshot describes: the local boot
+		// dataset plus whatever tail and delta the leader shipped.
+		if upd.Base, upd.Rows, err = rec.State.BindData(boot); err != nil {
+			return upd, fmt.Errorf("%w: reassembling %q snapshot data: %v", serve.ErrDiverged, rec.Table, err)
+		}
+	case RecordDecision:
+		shipsLayout = rec.Switched
+	case RecordAppend:
+		shipsLayout = false
+		if rec.Rows == nil {
+			return upd, fmt.Errorf("append record for %q carries no rows", rec.Table)
+		}
+		if upd.Rows, err = rec.Rows.Dataset(boot.Schema()); err != nil {
+			return upd, fmt.Errorf("%w: rebuilding %q append batch: %v", serve.ErrDiverged, rec.Table, err)
+		}
+	case RecordCompact:
+	default:
+		return upd, fmt.Errorf("record type %q carries no update", rec.Type)
+	}
+	if shipsLayout {
+		if rec.State == nil && rec.Layout == nil {
+			return upd, fmt.Errorf("%s record for %q carries no layout", rec.Type, rec.Table)
+		}
+		counters := upd.Snapshot
+		upd.Bind = func(ds *oreo.Dataset) (oreo.OptimizerSnapshot, error) {
+			lay, err := bindLayout(rec, ds)
+			snap := counters
+			snap.Serving = lay
+			return snap, err
+		}
+	}
+	return upd, nil
+}
+
+// bindLayout binds the record's layout document — a full state on
+// snapshot and compact records, a bare layout on a switch — against the
+// rows it describes. A document whose shape does not fit (wrong table,
+// schema or row count), or whose statistics block recomputed from the
+// local rows does not match the leader's bit-for-bit, proves the
+// follower holds different rows: serving from that state would answer
+// bit-different costs, so it fails as a divergence instead.
+func bindLayout(rec *Record, ds *oreo.Dataset) (lay *oreo.Layout, err error) {
+	warm := true
+	if rec.State != nil {
+		lay, warm, err = rec.State.Bind(ds)
+	} else {
+		lay, err = rec.Layout.Bind(ds)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: binding %q %s layout: %v", serve.ErrDiverged, rec.Table, rec.Type, err)
+	}
+	if !warm {
+		return nil, fmt.Errorf("%w: table %q %s statistics block mismatch (local rows differ from leader's)", serve.ErrDiverged, rec.Table, rec.Type)
+	}
+	return lay, nil
 }
 
 // SubscribeRequest is the body of POST /v2/replication/subscribe.

@@ -82,7 +82,7 @@ func (c *Core) Compact(ctx context.Context, table string) (CompactResponse, erro
 	if ack.err != nil {
 		return CompactResponse{}, errInternal("compacting %q: %s", table, ack.err)
 	}
-	return CompactResponse{Table: table, Epoch: ack.epoch, Folded: ack.folded, DeltaRows: ack.deltaRows}, nil
+	return CompactResponse{Table: table, Epoch: ack.upd.Epoch, Folded: ack.upd.Folded, DeltaRows: ack.upd.DeltaRows}, nil
 }
 
 // writeShard resolves the target of a write-path request: the table
@@ -94,7 +94,7 @@ func (c *Core) writeShard(table string) (*shard, *Error) {
 	if !ok {
 		return nil, errNotFound("unknown table %q", table)
 	}
-	if sh.replica {
+	if sh.isReplica() {
 		return nil, errInvalid("table %q is a replica; writes belong on the leader", table)
 	}
 	return sh, nil
@@ -112,7 +112,7 @@ func (c *Core) appendDataset(sh *shard, rows *oreo.Dataset) (AppendResponse, err
 	if ack.err != nil {
 		return AppendResponse{}, errInternal("auto-compacting %q after append: %s", sh.table, ack.err)
 	}
-	return AppendResponse{Table: sh.table, Epoch: ack.epoch, Appended: rows.NumRows(), DeltaRows: ack.deltaRows}, nil
+	return AppendResponse{Table: sh.table, Epoch: ack.upd.Epoch, Appended: rows.NumRows(), DeltaRows: ack.upd.DeltaRows}, nil
 }
 
 // buildAppendRows converts decoded wire rows into a typed dataset over

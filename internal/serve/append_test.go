@@ -28,8 +28,14 @@ func buildOrdersDet(rows int) *oreo.Dataset {
 		oreo.Column{Name: "status", Type: oreo.String},
 		oreo.Column{Name: "amount", Type: oreo.Float64},
 	)
-	b := oreo.NewDatasetBuilder(schema, rows)
-	for i := 0; i < rows; i++ {
+	return rowsOver(schema, 0, rows)
+}
+
+// rowsOver builds logical rows [from, from+n) of the orders fixture over
+// the given schema instance.
+func rowsOver(schema *oreo.Schema, from, n int) *oreo.Dataset {
+	b := oreo.NewDatasetBuilder(schema, n)
+	for i := from; i < from+n; i++ {
 		b.AppendRow(ordersCells(i)...)
 	}
 	return b.Build()

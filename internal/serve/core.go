@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"oreo"
@@ -76,8 +78,9 @@ func resolveScanParallelism(p int) (int, error) {
 // decision paths: every shard wraps an optimizer, observations drain
 // into decision loops, and an attached decision hook (SetDecisionHook)
 // sees every processed query — the replication publish point. A
-// replica (NewReplicaCore) owns no decisions at all: shard state is
-// applied from outside via ApplyReplica and observations are forwarded
+// replica (NewReplicaCore) owns no decisions at all: shard state
+// advances by the leader's updates replayed through Apply — the same
+// transition the leader runs — and observations are forwarded
 // upstream, but the whole read surface — unary, batch, stream,
 // execute, layout/stats/trace — answers identically, because it is the
 // same code reading the same published snapshot shape.
@@ -96,6 +99,9 @@ type Core struct {
 	// because Promote flips a running follower to leader while /healthz
 	// readers race the flip; see CoreConfig for the field meanings.
 	topo atomic.Pointer[coreTopology]
+	// promoteMu serializes Promote: two racing callers must not both
+	// flip the shards.
+	promoteMu sync.Mutex
 	// gen is the replication fencing term this core last learned: a
 	// leader's own term (set by its publisher), or the newest term a
 	// follower applied from the stream. Zero means "no replication
@@ -193,9 +199,9 @@ type ReplicaTable struct {
 
 // NewReplicaCore builds a core in replica mode: the same serving
 // surface as NewCore, but with no optimizers and no decision loops —
-// per-table state arrives through ApplyReplica (driven by a
-// replication follower, see internal/replica) and every table answers
-// unavailable until its first snapshot lands.
+// per-table state arrives through Apply (driven by a replication
+// follower, see internal/replica) and every table answers unavailable
+// until its first snapshot lands.
 func NewReplicaCore(tables []ReplicaTable, cfg CoreConfig) (*Core, error) {
 	if len(tables) == 0 {
 		return nil, errInvalid("serve: no tables registered")
@@ -265,15 +271,8 @@ func (c *Core) Close() {
 // false for unknown tables and for replica tables that have not
 // applied a snapshot yet.
 func (c *Core) Snapshot(table string) (oreo.OptimizerSnapshot, bool) {
-	sh, ok := c.shards[table]
-	if !ok {
-		return oreo.OptimizerSnapshot{}, false
-	}
-	st, err := sh.view()
-	if err != nil {
-		return oreo.OptimizerSnapshot{}, false
-	}
-	return st.snap, true
+	pos, ok := c.ReplicaPosition(table)
+	return pos.Snapshot, ok
 }
 
 // Position is one table's coherent replication position: the monotonic
@@ -311,57 +310,31 @@ func (c *Core) ReplicaPosition(table string) (Position, bool) {
 	return Position{Epoch: st.epoch, Snapshot: st.snap, Dataset: st.ds, Delta: st.delta, SeedRows: sh.bootRows()}, true
 }
 
-// ReplicaState is one externally decoded state a follower applies: the
-// epoch-stamped snapshot plus the base dataset and delta tail it
-// describes. Appended and Compacted annotate what this update did so
-// the follower's own write-path metrics track the leader's (an append
-// record sets Appended to its batch size; a compact record sets
-// Compacted).
-type ReplicaState struct {
-	Epoch    uint64
-	Snapshot oreo.OptimizerSnapshot
-	// Dataset is the partitioned base paired with Snapshot.Serving; its
-	// row count must match the serving layout's.
-	Dataset *oreo.Dataset
-	// Delta is the live tail as of Epoch; nil means empty.
-	Delta *oreo.Dataset
-	// Appended is the number of rows this update appended (metrics).
-	Appended int
-	// Compacted reports that this update folded the delta (metrics).
-	Compacted bool
-}
-
-// ApplyReplica publishes an externally decoded state for the named
-// replica table: the follower's write path. The epoch must come from
-// the leader's stream so /healthz lag reads line up across the
-// cluster. Fails on leaders — a leader's state is written only by its
-// own event loops.
-func (c *Core) ApplyReplica(table string, st ReplicaState) error {
+// Apply advances the named replica table by one update replayed from
+// the leader's stream — the follower's write path, through the same
+// transition the leader's own consumer runs (see shard). applied is
+// false, with no error, for an update at or below the table's epoch:
+// overlap after a re-snapshot. Errors leave the state untouched and
+// wrap ErrEpochGap or ErrDiverged where a follower must tell them
+// apart. Fails on leaders, whose state advances only through their own
+// event loops; calls for one table must not overlap.
+func (c *Core) Apply(table string, upd DecisionUpdate) (applied bool, err error) {
 	sh, ok := c.shards[table]
 	if !ok {
-		return errNotFound("unknown table %q", table)
+		return false, errNotFound("unknown table %q", table)
 	}
 	if !sh.isReplica() {
-		return errInvalid("table %q is not a replica", table)
+		return false, errInvalid("table %q is not a replica", table)
 	}
-	if st.Snapshot.Serving == nil {
-		return errInvalid("replica snapshot for %q has no serving layout", table)
+	if upd.Kind != UpdateSnapshot && upd.Epoch == 0 {
+		// Epoch zero asks the transition to mint the next epoch; only the
+		// deciding side may.
+		return false, errInvalid("replayed %s update for %q carries no epoch", upd.Kind, table)
 	}
-	if st.Dataset == nil {
-		return errInvalid("replica state for %q has no dataset", table)
+	if _, applied, err = sh.advance(upd); err != nil {
+		return false, fmt.Errorf("applying %s update to %q: %w", upd.Kind, table, err)
 	}
-	if st.Dataset.Schema() != sh.ds.Schema() {
-		return errInvalid("replica state for %q was built over a different schema instance", table)
-	}
-	if st.Dataset.NumRows() != st.Snapshot.Serving.Part.TotalRows {
-		return errInvalid("replica state for %q pairs a %d-row layout with a %d-row dataset",
-			table, st.Snapshot.Serving.Part.TotalRows, st.Dataset.NumRows())
-	}
-	if st.Delta != nil && st.Delta.Schema() != sh.ds.Schema() {
-		return errInvalid("replica delta for %q was built over a different schema instance", table)
-	}
-	sh.applyReplica(st)
-	return nil
+	return applied, nil
 }
 
 // PromoteTable parameterizes one table's promotion: the optimizer
@@ -394,19 +367,21 @@ type PromoteConfig struct {
 // serving layout as its initial state, the replicated cumulative
 // counters become the stats base (published stats stay monotone across
 // the role flip, exactly as they do across a compaction's engine
-// rebuild), the replicated delta reseeds a mutable write tail, and an
-// event consumer starts — the epoch counter continues from the applied
-// position, so the promoted leader's stream extends the old leader's
-// log rather than restarting it.
+// rebuild), and an event consumer starts over the base and write tail
+// the replica shard already owns — the epoch counter continues from the
+// applied position, so the promoted leader's stream extends the old
+// leader's log rather than restarting it.
 //
 // The caller must have detached the replication follower first
-// (replica.Follower.Detach): promotion and a concurrent ApplyReplica
-// would both own the published state. Every table must have applied a
-// snapshot; promotion is all-or-nothing and an error leaves the core a
-// follower. After a successful promotion the core accepts writes,
-// observations, and a replication publisher exactly like a NewCore
-// leader.
+// (replica.Follower.Detach): promotion and a concurrent Apply would
+// both own the published state. Every table must have applied a
+// snapshot; promotion is all-or-nothing — every table's engine is built
+// before any shard flips — and an error leaves the core a follower.
+// After a successful promotion the core accepts writes, observations,
+// and a replication publisher exactly like a NewCore leader.
 func (c *Core) Promote(cfg PromoteConfig) error {
+	c.promoteMu.Lock()
+	defer c.promoteMu.Unlock()
 	if c.Role() != RoleFollower {
 		return errInvalid("serve: promote requires a follower core, got role %q", c.Role())
 	}
@@ -419,21 +394,23 @@ func (c *Core) Promote(cfg PromoteConfig) error {
 	if cfg.CompactThreshold == 0 {
 		cfg.CompactThreshold = DefaultCompactThreshold
 	}
-	// Validate everything before touching any shard: a half-promoted
-	// core would serve some tables as leader and some as follower.
-	for _, name := range c.names {
-		if c.shards[name].rep.Load() == nil {
-			return errUnavailable("serve: cannot promote: table %q has not applied a snapshot yet", name)
-		}
-		if _, ok := cfg.Tables[name]; !ok {
+	// Everything that can fail happens before any shard is touched: a
+	// half-promoted core would serve some tables as leader and some as
+	// follower.
+	engines := make([]*oreo.ConcurrentOptimizer, len(c.names))
+	for i, name := range c.names {
+		pt, ok := cfg.Tables[name]
+		if !ok {
 			return errInvalid("serve: promote config missing table %q", name)
 		}
-	}
-	for _, name := range c.names {
-		pt := cfg.Tables[name]
-		if err := c.shards[name].promote(pt.Config, pt.SeedRows, cfg.QueueSize, cfg.CompactThreshold); err != nil {
+		copt, err := c.shards[name].promotionEngine(pt.Config)
+		if err != nil {
 			return err
 		}
+		engines[i] = copt
+	}
+	for i, name := range c.names {
+		c.shards[name].promote(engines[i], cfg.Tables[name].SeedRows, cfg.QueueSize, cfg.CompactThreshold)
 	}
 	c.topo.Store(&coreTopology{role: RoleLeader, advertise: cfg.Advertise})
 	// The role gauge follows the flip: retire the follower-labeled

@@ -494,7 +494,7 @@ func TestReplicaCoreUnavailableBeforeSnapshot(t *testing.T) {
 		t.Fatal("leader has no position")
 	}
 	epoch, snap := pos.Epoch, pos.Snapshot
-	if err := rc.ApplyReplica("orders", ReplicaState{Epoch: epoch + 1, Snapshot: snap, Dataset: pos.Dataset}); err != nil {
+	if _, err := rc.Apply("orders", DecisionUpdate{Kind: UpdateSnapshot, Epoch: epoch + 1, Snapshot: snap, Base: pos.Dataset}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rc.Answer(context.Background(), req); err != nil {

@@ -212,17 +212,18 @@
 // interpreted stay bitwise with writes in flight. Appended rows are
 // queryable on the leader immediately — the append is an epoch-
 // advancing event on the same per-table decision loop that serializes
-// reorganizations, so readers always see a coherent (layout, store,
-// delta) triple.
+// reorganizations, and every event moves the table's (epoch, snapshot,
+// base, delta) state through one transition function (serve's step), so
+// readers always see a coherent (layout, store, delta) triple.
 //
-// A compactor folds the delta into the base: it concatenates the delta
-// rows onto the dataset, extends the serving layout's row→partition
-// assignment by placing each new row into the partition whose metadata
-// it widens least, rebuilds the optimizer over the grown dataset (same
-// resolved Config, same converged layout as Initial), and republishes
-// through the decision hook. Compaction triggers automatically past a
-// delta-size threshold or explicitly via POST /v2/tables/{table}/
-// compact. The replication epoch covers data and layout as one
+// A compaction folds the delta into the base: the transition
+// concatenates the delta rows onto the dataset; the leader extends the
+// serving layout's row→partition assignment over them by placing each
+// new row into the partition whose metadata it widens least and
+// rebuilds the optimizer over the grown dataset (same resolved Config,
+// same converged layout as Initial). Compaction triggers automatically
+// past a delta-size threshold or explicitly via POST /v2/tables/
+// {table}/compact. The replication epoch covers data and layout as one
 // sequence: append batches and compaction records ship in-stream
 // (see Replication below), and persist.StateDoc versions the data too
 // — warm-start restores the compacted tail and the pending delta, with
@@ -247,12 +248,15 @@
 // serving layout switched).
 //
 // Followers (oreoserve -follow URL, or replica.Follower in process)
-// run no optimizer: they load their own copy of the data, rebuild each
-// layout from the stream against it, and serve the entire read surface
-// — /v1 and /v2 unary, batch, stream, execute, layout/stats/trace —
-// through the same serve.Core code the leader uses, so answers are
-// bit-identical to the leader's at the same epoch (property-tested
-// across reorganizations and forced re-snapshots). The statistics
+// run no optimizer and keep no state of their own: they load their own
+// copy of the boot data, decode each record back into the update the
+// leader's transition emitted, and feed it to the same transition in
+// their own serve.Core, then serve the entire read surface — /v1 and
+// /v2 unary, batch, stream, execute, layout/stats/trace — through the
+// same code the leader uses. Both sides ran one function over the same
+// inputs, so answers are bit-identical to the leader's at the same
+// epoch (differentially tested step by step, property-tested across
+// reorganizations and forced re-snapshots). The statistics
 // block in each snapshot is the integrity gate: if the follower's data
 // differs from the leader's, replication fails loudly rather than
 // serving divergent costs. Queries answered at a follower are
@@ -298,9 +302,10 @@
 // health poll FailThreshold ticks in a row, the controller promotes
 // the most caught-up healthy follower (highest layout epochs — the
 // most replicated state preserved): POST /v2/cluster/promote asks the
-// follower to rebuild a live optimizer per table from its replicated
-// layout and counters, flip its serve.Core to the leader role, and
-// activate the replication endpoints it pre-mounted at boot. The
+// follower to build a live optimizer per table over the base, delta,
+// layout and counters its core already holds (all engines before any
+// table flips), flip its serve.Core to the leader role, and activate
+// the replication endpoints it pre-mounted at boot. The
 // actuator releases the promoted process from management — a new
 // leader must never be "scaled down" — the loop repoints at it, and
 // the surviving followers, whose upstream was fixed at boot, are
@@ -326,10 +331,10 @@
 // of the same leader: a subscriber resumes only when term, boot, and
 // position all match, so a restarted leader that re-reaches old epochs
 // re-snapshots its subscribers rather than silently resuming them onto
-// a forked history. And because a promoted follower rebuilds
-// from the same replicated state the old leader published, the fleet's
-// answers stay bit-identical across the failover — property-tested at
-// every epoch against a never-failed control run.
+// a forked history. And because a promoted follower continues from
+// the very state the shared transition built, nothing copied or
+// converted, the fleet's answers stay bit-identical across the failover
+// — property-tested at every epoch against a never-failed control run.
 //
 // replica.Archiver decouples follower bootstrap from leader liveness:
 // an ordinary subscriber that persists the decision stream verbatim to
