@@ -165,7 +165,6 @@ func main() {
 					Seed:          *seed,
 					TraceCapacity: *traceN,
 				},
-				SeedRows: src.ds.NumRows(),
 			}
 		}
 		srv.Mount("POST /v2/cluster/promote", http.HandlerFunc(promo.handlePromote))

@@ -112,7 +112,7 @@ func newMember(leader string) (*member, error) {
 		}
 		pub, err := replica.Promote(fol, serve.PromoteConfig{
 			Tables: map[string]serve.PromoteTable{
-				"orders": {Config: ordersConfig, SeedRows: rows},
+				"orders": {Config: ordersConfig},
 			},
 		}, replica.PublisherConfig{Logf: quiet})
 		if err != nil {

@@ -181,7 +181,7 @@ func TestPromotionBitIdentityEveryEpoch(t *testing.T) {
 		QueueSize: 4096,
 		Advertise: "promoted-orders",
 		Tables: map[string]serve.PromoteTable{
-			"orders": {Config: ordersPromoteConfig(1.5), SeedRows: rows},
+			"orders": {Config: ordersPromoteConfig(1.5)},
 		},
 	}, PublisherConfig{Logf: t.Logf})
 	if err != nil {
@@ -215,6 +215,71 @@ func TestPromotionBitIdentityEveryEpoch(t *testing.T) {
 		t.Errorf("promoted leader never reorganized after failover (reorgs %d, pre-kill %d); property weakened",
 			ppos.Snapshot.Stats.Reorganizations, preReorgs)
 	}
+}
+
+// TestPromoteDerivesBootRows pins what a promotion works out for
+// itself: configured with nothing but the engine Config, the promoted
+// leader frames its snapshots over its own boot source's row count — a
+// replica's dataset is its boot source — so a fresh follower booted
+// from the same source subscribes to it and reaches its epoch
+// bit-identically, over a base that compaction has grown past that
+// source on both sides of the promotion.
+func TestPromoteDerivesBootRows(t *testing.T) {
+	testleak.Check(t)
+	const rows, batch, total = 2000, 7, 40
+	compactAt := map[int]bool{9: true, 29: true}
+	ops := promoteSchedule(total, rows, batch, compactAt)
+
+	leader, _, ts := newLeader(t, rows, 1.5, 0)
+	fol := newFollowerFixture(t, rows, ts.URL, false)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := fol.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	syncTo := func(name string, core *serve.Core) {
+		t.Helper()
+		waitFor(t, fmt.Sprintf("%s epoch %d", name, want), func() bool {
+			p, _ := core.ReplicaPosition("orders")
+			return p.Epoch == want
+		})
+	}
+	for _, op := range ops[:total/2] {
+		want += applyOp(ctx, t, leader, op, rows, batch)
+	}
+	syncTo("follower", fol.Core())
+
+	ts.CloseClientConnections()
+	ts.Close()
+	pub, err := Promote(fol, serve.PromoteConfig{
+		QueueSize: 4096,
+		Tables:    map[string]serve.PromoteTable{"orders": {Config: ordersPromoteConfig(1.5)}},
+	}, PublisherConfig{Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("promotion: %v", err)
+	}
+	promoted := fol.Core()
+	if pos, _ := promoted.ReplicaPosition("orders"); pos.SeedRows != rows || pos.Dataset.NumRows() <= rows {
+		t.Fatalf("promoted position: boot source %d rows, base %d rows; want %d and a base grown past it",
+			pos.SeedRows, pos.Dataset.NumRows(), rows)
+	}
+
+	mux := http.NewServeMux()
+	mux.Handle("POST /v2/replication/subscribe", pub.SubscribeHandler())
+	mux.Handle("POST /v2/replication/observe", pub.ObserveHandler())
+	pts := httptest.NewServer(mux)
+	t.Cleanup(pts.Close)
+	fresh := newFollowerFixture(t, rows, pts.URL, false)
+	if err := fresh.WaitReady(ctx); err != nil {
+		t.Fatalf("fresh follower of the promoted leader: %v", err)
+	}
+	for _, op := range ops[total/2:] {
+		want += applyOp(ctx, t, promoted, op, rows, batch)
+	}
+	syncTo("promoted", promoted)
+	syncTo("fresh follower", fresh.Core())
+	assertLiveBitIdentical(t, promoted, fresh.Core(), rows, true)
 }
 
 // TestSubscribeFencedByGeneration pins the subscribe-side fence: a

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -52,27 +53,10 @@ func benchFixture(b *testing.B) (*oreo.Dataset, *oreo.Optimizer, []oreo.Query) {
 	return ds, opt, queries
 }
 
-// BenchmarkServingMutexQPS is the pre-serving baseline: every request
-// runs the full decision path behind the ConcurrentOptimizer mutex, so
-// requests serialize no matter how many cores serve them.
-func BenchmarkServingMutexQPS(b *testing.B) {
-	_, opt, queries := benchFixture(b)
-	copt := oreo.NewConcurrent(opt)
-	var i atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			q := queries[i.Add(1)%uint64(len(queries))]
-			copt.ProcessQuery(q)
-		}
-	})
-}
-
 // BenchmarkServingSnapshotQPS is the serving read path: lock-free
 // costing and skip-list extraction against the published snapshot, with
 // the observation handoff included (consumer running), exactly what
-// POST /v1/query does per request. The acceptance bar for the serving
-// subsystem is ≥10x BenchmarkServingMutexQPS on an 8-core box.
+// POST /v1/query does per request.
 func BenchmarkServingSnapshotQPS(b *testing.B) {
 	ds, opt, queries := benchFixture(b)
 	sh := newShard("orders", ds, opt, DefaultQueueSize, 1, ds.NumRows(), DefaultCompactThreshold, metrics.NewRegistry())
@@ -82,7 +66,7 @@ func BenchmarkServingSnapshotQPS(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			q := queries[i.Add(1)%uint64(len(queries))]
-			sh.serveQuery(q)
+			sh.answer(context.Background(), q, false, nil)
 		}
 	})
 }
@@ -257,7 +241,7 @@ func BenchmarkServingSnapshotBatch32(b *testing.B) {
 		for pb.Next() {
 			base := int(i.Add(batch) % uint64(len(queries)))
 			for j := 0; j < batch; j++ {
-				sh.serveQuery(queries[(base+j)%len(queries)])
+				sh.answer(context.Background(), queries[(base+j)%len(queries)], false, nil)
 			}
 		}
 	})

@@ -54,6 +54,22 @@ type CoreConfig struct {
 	SeedRows map[string]int
 }
 
+// resolveLeaderKnobs applies the defaulting and validation rules of
+// CoreConfig.QueueSize and CoreConfig.CompactThreshold — the one rule
+// for a booted leader and a promoted one.
+func resolveLeaderKnobs(queueSize, compactThreshold int) (int, int, error) {
+	if queueSize == 0 {
+		queueSize = DefaultQueueSize
+	}
+	if queueSize < 0 {
+		return 0, 0, errInvalid("serve: QueueSize must be positive, got %d", queueSize)
+	}
+	if compactThreshold == 0 {
+		compactThreshold = DefaultCompactThreshold
+	}
+	return queueSize, compactThreshold, nil
+}
+
 // resolveScanParallelism applies CoreConfig.ScanParallelism's
 // defaulting and clamping rules.
 func resolveScanParallelism(p int) (int, error) {
@@ -152,18 +168,13 @@ func NewCore(m *oreo.MultiOptimizer, cfg CoreConfig) (*Core, error) {
 	if len(names) == 0 {
 		return nil, errInvalid("serve: no tables registered")
 	}
-	if cfg.QueueSize == 0 {
-		cfg.QueueSize = DefaultQueueSize
-	}
-	if cfg.QueueSize < 0 {
-		return nil, errInvalid("serve: QueueSize must be positive, got %d", cfg.QueueSize)
+	queueSize, compactThreshold, err := resolveLeaderKnobs(cfg.QueueSize, cfg.CompactThreshold)
+	if err != nil {
+		return nil, err
 	}
 	scanPar, err := resolveScanParallelism(cfg.ScanParallelism)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.CompactThreshold == 0 {
-		cfg.CompactThreshold = DefaultCompactThreshold
 	}
 	c := &Core{
 		names:   names,
@@ -182,7 +193,7 @@ func NewCore(m *oreo.MultiOptimizer, cfg CoreConfig) (*Core, error) {
 			}
 			seedRows = n
 		}
-		c.shards[name] = newShard(name, ds, m.Optimizer(name), cfg.QueueSize, scanPar, seedRows, cfg.CompactThreshold, c.reg)
+		c.shards[name] = newShard(name, ds, m.Optimizer(name), queueSize, scanPar, seedRows, compactThreshold, c.reg)
 	}
 	return c, nil
 }
@@ -340,12 +351,11 @@ func (c *Core) Apply(table string, upd DecisionUpdate) (applied bool, err error)
 // PromoteTable parameterizes one table's promotion: the optimizer
 // configuration the new leader rebuilds its decision engine with
 // (Initial and InitialSort are overridden — the replicated serving
-// layout IS the initial state), and the row count of the table's boot
-// source for persistence framing (0 selects the boot dataset's full
-// row count; see CoreConfig.SeedRows).
+// layout IS the initial state). The boot-source row count persistence
+// frames tails against (CoreConfig.SeedRows) is not a parameter: a
+// replica's dataset is its boot source.
 type PromoteTable struct {
-	Config   oreo.Config
-	SeedRows int
+	Config oreo.Config
 }
 
 // PromoteConfig parameterizes Core.Promote. QueueSize and
@@ -385,32 +395,25 @@ func (c *Core) Promote(cfg PromoteConfig) error {
 	if c.Role() != RoleFollower {
 		return errInvalid("serve: promote requires a follower core, got role %q", c.Role())
 	}
-	if cfg.QueueSize == 0 {
-		cfg.QueueSize = DefaultQueueSize
-	}
-	if cfg.QueueSize < 0 {
-		return errInvalid("serve: QueueSize must be positive, got %d", cfg.QueueSize)
-	}
-	if cfg.CompactThreshold == 0 {
-		cfg.CompactThreshold = DefaultCompactThreshold
+	queueSize, compactThreshold, err := resolveLeaderKnobs(cfg.QueueSize, cfg.CompactThreshold)
+	if err != nil {
+		return err
 	}
 	// Everything that can fail happens before any shard is touched: a
 	// half-promoted core would serve some tables as leader and some as
 	// follower.
-	engines := make([]*oreo.ConcurrentOptimizer, len(c.names))
+	engines := make([]*oreo.Optimizer, len(c.names))
 	for i, name := range c.names {
 		pt, ok := cfg.Tables[name]
 		if !ok {
 			return errInvalid("serve: promote config missing table %q", name)
 		}
-		copt, err := c.shards[name].promotionEngine(pt.Config)
-		if err != nil {
+		if engines[i], err = c.shards[name].promotionEngine(pt.Config); err != nil {
 			return err
 		}
-		engines[i] = copt
 	}
 	for i, name := range c.names {
-		c.shards[name].promote(engines[i], cfg.Tables[name].SeedRows, cfg.QueueSize, cfg.CompactThreshold)
+		c.shards[name].promote(engines[i], queueSize, compactThreshold)
 	}
 	c.topo.Store(&coreTopology{role: RoleLeader, advertise: cfg.Advertise})
 	// The role gauge follows the flip: retire the follower-labeled
@@ -514,14 +517,7 @@ func (c *Core) Answer(ctx context.Context, req QueryRequest) ([]TableResult, err
 				return nil, errInvalid("table %q has no column %q", req.Table, p.Col)
 			}
 		}
-		if !req.Execute {
-			res, err := sh.serveQuery(q)
-			if err != nil {
-				return nil, coreErr(err)
-			}
-			return []TableResult{res}, nil
-		}
-		res, err := sh.serveExecute(ctx, q, aggs)
+		res, err := sh.answer(ctx, q, req.Execute, aggs)
 		if err != nil {
 			return nil, coreErr(err)
 		}
@@ -545,14 +541,7 @@ func (c *Core) Answer(ctx context.Context, req QueryRequest) ([]TableResult, err
 		if !touched {
 			continue
 		}
-		sh := c.shards[name]
-		var res TableResult
-		var err error
-		if !req.Execute {
-			res, err = sh.serveQuery(sub)
-		} else {
-			res, err = sh.serveExecute(ctx, sub, perTableAggs[name])
-		}
+		res, err := c.shards[name].answer(ctx, sub, req.Execute, perTableAggs[name])
 		if err != nil {
 			return nil, coreErr(err)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -459,7 +460,7 @@ func TestHealthReportsShardCounters(t *testing.T) {
 	sh := s.core.shards["orders"]
 	const burst = 120
 	for i := 0; i < burst; i++ {
-		sh.serveQuery(oreo.Query{ID: i, Preds: []oreo.Predicate{oreo.IntRange("order_ts", 0, 50)}})
+		sh.answer(context.Background(), oreo.Query{ID: i, Preds: []oreo.Predicate{oreo.IntRange("order_ts", 0, 50)}}, false, nil)
 	}
 
 	var health HealthResponse

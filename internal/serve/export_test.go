@@ -28,11 +28,10 @@ func wrapStep(s *shard) *StepTable {
 
 // NewStepLeader mirrors newShard, minus the consumer goroutine.
 func NewStepLeader(ds *oreo.Dataset, opt *oreo.Optimizer, compactThreshold int) *StepTable {
-	copt := oreo.NewConcurrent(opt)
 	s := &shard{table: "t", ds: ds, scanPar: 1}
-	s.rep.Store(&repState{snap: copt.Snapshot(), ds: ds, tail: table.NewDelta(ds.Schema())})
+	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewDelta(ds.Schema())})
 	s.registerMetrics(metrics.NewRegistry())
-	s.lead(copt, oreo.Stats{}, 0, ds.NumRows(), 1, compactThreshold)
+	s.lead(opt, oreo.Stats{}, 0, ds.NumRows(), 1, compactThreshold)
 	return wrapStep(s)
 }
 
@@ -55,12 +54,12 @@ func (t *StepTable) Apply(upd DecisionUpdate) (bool, error) {
 
 // Promote runs both halves of a promotion, minus the consumer start.
 func (t *StepTable) Promote(cfg oreo.Config, compactThreshold int) error {
-	copt, err := t.s.promotionEngine(cfg)
+	opt, err := t.s.promotionEngine(cfg)
 	if err != nil {
 		return err
 	}
 	st := t.s.rep.Load()
-	t.s.lead(copt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), t.s.ds.NumRows(), 1, compactThreshold)
+	t.s.lead(opt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), t.s.ds.NumRows(), 1, compactThreshold)
 	return nil
 }
 
@@ -80,5 +79,5 @@ func (t *StepTable) Position() Position {
 // Probe answers q on the read path, executed with a row count so the
 // lockstep execution store is exercised too.
 func (t *StepTable) Probe(q oreo.Query) (TableResult, error) {
-	return t.s.serveExecute(context.Background(), q, []exec.AggSpec{{Op: exec.AggCount}})
+	return t.s.answer(context.Background(), q, true, []exec.AggSpec{{Op: exec.AggCount}})
 }

@@ -13,10 +13,11 @@
 //
 // Requests are handled per table on independent shards. Each shard runs
 // in a read-mostly regime: costing and survivor skip-list extraction —
-// the per-request work — run lock-free against an atomically swapped
-// immutable layout snapshot (oreo.ConcurrentOptimizer), while decision-
-// state updates (admission, D-UMTS counters, reorganization) drain
-// through a single background consumer fed by a bounded queue. The
+// the per-request work — run lock-free against an atomically published
+// immutable state (oreo.OptimizerSnapshot with the epoch, base and
+// delta it was true at), while decision-state updates (admission,
+// D-UMTS counters, reorganization) drain through a single background
+// consumer — the optimizer's only caller — fed by a bounded queue. The
 // request path therefore scales with cores and is never stalled by a
 // layout generation in progress; under overload, observations are
 // sampled (and counted) instead of applying backpressure to queries.

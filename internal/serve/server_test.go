@@ -390,7 +390,7 @@ func TestQueueOverloadSamples(t *testing.T) {
 	sh := s.core.shards["orders"]
 	const burst = 200
 	for i := 0; i < burst; i++ {
-		res, err := sh.serveQuery(oreo.Query{ID: i, Preds: []oreo.Predicate{oreo.IntRange("order_ts", 0, 10)}})
+		res, err := sh.answer(context.Background(), oreo.Query{ID: i, Preds: []oreo.Predicate{oreo.IntRange("order_ts", 0, 10)}}, false, nil)
 		if err != nil {
 			t.Fatalf("burst query %d: %v", i, err)
 		}
@@ -413,7 +413,7 @@ func TestServeAfterCloseDoesNotPanic(t *testing.T) {
 	s, _ := newFixtureServer(t, 8)
 	s.Close()
 	sh := s.core.shards["orders"]
-	res, err := sh.serveQuery(oreo.Query{Preds: []oreo.Predicate{oreo.IntRange("order_ts", 0, 100)}})
+	res, err := sh.answer(context.Background(), oreo.Query{Preds: []oreo.Predicate{oreo.IntRange("order_ts", 0, 100)}}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,10 @@ import (
 // after construction. The two roles differ only in who computes the
 // update:
 //
-//   - A leader shard pairs a read-mostly optimizer with a bounded event
-//     queue drained by one consumer goroutine, which computes what only
-//     a leader can — ProcessQuery's result for an observation
+//   - A leader shard pairs an optimizer with a bounded event queue
+//     drained by one consumer goroutine, the optimizer's only caller,
+//     which computes what only a leader can — ProcessQuery's result and
+//     the optimizer's snapshot after it for an observation
 //     (evObserve); the extended assignment, repartitioned base and fresh
 //     engine for a fold (evCompact); nothing for an append (evAppend:
 //     the batch is the update) — and lets the transition mint the epoch.
@@ -42,19 +43,19 @@ import (
 // promote has no state to convert: the replica already owns its grown
 // base and write tail.
 //
-// The read path (serveQuery / serveExecute) costs the query and
-// extracts the survivor skip-list against the published snapshot — and,
-// for execute requests, scans the matching execution store — then hands
-// the query to the decision loop through a non-blocking send, so the
-// mutex-serialized decision path never sits on a request's critical
-// path. When the queue is full the query is sampled out of
-// reorganization decisions (counted in dropped) rather than blocking
-// the request — under overload OREO sees a uniform sample of the
-// stream, which its sliding-window machinery is built for. Appends and
-// compactions are never dropped: the sender blocks until the consumer
-// has advanced the state, then gets an acknowledgment carrying the new
-// epoch. Every event advances the table's single epoch counter, so
-// layout decisions and data changes share one totally ordered stream.
+// The read path (answer) costs the query and extracts the survivor
+// skip-list against the published snapshot — for execute requests,
+// against the execution store it then scans — and hands the query to
+// the decision loop through a non-blocking send, so the sequential
+// decision path never sits on a request's critical path. When the
+// queue is full the query is sampled out of reorganization decisions
+// (counted in dropped) rather than blocking the request — under
+// overload OREO sees a uniform sample of the stream, which its
+// sliding-window machinery is built for. Appends and compactions are
+// never dropped: the sender blocks until the consumer has advanced the
+// state, then gets an acknowledgment carrying the new epoch. Every
+// event advances the table's single epoch counter, so layout decisions
+// and data changes share one totally ordered stream.
 type shard struct {
 	table string
 	// ds is the boot-time dataset — the schema anchor (the schema
@@ -64,14 +65,12 @@ type shard struct {
 	ds *oreo.Dataset
 
 	// copt is the decision engine — leader mode only, nil on a replica.
-	// It is an atomic pointer because compaction replaces the optimizer
-	// wholesale (a fresh engine over the grown base, carrying the
-	// compacted layout as its initial state) while request goroutines
-	// keep reading trace events and snapshots.
-	copt atomic.Pointer[oreo.ConcurrentOptimizer]
-	// optCfg is the resolved optimizer configuration, reused for the
-	// rebuilt engines compaction installs (only Initial is overridden).
-	optCfg oreo.Config
+	// The consumer goroutine is its one caller; what readers need of it
+	// reaches them through rep. The pointer is atomic only because a fold
+	// or a promotion installs a fresh engine (over the grown base, the
+	// compacted layout its initial state) under /trace requests, which
+	// load it to read the decision trace — and that locks itself.
+	copt atomic.Pointer[oreo.Optimizer]
 	// seedRows is the row count of the table's boot source (the CSV or
 	// fixture the process started from), which persistence needs to
 	// frame tails relative to a stable prefix; see CoreConfig.SeedRows.
@@ -196,11 +195,10 @@ type eventAck struct {
 }
 
 func newShard(name string, ds *oreo.Dataset, opt *oreo.Optimizer, queueSize, scanPar, seedRows, compactThreshold int, reg *metrics.Registry) *shard {
-	copt := oreo.NewConcurrent(opt)
 	s := &shard{table: name, ds: ds, scanPar: scanPar}
-	s.rep.Store(&repState{snap: copt.Snapshot(), ds: ds, tail: table.NewDelta(ds.Schema())})
+	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewDelta(ds.Schema())})
 	s.registerMetrics(reg)
-	s.lead(copt, oreo.Stats{}, 0, seedRows, queueSize, compactThreshold)
+	s.lead(opt, oreo.Stats{}, 0, seedRows, queueSize, compactThreshold)
 	s.wg.Add(1)
 	go s.consume()
 	return s
@@ -221,9 +219,8 @@ func newReplicaShard(name string, ds *oreo.Dataset, forward func(oreo.Query) boo
 // counters and layout-name sequence it continues from, the event queue
 // — for the consumer the caller starts next. It cannot fail; callers
 // racing readers (promote) hold the obsMu write lock.
-func (s *shard) lead(copt *oreo.ConcurrentOptimizer, statsBase oreo.Stats, compactSeq, seedRows, queueSize, compactThreshold int) {
-	s.copt.Store(copt)
-	s.optCfg = copt.Config()
+func (s *shard) lead(opt *oreo.Optimizer, statsBase oreo.Stats, compactSeq, seedRows, queueSize, compactThreshold int) {
+	s.copt.Store(opt)
 	s.statsBase = statsBase
 	s.compactSeq = compactSeq
 	s.seedRows = seedRows
@@ -365,9 +362,9 @@ func (s *shard) advance(in DecisionUpdate) (out DecisionUpdate, applied bool, er
 // handleObserve feeds one observation to the decision engine and
 // advances the state by its result.
 func (s *shard) handleObserve(q oreo.Query) {
-	copt := s.copt.Load()
-	d := copt.ProcessQuery(q)
-	if _, _, err := s.advance(DecisionUpdate{Kind: UpdateDecision, Cost: d.Cost, Snapshot: combinedSnapshot(s.statsBase, copt)}); err != nil {
+	opt := s.copt.Load()
+	d := opt.ProcessQuery(q)
+	if _, _, err := s.advance(DecisionUpdate{Kind: UpdateDecision, Cost: d.Cost, Snapshot: combinedSnapshot(s.statsBase, opt)}); err != nil {
 		// The engine's own layouts over the engine's own dataset: only a
 		// bug can make the transition refuse them.
 		panic(fmt.Sprintf("serve: table %q: decision rejected by its own transition: %v", s.table, err))
@@ -404,7 +401,8 @@ func (s *shard) handleCompact() eventAck {
 		if err != nil {
 			return oreo.OptimizerSnapshot{}, fmt.Errorf("repartitioning grown base: %w", err)
 		}
-		cfg := s.optCfg
+		// The retiring engine's resolved configuration, but for the start.
+		cfg := s.copt.Load().Config()
 		cfg.Initial = layout.New(fmt.Sprintf("compact-%d", s.compactSeq+1), grown.Schema(), part)
 		cfg.InitialSort = nil
 		opt, err := oreo.New(grown, cfg)
@@ -417,11 +415,10 @@ func (s *shard) handleCompact() eventAck {
 		// be garbage while advance rebuilds the execution store — measured
 		// at +13 % rss_peak_mb @ serve-write otherwise.
 		s.statsBase = addStats(s.statsBase, s.copt.Load().Stats())
-		copt := oreo.NewConcurrent(opt)
-		s.copt.Store(copt)
+		s.copt.Store(opt)
 		s.compactSeq++
 		installed = true
-		return combinedSnapshot(s.statsBase, copt), nil
+		return combinedSnapshot(s.statsBase, opt), nil
 	}})
 	if err != nil && installed {
 		panic(fmt.Sprintf("serve: table %q: fold over its own grown base rejected by the transition: %v", s.table, err))
@@ -490,8 +487,8 @@ func widening(m *table.PartitionMeta, delta *table.Dataset, r int) int {
 // combinedSnapshot returns the engine's snapshot with the cumulative
 // counters of every retired engine folded in, so published stats stay
 // monotone across the optimizer rebuilds compaction performs.
-func combinedSnapshot(retired oreo.Stats, copt *oreo.ConcurrentOptimizer) oreo.OptimizerSnapshot {
-	snap := copt.Snapshot()
+func combinedSnapshot(retired oreo.Stats, opt *oreo.Optimizer) oreo.OptimizerSnapshot {
+	snap := opt.Snapshot()
 	snap.Stats = addStats(retired, snap.Stats)
 	return snap
 }
@@ -549,7 +546,7 @@ func (s *shard) syncStore(rst *repState) {
 // storeMu (concurrent first-execute requests wait rather than each
 // copying the table); afterwards loads are lock-free. The state may
 // trail the published serving layout until the next lockstep sync —
-// serveExecute reports that window as an in-flight reorganization —
+// answer reports that window as an in-flight reorganization —
 // but it is always an internally consistent (layout, data, delta)
 // triple.
 func (s *shard) execStore() *execState {
@@ -638,7 +635,7 @@ func (s *shard) bootRows() int {
 // the old leader was serving. Construction walks the whole base and
 // takes no lock; the inputs are stable because the caller has detached
 // the replication stream.
-func (s *shard) promotionEngine(cfg oreo.Config) (*oreo.ConcurrentOptimizer, error) {
+func (s *shard) promotionEngine(cfg oreo.Config) (*oreo.Optimizer, error) {
 	st, verr := s.view()
 	if verr != nil {
 		return nil, verr
@@ -652,7 +649,7 @@ func (s *shard) promotionEngine(cfg oreo.Config) (*oreo.ConcurrentOptimizer, err
 	if err != nil {
 		return nil, fmt.Errorf("serve: rebuilding optimizer for promotion of table %q: %w", s.table, err)
 	}
-	return oreo.NewConcurrent(opt), nil
+	return opt, nil
 }
 
 // promote flips a replica shard to leader mode in place — the
@@ -662,15 +659,16 @@ func (s *shard) promotionEngine(cfg oreo.Config) (*oreo.ConcurrentOptimizer, err
 // stats base, and the compaction sequence resumes from the serving
 // layout's name so post-promotion folds never reuse a layout name the
 // stream has already carried. The transition mints the next epoch from
-// the applied position.
-func (s *shard) promote(copt *oreo.ConcurrentOptimizer, seedRows, queueSize, compactThreshold int) {
+// the applied position, and persistence frames tails against the
+// replica's own dataset: that is its boot source (CoreConfig.SeedRows).
+func (s *shard) promote(opt *oreo.Optimizer, queueSize, compactThreshold int) {
 	st := s.rep.Load()
 	s.obsMu.Lock()
 	defer s.obsMu.Unlock()
 	if s.obsClosed {
 		return // Close won the race: a consumer started now would never be stopped
 	}
-	s.lead(copt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), seedRows, queueSize, compactThreshold)
+	s.lead(opt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), s.ds.NumRows(), queueSize, compactThreshold)
 	s.wg.Add(1)
 	go s.consume()
 }
@@ -765,109 +763,77 @@ func combinedCost(base float64, survivors []int, part *oreo.Partitioning, deltaR
 	return float64(mass+deltaRows) / float64(total)
 }
 
-// serveQuery answers one routed query: the lock-free snapshot read path
-// (OptimizerSnapshot.CostQuery) for cost and skip-list, then a
-// non-blocking observation handoff. A live delta rides on the cost as
-// an always-surviving extra partition.
-func (s *shard) serveQuery(q oreo.Query) (TableResult, error) {
+// answer serves one routed query: cost and survivor skip-list from one
+// lock-free sweep of a layout snapshot, a live delta riding on the cost
+// as an always-surviving extra partition, then the non-blocking
+// observation handoff. The (layout, delta) pair is the published
+// state's — or, with execute, the execution state's, which may trail it
+// but whose blocks are arranged by exactly that layout, so pruning and
+// data always agree; the store then scans exactly the survivor
+// partitions plus the delta view in full, re-checking predicates per
+// row and folding the requested aggregates. Errors are client errors
+// (invalid aggregates) or a canceled context, and leave every counter
+// untouched.
+func (s *shard) answer(ctx context.Context, q oreo.Query, execute bool, aggs []exec.AggSpec) (TableResult, error) {
 	st, verr := s.view()
 	if verr != nil {
 		return TableResult{}, verr
 	}
-	snap := st.snap
-	dec := snap.CostQuery(q)
-	ids := dec.SurvivorPartitions()
-	cost := combinedCost(dec.Cost, ids, snap.Serving.Part, st.deltaRows())
-	observed := s.record(q, cost)
-
-	res := TableResult{
-		Table:              s.table,
-		Cost:               cost,
-		Layout:             dec.Layout.Name,
-		NumPartitions:      dec.Layout.Part.NumPartitions,
-		SurvivorPartitions: ids,
-		DeltaRows:          st.deltaRows(),
-		Observed:           observed,
-		QueryID:            q.ID,
+	lay, delta := st.snap.Serving, st.delta
+	var store *exec.Store
+	if execute {
+		// Validate before materializing: on a cold shard the lazy store
+		// build is a full second copy of the table, and a request that is
+		// going to be rejected must not leave that (permanent) footprint.
+		if err := exec.ValidateAggs(s.ds.Schema(), aggs); err != nil {
+			return TableResult{}, err
+		}
+		es := s.execStore()
+		lay, delta, store = es.layout, es.delta, es.store
 	}
-	if snap.Pending != nil {
-		res.Reorganizing = true
-		res.PendingLayout = snap.Pending.Name
-	}
-	return res, nil
-}
-
-// serveExecute answers one routed query *and* executes it: cost and
-// skip-list are evaluated against the execution state's layout (not the
-// possibly newer published snapshot, so pruning and data always agree),
-// then the store scans exactly the survivor partitions — plus the
-// execution state's delta view, in full — re-checking predicates per
-// row and folding the requested aggregates. Errors are client errors
-// (invalid aggregates) or a canceled context, and leave every counter
-// untouched.
-func (s *shard) serveExecute(ctx context.Context, q oreo.Query, aggs []exec.AggSpec) (TableResult, error) {
-	if _, verr := s.view(); verr != nil {
-		return TableResult{}, verr
-	}
-	// Validate before materializing: on a cold shard the lazy store
-	// build is a full second copy of the table, and a request that is
-	// going to be rejected must not leave that (permanent) footprint.
-	if err := exec.ValidateAggs(s.ds.Schema(), aggs); err != nil {
-		return TableResult{}, err
-	}
-	st := s.execStore()
-	baseCost, ids := st.layout.CostSurvivorsSnapshot(q)
+	baseCost, ids := lay.CostSurvivorsSnapshot(q)
 	if ids == nil {
 		ids = []int{}
 	}
 	deltaRows := 0
-	if st.delta != nil {
-		deltaRows = st.delta.NumRows()
+	if delta != nil {
+		deltaRows = delta.NumRows()
 	}
-	cost := combinedCost(baseCost, ids, st.layout.Part, deltaRows)
-	scan, err := st.store.Scan(q, ids, aggs, exec.Options{Context: ctx, Parallelism: s.scanPar, Delta: st.delta})
-	if err != nil {
-		return TableResult{}, err
-	}
-	observed := s.record(q, cost)
-	s.executions.Add(1)
-	s.execRows.Add(uint64(scan.RowsExamined))
-	s.execCovered.Add(uint64(scan.PartitionsCovered))
-	if scan.Workers > 1 {
-		s.parallelScans.Add(1)
-	}
-
 	res := TableResult{
 		Table:              s.table,
-		Cost:               cost,
-		Layout:             st.layout.Name,
-		NumPartitions:      st.layout.Part.NumPartitions,
+		Cost:               combinedCost(baseCost, ids, lay.Part, deltaRows),
+		Layout:             lay.Name,
+		NumPartitions:      lay.Part.NumPartitions,
 		SurvivorPartitions: ids,
 		DeltaRows:          deltaRows,
-		Observed:           observed,
 		QueryID:            q.ID,
-		Execution: &ExecutionJSON{
+	}
+	if execute {
+		scan, err := store.Scan(q, ids, aggs, exec.Options{Context: ctx, Parallelism: s.scanPar, Delta: delta})
+		if err != nil {
+			return TableResult{}, err
+		}
+		s.executions.Add(1)
+		s.execRows.Add(uint64(scan.RowsExamined))
+		s.execCovered.Add(uint64(scan.PartitionsCovered))
+		if scan.Workers > 1 {
+			s.parallelScans.Add(1)
+		}
+		res.Execution = &ExecutionJSON{
 			MatchedRows:     scan.Matched,
 			PartitionsRead:  scan.PartitionsRead,
-			PartitionsTotal: st.layout.Part.NumPartitions,
+			PartitionsTotal: lay.Part.NumPartitions,
 			RowsExamined:    scan.RowsExamined,
-			RowsTotal:       st.store.TotalRows() + scan.DeltaRows,
+			RowsTotal:       store.TotalRows() + scan.DeltaRows,
 			DeltaRows:       scan.DeltaRows,
 			Aggregates:      encodeAggs(scan.Aggs),
-		},
+		}
+		// What is in flight is judged against the state published now, not
+		// the one the scan started under: the store never runs ahead of it.
+		st = s.rep.Load()
 	}
-	if snap := s.rep.Load().snap; snap.Pending != nil {
-		res.Reorganizing = true
-		res.PendingLayout = snap.Pending.Name
-	} else if snap.Serving != st.layout {
-		// The published state already switched but the store rebuild has
-		// not landed: the physical swap is still in flight, and answers
-		// keep coming from the outgoing layout until it does. Report
-		// that honestly — a monitor polling for "reorganization done"
-		// must not be told done while execution still reads old blocks.
-		res.Reorganizing = true
-		res.PendingLayout = snap.Serving.Name
-	}
+	res.Observed = s.record(q, res.Cost)
+	res.Reorganizing, res.PendingLayout = st.pending(lay)
 	return res, nil
 }
 
@@ -930,8 +896,7 @@ func (s *shard) layoutInfo() (LayoutResponse, error) {
 	if verr != nil {
 		return LayoutResponse{}, verr
 	}
-	snap := rst.snap
-	lay := snap.Serving
+	lay := rst.snap.Serving
 	rows := make([]int, lay.Part.NumPartitions)
 	for pid, m := range lay.Part.Meta {
 		if m != nil {
@@ -946,10 +911,7 @@ func (s *shard) layoutInfo() (LayoutResponse, error) {
 		PartitionRows: rows,
 		DeltaRows:     rst.deltaRows(),
 	}
-	if snap.Pending != nil {
-		res.Reorganizing = true
-		res.PendingLayout = snap.Pending.Name
-	}
+	res.Reorganizing, res.PendingLayout = rst.pending(lay)
 	return res, nil
 }
 

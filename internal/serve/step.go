@@ -40,6 +40,23 @@ func (st *repState) deltaRows() int {
 	return st.delta.NumRows()
 }
 
+// pending reports the reorganization in flight as seen by a reader
+// answering from the layout served: the optimizer's background target,
+// or — when an execution store still holds the layout this state has
+// already switched away from — the published serving layout itself,
+// because the physical swap has not landed and answers keep coming from
+// the outgoing blocks until it does. A monitor polling for
+// "reorganization done" must not be told done before that.
+func (st *repState) pending(served *oreo.Layout) (reorganizing bool, layout string) {
+	switch {
+	case st.snap.Pending != nil:
+		return true, st.snap.Pending.Name
+	case st.snap.Serving != served:
+		return true, st.snap.Serving.Name
+	}
+	return false, ""
+}
+
 // Decision-update kinds; see DecisionUpdate.Kind.
 const (
 	// UpdateDecision is a processed observation (a layout decision).

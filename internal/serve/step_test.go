@@ -18,7 +18,7 @@ func stepFixture(t *testing.T) (unseeded, seeded *repState, snap oreo.OptimizerS
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap = oreo.NewConcurrent(opt).Snapshot()
+	snap = opt.Snapshot()
 	unseeded = &repState{tail: table.NewDelta(ds.Schema())}
 	seeded, _, err = step(unseeded, DecisionUpdate{Kind: UpdateSnapshot, Epoch: 5, Snapshot: snap, Base: ds, Rows: rowsOver(ds.Schema(), 64, 3)})
 	if err != nil {
@@ -41,7 +41,7 @@ func TestStepRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shortSnap := oreo.NewConcurrent(smaller).Snapshot() // a layout over 32 rows, not 64
+	shortSnap := smaller.Snapshot() // a layout over 32 rows, not 64
 
 	cases := []struct {
 		name string

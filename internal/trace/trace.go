@@ -10,6 +10,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Kind enumerates event types.
@@ -70,9 +71,12 @@ func (e Event) String() string {
 }
 
 // Recorder is a bounded ring buffer of events. The zero value discards
-// everything; construct with NewRecorder. Not safe for concurrent use
-// (OREO itself is single-threaded per table).
+// everything; construct with NewRecorder. Safe for concurrent use: OREO
+// decides on one goroutine per table, but an operator asks "why" from
+// another while it does, so the recorder locks itself rather than ask
+// every owner of an optimizer to.
 type Recorder struct {
+	mu    sync.Mutex
 	buf   []Event
 	head  int
 	count int
@@ -94,6 +98,8 @@ func (r *Recorder) SetSeq(seq int) {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.seq = seq
 }
 
@@ -102,6 +108,8 @@ func (r *Recorder) Record(kind Kind, layout, detail string) {
 	if r == nil || r.buf == nil {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	e := Event{Seq: r.seq, Kind: kind, Layout: layout, Detail: detail}
 	if r.count < len(r.buf) {
 		r.buf[(r.head+r.count)%len(r.buf)] = e
@@ -118,6 +126,8 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]Event, r.count)
 	for i := 0; i < r.count; i++ {
 		out[i] = r.buf[(r.head+i)%len(r.buf)]
@@ -131,6 +141,8 @@ func (r *Recorder) Total() int {
 	if r == nil {
 		return 0
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.total
 }
 

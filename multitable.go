@@ -56,20 +56,6 @@ func (m *MultiOptimizer) Optimizer(table string) *Optimizer {
 	return m.optimizers[table]
 }
 
-// Engine returns the named table's optimizer as an Engine — the
-// uniform in-process serving surface — or nil if the table is not
-// registered. Each table's shard is an independent engine: feeding it
-// a routed sub-query (see Route) advances only that table's decisions,
-// which is the paper's multi-table configuration (§VIII) expressed in
-// the interface.
-func (m *MultiOptimizer) Engine(table string) Engine {
-	opt, ok := m.optimizers[table]
-	if !ok {
-		return nil // typed-nil *Optimizer must not leak as a non-nil Engine
-	}
-	return opt
-}
-
 // Dataset returns the registered table's dataset, or nil if the table
 // is not registered.
 func (m *MultiOptimizer) Dataset(table string) *Dataset {

@@ -75,15 +75,19 @@
 // never nil: a zero decision and an unsatisfiable query both yield an
 // empty slice, so wire encoders emit [] on every path.
 //
-// In process, the serving surface is the Engine interface: ProcessQuery
-// plus the layout/stats reads, satisfied by three regimes. Optimizer is
-// the sequential engine. ConcurrentOptimizer is the read-mostly engine:
-// the decision path serializes on a mutex but republishes an immutable
-// OptimizerSnapshot (serving layout, pending reorganization, counters)
-// through an atomic pointer after every query, so CurrentLayout, Stats,
-// Snapshot, and the CostQuery costing/skip-list path are all lock-free
-// and scale with cores. MultiOptimizer.Engine exposes each table's
-// shard as its own engine, routed by predicate (Route).
+// In process, serving is two types. An Optimizer decides sequentially —
+// D-UMTS counters advance one query at a time, in order — so it belongs
+// to exactly one goroutine, its owner, and takes no lock. After any
+// ProcessQuery the owner can take Optimizer.Snapshot: an immutable
+// OptimizerSnapshot value (serving layout, pending reorganization,
+// counters, all true at the same query boundary). Published however
+// the owner likes, it is the whole read side: any number of goroutines
+// cost queries and extract skip-lists from it with
+// OptimizerSnapshot.CostQuery, lock-free and memo-free, while the owner
+// keeps deciding. A MultiOptimizer is one such Optimizer per table,
+// routed by predicate (Route); the decision trace is the one piece of
+// state a non-owner may read from a live Optimizer (Events), and the
+// recorder locks itself for that.
 //
 // Over the wire, the stack is a transport-neutral core under versioned
 // codecs. serve.Core (internal/serve) owns every request semantic —
@@ -170,9 +174,10 @@
 // touched; oreo_scan_partitions_covered_total over
 // oreo_executions_total says how many blocks per executed query were
 // answered from summaries. Against the row-at-a-time engine the kernels
-// are several times faster single-threaded; BENCH_exec.json records the
-// trajectory and CI enforces a 4x floor on a scanned (not covered)
-// shape (TestScanSpeedupBar).
+// are several times faster single-threaded; the serve-scan workload of
+// BENCHMARK.json (go run -C bench .) measures them end to end and CI
+// enforces a 4x floor on a scanned (not covered) shape
+// (TestScanSpeedupBar).
 //
 // Survivor blocks are independent, so Options.Parallelism fans a scan
 // across a bounded worker pool (serve defaults it to NumCPU,
@@ -407,8 +412,9 @@
 // open (queries paced at a target arrival rate: does it keep up) —
 // over unary or stream transports, reporting achieved QPS and
 // p50/p90/p99/max from the same histogram buckets the server exports.
-// BENCH_serve.json is the checked-in trajectory (unary vs stream vs
-// follower vs leader+follower aggregate); cmd/oreoreplay -mode serve
+// BENCHMARK.json declares the repo's own benchmark (go run -C bench .:
+// four workloads, with a traced read ladder from Core through unary
+// and stream to a follower); cmd/oreoreplay -mode serve
 // reports in-stream replay percentiles next to QPS. See
 // examples/metrics for a leader + follower pair scraped under load.
 //
@@ -659,7 +665,9 @@ type Stats struct {
 }
 
 // Optimizer is the end-to-end OREO system: layout manager + D-UMTS
-// reorganizer over one dataset. It is not safe for concurrent use.
+// reorganizer over one dataset. It is not safe for concurrent use: one
+// goroutine owns it and shares Snapshot values with the rest. Events
+// and DumpTrace alone may be called from any goroutine.
 type Optimizer struct {
 	cfg   Config
 	pol   *policy.OREO

@@ -2,6 +2,7 @@ package oreo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"oreo/internal/query"
@@ -38,7 +39,9 @@ func TestSurvivorPartitionsNeverNil(t *testing.T) {
 // survivor return path: the skip-list the public API reports must agree
 // with interpreted per-partition prunable checks (query.MayMatch over
 // the served layout's metadata), and the decision's Cost must be
-// exactly the listed partitions' row mass over the table size.
+// exactly the listed partitions' row mass over the table size. The
+// snapshot read path (Optimizer.Snapshot, OptimizerSnapshot.CostQuery)
+// must report the same state and the same answer at every boundary.
 func TestDecisionSurvivorPartitions(t *testing.T) {
 	ds := buildEventsTable(t, 3000)
 	opt, err := New(ds, Config{
@@ -92,6 +95,25 @@ func TestDecisionSurvivorPartitions(t *testing.T) {
 		// And bit-identical to the interpreted reference cost path.
 		if ref := query.FractionScanned(dec.Layout.Schema(), dec.Layout.Part, q); dec.Cost != ref {
 			t.Fatalf("query %d: Cost %v != interpreted FractionScanned %v", i, dec.Cost, ref)
+		}
+
+		// The snapshot taken at this query boundary is the optimizer's
+		// state, and its memo-free read path answers what the decision
+		// path just did, without deciding anything.
+		snap := opt.Snapshot()
+		if snap.Serving != opt.CurrentLayout() || snap.Pending != opt.PendingLayout() || snap.Stats != opt.Stats() {
+			t.Fatalf("query %d: snapshot %+v is not the optimizer's state", i, snap)
+		}
+		rd := snap.CostQuery(q)
+		if rd.Cost != dec.Cost || rd.Layout != dec.Layout || rd.Reorganized {
+			t.Fatalf("query %d: snapshot read (%v on %s, reorganized=%v) != decision (%v on %s)",
+				i, rd.Cost, rd.Layout.Name, rd.Reorganized, dec.Cost, dec.Layout.Name)
+		}
+		if got := rd.SurvivorPartitions(); !reflect.DeepEqual(got, surv) {
+			t.Fatalf("query %d: snapshot survivors %v != decision survivors %v", i, got, surv)
+		}
+		if opt.Stats() != snap.Stats {
+			t.Fatalf("query %d: CostQuery moved the counters", i)
 		}
 	}
 }
