@@ -363,11 +363,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestSubscribeAndFollowerHealth covers the SDK's replication surface:
-// Subscribe tails the leader's decision stream (snapshots first, then
-// one decision per processed query) and Health exposes the
-// follower-aware fields (role, layout epochs).
-func TestSubscribeAndFollowerHealth(t *testing.T) {
+// TestHealthReportsRoleAndEpochs covers the replication-aware fields of
+// Health: role, the advertised URL, the fencing term a publisher set,
+// and per-table layout epochs that advance with processed queries.
+func TestHealthReportsRoleAndEpochs(t *testing.T) {
 	orders := oreo.NewSchema(
 		oreo.Column{Name: "order_ts", Type: oreo.Int64},
 		oreo.Column{Name: "amount", Type: oreo.Float64},
@@ -401,52 +400,23 @@ func TestSubscribeAndFollowerHealth(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
-	sub, err := c.Subscribe(ctx, client.SubscribeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	first, err := sub.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Type != "snapshot" || first.Table != "orders" || first.Epoch != 0 {
-		t.Fatalf("first record = %+v, want orders snapshot at epoch 0", first)
-	}
-	if first.Generation == 0 || len(first.State) == 0 {
-		t.Fatalf("snapshot record missing generation or state: %+v", first)
-	}
-
-	// One served query becomes one decision record at epoch 1.
+	// One served query becomes one decision: epoch 1, once the table's
+	// consumer has drained it.
 	if _, err := c.Query(ctx, client.Query{
 		Table: "orders",
 		Preds: []client.Predicate{client.IntRange("order_ts", 10, 500)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := sub.Recv()
-	if err != nil {
-		t.Fatal(err)
+	var h *client.Health
+	for h == nil || h.LayoutEpochs["orders"] != 1 {
+		if h, err = c.Health(ctx); err != nil {
+			t.Fatalf("waiting for layout epoch 1: %v", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if dec.Type != "decision" || dec.Epoch != 1 || dec.Stats == nil || dec.Stats.Queries != 1 {
-		t.Fatalf("decision record = %+v", dec)
-	}
-
-	// Unknown tables are rejected with the typed error.
-	if _, err := c.Subscribe(ctx, client.SubscribeOptions{Tables: []string{"nope"}}); !errors.Is(err, client.ErrNotFound) {
-		t.Fatalf("unknown-table subscribe error = %v", err)
-	}
-
-	h, err := c.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Role != "leader" || h.Advertise != "http://leader.example:8080" {
-		t.Fatalf("health role/advertise = %q/%q", h.Role, h.Advertise)
-	}
-	if h.LayoutEpochs["orders"] != 1 {
-		t.Fatalf("layout epoch = %d, want 1", h.LayoutEpochs["orders"])
+	if h.Role != "leader" || h.Advertise != "http://leader.example:8080" || h.Generation != 1 {
+		t.Fatalf("health role/advertise/generation = %q/%q/%d", h.Role, h.Advertise, h.Generation)
 	}
 }
 

@@ -10,7 +10,7 @@
 // Scale a local fleet behind one leader:
 //
 //	oreoctl -leader http://localhost:8080 -binary ./oreoserve \
-//	    -follower-args "-rows 20000 -state data" \
+//	    -follower-args "-rows 20000 -archive data" \
 //	    -port-base 8100 -min 1 -max 4
 //
 // The controller's own decisions are observable the same way the fleet

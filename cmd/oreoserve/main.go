@@ -30,11 +30,17 @@
 // POST /v2/tables/{t}/compact). Followers receive both appends and
 // folds through the replication stream.
 //
-// With -state DIR the server loads warm-start snapshots
-// (DIR/<table>.state.json) at boot — resuming each table's converged
-// layout with a hot cost memo, plus any appended rows the boot source
-// cannot reproduce (compacted tail and live delta) — and writes fresh
-// snapshots on graceful shutdown (SIGINT/SIGTERM).
+// With -archive DIR a leader archives its own decision stream — every
+// decision, append and fold, as a follower would receive them — and a
+// restart with the same flags replays the archive and promotes the
+// replayed state: the process resumes at the archived epoch, counters,
+// rows and fencing term after a clean stop or a kill -9 alike (a missing
+// or empty DIR is a cold boot). A clean stop first waits for the archive
+// to reach the final epoch; a kill -9 loses what the archiver had not
+// yet written — the records still queued for its stream, milliseconds of
+// acknowledged work, plus up to 256 un-fsynced records if the machine
+// goes down. A follower started with -archive replays DIR before
+// subscribing, and archives its own stream there once promoted.
 //
 // With -follow URL the process boots as a read replica instead of a
 // leader: it loads the same data (same -csv/-tables/-rows/-seed flags
@@ -62,7 +68,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -87,7 +92,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "fixture and optimizer seed")
 		queue   = flag.Int("queue", serve.DefaultQueueSize, "observation queue size per table")
 		traceN  = flag.Int("trace", 256, "decision-trace capacity per table (0 disables /trace)")
-		stateIn = flag.String("state", "", "directory for warm-start snapshots (load at boot, save at shutdown)")
 		scanPar = flag.Int("scan-parallelism", 0, "worker goroutines per executed scan (0 = NumCPU, 1 = sequential; capped at NumCPU, results identical at any setting)")
 		compact = flag.Int("compact-threshold", 0, "delta rows that trigger automatic compaction after an append (0 = default, negative = only explicit /compact)")
 
@@ -96,7 +100,7 @@ func main() {
 		// the named leader instead.
 		follow    = flag.String("follow", "", "leader URL to follow as a read replica (no local optimizer)")
 		advertise = flag.String("advertise", "", "URL followers should subscribe to, shown on /healthz (leader only)")
-		archive   = flag.String("archive", "", "decision-log archive directory: a leader archives its own stream there; a follower replays it before subscribing, so the leader answers with a resume instead of a fresh snapshot")
+		archive   = flag.String("archive", "", "decision-log archive directory: a leader archives its own stream there and restarts from it; a follower replays it before subscribing, so the leader answers with a resume instead of a fresh snapshot")
 
 		// Connection hygiene. Without a header timeout a client that
 		// dribbles header bytes holds a connection (and its goroutine)
@@ -114,28 +118,53 @@ func main() {
 	if len(sources) == 0 {
 		log.Fatal("oreoserve: no tables")
 	}
-	var names []string
+	// What leading a table takes, on every path to it: the cold boot adds
+	// only the initial sort; a restart from the archive and a follower's
+	// promotion start from the replicated layout instead.
+	engine := oreo.Config{
+		Alpha:         *alpha,
+		WindowSize:    *window,
+		Partitions:    *parts,
+		Seed:          *seed,
+		TraceCapacity: *traceN,
+	}
+	promoCfg := serve.PromoteConfig{
+		QueueSize:        *queue,
+		CompactThreshold: *compact,
+		Advertise:        *advertise,
+		Tables:           make(map[string]serve.PromoteTable, len(sources)),
+	}
+	var (
+		names []string
+		tabs  []replica.TableData
+	)
 	for _, src := range sources {
 		names = append(names, src.name)
+		tabs = append(tabs, replica.TableData{Name: src.name, Dataset: src.ds})
+		promoCfg.Tables[src.name] = serve.PromoteTable{Config: engine}
+	}
+	// A leader with -archive tails its own decision stream to disk: the
+	// archiver is an ordinary replication subscriber pointed at this
+	// process, so it archives exactly what any follower would have seen.
+	// Started before the listener is up, it retries until that answers.
+	newLeadership := func(pub *replica.Publisher) (*leadership, error) {
+		l := &leadership{pub: pub}
+		if *archive == "" {
+			return l, nil
+		}
+		var err error
+		l.arch, err = replica.NewArchiver(replica.ArchiverConfig{Upstream: selfURL(*addr), Dir: *archive, Tables: names})
+		return l, err
 	}
 
 	var (
-		srv *serve.Server
-		fol *replica.Follower
+		srv  *serve.Server
+		fol  *replica.Follower
+		lead atomic.Pointer[leadership] // set at boot on a leader, by a promotion on a follower
 	)
 	if *follow != "" {
 		// Follower: same data, no optimizer — state is replicated from
-		// the leader, so warm-start snapshots have nothing to add. The
-		// directory still matters for one thing: a promotion records its
-		// fencing term there, so a later reboot as a leader (-state, no
-		// -follow) resumes the adopted term instead of regressing to 1.
-		if *stateIn != "" {
-			log.Print("oreoserve: follower mode uses -state only to persist the fencing term on promotion (serving state replicates from the leader)")
-		}
-		var tabs []replica.TableData
-		for _, src := range sources {
-			tabs = append(tabs, replica.TableData{Name: src.name, Dataset: src.ds})
-		}
+		// the leader.
 		var err error
 		fol, err = replica.NewFollower(replica.FollowerConfig{Upstream: *follow, Tables: tabs, ScanParallelism: *scanPar, ArchiveDir: *archive})
 		if err != nil {
@@ -147,26 +176,7 @@ func main() {
 		// and the replication endpoints answering 503 until a promotion
 		// installs a publisher behind them (ServeMux registration is not
 		// safe once serving has started; an atomic handler swap is).
-		promo := &promoteServer{fol: fol, stateDir: *stateIn}
-		for _, src := range sources {
-			if promo.cfg.Tables == nil {
-				promo.cfg = serve.PromoteConfig{
-					QueueSize:        *queue,
-					CompactThreshold: *compact,
-					Advertise:        *advertise,
-					Tables:           make(map[string]serve.PromoteTable, len(sources)),
-				}
-			}
-			promo.cfg.Tables[src.name] = serve.PromoteTable{
-				Config: oreo.Config{
-					Alpha:         *alpha,
-					WindowSize:    *window,
-					Partitions:    *parts,
-					Seed:          *seed,
-					TraceCapacity: *traceN,
-				},
-			}
-		}
+		promo := &promoteServer{fol: fol, cfg: promoCfg, newLeadership: newLeadership, lead: &lead}
 		srv.Mount("POST /v2/cluster/promote", http.HandlerFunc(promo.handlePromote))
 		srv.Mount("POST /v2/replication/subscribe", promo.delegate((*replica.Publisher).SubscribeHandler))
 		srv.Mount("POST /v2/replication/observe", promo.delegate((*replica.Publisher).ObserveHandler))
@@ -179,114 +189,42 @@ func main() {
 			log.Printf("oreoserve: follower caught up with %s", *follow)
 		}()
 	} else {
-		m := oreo.NewMulti()
-		// Warm-start restores split in two: the grown base feeds the
-		// optimizer here, while restored delta rows must wait for the
-		// serving core and re-enter through the live write path below.
-		seedRows := make(map[string]int, len(sources))
-		deltas := make(map[string]*oreo.Dataset)
-		for _, src := range sources {
-			name, ds, sortCol := src.name, src.ds, src.sortCol
-			seedRows[name] = ds.NumRows()
-			cfg := oreo.Config{
-				Alpha:         *alpha,
-				WindowSize:    *window,
-				Partitions:    *parts,
-				InitialSort:   []string{sortCol},
-				Seed:          *seed,
-				TraceCapacity: *traceN,
-			}
-			if *stateIn != "" {
-				if st := loadState(statePath(*stateIn, name), ds); st != nil {
-					cfg.Initial = st.layout
-					cfg.InitialSort = nil
-					ds = st.base
-					deltaRows := 0
-					if st.delta != nil && st.delta.NumRows() > 0 {
-						deltas[name] = st.delta
-						deltaRows = st.delta.NumRows()
-					}
-					log.Printf("table %s: resumed layout %q (warm=%v, memo entries=%d, base rows=%d, delta rows=%d)",
-						name, st.layout.Name, st.warm, st.layout.Engine().Stats().Entries,
-						st.base.NumRows(), deltaRows)
+		// A restart is archive replay + promotion; with no -archive, or a
+		// missing or empty one, there is nothing to replay: the cold boot.
+		core, pub, err := replica.Recover(*archive, tabs, *scanPar, promoCfg, replica.PublisherConfig{})
+		switch {
+		case err == nil:
+			srv = serve.NewServer(core, serve.Config{})
+			log.Printf("oreoserve: recovered from %s at generation %d (epochs %v)", *archive, pub.Generation(), core.Health().LayoutEpochs)
+		case errors.Is(err, replica.ErrNoArchive):
+			m := oreo.NewMulti()
+			for _, src := range sources {
+				cfg := engine
+				cfg.InitialSort = []string{src.sortCol}
+				if err := m.AddTable(src.name, src.ds, cfg); err != nil {
+					log.Fatalf("oreoserve: %v", err)
 				}
 			}
-			if err := m.AddTable(name, ds, cfg); err != nil {
+			if srv, err = serve.New(m, serve.Config{
+				QueueSize:        *queue,
+				Advertise:        *advertise,
+				ScanParallelism:  *scanPar,
+				CompactThreshold: *compact,
+			}); err != nil {
 				log.Fatalf("oreoserve: %v", err)
 			}
-		}
-		var err error
-		srv, err = serve.New(m, serve.Config{
-			QueueSize:        *queue,
-			Advertise:        *advertise,
-			ScanParallelism:  *scanPar,
-			CompactThreshold: *compact,
-			SeedRows:         seedRows,
-		})
-		if err != nil {
-			log.Fatalf("oreoserve: %v", err)
-		}
-		for _, src := range sources {
-			delta, ok := deltas[src.name]
-			if !ok {
-				continue
-			}
-			ack, err := srv.Core().AppendDataset(src.name, delta)
-			if err != nil {
-				log.Fatalf("oreoserve: restoring %s delta: %v", src.name, err)
-			}
-			log.Printf("table %s: restored %d delta rows (delta now %d)", src.name, delta.NumRows(), ack.DeltaRows)
-		}
-		// The fencing term survives restarts: a leader that was ever at
-		// term 2+ (it was promoted, or restored a promoted predecessor's
-		// state) must republish at that term, or every follower that
-		// applied the higher term would fence it out on sight. Recover
-		// the highest term any persisted source proves, then re-persist
-		// the adopted one immediately — not just at graceful shutdown.
-		var pubGen uint64
-		if *stateIn != "" {
-			g, err := replica.LoadTerm(*stateIn)
-			if err != nil {
+			if pub, err = replica.NewPublisher(srv.Core(), replica.PublisherConfig{}); err != nil {
 				log.Fatalf("oreoserve: %v", err)
 			}
-			pubGen = g
-		}
-		if *archive != "" {
-			g, err := replica.ArchiveGeneration(*archive)
-			if err != nil {
-				log.Fatalf("oreoserve: %v", err)
-			}
-			if g > pubGen {
-				pubGen = g
-			}
-		}
-		pub, err := replica.NewPublisher(srv.Core(), replica.PublisherConfig{Generation: pubGen})
-		if err != nil {
-			log.Fatalf("oreoserve: %v", err)
+		default:
+			log.Fatalf("oreoserve: recovering from %s: %v", *archive, err)
 		}
 		pub.Mount(srv)
-		if pubGen > 1 {
-			log.Printf("oreoserve: restored fencing term %d", pub.Generation())
-		}
-		if *stateIn != "" {
-			if err := replica.SaveTerm(*stateIn, pub.Generation()); err != nil {
-				log.Fatalf("oreoserve: %v", err)
-			}
-		}
-	}
-
-	// A leader with -archive tails its own decision stream to disk: the
-	// archiver is an ordinary replication subscriber pointed at this
-	// process, so it needs no privileged hooks and archives exactly what
-	// any follower would have seen. It starts before the listener is up
-	// and simply retries until the subscribe endpoint answers.
-	var arch *replica.Archiver
-	if *archive != "" && *follow == "" {
-		var err error
-		arch, err = replica.NewArchiver(replica.ArchiverConfig{Upstream: selfURL(*addr), Dir: *archive})
+		l, err := newLeadership(pub)
 		if err != nil {
 			log.Fatalf("oreoserve: %v", err)
 		}
+		lead.Store(l)
 	}
 
 	hs := &http.Server{
@@ -307,51 +245,55 @@ func main() {
 		log.Printf("oreoserve: serving tables %v on %s", names, *addr)
 	}
 
-	// SIGINT and SIGTERM both take the graceful path: stop accepting,
-	// drain, and (leaders with -state) persist serving state — a ^C in
-	// a terminal must not cost the warm start a supervisor's TERM keeps.
+	// SIGINT and SIGTERM both take the graceful path — a ^C in a terminal
+	// must not cost what a supervisor's TERM keeps.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	log.Print("oreoserve: shutting down")
 
-	// Stop accepting requests, then drain the decision loops, then
-	// persist serving state so the next boot starts hot. A follower
-	// closes both its replication loop and the server over the shared
-	// core; Core.Close is idempotent by contract.
+	// Drain the decision loops first (writes answer 503 from here, and
+	// every acknowledged update already sits in the subscribers' queues),
+	// give the archive a bounded moment to reach the final epoch and fsync
+	// it, and only then sever the subscribe streams — live connections
+	// http.Server.Shutdown would otherwise wait out. A follower closes its
+	// core twice, here and below; Core.Close is idempotent by contract.
+	srv.Close()
+	if l := lead.Load(); l != nil {
+		if l.arch != nil {
+			for deadline := time.Now().Add(2 * time.Second); !archived(srv.Core(), l.arch) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			l.arch.Close()
+		}
+		l.pub.DropSubscribers()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Printf("oreoserve: http shutdown: %v", err)
 	}
-	if arch != nil {
-		arch.Close()
-	}
 	if fol != nil {
 		fol.Close()
 	}
-	srv.Close()
-	if *stateIn != "" && fol == nil {
-		for _, name := range names {
-			// ReplicaPosition is the coherent serving view: layout, grown
-			// base, and uncompacted delta captured together, so the saved
-			// document replays to exactly the rows queries were seeing.
-			pos, ok := srv.Core().ReplicaPosition(name)
-			if !ok {
-				continue
-			}
-			if err := saveState(statePath(*stateIn, name), pos); err != nil {
-				log.Printf("oreoserve: saving %s state: %v", name, err)
-			} else {
-				deltaRows := 0
-				if pos.Delta != nil {
-					deltaRows = pos.Delta.NumRows()
-				}
-				log.Printf("table %s: saved layout %q (%d rows + %d delta)",
-					name, pos.Snapshot.Serving.Name, pos.Dataset.NumRows(), deltaRows)
-			}
+}
+
+// leadership is what only a leading process runs: the publisher behind
+// the replication endpoints and, with -archive, the archiver tailing it.
+type leadership struct {
+	pub  *replica.Publisher
+	arch *replica.Archiver
+}
+
+// archived reports whether the archive has reached every table's
+// published epoch.
+func archived(core *serve.Core, arch *replica.Archiver) bool {
+	for _, t := range core.Tables() {
+		if pos, ok := core.ReplicaPosition(t); ok && arch.Position(t) < pos.Epoch {
+			return false
 		}
 	}
+	return true
 }
 
 // selfURL derives the URL this process is reachable at from its listen
@@ -368,17 +310,20 @@ func selfURL(addr string) string {
 // and installs a publisher behind the pre-mounted replication
 // endpoints, which answer 503 until then.
 type promoteServer struct {
-	mu       sync.Mutex
-	fol      *replica.Follower
-	cfg      serve.PromoteConfig
-	stateDir string
-	pub      atomic.Pointer[replica.Publisher]
+	mu  sync.Mutex
+	fol *replica.Follower
+	cfg serve.PromoteConfig
+	// newLeadership starts, with -archive, the archiver of this process's
+	// own stream: the promoted leader's log — and in it the term it
+	// adopted — is on disk for its next restart.
+	newLeadership func(*replica.Publisher) (*leadership, error)
+	lead          *atomic.Pointer[leadership]
 }
 
 func (p *promoteServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pub.Load() != nil {
+	if p.lead.Load() != nil {
 		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Error: "already promoted"})
 		return
 	}
@@ -388,15 +333,11 @@ func (p *promoteServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
-	p.pub.Store(pub)
-	// Persist the adopted term before announcing it: once followers have
-	// seen the higher term, a restart of this process at a lower one is
-	// terminally fenced, so the term file must exist first.
-	if p.stateDir != "" {
-		if err := replica.SaveTerm(p.stateDir, pub.Generation()); err != nil {
-			log.Printf("oreoserve: persisting fencing term: %v", err)
-		}
+	l, err := p.newLeadership(pub)
+	if err != nil {
+		log.Printf("oreoserve: promoted, but not archiving: %v", err)
 	}
+	p.lead.Store(l)
 	h := p.fol.Core().Health()
 	log.Printf("oreoserve: promoted to leader at generation %d (epochs %v)", h.Generation, h.LayoutEpochs)
 	writeJSONStatus(w, http.StatusOK, h)
@@ -406,12 +347,12 @@ func (p *promoteServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 // answers 503 until a promotion has installed the publisher.
 func (p *promoteServer) delegate(method func(*replica.Publisher) http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		pub := p.pub.Load()
-		if pub == nil {
+		l := p.lead.Load()
+		if l == nil {
 			writeJSONStatus(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: "this node is a follower; replication endpoints activate on promotion"})
 			return
 		}
-		method(pub).ServeHTTP(w, r)
+		method(l.pub).ServeHTTP(w, r)
 	})
 }
 
@@ -419,55 +360,6 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-func statePath(dir, table string) string {
-	return filepath.Join(dir, table+".state.json")
-}
-
-// restoredState is one table's warm-start result: the resumed layout
-// over the grown base (boot source + compacted tail) and the delta
-// rows to replay through the live write path.
-type restoredState struct {
-	layout *oreo.Layout
-	base   *oreo.Dataset
-	delta  *oreo.Dataset
-	warm   bool
-}
-
-func loadState(path string, boot *oreo.Dataset) *restoredState {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil // cold boot: no snapshot yet
-	}
-	defer f.Close()
-	l, warm, base, delta, err := oreo.LoadStateWithData(f, boot)
-	if err != nil {
-		log.Printf("oreoserve: %s unusable (%v); cold boot", path, err)
-		return nil
-	}
-	return &restoredState{layout: l, base: base, delta: delta, warm: warm}
-}
-
-func saveState(path string, pos serve.Position) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := oreo.SaveStateWithData(f, pos.Snapshot.Serving, pos.Dataset, pos.SeedRows, pos.Delta); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // tableSource is one table to serve, from either data source.

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,13 +18,16 @@ import (
 	"time"
 )
 
-// Archiver is the third kind of replication subscriber (after serving
-// followers and debugging taps): it subscribes to a leader's decision
-// stream and persists every record to disk, verbatim, as NDJSON
-// segment files. The archive is a durable copy of the stream itself —
-// snapshot, decision, append, and compact records in arrival order —
-// which buys two things:
+// Archiver is the other kind of replication subscriber (beside serving
+// followers): it subscribes to a leader's decision stream and persists
+// every record to disk, verbatim, as NDJSON segment files. The archive
+// is a durable copy of the stream itself — snapshot, decision, append,
+// and compact records in arrival order — which buys three things:
 //
+//   - A leader restarts from it: Recover replays the archive into a
+//     replica core and promotes that, so a process that archives its own
+//     stream comes back at the archive's tail epoch, rows and fencing
+//     term; what the archiver had not yet written when it died is lost.
 //   - New followers bootstrap from it: FollowerConfig.ArchiveDir
 //     replays the archive through the normal apply path, so a fresh
 //     follower reaches the archive's tail epoch entirely offline and
@@ -44,10 +48,14 @@ import (
 // order is lexical file order. A crash can truncate only the final
 // line of the newest segment; replay detects and skips exactly that
 // (an unparseable line with nothing after it), while garbage earlier
-// in a segment still fails loudly.
+// in a segment still fails loudly. A snapshot record replaces its
+// table's whole state, so replay starts each table at its newest
+// snapshot and never opens the segments before it (replayLive): a
+// restarted leader's session opens with fresh snapshots, which keeps
+// a restart proportional to what happened since the last one.
 //
-// On (re)start the archiver scans the existing segments to recover its
-// positions and fencing term, and resubscribes with them — when
+// On (re)start the archiver replays the same live records to recover
+// its positions and fencing term, and resubscribes with them — when
 // nothing was missed the leader answers with a cheap resume record and
 // the archive continues seamlessly across archiver restarts.
 type Archiver struct {
@@ -195,55 +203,11 @@ func (a *Archiver) Generation() uint64 {
 	return a.gen
 }
 
-// ArchiveGeneration scans an archive directory's record headers and
-// returns the highest fencing term recorded in it. A missing or empty
-// archive is term 0, not an error — the caller is asking "what term
-// has this fleet provably reached?", and an absent archive proves
-// nothing. A leader that archives its own stream restores its term
-// from here at boot (oreoserve -archive does), so a restart after a
-// promotion never republishes at a term its followers have already
-// moved past.
-func ArchiveGeneration(dir string) (uint64, error) {
-	var gen uint64
-	_, err := scanHeaders(dir, func(m *recordMeta) {
-		if m.Generation > gen {
-			gen = m.Generation
-		}
-	})
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	return gen, err
-}
-
-// scanHeaders streams the cheap header of every archived record, in
-// replay order, through fn, and returns how many segments it read.
-func scanHeaders(dir string, fn func(*recordMeta)) (int, error) {
-	segs, err := segments(dir)
-	if err != nil {
-		return 0, fmt.Errorf("replica: %w", err)
-	}
-	for _, seg := range segs {
-		err := scanSegment(seg, func(line []byte) error {
-			var m recordMeta
-			if err := json.Unmarshal(line, &m); err != nil {
-				return err
-			}
-			fn(&m)
-			return nil
-		})
-		if err != nil {
-			return 0, fmt.Errorf("replica: scanning archive record headers in %s: %w", seg, err)
-		}
-	}
-	return len(segs), nil
-}
-
 // segments lists the archive's segment files in replay (lexical)
-// order.
+// order. A directory nobody has created yet is an archive with none.
 func segments(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
-	if err != nil {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("reading archive directory: %w", err)
 	}
 	var segs []string
@@ -257,16 +221,18 @@ func segments(dir string) ([]string, error) {
 	return segs, nil
 }
 
-// recover scans the existing archive and rebuilds the per-table
-// positions and fencing term, so a restarted archiver resumes instead
-// of re-snapshotting. Only the cheap record header is decoded.
+// recover replays the archive's live record headers and rebuilds the
+// per-table positions and fencing term, so a restarted archiver resumes
+// instead of re-snapshotting.
 func (a *Archiver) recover() error {
-	n, err := scanHeaders(a.cfg.Dir, a.note)
+	n, err := replayLive(a.cfg.Dir, 0, a.cfg.Tables,
+		func(m *recordMeta) (string, uint64) { return m.Table, m.Epoch },
+		func(m *recordMeta) error { a.note(m); return nil })
 	if err != nil {
 		return err
 	}
 	if n > 0 {
-		a.logf("replica: archive %s: recovered positions %v at generation %d from %d segments",
+		a.logf("replica: archive %s: recovered positions %v at generation %d from %d live records",
 			a.cfg.Dir, a.positions, a.gen, n)
 	}
 	return nil
@@ -403,40 +369,31 @@ func scanSegment(path string, fn func(line []byte) error) error {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
-	var pending []byte
-	var pendingErr error
+	var lastErr error
 	for sc.Scan() {
-		if pendingErr != nil {
-			return fmt.Errorf("line before segment end: %w", pendingErr)
+		if lastErr != nil {
+			return fmt.Errorf("line before segment end: %w", lastErr)
 		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		if line := sc.Bytes(); len(line) > 0 {
+			lastErr = fn(line)
 		}
-		pending = append(pending[:0], line...)
-		pendingErr = fn(pending)
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	if pendingErr != nil {
-		var abort *replayAbort
-		if errors.As(pendingErr, &abort) {
-			// The callback itself failed on the last line — a real apply
-			// error, not a torn write. Surface it.
-			return pendingErr
-		}
-		// The very last line failed to decode: a torn write from a crash
-		// mid-append. Everything before it is intact, so the archive
-		// remains usable.
-		return nil
+	// A very last line that failed to decode is a torn write from a crash
+	// mid-append: everything before it is intact, so the archive remains
+	// usable. The callback's own failure on it is a real apply error.
+	if abort := (*replayAbort)(nil); errors.As(lastErr, &abort) {
+		return lastErr
 	}
 	return nil
 }
 
-// ReplayArchive streams every record of the archive, in order, through
-// fn — the full replay a bootstrapping follower performs. It returns
-// the number of records delivered. fn errors abort the replay.
+// ReplayArchive streams the archive's live records, in order, through
+// fn — the replay a bootstrapping follower or a restarting leader
+// performs. It returns the number of records delivered. fn errors abort
+// the replay.
 func ReplayArchive(dir string, fn func(*Record) error) (int, error) {
 	return ReplayArchiveUpTo(dir, 0, fn)
 }
@@ -448,18 +405,75 @@ func ReplayArchive(dir string, fn func(*Record) error) (int, error) {
 // fleet served when each table was at min(E, its tail) — the
 // debugging time machine the archive exists for.
 func ReplayArchiveUpTo(dir string, maxEpoch uint64, fn func(*Record) error) (int, error) {
+	return replayLive(dir, maxEpoch, nil, recordHeader, fn)
+}
+
+func recordHeader(rec *Record) (table string, epoch uint64) { return rec.Table, rec.Epoch }
+
+// archivePos locates an archived line: its segment's index in replay
+// order, then the 1-based count of non-empty lines within it.
+type archivePos struct{ seg, line int }
+
+// snapshotMark is how the publisher's encoder spells a snapshot
+// record's type. replayLive uses it only to choose the lines worth
+// decoding on its way back: a snapshot spelled any other way is passed
+// over and replay starts from an older one — longer, never wrong.
+var snapshotMark = []byte(`"type":"snapshot"`)
+
+// replayLive delivers the archive's live records to fn, in replay
+// order, each decoded into a T whose table and epoch header reads. A
+// first pass walks the segments newest first for every table's newest
+// snapshot (with maxEpoch set, the newest at or below it) and stops at
+// the segment where each of tables has one; with none named, or one
+// the archive never snapshotted, it reaches the first segment. The
+// second pass decodes from that segment on and skips what lies above
+// maxEpoch (0 means unbounded) or before its own table's snapshot:
+// what a later snapshot supersedes is never applied, and the segments
+// before the walk's end are never opened.
+func replayLive[T any](dir string, maxEpoch uint64, tables []string, header func(*T) (string, uint64), fn func(*T) error) (int, error) {
 	segs, err := segments(dir)
 	if err != nil {
 		return 0, fmt.Errorf("replica: %w", err)
 	}
+	starts := make(map[string]archivePos)
+	first := len(segs)
+	for missing := true; missing && first > 0; {
+		first--
+		line := 0
+		err := scanSegment(segs[first], func(b []byte) error {
+			line++
+			var m recordMeta
+			if bytes.Contains(b, snapshotMark) && json.Unmarshal(b, &m) == nil &&
+				m.Type == RecordSnapshot && (maxEpoch == 0 || m.Epoch <= maxEpoch) {
+				// Later in this segment is newer; a newer segment's stays.
+				if at, ok := starts[m.Table]; !ok || at.seg == first {
+					starts[m.Table] = archivePos{first, line}
+				}
+			}
+			return nil // a line that does not decode is the second pass's to judge
+		})
+		if err != nil {
+			return 0, fmt.Errorf("replica: scanning archive segment %s: %w", segs[first], err)
+		}
+		missing = len(tables) == 0
+		for _, t := range tables {
+			if _, ok := starts[t]; !ok {
+				missing = true
+			}
+		}
+	}
 	n := 0
-	for _, seg := range segs {
-		err := scanSegment(seg, func(line []byte) error {
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
+	for i := first; i < len(segs); i++ {
+		line := 0
+		err := scanSegment(segs[i], func(b []byte) error {
+			line++
+			var rec T
+			if err := json.Unmarshal(b, &rec); err != nil {
 				return err
 			}
-			if maxEpoch != 0 && rec.Epoch > maxEpoch {
+			table, epoch := header(&rec)
+			at, ok := starts[table]
+			if ok && (i < at.seg || i == at.seg && line < at.line) || maxEpoch != 0 && epoch > maxEpoch {
 				return nil
 			}
 			if err := fn(&rec); err != nil {
@@ -475,7 +489,7 @@ func ReplayArchiveUpTo(dir string, maxEpoch uint64, fn func(*Record) error) (int
 			if errors.As(err, &abort) {
 				return n, abort.err
 			}
-			return n, fmt.Errorf("replica: replaying archive segment %s: %w", seg, err)
+			return n, fmt.Errorf("replica: replaying archive segment %s: %w", segs[i], err)
 		}
 	}
 	return n, nil

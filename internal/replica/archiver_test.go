@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -286,5 +287,62 @@ func TestFollowerBootstrapsFromParentArchive(t *testing.T) {
 	}
 	if ex := res[0].Execution; ex == nil || ex.MatchedRows != 7 || ex.DeltaRows != 2 || res[0].Layout != "compact-1" {
 		t.Fatalf("probe over the appended rows: %+v / %+v", res[0], res[0].Execution)
+	}
+}
+
+// TestReplaySkipsWhatASnapshotSupersedes pins where replay starts: each
+// table at its newest snapshot (bounded: the newest at or below the
+// bound), in archive order, with the older segments left unopened once
+// every requested table has one — and from the first line for a table
+// the archive never snapshotted.
+func TestReplaySkipsWhatASnapshotSupersedes(t *testing.T) {
+	dir := t.TempDir()
+	line := func(typ, table string, epoch uint64) string {
+		b, err := json.Marshal(Record{Type: typ, Table: table, Epoch: epoch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	seg1 := line(RecordSnapshot, "a", 0) + line(RecordDecision, "a", 1) +
+		line(RecordSnapshot, "b", 0) + line(RecordDecision, "b", 1) + line(RecordDecision, "c", 1)
+	// Session 2 resumed a and re-snapshotted b after its leader restarted.
+	seg2 := line(RecordResume, "a", 1) + line(RecordDecision, "a", 2) +
+		line(RecordSnapshot, "b", 5) + line(RecordDecision, "b", 6)
+	for name, data := range map[string]string{"segment-00000001.ndjson": seg1, "segment-00000002.ndjson": seg2} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		maxEpoch uint64
+		tables   []string
+		want     string
+	}{
+		{"every table", 0, nil, "snapshot a0, decision a1, decision c1, resume a1, decision a2, snapshot b5, decision b6"},
+		{"bounded", 1, nil, "snapshot a0, decision a1, snapshot b0, decision b1, decision c1, resume a1"},
+		{"newest segment suffices", 0, []string{"b"}, "resume a1, decision a2, snapshot b5, decision b6"},
+		{"walks back for a", 0, []string{"a", "b"}, "snapshot a0, decision a1, decision c1, resume a1, decision a2, snapshot b5, decision b6"},
+		{"never snapshotted", 0, []string{"c"}, "snapshot a0, decision a1, decision c1, resume a1, decision a2, snapshot b5, decision b6"},
+	} {
+		var got []string
+		n, err := replayLive(dir, tc.maxEpoch, tc.tables, recordHeader, func(rec *Record) error {
+			got = append(got, fmt.Sprintf("%s %s%d", rec.Type, rec.Table, rec.Epoch))
+			return nil
+		})
+		if err != nil || n != len(got) || strings.Join(got, ", ") != tc.want {
+			t.Errorf("%s: replayed %d records %q (%v), want %q", tc.name, n, got, err, tc.want)
+		}
+	}
+	// Garbage in a segment replay never opens is not replay's to find.
+	if err := os.WriteFile(filepath.Join(dir, "segment-00000001.ndjson"), []byte(strings.Replace(seg1, line(RecordSnapshot, "b", 0), "not json\n", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replayLive(dir, 0, []string{"b"}, recordHeader, func(*Record) error { return nil }); err != nil {
+		t.Fatalf("replay of the newest session read an older segment: %v", err)
+	}
+	if _, err := ReplayArchive(dir, func(*Record) error { return nil }); err == nil {
+		t.Fatal("mid-segment garbage past a table's start went unreported")
 	}
 }

@@ -159,6 +159,20 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if u.Scheme != "http" && u.Scheme != "https" {
 		return nil, fmt.Errorf("replica: upstream URL %q must be http or https", cfg.Upstream)
 	}
+	cfg.Upstream = strings.TrimRight(u.String(), "/")
+	f, err := newFollower(cfg)
+	if err != nil {
+		return nil, err
+	}
+	f.wg.Add(1)
+	go f.run()
+	return f, nil
+}
+
+// newFollower is NewFollower short of the subscription loop: the
+// replica core is built and, with cfg.ArchiveDir set, has replayed the
+// archive. Recover promotes that state without ever subscribing.
+func newFollower(cfg FollowerConfig) (*Follower, error) {
 	if len(cfg.Tables) == 0 {
 		return nil, fmt.Errorf("replica: no tables to replicate")
 	}
@@ -183,7 +197,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.ReconnectMax <= 0 {
 		cfg.ReconnectMax = DefaultReconnectMax
 	}
-	cfg.Upstream = strings.TrimRight(u.String(), "/")
 
 	f := &Follower{
 		cfg:      cfg,
@@ -196,10 +209,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 
-	if cfg.ForwardQueue > 0 {
-		f.fwd = newForwarder(f.ctx, cfg.Upstream, f.hc, cfg.ForwardQueue, cfg.ForwardBatch, cfg.ForwardInterval, cfg.Logf, f.Generation, &f.wg)
-	}
-
 	replicaTables := make([]serve.ReplicaTable, 0, len(cfg.Tables))
 	for _, t := range cfg.Tables {
 		if t.Name == "" || t.Dataset == nil {
@@ -211,14 +220,17 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		f.datasets[t.Name] = t.Dataset
 		name := t.Name
 		var forward func(oreo.Query) bool
-		if f.fwd != nil {
+		if cfg.ForwardQueue > 0 {
 			forward = func(q oreo.Query) bool { return f.fwd.enqueue(name, q) }
 		}
 		replicaTables = append(replicaTables, serve.ReplicaTable{Name: name, Dataset: t.Dataset, Forward: forward})
 	}
+	if cfg.ForwardQueue > 0 {
+		f.fwd = newForwarder(f.ctx, cfg.Upstream, f.hc, cfg.ForwardQueue, cfg.ForwardBatch, cfg.ForwardInterval, cfg.Logf, f.Generation, &f.wg)
+	}
 	core, err := serve.NewReplicaCore(replicaTables, serve.CoreConfig{Upstream: cfg.Upstream, ScanParallelism: cfg.ScanParallelism})
 	if err != nil {
-		f.cancel()
+		f.Detach()
 		return nil, fmt.Errorf("replica: building replica core: %w", err)
 	}
 	f.core = core
@@ -226,14 +238,10 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 
 	if cfg.ArchiveDir != "" {
 		if err := f.bootstrapFromArchive(cfg.ArchiveDir); err != nil {
-			f.cancel()
-			core.Close()
+			f.Close()
 			return nil, fmt.Errorf("replica: bootstrapping from archive %s: %w", cfg.ArchiveDir, err)
 		}
 	}
-
-	f.wg.Add(1)
-	go f.run()
 	return f, nil
 }
 
@@ -245,7 +253,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 // divergent archive fails construction loudly rather than seeding bad
 // state.
 func (f *Follower) bootstrapFromArchive(dir string) error {
-	n, err := ReplayArchive(dir, func(rec *Record) error {
+	n, err := replayLive(dir, 0, f.core.Tables(), recordHeader, func(rec *Record) error {
 		if _, ok := f.datasets[rec.Table]; !ok && rec.Table != "" {
 			return nil
 		}

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 
 	"oreo/internal/serve"
@@ -22,24 +23,72 @@ import (
 //
 // cfg.Tables must name every replicated table; PublisherConfig's
 // Generation is overridden with the incremented term. The adopted term
-// must outlive this process: callers that can persist state should
-// record it (SaveTerm on a state directory, or a self-archive) so a
-// restart republishes at the same term instead of regressing to 1 and
-// being fenced out by the very followers this promotion won over —
-// oreoserve persists it through -state. On error the follower's
-// replication loop is already stopped (promotion is a one-way door —
-// the caller decides whether to rebuild a follower or retry), but the
-// core's serving surface is unchanged.
+// must outlive this process, and it does wherever the new leader's
+// stream is archived: snapshot records carry it, and Recover restarts
+// at the archived term — oreoserve -archive starts that archiver as
+// part of the promotion. On error the follower's replication loop is
+// already stopped (promotion is a one-way door — the caller decides
+// whether to rebuild a follower or retry), but the core's serving
+// surface is unchanged.
 func Promote(f *Follower, cfg serve.PromoteConfig, pubCfg PublisherConfig) (*Publisher, error) {
 	f.Detach()
-	term := f.Generation() + 1
-	if err := f.Core().Promote(cfg); err != nil {
+	return lead(f.Core(), f.Generation()+1, cfg, pubCfg)
+}
+
+// lead flips a replica core nothing writes anymore to leader role and
+// attaches its publisher at the given fencing term.
+func lead(core *serve.Core, term uint64, cfg serve.PromoteConfig, pubCfg PublisherConfig) (*Publisher, error) {
+	if err := core.Promote(cfg); err != nil {
 		return nil, fmt.Errorf("replica: promoting follower core: %w", err)
 	}
 	pubCfg.Generation = term
-	pub, err := NewPublisher(f.Core(), pubCfg)
+	pub, err := NewPublisher(core, pubCfg)
 	if err != nil {
 		return nil, fmt.Errorf("replica: attaching publisher to promoted leader: %w", err)
 	}
 	return pub, nil
+}
+
+// ErrNoArchive is Recover's answer when dir is unset, missing or holds
+// no snapshot of any served table: there is nothing to come back from,
+// and the caller boots cold.
+var ErrNoArchive = errors.New("replica: no archive to recover from")
+
+// Recover is how a leader comes back: a restart is a promotion whose
+// stream was read from disk. It builds a replica core over tables (each
+// table's boot source, as for NewFollower), replays the archive in dir
+// through the path a bootstrapping follower takes — every record passes
+// the same fencing, epoch and divergence checks — then promotes the core
+// and attaches a Publisher at the archived term, not the next one: a
+// restart is not a new claim to leadership (the fresh boot ID already
+// tells the two lives apart, and costs each subscriber one snapshot),
+// and a deposed leader reviving from its own archive must stay fenced
+// by everyone who moved past it.
+//
+// The recovered leader stands at the archive's tail: every epoch,
+// counter and appended row the archiver wrote before the process
+// stopped. On any error nothing is left running and no core is
+// returned; cfg is Promote's, pubCfg's Generation is overridden.
+func Recover(dir string, tables []TableData, scanParallelism int, cfg serve.PromoteConfig, pubCfg PublisherConfig) (*serve.Core, *Publisher, error) {
+	f, err := newFollower(FollowerConfig{
+		Tables:          tables,
+		ScanParallelism: scanParallelism,
+		ArchiveDir:      dir,
+		ForwardQueue:    -1, // a leader has no upstream to forward to
+		Logf:            pubCfg.Logf,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	f.Detach() // no loop ever ran; this only releases the follower's context
+	if len(f.positions()) == 0 {
+		f.Close()
+		return nil, nil, ErrNoArchive
+	}
+	pub, err := lead(f.Core(), f.Generation(), cfg, pubCfg)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return f.Core(), pub, nil
 }

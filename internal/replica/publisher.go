@@ -38,10 +38,10 @@ type PublisherConfig struct {
 	// the term of a fresh (never-promoted) leader; a promotion passes
 	// the deposed leader's term + 1 so followers can tell the new
 	// lineage from a revival of the old one. The term must outlive the
-	// process: a caller that can persist state should record the
-	// adopted term (SaveTerm, or an archive) and pass it back at the
-	// next boot — a restarted leader republishing at term 1 after a
-	// failover to 2+ would be fenced out by its own fleet.
+	// process — a restarted leader republishing at term 1 after a
+	// failover to 2+ would be fenced out by its own fleet — and it lives
+	// in the archived stream's record headers: Recover passes the
+	// archived term back.
 	Generation uint64
 	// Logf receives operational messages (subscriber churn, forced
 	// re-snapshots); nil selects log.Printf.

@@ -31,10 +31,8 @@ var errRejected = errors.New("replica: subscription rejected by leader")
 // accepted, for backoff bookkeeping, and the error that ended the
 // stream; nil means the leader closed it cleanly.
 //
-// Follower and Archiver share this session and the retry loop below.
-// client/subscribe.go stays a separate implementation on purpose:
-// client/ is transitively stdlib-only (oreovet's stdlibonly analyzer),
-// so it can neither import this package nor share one with it.
+// Follower and Archiver share this session and the retry loop below;
+// there is no other subscriber loop.
 func subscribeSession(ctx context.Context, hc *http.Client, upstream string, req *SubscribeRequest, onLine func(line []byte) error) (n int, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -43,25 +43,6 @@ func (c *Core) Append(ctx context.Context, table string, rows []map[string]any) 
 	return c.appendDataset(sh, ds)
 }
 
-// AppendDataset is Append for callers that already hold a typed row
-// batch — warm-start delta restoration (cmd/oreoserve) and embedding
-// processes. The batch must have been built over the table's exact
-// schema instance (pointer identity), the same contract the table
-// builder enforces.
-func (c *Core) AppendDataset(table string, rows *oreo.Dataset) (AppendResponse, error) {
-	sh, err := c.writeShard(table)
-	if err != nil {
-		return AppendResponse{}, err
-	}
-	if rows == nil || rows.NumRows() == 0 {
-		return AppendResponse{}, errInvalid("append has no rows")
-	}
-	if rows.Schema() != sh.ds.Schema() {
-		return AppendResponse{}, errInvalid("append batch for %q was built over a different schema instance", table)
-	}
-	return c.appendDataset(sh, rows)
-}
-
 // Compact folds the named table's delta segment into its base layout
 // on demand (auto-compaction covers the steady state; this is the
 // operational lever and the shutdown hook). Folding an empty delta is

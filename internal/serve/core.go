@@ -43,15 +43,6 @@ type CoreConfig struct {
 	// auto-compaction entirely (Compact still folds on demand).
 	// Replica cores apply the leader's folds; the field is ignored there.
 	CompactThreshold int
-	// SeedRows records, per table, the row count of the table's boot
-	// source (the CSV or fixture the dataset originally came from) when
-	// the dataset handed to the optimizer has already grown past it —
-	// a leader warm-starting from persisted state whose base includes a
-	// compacted tail. Persistence frames saved tails relative to this
-	// stable prefix (persist.DataDoc.BootRows), so a restart against
-	// the same boot source can reassemble the exact base. Tables absent
-	// from the map seed at their dataset's full row count.
-	SeedRows map[string]int
 }
 
 // resolveLeaderKnobs applies the defaulting and validation rules of
@@ -185,15 +176,7 @@ func NewCore(m *oreo.MultiOptimizer, cfg CoreConfig) (*Core, error) {
 	c.topo.Store(&coreTopology{role: RoleLeader, advertise: cfg.Advertise})
 	c.registerCoreMetrics()
 	for _, name := range names {
-		ds := m.Dataset(name)
-		seedRows := ds.NumRows()
-		if n, ok := cfg.SeedRows[name]; ok {
-			if n < 0 || n > ds.NumRows() {
-				return nil, errInvalid("serve: SeedRows[%q] = %d, want within [0, %d]", name, n, ds.NumRows())
-			}
-			seedRows = n
-		}
-		c.shards[name] = newShard(name, ds, m.Optimizer(name), queueSize, scanPar, seedRows, compactThreshold, c.reg)
+		c.shards[name] = newShard(name, m.Dataset(name), m.Optimizer(name), queueSize, scanPar, compactThreshold, c.reg)
 	}
 	return c, nil
 }
@@ -277,8 +260,7 @@ func (c *Core) Close() {
 	}
 }
 
-// Snapshot returns the named table's current published snapshot — the
-// hook a host process uses to persist serving state at shutdown. ok is
+// Snapshot returns the named table's current published snapshot. ok is
 // false for unknown tables and for replica tables that have not
 // applied a snapshot yet.
 func (c *Core) Snapshot(table string) (oreo.OptimizerSnapshot, bool) {
@@ -300,14 +282,15 @@ type Position struct {
 	Dataset *oreo.Dataset
 	// Delta is the immutable live-tail view as of Epoch; nil ≡ empty.
 	Delta *oreo.Dataset
-	// SeedRows is the boot source's row count; see CoreConfig.SeedRows.
+	// SeedRows is the boot source's row count: the stable prefix snapshot
+	// records frame appended rows against (persist.DataDoc.BootRows). A
+	// table's boot dataset is its boot source on every path to leadership.
 	SeedRows int
 }
 
 // ReplicaPosition returns the named table's replication position. On a
 // leader this is what a replication publisher snapshots for a new
-// subscriber (and what a host persists at shutdown); on a follower it
-// is the applied position. ok is false for unknown tables and replica
+// subscriber; on a follower it is the applied position. ok is false for unknown tables and replica
 // tables with no snapshot yet.
 func (c *Core) ReplicaPosition(table string) (Position, bool) {
 	sh, found := c.shards[table]
@@ -318,7 +301,7 @@ func (c *Core) ReplicaPosition(table string) (Position, bool) {
 	if err != nil {
 		return Position{}, false
 	}
-	return Position{Epoch: st.epoch, Snapshot: st.snap, Dataset: st.ds, Delta: st.delta, SeedRows: sh.bootRows()}, true
+	return Position{Epoch: st.epoch, Snapshot: st.snap, Dataset: st.ds, Delta: st.delta, SeedRows: sh.ds.NumRows()}, true
 }
 
 // Apply advances the named replica table by one update replayed from
@@ -351,9 +334,7 @@ func (c *Core) Apply(table string, upd DecisionUpdate) (applied bool, err error)
 // PromoteTable parameterizes one table's promotion: the optimizer
 // configuration the new leader rebuilds its decision engine with
 // (Initial and InitialSort are overridden — the replicated serving
-// layout IS the initial state). The boot-source row count persistence
-// frames tails against (CoreConfig.SeedRows) is not a parameter: a
-// replica's dataset is its boot source.
+// layout IS the initial state).
 type PromoteTable struct {
 	Config oreo.Config
 }

@@ -31,7 +31,7 @@ func NewStepLeader(ds *oreo.Dataset, opt *oreo.Optimizer, compactThreshold int) 
 	s := &shard{table: "t", ds: ds, scanPar: 1}
 	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewDelta(ds.Schema())})
 	s.registerMetrics(metrics.NewRegistry())
-	s.lead(opt, oreo.Stats{}, 0, ds.NumRows(), 1, compactThreshold)
+	s.lead(opt, oreo.Stats{}, 0, 1, compactThreshold)
 	return wrapStep(s)
 }
 
@@ -59,7 +59,7 @@ func (t *StepTable) Promote(cfg oreo.Config, compactThreshold int) error {
 		return err
 	}
 	st := t.s.rep.Load()
-	t.s.lead(opt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), t.s.ds.NumRows(), 1, compactThreshold)
+	t.s.lead(opt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), 1, compactThreshold)
 	return nil
 }
 
@@ -73,7 +73,7 @@ func (t *StepTable) Drain() []DecisionUpdate {
 // Position is Core.ReplicaPosition for the one table.
 func (t *StepTable) Position() Position {
 	st := t.s.rep.Load()
-	return Position{Epoch: st.epoch, Snapshot: st.snap, Dataset: st.ds, Delta: st.delta, SeedRows: t.s.seedRows}
+	return Position{Epoch: st.epoch, Snapshot: st.snap, Dataset: st.ds, Delta: st.delta, SeedRows: t.s.ds.NumRows()}
 }
 
 // Probe answers q on the read path, executed with a row count so the

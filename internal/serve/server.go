@@ -132,10 +132,6 @@ type Config struct {
 	// compaction after an append; zero selects DefaultCompactThreshold,
 	// negative disables auto-compaction (see CoreConfig.CompactThreshold).
 	CompactThreshold int
-	// SeedRows maps tables to their boot-source row counts for
-	// warm-started hosts whose datasets already include appended tail
-	// rows (see CoreConfig.SeedRows).
-	SeedRows map[string]int
 }
 
 // Server is the HTTP codec over a serving Core: it decodes bytes,
@@ -160,7 +156,6 @@ func New(m *oreo.MultiOptimizer, cfg Config) (*Server, error) {
 		Advertise:        cfg.Advertise,
 		ScanParallelism:  cfg.ScanParallelism,
 		CompactThreshold: cfg.CompactThreshold,
-		SeedRows:         cfg.SeedRows,
 	})
 	if err != nil {
 		return nil, err
@@ -283,8 +278,7 @@ func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h
 // HTTP listener has stopped accepting requests.
 func (s *Server) Close() { s.core.Close() }
 
-// Snapshot returns the named table's current optimizer snapshot — the
-// hook a host process uses to persist serving state at shutdown.
+// Snapshot returns the named table's current optimizer snapshot.
 func (s *Server) Snapshot(table string) (oreo.OptimizerSnapshot, bool) {
 	return s.core.Snapshot(table)
 }

@@ -60,7 +60,8 @@ type shard struct {
 	table string
 	// ds is the boot-time dataset — the schema anchor (the schema
 	// pointer never changes across appends and compactions) and the
-	// fallback seed source. The *current* base lives in rep: compaction
+	// boot source whose row count snapshots frame appended rows against
+	// (Position.SeedRows). The *current* base lives in rep: compaction
 	// grows it past ds.
 	ds *oreo.Dataset
 
@@ -71,10 +72,6 @@ type shard struct {
 	// compacted layout its initial state) under /trace requests, which
 	// load it to read the decision trace — and that locks itself.
 	copt atomic.Pointer[oreo.Optimizer]
-	// seedRows is the row count of the table's boot source (the CSV or
-	// fixture the process started from), which persistence needs to
-	// frame tails relative to a stable prefix; see CoreConfig.SeedRows.
-	seedRows int
 
 	// replica marks a shard whose state is externally applied; forward
 	// is its observation hand-off (upstream, not a local queue).
@@ -194,11 +191,11 @@ type eventAck struct {
 	err error
 }
 
-func newShard(name string, ds *oreo.Dataset, opt *oreo.Optimizer, queueSize, scanPar, seedRows, compactThreshold int, reg *metrics.Registry) *shard {
+func newShard(name string, ds *oreo.Dataset, opt *oreo.Optimizer, queueSize, scanPar, compactThreshold int, reg *metrics.Registry) *shard {
 	s := &shard{table: name, ds: ds, scanPar: scanPar}
 	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewDelta(ds.Schema())})
 	s.registerMetrics(reg)
-	s.lead(opt, oreo.Stats{}, 0, seedRows, queueSize, compactThreshold)
+	s.lead(opt, oreo.Stats{}, 0, queueSize, compactThreshold)
 	s.wg.Add(1)
 	go s.consume()
 	return s
@@ -219,11 +216,10 @@ func newReplicaShard(name string, ds *oreo.Dataset, forward func(oreo.Query) boo
 // counters and layout-name sequence it continues from, the event queue
 // — for the consumer the caller starts next. It cannot fail; callers
 // racing readers (promote) hold the obsMu write lock.
-func (s *shard) lead(opt *oreo.Optimizer, statsBase oreo.Stats, compactSeq, seedRows, queueSize, compactThreshold int) {
+func (s *shard) lead(opt *oreo.Optimizer, statsBase oreo.Stats, compactSeq, queueSize, compactThreshold int) {
 	s.copt.Store(opt)
 	s.statsBase = statsBase
 	s.compactSeq = compactSeq
-	s.seedRows = seedRows
 	s.compactThreshold = compactThreshold
 	s.queue = make(chan shardEvent, queueSize)
 	s.replica = false
@@ -619,14 +615,6 @@ func (s *shard) queueCap() int {
 	return cap(s.queue)
 }
 
-// bootRows returns the row count of the table's boot source; see
-// CoreConfig.SeedRows.
-func (s *shard) bootRows() int {
-	s.obsMu.RLock()
-	defer s.obsMu.RUnlock()
-	return s.seedRows
-}
-
 // promotionEngine builds the decision engine a promotion installs —
 // the fallible half, done for every table before any shard flips. Like
 // a compaction's, the engine is a fresh optimizer over the replicated
@@ -659,8 +647,7 @@ func (s *shard) promotionEngine(cfg oreo.Config) (*oreo.Optimizer, error) {
 // stats base, and the compaction sequence resumes from the serving
 // layout's name so post-promotion folds never reuse a layout name the
 // stream has already carried. The transition mints the next epoch from
-// the applied position, and persistence frames tails against the
-// replica's own dataset: that is its boot source (CoreConfig.SeedRows).
+// the applied position.
 func (s *shard) promote(opt *oreo.Optimizer, queueSize, compactThreshold int) {
 	st := s.rep.Load()
 	s.obsMu.Lock()
@@ -668,7 +655,7 @@ func (s *shard) promote(opt *oreo.Optimizer, queueSize, compactThreshold int) {
 	if s.obsClosed {
 		return // Close won the race: a consumer started now would never be stopped
 	}
-	s.lead(opt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), s.ds.NumRows(), queueSize, compactThreshold)
+	s.lead(opt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), queueSize, compactThreshold)
 	s.wg.Add(1)
 	go s.consume()
 }

@@ -230,10 +230,11 @@
 // past a delta-size threshold or explicitly via POST /v2/tables/
 // {table}/compact. The replication epoch covers data and layout as one
 // sequence: append batches and compaction records ship in-stream
-// (see Replication below), and persist.StateDoc versions the data too
-// — warm-start restores the compacted tail and the pending delta, with
-// the statistics block gating integrity exactly as it does for
-// layouts. Per-table oreo_rows_appended_total, oreo_delta_rows, and
+// (see Replication below), and a snapshot record's persist.StateDoc
+// carries the data too — the compacted tail and the pending delta, with
+// the statistics block gating integrity exactly as it does for layouts
+// — so a leader restarting from its archive (see Cluster below) serves
+// every appended row the archive holds. Per-table oreo_rows_appended_total, oreo_delta_rows, and
 // oreo_compactions_total land on /metrics, and /healthz reports each
 // table's live delta size. See examples/append for a leader + follower
 // converging over live appends.
@@ -270,9 +271,8 @@
 // traffic; gaps in the stream trigger transparent in-stream
 // re-snapshots, and a severed connection or leader restart is survived
 // by resubscribe-with-resume. Both sides expose per-table
-// layout_epochs on /healthz, so replication lag is two curls;
-// client.Subscribe tails the same stream for monitors and log
-// shippers. See examples/replication for a leader + two followers in
+// layout_epochs on /healthz, so replication lag is two curls. See
+// examples/replication for a leader + two followers in
 // miniature.
 //
 // # Cluster
@@ -329,9 +329,10 @@
 // already applied stops replicating with a terminal error rather than
 // apply a deposed leader's decisions. Both roles expose their term as
 // generation on /healthz. The term outlives the process that adopted
-// it: oreoserve persists it in the -state directory (and recovers it
-// from a -archive's record headers), so a restarted leader republishes
-// at its old term instead of regressing to 1 and fencing itself out.
+// it because it lives in the archived stream's record headers: a leader
+// restarting from its -archive republishes at the archived term — not
+// 1, which would fence it out of its own fleet, and not the next one,
+// which only a promotion may claim.
 // Within a term, a random per-process boot ID distinguishes two lives
 // of the same leader: a subscriber resumes only when term, boot, and
 // position all match, so a restarted leader that re-reaches old epochs
@@ -350,8 +351,14 @@
 // is a cheap resume instead of a full leader snapshot — new capacity
 // does not tax the leader it is meant to relieve. The same archive
 // gives point-in-time replay (ReplayArchiveUpTo) for debugging a
-// decision sequence, and oreoserve -archive on a leader keeps the
-// fleet's own log. See examples/cluster for the whole arc — scale-up
+// decision sequence. And it is how a leader comes back: oreoserve
+// -archive on a leader keeps the fleet's own log, and a restart is
+// replica.Recover — the archive replayed through the follower's apply
+// path (from each table's newest snapshot on), then promoted in place —
+// so a cold boot, a promotion and a restart are the only ways to lead a
+// table, and the last two are one. A restart stands at the archive's
+// tail; what a kill -9 outran the archiver by is lost. See
+// examples/cluster for the whole arc — scale-up
 // under load, leader kill, promotion, fenced old leader — in one
 // script.
 //
