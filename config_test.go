@@ -1,6 +1,7 @@
 package oreo
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -42,9 +43,10 @@ func TestPartitionsDerivationClamps(t *testing.T) {
 }
 
 // TestNegativeConfigRejected pins the satellite contract: every
-// count-valued knob rejects negatives with a descriptive error naming
-// the field, instead of flowing into the policy layers where each
-// would fail somewhere different (or, worse, silently act as a
+// count-valued knob rejects negatives, and every float knob negatives
+// it has no meaning for and non-finite values, with a descriptive error
+// naming the field, instead of flowing into the policy layers where
+// each would fail somewhere different (or, worse, silently act as a
 // default while looking configured).
 func TestNegativeConfigRejected(t *testing.T) {
 	ds := buildEventsTable(t, 300)
@@ -57,15 +59,26 @@ func TestNegativeConfigRejected(t *testing.T) {
 		{"MaxStates", Config{InitialSort: []string{"ts"}, MaxStates: -2}},
 		{"TraceCapacity", Config{InitialSort: []string{"ts"}, TraceCapacity: -1}},
 		{"ReorgDelay", Config{InitialSort: []string{"ts"}, ReorgDelay: -10}},
+		// The float knobs: a negative γ used to reach mts.New and panic;
+		// NaN passes every ordered guard (a NaN α never reorganizes, a
+		// NaN ε admits every candidate) and an infinity most of them.
+		{"Gamma", Config{InitialSort: []string{"ts"}, Gamma: -1}},
+		{"Gamma", Config{InitialSort: []string{"ts"}, Gamma: -1, NoPredictor: true}},
+		{"Alpha", Config{InitialSort: []string{"ts"}, Alpha: math.NaN()}},
+		{"Gamma", Config{InitialSort: []string{"ts"}, Gamma: math.NaN()}},
+		{"Epsilon", Config{InitialSort: []string{"ts"}, Epsilon: math.NaN()}},
+		{"Alpha", Config{InitialSort: []string{"ts"}, Alpha: math.Inf(1)}},
+		{"Gamma", Config{InitialSort: []string{"ts"}, Gamma: math.Inf(1)}},
+		{"Epsilon", Config{InitialSort: []string{"ts"}, Epsilon: math.Inf(-1)}},
 	}
 	for _, tc := range cases {
 		_, err := New(ds, tc.cfg)
 		if err == nil {
-			t.Errorf("negative %s accepted", tc.field)
+			t.Errorf("bad %s accepted: %+v", tc.field, tc.cfg)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("negative %s: error %q does not name the field", tc.field, err)
+			t.Errorf("bad %s: error %q does not name the field", tc.field, err)
 		}
 	}
 }

@@ -1,13 +1,35 @@
 package oreo
 
-import "testing"
+import (
+	"testing"
+
+	"oreo/internal/policy"
+)
+
+// scriptedPolicy surfaces a fixed target at scripted query IDs, so a test
+// can put the optimizer's loop through decisions OREO makes only rarely.
+type scriptedPolicy struct {
+	current *Layout
+	at      map[int]*Layout
+}
+
+func (p *scriptedPolicy) Name() string     { return "scripted" }
+func (p *scriptedPolicy) Current() *Layout { return p.current }
+func (p *scriptedPolicy) Observe(q Query) *Layout {
+	if l, ok := p.at[q.ID]; ok {
+		p.current = l
+		return l
+	}
+	return nil
+}
 
 // TestReorganizedOnlyOnRealSwitch is the regression test for
 // Decision.Reorganized: the policy can surface a target layout equal to
 // the one already serving (e.g. switching back to the serving layout
 // while a delayed reorganization is in flight), and that must not be
 // reported as a reorganization — Reorganized has to track the switches
-// counter exactly.
+// counter exactly. (The rule itself is tabled in internal/policy's
+// TestStepDelayRule; this drives it through ProcessQuery.)
 func TestReorganizedOnlyOnRealSwitch(t *testing.T) {
 	ds := buildEventsTable(t, 400)
 	opt, err := New(ds, Config{
@@ -21,13 +43,17 @@ func TestReorganizedOnlyOnRealSwitch(t *testing.T) {
 	if a.Name == b.Name {
 		t.Fatalf("fixture layouts share a name: %s", a.Name)
 	}
+	opt.loop = policy.NewStepper(&scriptedPolicy{current: a, at: map[int]*Layout{1: b, 2: a}}, opt.cfg.ReorgDelay)
+	step := func(id int) Decision {
+		return opt.ProcessQuery(Query{ID: id, Preds: []Predicate{IntRange("ts", 0, 50)}})
+	}
 
 	// No decision: no reorganization.
-	if opt.applyTarget(nil) {
-		t.Error("applyTarget(nil) reported a switch")
+	if step(0).Reorganized {
+		t.Error("a query without a decision reported a switch")
 	}
 	// Real decision away from the serving layout.
-	if !opt.applyTarget(b) {
+	if !step(1).Reorganized {
 		t.Error("switch to a different layout not reported")
 	}
 	if opt.PendingLayout() != b {
@@ -36,14 +62,14 @@ func TestReorganizedOnlyOnRealSwitch(t *testing.T) {
 	// The policy targets the serving layout again while the delayed swap
 	// is still in flight: target != nil but it is NOT a reorganization,
 	// and the abandoned pending swap must not land later.
-	if opt.applyTarget(a) {
+	if step(2).Reorganized {
 		t.Error("target equal to serving layout reported as a switch")
 	}
 	if opt.PendingLayout() != nil {
 		t.Error("abandoned pending reorganization was not cancelled")
 	}
-	for i := 0; i < 5; i++ {
-		opt.applyTarget(nil)
+	for i := 3; i < 8; i++ {
+		step(i)
 	}
 	if opt.CurrentLayout() != a {
 		t.Errorf("serving layout drifted to %s after cancelled swap", opt.CurrentLayout().Name)

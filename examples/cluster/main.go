@@ -371,20 +371,22 @@ func main() {
 	}
 	fmt.Printf("query on the new leader: matched %d rows (want 4000), cost %.4f\n",
 		results[0].Execution.MatchedRows, results[0].Cost)
-	for {
-		bp, _ := boot.Core().ReplicaPosition("orders")
-		if bp.Epoch == archivedEpoch+1 {
-			break
-		}
+	// That query is one more decision on the new leader; wait for the
+	// bootstrapped follower to stand at it. (Not at archivedEpoch+1: the
+	// old leader may have decided past the point the archive was sealed
+	// at, and then the follower re-snapshots straight to the new epoch.)
+	promoted := act.released[0]
+	lp, _ := promoted.fol.Core().ReplicaPosition("orders")
+	bp, _ := boot.Core().ReplicaPosition("orders")
+	for lp.Epoch <= h.LayoutEpochs["orders"] || bp.Epoch != lp.Epoch {
 		time.Sleep(time.Millisecond)
+		lp, _ = promoted.fol.Core().ReplicaPosition("orders")
+		bp, _ = boot.Core().ReplicaPosition("orders")
 	}
 
 	// Cross-check at the shared epoch: the follower that never met the
 	// old leader answers bit-identically to the promoted one.
-	promoted := act.released[0]
 	probe := oreo.Query{Preds: []oreo.Predicate{oreo.IntRange("order_ts", 1000, 4999)}}
-	lp, _ := promoted.fol.Core().ReplicaPosition("orders")
-	bp, _ := boot.Core().ReplicaPosition("orders")
 	ld, bd := lp.Snapshot.CostQuery(probe), bp.Snapshot.CostQuery(probe)
 	fmt.Printf("probe at epoch %d: leader cost %.6f, bootstrap follower cost %.6f — bit-identical: %v\n",
 		lp.Epoch, ld.Cost, bd.Cost,

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"oreo/internal/layout"
 	"oreo/internal/manager"
 	"oreo/internal/mts"
+	"oreo/internal/policy"
 )
 
 // AblationRow is one variant of a design-choice ablation.
@@ -77,58 +77,32 @@ func AblationMultiCopy(s *Scenario, p RunParams, budgets []int) []AblationRow {
 }
 
 // runMultiCopy drives the multi-copy decision maker over the scenario
-// stream with the same candidate feed and ε-admission as OREO.
+// stream on the LAYOUT MANAGER OREO runs on: same seeded feed, same
+// ε-admission, same state space.
 func runMultiCopy(s *Scenario, gen layout.Generator, budget int, p RunParams) (queryCost, reorgCost float64, materializations int) {
-	feedRng := rand.New(rand.NewSource(p.Seed))
-	mtsRng := rand.New(rand.NewSource(p.Seed + 1))
-	feed := manager.NewFeed(s.Data, gen, p.feedConfig(s.Partitions), feedRng)
-	mc := mts.NewMultiCopy(mts.Config{Alpha: p.Alpha, Gamma: p.Gamma}, budget, mtsRng)
-
-	states := map[mts.StateID]*layout.Layout{0: s.Default}
-	nextID := mts.StateID(1)
-	mc.AddState(0)
-	mc.MakeResident(0)
-
-	hasName := func(name string) bool {
-		for _, l := range states {
-			if l.Name == name {
-				return true
-			}
-		}
-		return false
-	}
-	incumbents := func() []*layout.Layout {
-		out := make([]*layout.Layout, 0, len(states))
-		for _, l := range states {
-			//oreovet:ignore maporder incumbent set is consumed as an unordered set (redundancy extremum over members); no ordered output
-			out = append(out, l)
-		}
-		return out
-	}
+	cfg := p.oreoConfig(s.Partitions)
+	mgr, rng := policy.NewManager(s.Data, gen, s.Default, cfg, p.Seed)
+	mc := mts.NewMultiCopy(cfg.MTS, budget, rng)
+	mc.AddState(manager.InitialState)
+	mc.MakeResident(manager.InitialState)
 
 	for _, q := range s.Stream.Queries {
-		for _, c := range feed.Observe(q) {
-			if hasName(c.Layout.Name) {
-				continue
+		for _, c := range mgr.Observe(q) {
+			if id, verdict := mgr.Offer(c.Layout); verdict == manager.Admitted {
+				mc.AddState(id)
 			}
-			if !manager.Admit(c.Layout, incumbents(), feed.ReservoirQueries(), p.Epsilon) {
-				continue
-			}
-			states[nextID] = c.Layout
-			mc.AddState(nextID)
-			nextID++
 		}
 		// One compilation serves the resident-copy scan and the final
 		// serving-cost charge.
 		cq := s.Default.Compile(q)
 		serveIn, materialized := mc.Observe(func(id mts.StateID) float64 {
-			return states[id].CostCompiled(cq)
+			return mgr.Layout(id).CostCompiled(cq)
 		})
 		if materialized {
 			reorgCost += p.Alpha
 			materializations++
 		}
-		queryCost += states[serveIn].CostCompiled(cq)
+		queryCost += mgr.Layout(serveIn).CostCompiled(cq)
 	}
 	return queryCost, reorgCost, materializations
 }

@@ -117,13 +117,7 @@ func Build(cfg ScenarioConfig) (*Scenario, error) {
 
 	k := cfg.Partitions
 	if k <= 0 {
-		k = cfg.Rows / 1500
-		if k < 8 {
-			k = 8
-		}
-		if k > 128 {
-			k = 128
-		}
+		k = policy.DefaultPartitions(cfg.Rows)
 	}
 
 	timeCol := TimeColumnFor(cfg.Dataset)
@@ -137,15 +131,6 @@ func Build(cfg ScenarioConfig) (*Scenario, error) {
 		Default:    def,
 		Partitions: k,
 	}, nil
-}
-
-// MustBuild is Build that panics on error.
-func MustBuild(cfg ScenarioConfig) *Scenario {
-	s, err := Build(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // GeneratorKind names a layout generation mechanism.
@@ -196,11 +181,11 @@ type RunParams struct {
 // DefaultParams returns the paper's default parameter configuration.
 func DefaultParams() RunParams {
 	return RunParams{
-		Alpha:   80,
-		Gamma:   1,
-		Epsilon: 0.08,
-		Window:  200,
-		Period:  200,
+		Alpha:   policy.DefaultAlpha,
+		Gamma:   policy.DefaultGamma,
+		Epsilon: policy.DefaultEpsilon,
+		Window:  policy.DefaultWindow,
+		Period:  policy.DefaultWindow,
 		Seed:    7,
 	}
 }
@@ -216,12 +201,22 @@ func (p RunParams) simConfig() sim.Config {
 	}
 }
 
-func (p RunParams) feedConfig(k int) manager.FeedConfig {
-	return manager.FeedConfig{
-		WindowSize: p.Window,
-		Period:     p.Period,
-		Partitions: k,
-		Source:     p.Source,
+// oreoConfig is the system RunParams describes, at partition count k.
+func (p RunParams) oreoConfig(k int) policy.OREOConfig {
+	return policy.OREOConfig{
+		Feed: manager.FeedConfig{
+			WindowSize: p.Window,
+			Period:     p.Period,
+			Partitions: k,
+			Source:     p.Source,
+		},
+		MTS: mts.Config{
+			Alpha:              p.Alpha,
+			Gamma:              p.Gamma,
+			DisableStayInPlace: p.DisableStayInPlace,
+		},
+		Epsilon:   p.Epsilon,
+		MaxStates: p.MaxStates,
 	}
 }
 
@@ -256,43 +251,28 @@ func (s *Scenario) PerTemplateLayouts(gen layout.Generator) map[int]*layout.Layo
 	return out
 }
 
-// NewOREO wires the full OREO policy for this scenario.
+// NewOREO wires the full OREO policy for this scenario — through the
+// constructor the public oreo.New uses.
 func (s *Scenario) NewOREO(gen layout.Generator, p RunParams) *policy.OREO {
-	feedRng := rand.New(rand.NewSource(p.Seed))
-	mtsRng := rand.New(rand.NewSource(p.Seed + 1))
-	feed := manager.NewFeed(s.Data, gen, p.feedConfig(s.Partitions), feedRng)
-	reorg := mts.New(mts.Config{
-		Alpha:              p.Alpha,
-		Gamma:              p.Gamma,
-		DisableStayInPlace: p.DisableStayInPlace,
-	}, mtsRng)
-	return policy.NewOREO(feed, s.Default, policy.OREOConfig{
-		Alpha:     p.Alpha,
-		Gamma:     p.Gamma,
-		Epsilon:   p.Epsilon,
-		MaxStates: p.MaxStates,
-	}, reorg)
+	return policy.NewOREO(s.Data, gen, s.Default, p.oreoConfig(s.Partitions), p.Seed)
 }
 
 // NewGreedy wires the Greedy baseline with its own (identically seeded)
 // candidate feed.
 func (s *Scenario) NewGreedy(gen layout.Generator, p RunParams) *policy.Greedy {
-	feedRng := rand.New(rand.NewSource(p.Seed))
-	feed := manager.NewFeed(s.Data, gen, p.feedConfig(s.Partitions), feedRng)
+	feed := policy.NewFeed(s.Data, gen, p.oreoConfig(s.Partitions).Feed, p.Seed)
 	return policy.NewGreedy(feed, s.Default)
 }
 
 // NewRegret wires the Regret baseline.
 func (s *Scenario) NewRegret(gen layout.Generator, p RunParams) *policy.Regret {
-	feedRng := rand.New(rand.NewSource(p.Seed))
-	feed := manager.NewFeed(s.Data, gen, p.feedConfig(s.Partitions), feedRng)
+	feed := policy.NewFeed(s.Data, gen, p.oreoConfig(s.Partitions).Feed, p.Seed)
 	return policy.NewRegret(feed, s.Default, p.Alpha)
 }
 
 // NewMTSOptimal wires the fixed-state-space oracle.
 func (s *Scenario) NewMTSOptimal(perTemplate map[int]*layout.Layout, p RunParams) *policy.MTSOptimal {
-	mtsRng := rand.New(rand.NewSource(p.Seed + 1))
-	reorg := mts.New(mts.Config{Alpha: p.Alpha, Gamma: p.Gamma}, mtsRng)
+	reorg := mts.New(mts.Config{Alpha: p.Alpha, Gamma: p.Gamma}, policy.DecisionRand(p.Seed))
 	layouts := make([]*layout.Layout, 0, len(perTemplate))
 	for t := 0; t < len(s.Stream.Templates); t++ {
 		if l, ok := perTemplate[t]; ok {

@@ -316,9 +316,12 @@ func TestRunParamsPlumbing(t *testing.T) {
 	if sc.Alpha != 80 || sc.Delay != 0 {
 		t.Errorf("simConfig = %+v", sc)
 	}
-	fc := p.feedConfig(32)
-	if fc.Partitions != 32 || fc.WindowSize != 200 || fc.Source != manager.SourceWindow {
-		t.Errorf("feedConfig = %+v", fc)
+	oc := p.oreoConfig(32)
+	if fc := oc.Feed; fc.Partitions != 32 || fc.WindowSize != 200 || fc.Source != manager.SourceWindow {
+		t.Errorf("oreoConfig.Feed = %+v", fc)
+	}
+	if oc.MTS.Alpha != 80 || oc.MTS.Gamma != 1 || oc.Epsilon != 0.08 {
+		t.Errorf("oreoConfig = %+v", oc)
 	}
 }
 

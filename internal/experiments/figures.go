@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"oreo/internal/datagen"
 	"oreo/internal/policy"
 	"oreo/internal/sim"
 	"oreo/internal/storage"
@@ -186,6 +185,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// DatasetsForFig3 lists the datasets Figure 3 covers.
-func DatasetsForFig3() []string { return datagen.Names() }

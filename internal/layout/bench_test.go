@@ -54,9 +54,10 @@ func BenchmarkCostVectorDistance(b *testing.B) {
 	qs := qdWorkload(100, 100)
 	l1 := NewQdTreeGenerator().Generate(d, qs, 32)
 	l2 := NewSortGenerator("ts").Generate(d, nil, 32)
+	cqs := l1.CompileWorkload(qs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Distance(l1.CostVector(qs), l2.CostVector(qs))
+		_ = Distance(l1.CostVectorCompiled(cqs), l2.CostVectorCompiled(cqs))
 	}
 }
 

@@ -129,54 +129,10 @@ func TestRoundRobin(t *testing.T) {
 	}
 }
 
-func TestHashEqualitySkips(t *testing.T) {
-	d := testDataset(t, 400, 39)
-	l := NewHashGenerator("cat").Generate(d, nil, 4)
-	q := query.Query{Preds: []query.Predicate{query.StrEq("cat", "a")}}
-	// All "a" rows hash to one partition; the others can be skipped.
-	if got := l.Cost(q); got >= 1 {
-		t.Errorf("hash equality cost = %g, want < 1", got)
-	}
-	// Range queries on other columns cannot skip.
-	q2 := query.Query{Preds: []query.Predicate{query.IntRange("ts", 0, 39)}}
-	if got := l.Cost(q2); got != 1 {
-		t.Errorf("hash range cost = %g, want 1", got)
-	}
-}
-
-func TestHashIntAndFloatColumns(t *testing.T) {
-	d := testDataset(t, 300, 40)
-	for _, col := range []string{"ts", "amount"} {
-		l := NewHashGenerator(col).Generate(d, nil, 5)
-		if l.Part.NumPartitions != 5 || l.Part.TotalRows != 300 {
-			t.Errorf("hash(%s) partitioning malformed", col)
-		}
-	}
-}
-
-func TestHashValidation(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("empty column accepted")
-			}
-		}()
-		NewHashGenerator("")
-	}()
-	d := testDataset(t, 10, 41)
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown column accepted")
-		}
-	}()
-	NewHashGenerator("zzz").Generate(d, nil, 2)
-}
-
 func TestGeneratorNames(t *testing.T) {
 	names := map[string]string{
 		NewBottomUpGenerator().Name():   "bottomup",
 		NewRoundRobinGenerator().Name(): "roundrobin",
-		NewHashGenerator("ts").Name():   "hash",
 	}
 	for got, want := range names {
 		if got != want {
@@ -196,7 +152,6 @@ func TestAllGeneratorsContract(t *testing.T) {
 		NewQdTreeGenerator(),
 		NewBottomUpGenerator(),
 		NewRoundRobinGenerator(),
-		NewHashGenerator("cat"),
 	}
 	for _, g := range gens {
 		l := g.Generate(d, qs, 8)

@@ -151,17 +151,9 @@ func (l *Layout) AvgCostCompiled(cqs []*prune.CompiledQuery) float64 {
 	return sum / float64(len(cqs))
 }
 
-// CostVector evaluates the layout on each query of a sample, producing
-// the vector that Algorithm 5's layout-distance works on.
-func (l *Layout) CostVector(qs []query.Query) []float64 {
-	v := make([]float64, len(qs))
-	for i, q := range qs {
-		v[i] = l.Cost(q)
-	}
-	return v
-}
-
-// CostVectorCompiled is CostVector over a pre-compiled sample.
+// CostVectorCompiled evaluates the layout on each query of a compiled
+// sample, producing the vector that Algorithm 5's layout-distance works
+// on.
 func (l *Layout) CostVectorCompiled(cqs []*prune.CompiledQuery) []float64 {
 	v := make([]float64, len(cqs))
 	for i, cq := range cqs {

@@ -103,7 +103,7 @@ func TestCostVector(t *testing.T) {
 		{Preds: []query.Predicate{query.IntRange("ts", 0, 9)}},
 		{},
 	}
-	v := l.CostVector(qs)
+	v := l.CostVectorCompiled(l.CompileWorkload(qs))
 	if len(v) != 2 {
 		t.Fatalf("vector length %d", len(v))
 	}

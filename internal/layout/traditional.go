@@ -2,18 +2,16 @@ package layout
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"oreo/internal/query"
 	"oreo/internal/table"
 )
 
-// The traditional, workload-oblivious layouts of §VII-1 (round-robin
-// and hash partitioning; range partitioning is SortGenerator). They are
-// the floor every workload-aware layout must beat, and useful baselines
-// in ablations: hash and round-robin spread every value across every
-// partition, so metadata-based skipping degenerates to full scans for
-// most predicates.
+// The traditional, workload-oblivious layout of §VII-1 (round-robin;
+// range partitioning is SortGenerator). It is the floor every
+// workload-aware layout must beat: round-robin spreads every value
+// across every partition, so metadata-based skipping degenerates to
+// full scans.
 
 // RoundRobinGenerator assigns row i to partition i mod k.
 type RoundRobinGenerator struct{}
@@ -35,56 +33,4 @@ func (g *RoundRobinGenerator) Generate(d *table.Dataset, _ []query.Query, k int)
 	}
 	part := table.MustBuildPartitioning(d, assign, k)
 	return New(fmt.Sprintf("roundrobin(k=%d)", k), d.Schema(), part)
-}
-
-// HashGenerator assigns rows to partitions by hashing one column.
-// Queries with equality predicates on the hash column can skip (each
-// value lands in exactly one partition), but range predicates cannot.
-type HashGenerator struct {
-	// Column is the hash key.
-	Column string
-}
-
-// NewHashGenerator returns a hash partitioner on the given column.
-func NewHashGenerator(column string) *HashGenerator {
-	if column == "" {
-		panic("layout: HashGenerator needs a column")
-	}
-	return &HashGenerator{Column: column}
-}
-
-// Name implements Generator.
-func (g *HashGenerator) Name() string { return "hash" }
-
-// Generate implements Generator. The workload is ignored.
-func (g *HashGenerator) Generate(d *table.Dataset, _ []query.Query, k int) *Layout {
-	if k < 1 {
-		k = 1
-	}
-	ci, ok := d.Schema().Index(g.Column)
-	if !ok {
-		panic(fmt.Sprintf("layout: hash column %q not in schema", g.Column))
-	}
-	assign := make([]int, d.NumRows())
-	var buf [8]byte
-	for r := 0; r < d.NumRows(); r++ {
-		h := fnv.New32a()
-		switch d.Schema().Col(ci).Type {
-		case table.Int64:
-			v := uint64(d.Int64At(ci, r))
-			for b := 0; b < 8; b++ {
-				buf[b] = byte(v >> uint(8*b))
-			}
-			h.Write(buf[:])
-		case table.Float64:
-			// Hash the decimal rendering: collision-safe enough for
-			// partitioning and avoids unsafe bit tricks.
-			fmt.Fprintf(h, "%g", d.Float64At(ci, r))
-		case table.String:
-			h.Write([]byte(d.StringAt(ci, r)))
-		}
-		assign[r] = int(h.Sum32() % uint32(k))
-	}
-	part := table.MustBuildPartitioning(d, assign, k)
-	return New(fmt.Sprintf("hash(%s,k=%d)", g.Column, k), d.Schema(), part)
 }

@@ -48,7 +48,7 @@ func TestAdmitMonotoneInEpsilon(t *testing.T) {
 			e1, e2 = e2, e1
 		}
 		// admitted at larger eps implies admitted at smaller eps.
-		if Admit(cand, incumbents, sample, e2) && !Admit(cand, incumbents, sample, e1) {
+		if AdmitCompiled(cand, incumbents, cand.CompileWorkload(sample), e2) && !AdmitCompiled(cand, incumbents, cand.CompileWorkload(sample), e1) {
 			return false
 		}
 		return true
@@ -66,13 +66,13 @@ func TestAdmitNeverAdmitsDuplicate(t *testing.T) {
 	dup := layout.NewSortGenerator("ts").Generate(d, nil, 5)
 	sample := []query.Query{tsQuery(0, 0, 39), tsQuery(1, 100, 139), catQuery(2, "a")}
 	for _, eps := range []float64{0, 0.01, 0.5, 1} {
-		if Admit(dup, []*layout.Layout{l}, sample, eps) {
+		if AdmitCompiled(dup, []*layout.Layout{l}, dup.CompileWorkload(sample), eps) {
 			t.Errorf("duplicate admitted at eps=%g", eps)
 		}
 	}
 }
 
-// MostRedundant never returns a skipped index and always returns a
+// mostRedundant never returns a skipped index and always returns a
 // valid index (or -1) for arbitrary skip functions.
 func TestMostRedundantRespectsSkip(t *testing.T) {
 	d := testDataset(200)
@@ -84,7 +84,7 @@ func TestMostRedundantRespectsSkip(t *testing.T) {
 	sample := []query.Query{tsQuery(0, 0, 39), catQuery(1, "b")}
 	f := func(mask uint8) bool {
 		skip := func(i int) bool { return mask&(1<<uint(i)) != 0 }
-		got := MostRedundant(layouts, sample, skip)
+		got := mostRedundant(layouts, layouts[0].CompileWorkload(sample), skip)
 		if got == -1 {
 			return true
 		}
@@ -103,7 +103,7 @@ func TestMostRedundantAllSkipped(t *testing.T) {
 		layout.NewSortGenerator("cat").Generate(d, nil, 4),
 	}
 	sample := []query.Query{tsQuery(0, 0, 19)}
-	if got := MostRedundant(layouts, sample, func(int) bool { return true }); got != -1 {
+	if got := mostRedundant(layouts, layouts[0].CompileWorkload(sample), func(int) bool { return true }); got != -1 {
 		t.Errorf("victim = %d with everything skipped", got)
 	}
 }

@@ -1,18 +1,22 @@
 // Package manager implements the paper's LAYOUT MANAGER: the producer
-// side of the dynamic state space. It watches the query stream through
-// a sliding window (and, optionally, a time-biased reservoir sample),
-// periodically generates new candidate layouts tailored to the recent
-// workload, and decides — via the ε-distance rule of Algorithm 5 —
-// whether a candidate is different enough from the incumbent states to
-// be admitted.
+// side of the dynamic state space, and the only owner of that space in
+// this repository. It has two pieces:
 //
-// The manager is split into two pieces so that baselines can share
-// candidate generation without OREO's admission policy (the paper runs
-// Greedy, Regret and OREO over the same candidate stream):
+//   - Feed watches the query stream through a sliding window (and a
+//     time-biased reservoir sample) and periodically generates candidate
+//     layouts tailored to the recent workload. The baselines consume a
+//     Feed directly — the paper runs Greedy, Regret and OREO over the
+//     same candidate stream — without OREO's admission policy.
+//   - Manager is a Feed plus the state space itself: the StateID →
+//     layout map, ID minting, name de-duplication, the ε-distance
+//     admission rule of Algorithm 5 over the reservoir, and the choice
+//     of the most redundant state when the space must shrink. Every
+//     decision maker that runs over a dynamic space (mts.Reorganizer in
+//     policy.OREO, mts.MultiCopy in the multi-copy ablation) is
+//     orchestration over one Manager.
 //
-//   - Feed: window/reservoir maintenance + periodic candidate generation;
-//   - Admit / MostRedundant: the ε-distance admission test and the
-//     pruning heuristic over cost vectors measured on the R-TBS sample.
+// AdmitCompiled is the admission rule as a pure function of cost
+// vectors; the Manager applies it and the benchmark probes it.
 package manager
 
 import (
@@ -188,24 +192,13 @@ func (f *Feed) WindowQueries() []query.Query { return f.window.Queries() }
 // Seen returns the number of queries observed.
 func (f *Feed) Seen() int { return f.seen }
 
-// Admit implements Algorithm 5 (ADMIT STATE): the candidate joins the
-// state space only if its normalized-L1 cost-vector distance to *every*
-// incumbent, measured on the sample, exceeds epsilon. An empty
-// incumbent set always admits; an empty sample never does (there is no
-// evidence the candidate differs).
-func Admit(candidate *layout.Layout, incumbents []*layout.Layout, sample []query.Query, epsilon float64) bool {
-	if len(incumbents) == 0 {
-		return true
-	}
-	if len(sample) == 0 {
-		return false
-	}
-	return AdmitCompiled(candidate, incumbents, candidate.CompileWorkload(sample), epsilon)
-}
-
-// AdmitCompiled is Admit over a pre-compiled sample: callers testing
-// several candidates against the same sample in one period compile it
-// once and share the binding across every admission check.
+// AdmitCompiled implements Algorithm 5 (ADMIT STATE): the candidate
+// joins the state space only if its normalized-L1 cost-vector distance
+// to *every* incumbent, measured on the compiled sample, exceeds
+// epsilon. An empty incumbent set always admits; an empty sample never
+// does (there is no evidence the candidate differs). Callers testing
+// several candidates against the same sample compile it once and share
+// the binding across every check.
 func AdmitCompiled(candidate *layout.Layout, incumbents []*layout.Layout, cqs []*prune.CompiledQuery, epsilon float64) bool {
 	if len(incumbents) == 0 {
 		return true
@@ -222,20 +215,12 @@ func AdmitCompiled(candidate *layout.Layout, incumbents []*layout.Layout, cqs []
 	return true
 }
 
-// MostRedundant returns the index of the incumbent whose cost vector is
-// closest to some other incumbent on the sample — the pruning victim
-// when the state space must shrink. skip marks indices that must not be
-// chosen (e.g. the current layout). It returns -1 when no prunable
+// mostRedundant returns the index of the incumbent whose cost vector is
+// closest to some other incumbent on the compiled sample — the pruning
+// victim when the state space must shrink. skip marks indices that must
+// not be chosen (the current layout). It returns -1 when no prunable
 // state exists.
-func MostRedundant(incumbents []*layout.Layout, sample []query.Query, skip func(i int) bool) int {
-	if len(incumbents) < 2 || len(sample) == 0 {
-		return -1
-	}
-	return MostRedundantCompiled(incumbents, incumbents[0].CompileWorkload(sample), skip)
-}
-
-// MostRedundantCompiled is MostRedundant over a pre-compiled sample.
-func MostRedundantCompiled(incumbents []*layout.Layout, cqs []*prune.CompiledQuery, skip func(i int) bool) int {
+func mostRedundant(incumbents []*layout.Layout, cqs []*prune.CompiledQuery, skip func(i int) bool) int {
 	if len(incumbents) < 2 || len(cqs) == 0 {
 		return -1
 	}

@@ -159,7 +159,7 @@ func buildLayouts(d *table.Dataset) (tsLayout, catLayout *layout.Layout) {
 func TestAdmitEmptyIncumbents(t *testing.T) {
 	d := testDataset(100)
 	tsL, _ := buildLayouts(d)
-	if !Admit(tsL, nil, nil, 0.5) {
+	if !AdmitCompiled(tsL, nil, nil, 0.5) {
 		t.Error("first layout must always be admitted")
 	}
 }
@@ -167,7 +167,7 @@ func TestAdmitEmptyIncumbents(t *testing.T) {
 func TestAdmitEmptySampleRejects(t *testing.T) {
 	d := testDataset(100)
 	tsL, catL := buildLayouts(d)
-	if Admit(catL, []*layout.Layout{tsL}, nil, 0.01) {
+	if AdmitCompiled(catL, []*layout.Layout{tsL}, nil, 0.01) {
 		t.Error("no evidence of difference must reject")
 	}
 }
@@ -182,15 +182,15 @@ func TestAdmitDistanceThreshold(t *testing.T) {
 		catQuery(3, "c"),
 	}
 	// The two layouts differ sharply on this sample.
-	if !Admit(catL, []*layout.Layout{tsL}, sample, 0.08) {
+	if !AdmitCompiled(catL, []*layout.Layout{tsL}, catL.CompileWorkload(sample), 0.08) {
 		t.Error("clearly different layout rejected at eps=0.08")
 	}
 	// A layout is never eps-far from itself.
-	if Admit(tsL, []*layout.Layout{tsL}, sample, 0.0) {
+	if AdmitCompiled(tsL, []*layout.Layout{tsL}, tsL.CompileWorkload(sample), 0.0) {
 		t.Error("identical layout admitted at eps=0")
 	}
 	// With an absurd threshold nothing is admitted.
-	if Admit(catL, []*layout.Layout{tsL}, sample, 1.0) {
+	if AdmitCompiled(catL, []*layout.Layout{tsL}, catL.CompileWorkload(sample), 1.0) {
 		t.Error("layout admitted at eps=1.0")
 	}
 }
@@ -203,12 +203,12 @@ func TestMostRedundant(t *testing.T) {
 		tsQuery(0, 0, 24), catQuery(1, "a"), tsQuery(2, 25, 49), catQuery(3, "b"),
 	}
 	incumbents := []*layout.Layout{tsL, catL, tsL2}
-	victim := MostRedundant(incumbents, sample, nil)
+	victim := mostRedundant(incumbents, incumbents[0].CompileWorkload(sample), nil)
 	if victim != 0 && victim != 2 {
 		t.Errorf("victim = %d (%s); want one of the near-duplicate time layouts", victim, incumbents[victim].Name)
 	}
 	// Skip must be honored.
-	victim = MostRedundant(incumbents, sample, func(i int) bool { return i == 0 })
+	victim = mostRedundant(incumbents, incumbents[0].CompileWorkload(sample), func(i int) bool { return i == 0 })
 	if victim == 0 {
 		t.Error("skip(0) ignored")
 	}
@@ -217,10 +217,10 @@ func TestMostRedundant(t *testing.T) {
 func TestMostRedundantDegenerate(t *testing.T) {
 	d := testDataset(50)
 	tsL, _ := buildLayouts(d)
-	if got := MostRedundant([]*layout.Layout{tsL}, []query.Query{tsQuery(0, 0, 10)}, nil); got != -1 {
+	if got := mostRedundant([]*layout.Layout{tsL}, tsL.CompileWorkload([]query.Query{tsQuery(0, 0, 10)}), nil); got != -1 {
 		t.Errorf("single incumbent victim = %d, want -1", got)
 	}
-	if got := MostRedundant([]*layout.Layout{tsL, tsL}, nil, nil); got != -1 {
+	if got := mostRedundant([]*layout.Layout{tsL, tsL}, nil, nil); got != -1 {
 		t.Errorf("empty sample victim = %d, want -1", got)
 	}
 }

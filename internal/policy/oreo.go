@@ -2,29 +2,23 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"oreo/internal/layout"
 	"oreo/internal/manager"
 	"oreo/internal/mts"
-	"oreo/internal/prune"
 	"oreo/internal/query"
 	"oreo/internal/trace"
 )
 
-// OREO is the paper's system: the LAYOUT MANAGER (candidate feed +
-// ε-admission + optional pruning) producing a dynamic state space, and
-// the D-UMTS REORGANIZER consuming it to decide when to switch layouts.
+// OREO is the paper's system: the LAYOUT MANAGER (internal/manager)
+// producing a dynamic state space, and the D-UMTS REORGANIZER
+// (internal/mts) consuming it to decide when to switch layouts. This
+// type is only the orchestration between the two: it mirrors the
+// manager's admissions and removals into the reorganizer, asks the
+// reorganizer for its move, and narrates both to the trace.
 type OREO struct {
-	feed    *manager.Feed
-	reorg   *mts.Reorganizer
-	epsilon float64
-	// maxStates caps the dynamic state space; 0 means unbounded.
-	// When exceeded, the most redundant non-current state is pruned.
-	maxStates int
-
-	states map[mts.StateID]*layout.Layout
-	nextID mts.StateID
+	mgr   *manager.Manager
+	reorg *mts.Reorganizer
 
 	// rec, when set, receives admission/prune/switch/phase events.
 	// A nil recorder discards everything at negligible cost.
@@ -32,42 +26,11 @@ type OREO struct {
 	seen int
 }
 
-// OREOConfig collects OREO's tunables (paper defaults in parentheses).
-type OREOConfig struct {
-	// Alpha is the relative reorganization cost (80).
-	Alpha float64
-	// Gamma is the predictor bias for transitions (1).
-	Gamma float64
-	// Epsilon is the admission distance threshold (0.08).
-	Epsilon float64
-	// MaxStates caps the state space; 0 disables pruning.
-	MaxStates int
-}
-
-// NewOREO returns the full OREO policy. The feed supplies candidates;
-// the initial layout becomes state 0 and the starting MTS state. The
-// reorganizer draws randomness from rng (via mts.New inside).
-func NewOREO(feed *manager.Feed, initial *layout.Layout, cfg OREOConfig, reorg *mts.Reorganizer) *OREO {
-	o := &OREO{
-		feed:      feed,
-		reorg:     reorg,
-		epsilon:   cfg.Epsilon,
-		maxStates: cfg.MaxStates,
-		states:    make(map[mts.StateID]*layout.Layout),
-	}
-	id := o.nextID
-	o.nextID++
-	o.states[id] = initial
-	o.reorg.AddState(id)
-	o.reorg.SetInitial(id)
-	return o
-}
-
 // Name implements Policy.
 func (o *OREO) Name() string { return "OREO" }
 
 // Current implements Policy.
-func (o *OREO) Current() *layout.Layout { return o.states[o.reorg.Current()] }
+func (o *OREO) Current() *layout.Layout { return o.mgr.Layout(o.reorg.Current()) }
 
 // StateSpaceSize implements SpaceReporter.
 func (o *OREO) StateSpaceSize() int { return o.reorg.NumStates() }
@@ -81,10 +44,10 @@ func (o *OREO) SetRecorder(rec *trace.Recorder) { o.rec = rec }
 
 // Observe implements Policy. Order of operations per query:
 //
-//  1. offer the query to the layout manager; admit any sufficiently
-//     novel candidates as new states (deferred by the reorganizer to
-//     the next phase, per Algorithm 4);
-//  2. prune the most redundant state if the space overflowed
+//  1. offer the query to the layout manager; add every candidate it
+//     admits as a new state (deferred by the reorganizer to the next
+//     phase, per Algorithm 4);
+//  2. if the space overflowed, remove the state the manager prunes
 //     (a state-removal query in D-UMTS terms);
 //  3. run the D-UMTS counter update for the service query and switch
 //     states if the current one saturated.
@@ -93,39 +56,27 @@ func (o *OREO) Observe(q query.Query) *layout.Layout {
 	o.seen++
 	o.rec.SetSeq(o.seen)
 
-	// The reservoir is stable within one Observe; compile it once and
-	// share the binding across every admission and pruning check this
-	// period.
-	var sample []*prune.CompiledQuery
-	for _, c := range o.feed.Observe(q) {
-		if o.hasName(c.Layout.Name) {
+	for _, c := range o.mgr.Observe(q) {
+		id, verdict := o.mgr.Offer(c.Layout)
+		switch verdict {
+		case manager.Duplicate:
 			continue
-		}
-		if sample == nil {
-			sample = prune.CompileAll(c.Layout.Schema(), o.feed.ReservoirQueries())
-		}
-		if !manager.AdmitCompiled(c.Layout, o.incumbents(), sample, o.epsilon) {
+		case manager.Rejected:
 			o.rec.Record(trace.EventReject, c.Layout.Name,
-				fmt.Sprintf("eps=%.3g", o.epsilon))
+				fmt.Sprintf("eps=%.3g", o.mgr.Epsilon()))
 			continue
 		}
-		id := o.nextID
-		o.nextID++
-		o.states[id] = c.Layout
 		o.reorg.AddState(id)
 		o.rec.Record(trace.EventAdmit, c.Layout.Name,
 			fmt.Sprintf("|S|=%d", o.reorg.NumStates()))
 
-		if o.maxStates > 0 && o.reorg.NumStates() > o.maxStates {
-			if victim, ok := o.pruneVictim(sample); ok {
-				o.rec.Record(trace.EventPrune, o.states[victim].Name,
-					fmt.Sprintf("cap=%d", o.maxStates))
-				if o.reorg.RemoveState(victim) {
-					// Removal evicted the current state: the reorganizer
-					// already jumped; surface the move to the harness.
-					forced = o.states[o.reorg.Current()]
-				}
-				delete(o.states, victim)
+		if victim, l, ok := o.mgr.Prune(o.reorg.Current()); ok {
+			o.rec.Record(trace.EventPrune, l.Name,
+				fmt.Sprintf("cap=%d", o.mgr.MaxStates()))
+			if o.reorg.RemoveState(victim) {
+				// Removal evicted the current state: the reorganizer
+				// already jumped; surface the move to the harness.
+				forced = o.Current()
 			}
 		}
 	}
@@ -136,61 +87,19 @@ func (o *OREO) Observe(q query.Query) *layout.Layout {
 	// every state in the space.
 	cq := o.Current().Compile(q)
 	switched, sid := o.reorg.Observe(func(id mts.StateID) float64 {
-		return o.states[id].CostCompiled(cq)
+		return o.mgr.Layout(id).CostCompiled(cq)
 	})
 	if o.reorg.Phases() != phasesBefore {
-		o.rec.Record(trace.EventPhase, o.states[o.reorg.Current()].Name,
+		o.rec.Record(trace.EventPhase, o.Current().Name,
 			fmt.Sprintf("phase=%d", o.reorg.Phases()))
 	}
 	if switched {
-		o.rec.Record(trace.EventSwitch, o.states[sid].Name,
-			fmt.Sprintf("from=%s", o.states[from].Name))
-		return o.states[sid]
+		o.rec.Record(trace.EventSwitch, o.mgr.Layout(sid).Name,
+			fmt.Sprintf("from=%s", o.mgr.Layout(from).Name))
+		return o.mgr.Layout(sid)
 	}
 	if forced != nil {
 		o.rec.Record(trace.EventSwitch, forced.Name, "from=pruned-current")
 	}
 	return forced
-}
-
-// hasName reports whether a state with the layout name already exists.
-func (o *OREO) hasName(name string) bool {
-	for _, l := range o.states {
-		if l.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// incumbents returns the current state-space layouts (stable order not
-// required by Admit).
-func (o *OREO) incumbents() []*layout.Layout {
-	out := make([]*layout.Layout, 0, len(o.states))
-	for _, l := range o.states {
-		//oreovet:ignore maporder incumbent set is consumed order-insensitively by admission's redundancy scan; no ordered output
-		out = append(out, l)
-	}
-	return out
-}
-
-// pruneVictim picks the most redundant state that is not the current
-// one, returning its ID. sample is the compiled reservoir.
-func (o *OREO) pruneVictim(sample []*prune.CompiledQuery) (mts.StateID, bool) {
-	ids := make([]mts.StateID, 0, len(o.states))
-	for id := range o.states {
-		ids = append(ids, id)
-	}
-	// Sort for deterministic pruning across map iteration orders.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	layouts := make([]*layout.Layout, len(ids))
-	for i, id := range ids {
-		layouts[i] = o.states[id]
-	}
-	cur := o.reorg.Current()
-	idx := manager.MostRedundantCompiled(layouts, sample, func(i int) bool { return ids[i] == cur })
-	if idx < 0 {
-		return 0, false
-	}
-	return ids[idx], true
 }

@@ -40,10 +40,10 @@ func defaultLayout(d *table.Dataset) *layout.Layout {
 	return layout.NewSortGenerator("ts").Generate(d, nil, 8)
 }
 
+var testFeedConfig = manager.FeedConfig{WindowSize: 20, Period: 20, Partitions: 8, MinWindowFill: 10}
+
 func newFeed(d *table.Dataset, seed int64) *manager.Feed {
-	return manager.NewFeed(d, layout.NewQdTreeGenerator(),
-		manager.FeedConfig{WindowSize: 20, Period: 20, Partitions: 8, MinWindowFill: 10},
-		rand.New(rand.NewSource(seed)))
+	return NewFeed(d, layout.NewQdTreeGenerator(), testFeedConfig, seed)
 }
 
 func TestStaticNeverSwitches(t *testing.T) {
@@ -144,9 +144,9 @@ func TestRegretRetroactiveScoring(t *testing.T) {
 
 func TestOREOIntegration(t *testing.T) {
 	d := testDataset(800)
-	feed := newFeed(d, 6)
-	reorg := mts.New(mts.Config{Alpha: 10, Gamma: 1}, rand.New(rand.NewSource(7)))
-	o := NewOREO(feed, defaultLayout(d), OREOConfig{Alpha: 10, Gamma: 1, Epsilon: 0.05}, reorg)
+	o := NewOREO(d, layout.NewQdTreeGenerator(), defaultLayout(d), OREOConfig{
+		Feed: testFeedConfig, MTS: mts.Config{Alpha: 10, Gamma: 1}, Epsilon: 0.05,
+	}, 6)
 
 	if o.StateSpaceSize() != 1 {
 		t.Fatalf("initial |S| = %d", o.StateSpaceSize())
@@ -177,9 +177,9 @@ func TestOREOIntegration(t *testing.T) {
 
 func TestOREOMaxStatesPruning(t *testing.T) {
 	d := testDataset(800)
-	feed := newFeed(d, 8)
-	reorg := mts.New(mts.Config{Alpha: 10}, rand.New(rand.NewSource(9)))
-	o := NewOREO(feed, defaultLayout(d), OREOConfig{Alpha: 10, Epsilon: 0.01, MaxStates: 3}, reorg)
+	o := NewOREO(d, layout.NewQdTreeGenerator(), defaultLayout(d), OREOConfig{
+		Feed: testFeedConfig, MTS: mts.Config{Alpha: 10}, Epsilon: 0.01, MaxStates: 3,
+	}, 8)
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 1000; i++ {
 		var q query.Query
@@ -202,12 +202,9 @@ func TestOREOMaxStatesPruning(t *testing.T) {
 
 func TestOREODoesNotDuplicateNames(t *testing.T) {
 	d := testDataset(400)
-	gen := layout.NewZOrderGenerator(1, "ts")
-	feed := manager.NewFeed(d, gen,
-		manager.FeedConfig{WindowSize: 20, Period: 20, Partitions: 8, MinWindowFill: 10},
-		rand.New(rand.NewSource(11)))
-	reorg := mts.New(mts.Config{Alpha: 10}, rand.New(rand.NewSource(12)))
-	o := NewOREO(feed, defaultLayout(d), OREOConfig{Alpha: 10, Epsilon: 0.0}, reorg)
+	o := NewOREO(d, layout.NewZOrderGenerator(1, "ts"), defaultLayout(d), OREOConfig{
+		Feed: testFeedConfig, MTS: mts.Config{Alpha: 10}, Epsilon: 0.0,
+	}, 11)
 	for i := 0; i < 400; i++ {
 		o.Observe(tsQuery(i, int64(i%300), int64(i%300)+50))
 	}

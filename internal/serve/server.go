@@ -283,21 +283,13 @@ func (s *Server) Snapshot(table string) (oreo.OptimizerSnapshot, bool) {
 	return s.core.Snapshot(table)
 }
 
-// decodeBody decodes a JSON request body under the configured size cap,
-// writing the error response itself on failure. An oversized body is
-// 413 with the standard error shape; everything else malformed is 400.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return s.decode(w, r, v, false)
-}
-
-// decodeBodyNumber is decodeBody with json.Number decoding, for bodies
-// carrying row data where float64 coercion would lose int64 precision.
+// decodeBodyNumber decodes a JSON request body under the configured
+// size cap, writing the error response itself on failure: an oversized
+// body is 413 with the standard error shape, everything else malformed
+// is 400. Numbers decode as json.Number — these bodies carry row data,
+// where float64 coercion would lose int64 precision.
 func (s *Server) decodeBodyNumber(w http.ResponseWriter, r *http.Request, v any) bool {
-	return s.decode(w, r, v, true)
-}
-
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any, useNumber bool) bool {
-	return decodeGeneral(w, s.capped(w, r), v, useNumber)
+	return decodeGeneral(w, s.capped(w, r), v, true)
 }
 
 // capped is the request body under the configured size cap.
@@ -331,8 +323,9 @@ func decodeGeneral(w http.ResponseWriter, body io.Reader, v any, useNumber bool)
 // decodeWire decodes a query body: read whole under the size cap into a
 // pooled buffer, offered to the purpose-built decoder, and — when that
 // declines, or the read itself failed — replayed to encoding/json, read
-// error included, so every body is answered as decodeBody would answer
-// it. The choice is made by the bytes; fallback counts the declines.
+// error included, so every body is answered as encoding/json alone
+// would answer it. The choice is made by the bytes; fallback counts the
+// declines.
 func decodeWire[T any](s *Server, w http.ResponseWriter, r *http.Request, fallback *metrics.Counter, fast func([]byte, *T) bool, v *T) bool {
 	bp := wire.GetBuffer()
 	defer wire.PutBuffer(bp)

@@ -1,14 +1,14 @@
-// Package sim drives a reorganization policy over a query stream and
-// accounts its costs, in both the paper's logical cost model (fraction
-// of rows scanned per query; α per reorganization) and simulated
-// wall-clock seconds via the storage model. It also implements the
-// background-reorganization delay Δ: a switch decision charges its cost
-// immediately, but the next Δ queries are still served on the outgoing
-// layout, exactly as in §VI-D5.
+// Package sim runs a reorganization policy over a whole query stream
+// and reports what the paper's figures plot: the logical costs (fraction
+// of rows scanned per query; α per reorganization), simulated
+// wall-clock seconds via the storage model, the cumulative-cost curve,
+// and the size of the dynamic state space over time. Which layout
+// serves which query — including the background-reorganization delay Δ
+// of §VI-D5 — is not decided here: Run is a loop over policy.Stepper,
+// the same step the public Optimizer takes per query.
 package sim
 
 import (
-	"oreo/internal/layout"
 	"oreo/internal/policy"
 	"oreo/internal/query"
 	"oreo/internal/storage"
@@ -71,47 +71,28 @@ func (r Result) Total() float64 { return r.QueryCost + r.ReorgCost }
 // TotalSeconds returns the combined physical time.
 func (r Result) TotalSeconds() float64 { return r.QuerySeconds + r.ReorgSeconds }
 
-// Run drives the policy over the stream. The policy's logical state
-// advances on its own decisions; the harness tracks the *serving*
-// layout, which trails decisions by cfg.Delay queries.
+// Run drives the policy over the stream through policy.Stepper — the
+// loop the public Optimizer runs — and keeps the harness's own books
+// beside it: α and disk seconds per switch, disk seconds per scan, the
+// cumulative-cost curve and the state-space samples.
 func Run(qs []query.Query, pol policy.Policy, cfg Config) Result {
 	res := Result{Policy: pol.Name(), Queries: len(qs), CurveStride: cfg.CurveStride}
-
-	serving := pol.Current()
-	var pending *layout.Layout
-	countdown := 0
+	loop := policy.NewStepper(pol, cfg.Delay)
 
 	var spaceSamples, spaceSum int
-	cum := 0.0
 	for i, q := range qs {
-		if target := pol.Observe(q); target != nil && target.Name != serving.Name {
-			// Reorganization cost is incurred as soon as the decision is
-			// made (§VI-D5); the swap lands after Delay more queries.
+		c, switched := loop.Step(q)
+		if switched {
 			res.ReorgCost += cfg.Alpha
-			res.Switches++
 			if cfg.Disk != nil {
 				res.ReorgSeconds += cfg.Disk.ReorgSeconds(cfg.TableMB)
 			}
-			pending = target
-			countdown = cfg.Delay
 		}
-		if pending != nil {
-			if countdown <= 0 {
-				serving = pending
-				pending = nil
-			} else {
-				countdown--
-			}
-		}
-
-		c := serving.Cost(q)
-		res.QueryCost += c
-		cum += c
 		if cfg.Disk != nil {
 			res.QuerySeconds += cfg.Disk.ScanSeconds(c * cfg.TableMB)
 		}
 		if cfg.CurveStride > 0 && (i+1)%cfg.CurveStride == 0 {
-			res.Curve = append(res.Curve, cum+res.ReorgCost)
+			res.Curve = append(res.Curve, loop.QueryCost+res.ReorgCost)
 		}
 		if cfg.SpaceStride > 0 && (i+1)%cfg.SpaceStride == 0 {
 			if sr, ok := pol.(policy.SpaceReporter); ok {
@@ -127,6 +108,8 @@ func Run(qs []query.Query, pol policy.Policy, cfg Config) Result {
 	if spaceSamples > 0 {
 		res.AvgSpace = float64(spaceSum) / float64(spaceSamples)
 	}
-	res.FinalLayout = serving.Name
+	res.QueryCost = loop.QueryCost
+	res.Switches = loop.Switches
+	res.FinalLayout = loop.Serving.Name
 	return res
 }

@@ -103,32 +103,43 @@ func TestRunDelaySemantics(t *testing.T) {
 	// Query ts in [0,9]: costs 0.1 on the ts layout. On the cat layout
 	// (stable sort by cat) the ten matching rows split across the first
 	// partition of each cat group, so the cost is 0.2.
-	probe := func(id int) query.Query { return tsQuery(id, 0, 9) }
-	const costOld, costNew = 0.1, 0.2
+	const onA, onB = 0.1, 0.2
 
-	// Switch decided at query 1 from ts->cat with Delay=2: queries 1 and
-	// 2 still served on ts, query 3 on cat.
-	pol := &scriptedPolicy{current: a, switchAt: map[int]*layout.Layout{1: b}}
-	qs := []query.Query{probe(0), probe(1), probe(2), probe(3)}
-	res := Run(qs, pol, Config{Alpha: 5, Delay: 2})
-	want := costOld + costOld + costOld + costNew
-	if math.Abs(res.QueryCost-want) > 1e-9 {
-		t.Errorf("QueryCost = %g, want %g (delay keeps old layout for 2 queries)", res.QueryCost, want)
+	rows := []struct {
+		name     string
+		delay    int
+		script   map[int]*layout.Layout
+		queries  int
+		cost     float64
+		switches int
+		final    *layout.Layout
+	}{
+		// Decided at query 1, Δ=2: queries 1 and 2 still on ts, query 3 on cat.
+		{"delay keeps the old layout for Δ queries", 2, map[int]*layout.Layout{1: b}, 4, 3*onA + onB, 1, b},
+		// Δ=0: the switch applies to query 1 itself.
+		{"no delay serves the deciding query on the new layout", 0, map[int]*layout.Layout{1: b}, 4, onA + 3*onB, 1, b},
+		// A→B at query 1, B→A at query 2, inside Δ=3: the policy ends in
+		// A, so the ledger must too — the abandoned B never lands, the one
+		// switch stays charged, the return is free.
+		{"back to serving inside Δ aborts the swap", 3, map[int]*layout.Layout{1: b, 2: a}, 8, 8 * onA, 1, a},
 	}
-	if res.FinalLayout != b.Name {
-		t.Errorf("final layout %q", res.FinalLayout)
-	}
-
-	// Same script with Delay=0: the switch applies to query 1 itself.
-	pol0 := &scriptedPolicy{current: a, switchAt: map[int]*layout.Layout{1: b}}
-	res0 := Run(qs, pol0, Config{Alpha: 5, Delay: 0})
-	want0 := costOld + costNew + costNew + costNew
-	if math.Abs(res0.QueryCost-want0) > 1e-9 {
-		t.Errorf("Delay=0 QueryCost = %g, want %g", res0.QueryCost, want0)
-	}
-	// Delay must not change the reorganization cost (paper §VI-D5).
-	if res.ReorgCost != res0.ReorgCost {
-		t.Errorf("delay changed reorg cost: %g vs %g", res.ReorgCost, res0.ReorgCost)
+	for _, row := range rows {
+		pol := &scriptedPolicy{current: a, switchAt: row.script}
+		qs := make([]query.Query, row.queries)
+		for i := range qs {
+			qs[i] = tsQuery(i, 0, 9)
+		}
+		res := Run(qs, pol, Config{Alpha: 5, Delay: row.delay})
+		if math.Abs(res.QueryCost-row.cost) > 1e-9 {
+			t.Errorf("%s: QueryCost = %g, want %g", row.name, res.QueryCost, row.cost)
+		}
+		// Delay must not change the reorganization cost (paper §VI-D5).
+		if res.Switches != row.switches || res.ReorgCost != 5*float64(row.switches) {
+			t.Errorf("%s: %d switches, reorg cost %g; want %d, %g", row.name, res.Switches, res.ReorgCost, row.switches, 5*float64(row.switches))
+		}
+		if res.FinalLayout != row.final.Name || pol.Current() != row.final {
+			t.Errorf("%s: ledger ends serving %q, policy in %q, want both %q", row.name, res.FinalLayout, pol.Current().Name, row.final.Name)
+		}
 	}
 }
 

@@ -34,6 +34,33 @@
 //	// dec.Cost is the fraction of the table scanned; dec.Reorganized
 //	// reports whether OREO switched layouts before serving it.
 //
+// # Two components and one loop
+//
+// The paper's system is two components joined by one loop, and each
+// exists once in this repository:
+//
+//   - the LAYOUT MANAGER (internal/manager): the candidate feed over a
+//     sliding window and a reservoir sample, and the dynamic state
+//     space itself — which layouts are states and under which IDs,
+//     ε-admission over the reservoir, the most redundant state to prune
+//     when the space is capped;
+//   - the D-UMTS REORGANIZER (internal/mts): per-state counters, phases,
+//     and the randomized choice of the next state, over whatever space
+//     the manager currently holds;
+//   - the loop (internal/policy): OREO.Observe mirrors the manager's
+//     admissions and removals into the reorganizer and asks it for its
+//     move; Stepper turns that move into the served layout and the cost
+//     ledger — α charged when a switch is decided, the swap landing
+//     ReorgDelay queries later, a swap in flight aborted when the policy
+//     returns to the layout still serving.
+//
+// Optimizer.ProcessQuery is one Stepper.Step over an OREO built by
+// policy.NewOREO, which also owns the seeding convention (candidate
+// sampling draws from Seed, transitions from Seed + 1). The experiment
+// harness behind cmd/oreobench builds its OREO through the same
+// constructor and runs every policy, baselines included, through the
+// same Stepper, so the figures describe the engine that ships.
+//
 // # Cost estimation: the compiled pruning engine
 //
 // Every decision OREO makes reduces to the service cost c(s, q) — the
@@ -131,9 +158,11 @@
 // through one stream (Client.Replay; cmd/oreoreplay -mode serve drives
 // it against a live server and reports QPS). See examples/serving for
 // the raw wire loop and examples/client for the SDK loop.
-// SaveState/LoadState round-trip a layout together with its statistics
-// block and cost memo, so a restarted server resumes on its converged
-// layout with a hot memo.
+// SaveState/LoadState (and their WithData forms) round-trip a layout
+// together with its statistics block and cost memo; that document is the
+// framing of the replication stream's snapshot records, not a state
+// file: no server writes or reads one on its own, and a restart is
+// archive replay (see Cluster below).
 //
 // # Execution
 //
@@ -471,7 +500,7 @@ package oreo
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 
 	"oreo/internal/layout"
 	"oreo/internal/manager"
@@ -574,7 +603,7 @@ type Config struct {
 	// zero means WindowSize.
 	Period int
 	// Partitions is the target partition count k for generated layouts.
-	// Zero derives ~1 partition per 1500 rows, clamped to [8, 128].
+	// Zero derives about one partition per 1500 rows, clamped to [8, 128].
 	Partitions int
 	// MaxStates caps the dynamic state space (0 = unbounded); when
 	// exceeded the most redundant non-current layout is pruned.
@@ -676,47 +705,54 @@ type Stats struct {
 // goroutine owns it and shares Snapshot values with the rest. Events
 // and DumpTrace alone may be called from any goroutine.
 type Optimizer struct {
-	cfg   Config
-	pol   *policy.OREO
-	reorg *mts.Reorganizer
-	rec   *trace.Recorder
-
-	// serving is the layout queries are physically served on; under
-	// ReorgDelay it trails the policy's logical state.
-	serving   *Layout
-	pending   *Layout
-	countdown int
-
-	queries   int
-	queryCost float64
-	switches  int
+	cfg Config
+	pol *policy.OREO
+	// loop turns pol's decisions into the serving layout and the cost
+	// ledger; under ReorgDelay its Serving trails pol's logical state.
+	loop *policy.Stepper
+	rec  *trace.Recorder
 }
 
 // New constructs an Optimizer over the dataset.
 func New(ds *Dataset, cfg Config) (*Optimizer, error) {
+	// NaN passes every ordered comparison below and an infinity most of
+	// them, and each would then fail silently inside the policy layers:
+	// counters never reach a NaN α, and no distance is "within" a NaN ε,
+	// so the state space grows without bound.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Alpha", cfg.Alpha}, {"Gamma", cfg.Gamma}, {"Epsilon", cfg.Epsilon}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("oreo: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	//oreovet:ignore floatbits zero-value config sentinel; Alpha is caller-set, exact
 	if cfg.Alpha == 0 {
-		cfg.Alpha = 80
+		cfg.Alpha = policy.DefaultAlpha
 	}
 	if cfg.Alpha <= 1 {
 		return nil, fmt.Errorf("oreo: Alpha must be > 1, got %g", cfg.Alpha)
 	}
+	if cfg.Gamma < 0 {
+		return nil, fmt.Errorf("oreo: Gamma must be non-negative (0 selects the default; NoPredictor forces 0), got %g", cfg.Gamma)
+	}
 	//oreovet:ignore floatbits zero-value config sentinel; Gamma is caller-set, exact
 	if cfg.Gamma == 0 && !cfg.NoPredictor {
-		cfg.Gamma = 1
+		cfg.Gamma = policy.DefaultGamma
 	}
 	if cfg.NoPredictor {
 		cfg.Gamma = 0
 	}
 	//oreovet:ignore floatbits zero-value config sentinel; Epsilon is caller-set, exact
 	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 0.08
+		cfg.Epsilon = policy.DefaultEpsilon
 	}
 	if cfg.Epsilon < 0 || cfg.Epsilon > 1 {
 		return nil, fmt.Errorf("oreo: Epsilon must be in [0,1], got %g", cfg.Epsilon)
 	}
 	if cfg.WindowSize == 0 {
-		cfg.WindowSize = 200
+		cfg.WindowSize = policy.DefaultWindow
 	}
 	if cfg.WindowSize < 0 {
 		return nil, fmt.Errorf("oreo: WindowSize must be positive, got %d", cfg.WindowSize)
@@ -744,13 +780,7 @@ func New(ds *Dataset, cfg Config) (*Optimizer, error) {
 		return nil, fmt.Errorf("oreo: ReorgDelay must be non-negative (0 applies switches immediately), got %d", cfg.ReorgDelay)
 	}
 	if cfg.Partitions == 0 {
-		cfg.Partitions = ds.NumRows() / 1500
-		if cfg.Partitions < 8 {
-			cfg.Partitions = 8
-		}
-		if cfg.Partitions > 128 {
-			cfg.Partitions = 128
-		}
+		cfg.Partitions = policy.DefaultPartitions(ds.NumRows())
 	}
 	if cfg.Generator == nil {
 		cfg.Generator = layout.NewQdTreeGenerator()
@@ -769,22 +799,18 @@ func New(ds *Dataset, cfg Config) (*Optimizer, error) {
 		initial = layout.NewSortGenerator(cfg.InitialSort...).Generate(ds, nil, cfg.Partitions)
 	}
 
-	feedRng := rand.New(rand.NewSource(cfg.Seed))
-	mtsRng := rand.New(rand.NewSource(cfg.Seed + 1))
-	feed := manager.NewFeed(ds, cfg.Generator, manager.FeedConfig{
-		WindowSize: cfg.WindowSize,
-		Period:     cfg.Period,
-		Partitions: cfg.Partitions,
-	}, feedRng)
-	reorg := mts.New(mts.Config{Alpha: cfg.Alpha, Gamma: cfg.Gamma}, mtsRng)
-	pol := policy.NewOREO(feed, initial, policy.OREOConfig{
-		Alpha:     cfg.Alpha,
-		Gamma:     cfg.Gamma,
+	pol := policy.NewOREO(ds, cfg.Generator, initial, policy.OREOConfig{
+		Feed: manager.FeedConfig{
+			WindowSize: cfg.WindowSize,
+			Period:     cfg.Period,
+			Partitions: cfg.Partitions,
+		},
+		MTS:       mts.Config{Alpha: cfg.Alpha, Gamma: cfg.Gamma},
 		Epsilon:   cfg.Epsilon,
 		MaxStates: cfg.MaxStates,
-	}, reorg)
+	}, cfg.Seed)
 
-	o := &Optimizer{cfg: cfg, pol: pol, reorg: reorg, serving: initial}
+	o := &Optimizer{cfg: cfg, pol: pol, loop: policy.NewStepper(pol, cfg.ReorgDelay)}
 	if cfg.TraceCapacity > 0 {
 		o.rec = trace.NewRecorder(cfg.TraceCapacity)
 		pol.SetRecorder(o.rec)
@@ -797,71 +823,36 @@ func New(ds *Dataset, cfg Config) (*Optimizer, error) {
 // the query is costed on the layout in effect. With ReorgDelay > 0,
 // switch decisions charge their cost immediately but the serving layout
 // swaps only after the delay elapses, modeling background
-// reorganization.
+// reorganization; a decision to return to the layout still serving
+// aborts the swap in flight and is not a reorganization (Reorganized
+// tracks Stats.Reorganizations exactly). The rule itself lives in
+// policy.Stepper, which the experiment harness runs too.
 func (o *Optimizer) ProcessQuery(q Query) Decision {
-	target := o.pol.Observe(q)
-	reorganized := o.applyTarget(target)
-
-	cost := o.serving.Cost(q)
-	o.queries++
-	o.queryCost += cost
-	return Decision{Cost: cost, Reorganized: reorganized, Layout: o.serving, query: q}
-}
-
-// applyTarget registers a policy switch decision and advances the
-// background-reorganization countdown. It returns whether a real switch
-// was decided — the policy may surface a target equal to the serving
-// layout (switching back to it while a delayed reorganization is still
-// in flight), which is not a reorganization and must not be reported or
-// charged as one; it instead aborts the pending swap, keeping the
-// serving layout aligned with the policy's logical state rather than
-// materializing a layout the policy already abandoned. The aborted
-// build's earlier α charge stands: reorganization cost is incurred at
-// decision time (§VI-D5), whether or not the materialization completes,
-// so oscillating inside the delay window is never free.
-func (o *Optimizer) applyTarget(target *Layout) bool {
-	switched := false
-	if target != nil {
-		if target.Name != o.serving.Name {
-			o.switches++
-			switched = true
-			o.pending = target
-			o.countdown = o.cfg.ReorgDelay
-		} else if o.pending != nil {
-			o.pending = nil
-		}
-	}
-	if o.pending != nil {
-		if o.countdown <= 0 {
-			o.serving = o.pending
-			o.pending = nil
-		} else {
-			o.countdown--
-		}
-	}
-	return switched
+	cost, reorganized := o.loop.Step(q)
+	return Decision{Cost: cost, Reorganized: reorganized, Layout: o.loop.Serving, query: q}
 }
 
 // CurrentLayout returns the layout queries are currently served on.
 // Under ReorgDelay this can trail the reorganizer's logical state
 // (PendingLayout reports an in-flight background reorganization).
-func (o *Optimizer) CurrentLayout() *Layout { return o.serving }
+func (o *Optimizer) CurrentLayout() *Layout { return o.loop.Serving }
 
 // PendingLayout returns the layout a background reorganization is
 // building, or nil when none is in flight.
-func (o *Optimizer) PendingLayout() *Layout { return o.pending }
+func (o *Optimizer) PendingLayout() *Layout { return o.loop.Pending }
 
 // Stats returns cumulative counters and the current worst-case bound.
 func (o *Optimizer) Stats() Stats {
+	reorg := o.pol.Reorganizer()
 	return Stats{
-		Queries:          o.queries,
-		Reorganizations:  o.switches,
-		QueryCost:        o.queryCost,
-		ReorgCost:        o.cfg.Alpha * float64(o.switches),
-		States:           o.reorg.NumStates(),
-		MaxStates:        o.reorg.MaxSpace(),
-		Phases:           o.reorg.Phases(),
-		CompetitiveBound: o.reorg.CompetitiveBound(),
+		Queries:          o.loop.Queries,
+		Reorganizations:  o.loop.Switches,
+		QueryCost:        o.loop.QueryCost,
+		ReorgCost:        o.cfg.Alpha * float64(o.loop.Switches),
+		States:           reorg.NumStates(),
+		MaxStates:        reorg.MaxSpace(),
+		Phases:           reorg.Phases(),
+		CompetitiveBound: reorg.CompetitiveBound(),
 	}
 }
 

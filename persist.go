@@ -20,9 +20,9 @@ func LoadLayout(r io.Reader, ds *Dataset) (*Layout, error) { return persist.Load
 
 // SaveState writes a warm-start snapshot of the layout: the assignment
 // (as SaveLayout), the column-major statistics block, and the layout's
-// cost memo. A server saving its serving layout's state at shutdown
-// restarts hot — the first window re-costings after boot answer from
-// the restored memo instead of re-evaluating metadata.
+// cost memo. It is the document a replication snapshot record carries:
+// whoever loads it — a follower, an archive replay — costs its first
+// windows from the restored memo instead of re-evaluating metadata.
 func SaveState(w io.Writer, l *Layout) error { return persist.SaveState(w, l) }
 
 // LoadState reads a snapshot written by SaveState and rebinds it to the

@@ -22,7 +22,7 @@ type OptimizerSnapshot struct {
 // ProcessQuery. Like ProcessQuery it belongs to the one goroutine
 // driving the optimizer; the value it returns does not.
 func (o *Optimizer) Snapshot() OptimizerSnapshot {
-	return OptimizerSnapshot{Serving: o.serving, Pending: o.pending, Stats: o.Stats()}
+	return OptimizerSnapshot{Serving: o.loop.Serving, Pending: o.loop.Pending, Stats: o.Stats()}
 }
 
 // CostQuery costs q on the snapshot's serving layout and pre-computes
