@@ -35,12 +35,11 @@
 // restart with the same flags replays the archive and promotes the
 // replayed state: the process resumes at the archived epoch, counters,
 // rows and fencing term after a clean stop or a kill -9 alike (a missing
-// or empty DIR is a cold boot). A clean stop first waits for the archive
-// to reach the final epoch; a kill -9 loses what the archiver had not
-// yet written — the records still queued for its stream, milliseconds of
-// acknowledged work, plus up to 256 un-fsynced records if the machine
-// goes down. A follower started with -archive replays DIR before
-// subscribing, and archives its own stream there once promoted.
+// or empty DIR is a cold boot). An acknowledged update is written to the
+// archive before its ack, so a kill -9 loses nothing acknowledged; only
+// an OS crash can take up to 256 un-fsynced records with it. A follower
+// started with -archive replays DIR before subscribing, and archives its
+// own stream there once promoted.
 //
 // With -follow URL the process boots as a read replica instead of a
 // leader: it loads the same data (same -csv/-tables/-rows/-seed flags
@@ -100,7 +99,7 @@ func main() {
 		// the named leader instead.
 		follow    = flag.String("follow", "", "leader URL to follow as a read replica (no local optimizer)")
 		advertise = flag.String("advertise", "", "URL followers should subscribe to, shown on /healthz (leader only)")
-		archive   = flag.String("archive", "", "decision-log archive directory: a leader archives its own stream there and restarts from it; a follower replays it before subscribing, so the leader answers with a resume instead of a fresh snapshot")
+		archive   = flag.String("archive", "", "decision-log archive directory: a leader archives its own stream there and restarts from it; a follower replays it before subscribing and archives there once promoted")
 
 		// Connection hygiene. Without a header timeout a client that
 		// dribbles header bytes holds a connection (and its goroutine)
@@ -143,24 +142,13 @@ func main() {
 		tabs = append(tabs, replica.TableData{Name: src.name, Dataset: src.ds})
 		promoCfg.Tables[src.name] = serve.PromoteTable{Config: engine}
 	}
-	// A leader with -archive tails its own decision stream to disk: the
-	// archiver is an ordinary replication subscriber pointed at this
-	// process, so it archives exactly what any follower would have seen.
-	// Started before the listener is up, it retries until that answers.
-	newLeadership := func(pub *replica.Publisher) (*leadership, error) {
-		l := &leadership{pub: pub}
-		if *archive == "" {
-			return l, nil
-		}
-		var err error
-		l.arch, err = replica.NewArchiver(replica.ArchiverConfig{Upstream: selfURL(*addr), Dir: *archive, Tables: names})
-		return l, err
-	}
+	// Every publisher this process runs archives its stream into -archive.
+	pubCfg := replica.PublisherConfig{ArchiveDir: *archive}
 
 	var (
 		srv  *serve.Server
 		fol  *replica.Follower
-		lead atomic.Pointer[leadership] // set at boot on a leader, by a promotion on a follower
+		lead atomic.Pointer[replica.Publisher] // set at boot on a leader, by a promotion on a follower
 	)
 	if *follow != "" {
 		// Follower: same data, no optimizer — state is replicated from
@@ -176,7 +164,7 @@ func main() {
 		// and the replication endpoints answering 503 until a promotion
 		// installs a publisher behind them (ServeMux registration is not
 		// safe once serving has started; an atomic handler swap is).
-		promo := &promoteServer{fol: fol, cfg: promoCfg, newLeadership: newLeadership, lead: &lead}
+		promo := &promoteServer{fol: fol, cfg: promoCfg, pubCfg: pubCfg, lead: &lead}
 		srv.Mount("POST /v2/cluster/promote", http.HandlerFunc(promo.handlePromote))
 		srv.Mount("POST /v2/replication/subscribe", promo.delegate((*replica.Publisher).SubscribeHandler))
 		srv.Mount("POST /v2/replication/observe", promo.delegate((*replica.Publisher).ObserveHandler))
@@ -191,7 +179,7 @@ func main() {
 	} else {
 		// A restart is archive replay + promotion; with no -archive, or a
 		// missing or empty one, there is nothing to replay: the cold boot.
-		core, pub, err := replica.Recover(*archive, tabs, *scanPar, promoCfg, replica.PublisherConfig{})
+		core, pub, err := replica.Recover(*archive, tabs, *scanPar, promoCfg, pubCfg)
 		switch {
 		case err == nil:
 			srv = serve.NewServer(core, serve.Config{})
@@ -213,18 +201,14 @@ func main() {
 			}); err != nil {
 				log.Fatalf("oreoserve: %v", err)
 			}
-			if pub, err = replica.NewPublisher(srv.Core(), replica.PublisherConfig{}); err != nil {
+			if pub, err = replica.NewPublisher(srv.Core(), pubCfg); err != nil {
 				log.Fatalf("oreoserve: %v", err)
 			}
 		default:
 			log.Fatalf("oreoserve: recovering from %s: %v", *archive, err)
 		}
 		pub.Mount(srv)
-		l, err := newLeadership(pub)
-		if err != nil {
-			log.Fatalf("oreoserve: %v", err)
-		}
-		lead.Store(l)
+		lead.Store(pub)
 	}
 
 	hs := &http.Server{
@@ -253,20 +237,17 @@ func main() {
 	log.Print("oreoserve: shutting down")
 
 	// Drain the decision loops first (writes answer 503 from here, and
-	// every acknowledged update already sits in the subscribers' queues),
-	// give the archive a bounded moment to reach the final epoch and fsync
-	// it, and only then sever the subscribe streams — live connections
-	// http.Server.Shutdown would otherwise wait out. A follower closes its
-	// core twice, here and below; Core.Close is idempotent by contract.
+	// every acknowledged update is already archived and in the
+	// subscribers' queues), fsync the archive, and only then sever the
+	// subscribe streams — live connections http.Server.Shutdown would
+	// otherwise wait out. A follower closes its core twice, here and
+	// below; Core.Close is idempotent by contract.
 	srv.Close()
-	if l := lead.Load(); l != nil {
-		if l.arch != nil {
-			for deadline := time.Now().Add(2 * time.Second); !archived(srv.Core(), l.arch) && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			l.arch.Close()
+	if pub := lead.Load(); pub != nil {
+		if err := pub.Close(); err != nil {
+			log.Printf("oreoserve: closing archive: %v", err)
 		}
-		l.pub.DropSubscribers()
+		pub.DropSubscribers()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -278,33 +259,6 @@ func main() {
 	}
 }
 
-// leadership is what only a leading process runs: the publisher behind
-// the replication endpoints and, with -archive, the archiver tailing it.
-type leadership struct {
-	pub  *replica.Publisher
-	arch *replica.Archiver
-}
-
-// archived reports whether the archive has reached every table's
-// published epoch.
-func archived(core *serve.Core, arch *replica.Archiver) bool {
-	for _, t := range core.Tables() {
-		if pos, ok := core.ReplicaPosition(t); ok && arch.Position(t) < pos.Epoch {
-			return false
-		}
-	}
-	return true
-}
-
-// selfURL derives the URL this process is reachable at from its listen
-// address, for the self-subscribing archiver.
-func selfURL(addr string) string {
-	if strings.HasPrefix(addr, ":") {
-		return "http://127.0.0.1" + addr
-	}
-	return "http://" + addr
-}
-
 // promoteServer wires the runtime role flip into a follower's mux:
 // POST /v2/cluster/promote detaches replication, promotes the core,
 // and installs a publisher behind the pre-mounted replication
@@ -313,11 +267,10 @@ type promoteServer struct {
 	mu  sync.Mutex
 	fol *replica.Follower
 	cfg serve.PromoteConfig
-	// newLeadership starts, with -archive, the archiver of this process's
-	// own stream: the promoted leader's log — and in it the term it
-	// adopted — is on disk for its next restart.
-	newLeadership func(*replica.Publisher) (*leadership, error)
-	lead          *atomic.Pointer[leadership]
+	// pubCfg carries -archive: the promoted leader's log — and in it the
+	// term it adopted — is on disk for its next restart.
+	pubCfg replica.PublisherConfig
+	lead   *atomic.Pointer[replica.Publisher]
 }
 
 func (p *promoteServer) handlePromote(w http.ResponseWriter, r *http.Request) {
@@ -327,17 +280,13 @@ func (p *promoteServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Error: "already promoted"})
 		return
 	}
-	pub, err := replica.Promote(p.fol, p.cfg, replica.PublisherConfig{})
+	pub, err := replica.Promote(p.fol, p.cfg, p.pubCfg)
 	if err != nil {
 		log.Printf("oreoserve: promotion failed: %v", err)
 		writeJSONStatus(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
-	l, err := p.newLeadership(pub)
-	if err != nil {
-		log.Printf("oreoserve: promoted, but not archiving: %v", err)
-	}
-	p.lead.Store(l)
+	p.lead.Store(pub)
 	h := p.fol.Core().Health()
 	log.Printf("oreoserve: promoted to leader at generation %d (epochs %v)", h.Generation, h.LayoutEpochs)
 	writeJSONStatus(w, http.StatusOK, h)
@@ -347,12 +296,12 @@ func (p *promoteServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 // answers 503 until a promotion has installed the publisher.
 func (p *promoteServer) delegate(method func(*replica.Publisher) http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		l := p.lead.Load()
-		if l == nil {
+		pub := p.lead.Load()
+		if pub == nil {
 			writeJSONStatus(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: "this node is a follower; replication endpoints activate on promotion"})
 			return
 		}
-		method(l.pub).ServeHTTP(w, r)
+		method(pub).ServeHTTP(w, r)
 	})
 }
 

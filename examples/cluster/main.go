@@ -7,8 +7,8 @@
 // threshold policy; here the actuator spawns followers in-process (the
 // production ProcessActuator spawns oreoserve -follow processes — see
 // cmd/oreoctl — but the controller only speaks the Actuator interface,
-// so the demo fleet lives on goroutines). A replica.Archiver tails the
-// leader's decision stream to disk. Then the leader is killed: the
+// so the demo fleet lives on goroutines). The leader's publisher
+// archives its decision stream to disk. Then the leader is killed: the
 // controller notices, promotes the most caught-up follower (generation
 // 1 → 2), the old generation's writes bounce off the fence, and a
 // fresh follower bootstraps from the archive instead of demanding a
@@ -219,8 +219,13 @@ func (f *fleet) stopAll() {
 func main() {
 	ctx := context.Background()
 
-	// --- The leader: optimizer + publisher at generation 1, with a
-	// decision-log archiver tailing its stream to disk. ---
+	// --- The leader: optimizer + publisher at generation 1, archiving
+	// its own stream to disk. ---
+	archiveDir, err := os.MkdirTemp("", "oreo-archive-*")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(archiveDir)
 	m := oreo.NewMulti()
 	if err := m.AddTable("orders", buildOrders(), ordersConfig); err != nil {
 		panic(err)
@@ -230,26 +235,14 @@ func main() {
 		panic(err)
 	}
 	defer leaderSrv.Close()
-	pub, err := replica.NewPublisher(leaderSrv.Core(), replica.PublisherConfig{Logf: quiet})
+	pub, err := replica.NewPublisher(leaderSrv.Core(), replica.PublisherConfig{Logf: quiet, ArchiveDir: archiveDir})
 	if err != nil {
 		panic(err)
 	}
 	pub.Mount(leaderSrv)
 	leaderURL, stopLeader := serveOn(leaderSrv.Handler())
 	fmt.Printf("leader serving on %s (generation %d)\n", leaderURL, pub.Generation())
-
-	archiveDir, err := os.MkdirTemp("", "oreo-archive-*")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(archiveDir)
-	arch, err := replica.NewArchiver(replica.ArchiverConfig{
-		Upstream: leaderURL, Dir: archiveDir, Logf: quiet,
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("archiver tailing the decision stream into %s\n", archiveDir)
+	fmt.Printf("leader archiving its decision stream into %s\n", archiveDir)
 
 	// --- The control plane: a controller driven tick-by-tick (oreoctl
 	// runs the same loop on a timer), scaling on achieved QPS. ---
@@ -287,14 +280,15 @@ func main() {
 	sig := ctl.Signals()
 	fmt.Printf("after load: %d followers (achieved %.0f QPS)\n", len(act.Followers()), sig.QPS)
 
-	// Let the archive catch up to the leader's epoch before the crash.
-	leaderPos := func() uint64 { pos, _ := leader.ReplicaPosition("orders"); return pos.Epoch }
-	for arch.Position("orders") != leaderPos() {
-		time.Sleep(time.Millisecond)
+	// Seal the archive before the crash: drain the leader's decision
+	// loop — every update it applies is archived before the hook returns
+	// — then fsync and close the segment.
+	leaderSrv.Close()
+	if err := pub.Close(); err != nil {
+		panic(err)
 	}
-	archivedEpoch := arch.Position("orders")
-	arch.Close()
-	fmt.Printf("archive sealed at epoch %d\n\n", archivedEpoch)
+	pos, _ := leader.ReplicaPosition("orders")
+	fmt.Printf("archive sealed at epoch %d\n\n", pos.Epoch)
 
 	// --- Kill the leader. ---
 	stopLeader()
@@ -351,7 +345,7 @@ func main() {
 		panic(err)
 	}
 	defer boot.Close()
-	pos, _ := boot.Core().ReplicaPosition("orders")
+	pos, _ = boot.Core().ReplicaPosition("orders")
 	fmt.Printf("bootstrap follower replayed %d archived records to epoch %d offline\n", n, pos.Epoch)
 	if err := boot.WaitReady(ctx); err != nil {
 		panic(err)
@@ -372,9 +366,7 @@ func main() {
 	fmt.Printf("query on the new leader: matched %d rows (want 4000), cost %.4f\n",
 		results[0].Execution.MatchedRows, results[0].Cost)
 	// That query is one more decision on the new leader; wait for the
-	// bootstrapped follower to stand at it. (Not at archivedEpoch+1: the
-	// old leader may have decided past the point the archive was sealed
-	// at, and then the follower re-snapshots straight to the new epoch.)
+	// bootstrapped follower to stand at it.
 	promoted := act.released[0]
 	lp, _ := promoted.fol.Core().ReplicaPosition("orders")
 	bp, _ := boot.Core().ReplicaPosition("orders")

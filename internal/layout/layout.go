@@ -7,8 +7,8 @@
 // plus the partition metadata needed for skipping. A Generator produces
 // a Layout from a dataset sample, a target query workload, and a target
 // partition count — the paper's generate_layout(D, Q, k) interface. The
-// companion eval_skipped(s, Q) is EvalSkipped, which works from
-// metadata alone.
+// companion eval_skipped(s, Q) is 1 − AvgCost(Q): costing works from
+// partition metadata alone.
 package layout
 
 import (
@@ -119,12 +119,6 @@ func (l *Layout) CostSurvivorsCompiled(cq *prune.CompiledQuery) (float64, []int)
 		return c, ids
 	}
 	return l.eng.CostSurvivorsCompiled(cq)
-}
-
-// EvalSkipped estimates the average fraction of data *skipped* on the
-// workload: 1 - mean cost. This is the paper's eval_skipped(s, Q).
-func (l *Layout) EvalSkipped(qs []query.Query) float64 {
-	return 1 - l.AvgCost(qs)
 }
 
 // AvgCost returns the mean service cost over a workload.

@@ -84,18 +84,6 @@ func TestSortGeneratorNoColumnsPanics(t *testing.T) {
 	NewSortGenerator()
 }
 
-func TestEvalSkippedComplement(t *testing.T) {
-	d := testDataset(t, 100, 2)
-	l := NewSortGenerator("ts").Generate(d, nil, 10)
-	qs := []query.Query{
-		{Preds: []query.Predicate{query.IntRange("ts", 0, 9)}},
-		{Preds: []query.Predicate{query.IntRange("ts", 50, 59)}},
-	}
-	if got, want := l.EvalSkipped(qs), 1-l.AvgCost(qs); math.Abs(got-want) > 1e-12 {
-		t.Errorf("EvalSkipped = %g, 1-AvgCost = %g", got, want)
-	}
-}
-
 func TestCostVector(t *testing.T) {
 	d := testDataset(t, 50, 3)
 	l := NewSortGenerator("ts").Generate(d, nil, 5)

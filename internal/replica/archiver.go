@@ -3,36 +3,34 @@ package replica
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
-	"log"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
-// Archiver is the other kind of replication subscriber (beside serving
-// followers): it subscribes to a leader's decision stream and persists
-// every record to disk, verbatim, as NDJSON segment files. The archive
-// is a durable copy of the stream itself — snapshot, decision, append,
-// and compact records in arrival order — which buys three things:
+// The archive is a leader's own decision stream on disk, written by its
+// Publisher: every record the leader publishes — snapshot, decision,
+// append, compact — is appended to the current segment, verbatim, inside
+// the decision hook, which the serve shard runs after it publishes a
+// state and before it acknowledges the append or compaction that made
+// it. So an acknowledged update is in the archive by construction: a
+// write that has returned survives kill -9 in the page cache, and only an
+// OS crash can take the un-fsynced tail (at most archiveSyncEvery
+// records). The archive buys three things:
 //
 //   - A leader restarts from it: Recover replays the archive into a
-//     replica core and promotes that, so a process that archives its own
-//     stream comes back at the archive's tail epoch, rows and fencing
-//     term; what the archiver had not yet written when it died is lost.
+//     replica core and promotes that, so the process comes back at the
+//     archive's tail epoch, rows and fencing term, and archives on into
+//     the same directory.
 //   - New followers bootstrap from it: FollowerConfig.ArchiveDir
 //     replays the archive through the normal apply path, so a fresh
-//     follower reaches the archive's tail epoch entirely offline and
-//     its first subscription resumes from there instead of forcing the
-//     leader to cut and ship a full snapshot per new replica.
+//     follower reaches the archive's tail epoch entirely offline.
 //   - Point-in-time replay: ReplayArchiveUpTo rebuilds the fleet's
 //     exact state at any archived epoch, for debugging — the stream is
 //     deterministic, so the replayed state is bit-identical to what
@@ -41,166 +39,136 @@ import (
 // # Segment format
 //
 // A segment is a plain NDJSON file named segment-NNNNNNNN.ndjson; each
-// line is one stream Record exactly as the leader sent it (the
-// archiver never re-encodes). The archiver starts one new segment per
-// subscription session, numbered above every existing segment, so an
+// line is one stream Record exactly as subscribers receive it. A
+// publisher opens one new segment per lifetime, numbered above every
+// existing segment, and starts it with a snapshot of every table, so an
 // archive directory is an append-only sequence of sessions and replay
-// order is lexical file order. A crash can truncate only the final
-// line of the newest segment; replay detects and skips exactly that
-// (an unparseable line with nothing after it), while garbage earlier
-// in a segment still fails loudly. A snapshot record replaces its
-// table's whole state, so replay starts each table at its newest
-// snapshot and never opens the segments before it (replayLive): a
-// restarted leader's session opens with fresh snapshots, which keeps
-// a restart proportional to what happened since the last one.
-//
-// On (re)start the archiver replays the same live records to recover
-// its positions and fencing term, and resubscribes with them — when
-// nothing was missed the leader answers with a cheap resume record and
-// the archive continues seamlessly across archiver restarts.
-type Archiver struct {
-	cfg  ArchiverConfig
-	hc   *http.Client
-	logf func(format string, args ...any)
-
-	mu        sync.Mutex
-	gen       uint64
-	boot      string
-	positions map[string]uint64
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-
-	stats struct {
-		records, segments, reconnects, resumes atomicUint64
-	}
-}
-
-// ArchiverConfig parameterizes an Archiver.
-type ArchiverConfig struct {
-	// Upstream is the leader's base URL.
-	Upstream string
-	// Dir is the archive directory; created if missing.
-	Dir string
-	// Tables restricts the subscription; empty archives every table the
-	// leader serves.
-	Tables []string
-	// HTTPClient substitutes the transport; the default is a dedicated
-	// client with no global timeout (the stream is long-lived).
-	HTTPClient *http.Client
-	// ReconnectMin/Max bound the backoff between subscription attempts;
-	// zeros select the follower defaults.
-	ReconnectMin time.Duration
-	ReconnectMax time.Duration
-	// Logf receives operational messages; nil selects log.Printf.
-	Logf func(format string, args ...any)
-}
-
-// ArchiverStats is a point-in-time view of the archiver's counters.
-type ArchiverStats struct {
-	// Records is stream records written this run; Segments is segment
-	// files started this run; Reconnects counts subscription attempts
-	// after the first; Resumes counts cheap resume acknowledgements.
-	Records    uint64
-	Segments   uint64
-	Reconnects uint64
-	Resumes    uint64
-}
+// order is lexical file order. A crash can truncate only the final line
+// of the newest segment; replay detects and skips exactly that (an
+// unparseable line with nothing after it), while garbage earlier in a
+// segment still fails loudly. A snapshot record replaces its table's
+// whole state, so replay starts each table at its newest snapshot and
+// never opens the segments before it (replayLive): a restarted leader's
+// session opens with fresh snapshots, which keeps a restart proportional
+// to what happened since the last one.
 
 // archiveSyncEvery is how many archived records may accumulate between
 // segment fsyncs: small enough that a power loss costs at most a
 // moment of stream tail, large enough that syncing never paces a bulk
-// replay.
+// write.
 const archiveSyncEvery = 256
 
-// recordMeta is the cheap projection of a stream record that position
-// recovery and archival bookkeeping decode — skipping State and Rows,
-// which dominate snapshot and append record sizes.
+// recordMeta is the cheap projection of a stream record replay's
+// snapshot walk decodes — skipping State and Rows, which dominate
+// snapshot and append record sizes.
 type recordMeta struct {
-	Type       string `json:"type"`
-	Table      string `json:"table"`
-	Epoch      uint64 `json:"epoch"`
-	Generation uint64 `json:"generation"`
-	Boot       string `json:"boot"`
+	Type  string `json:"type"`
+	Table string `json:"table"`
+	Epoch uint64 `json:"epoch"`
 }
 
-// NewArchiver builds an archiver and starts its subscription loop. The
-// directory is created if missing; existing segments are scanned to
-// recover the resume position.
-func NewArchiver(cfg ArchiverConfig) (*Archiver, error) {
-	if cfg.Upstream == "" {
-		return nil, fmt.Errorf("replica: archiver needs an upstream URL")
-	}
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("replica: archiver needs a directory")
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("replica: creating archive directory: %w", err)
-	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{}
-	}
-	if cfg.ReconnectMin <= 0 {
-		cfg.ReconnectMin = DefaultReconnectMin
-	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = DefaultReconnectMax
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
-	}
-	cfg.Upstream = strings.TrimRight(cfg.Upstream, "/")
+// archiveWriter appends a publisher's records to its archive directory.
+// Its lock orders every table's records into the one segment, and is
+// held while a segment's opening snapshots are cut: a record the hook
+// writes after them is either past a snapshot's epoch (the next one) or
+// at or below it, which replay skips as overlap.
+type archiveWriter struct {
+	dir string
+	// snapshots encodes every served table's current state as snapshot
+	// records: the opening of each segment.
+	snapshots func() ([][]byte, error)
+	logf      func(format string, args ...any)
 
-	a := &Archiver{
-		cfg:       cfg,
-		hc:        cfg.HTTPClient,
-		logf:      cfg.Logf,
-		positions: make(map[string]uint64),
-	}
-	if err := a.recover(); err != nil {
-		return nil, err
-	}
-	a.ctx, a.cancel = context.WithCancel(context.Background())
-	a.wg.Add(1)
-	go a.run()
-	return a, nil
+	mu       sync.Mutex
+	seg      *os.File // nil before the first record and after a failure
+	unsynced int
+	closed   bool
 }
 
-// Close stops the subscription loop and waits for the current segment
-// to be written out and fsynced, so a clean Close never loses an
-// acknowledged record. Between the periodic syncs of a live session an
-// OS crash or power loss can still drop the unsynced tail; recovery
-// then sees only what reached the disk, so the recovered positions are
-// always consistent with the archive's durable contents and the next
-// subscription simply re-fetches what was lost.
-func (a *Archiver) Close() {
-	a.cancel()
-	a.wg.Wait()
+// write appends one encoded record (nil appends none), first opening a
+// fresh segment headed by every table's snapshot when none is open. On
+// failure the segment is abandoned: the next record opens a fresh one,
+// whose snapshots cover whatever this one lost.
+func (w *archiveWriter) write(line []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return errors.New("archive closed")
+	}
+	err := w.writeLocked(line)
+	if err != nil {
+		w.abandonLocked()
+	}
+	return err
 }
 
-// Stats returns the archiver's counters for this run.
-func (a *Archiver) Stats() ArchiverStats {
-	return ArchiverStats{
-		Records:    a.stats.records.Load(),
-		Segments:   a.stats.segments.Load(),
-		Reconnects: a.stats.reconnects.Load(),
-		Resumes:    a.stats.resumes.Load(),
+func (w *archiveWriter) writeLocked(line []byte) error {
+	if w.seg == nil {
+		snaps, err := w.snapshots()
+		if err != nil {
+			return err
+		}
+		if w.seg, err = newSegment(w.dir); err != nil {
+			return err
+		}
+		w.logf("replica: archiving to %s", w.seg.Name())
+		for _, s := range snaps {
+			if err := w.appendLocked(s); err != nil {
+				return err
+			}
+		}
+	}
+	if line == nil {
+		return nil
+	}
+	return w.appendLocked(line)
+}
+
+// appendLocked writes one line with one write(2) — line's spare capacity
+// takes the newline, so callers pass a slice nothing reads past its
+// length — and fsyncs every archiveSyncEvery lines.
+func (w *archiveWriter) appendLocked(line []byte) error {
+	if _, err := w.seg.Write(append(line, '\n')); err != nil {
+		return fmt.Errorf("writing archive segment: %w", err)
+	}
+	if w.unsynced++; w.unsynced >= archiveSyncEvery {
+		w.unsynced = 0
+		if err := w.seg.Sync(); err != nil {
+			return fmt.Errorf("syncing archive segment: %w", err)
+		}
+	}
+	return nil
+}
+
+// abandon closes the current segment without writing to it again: a
+// record that could not be encoded must not leave a hole inside one.
+func (w *archiveWriter) abandon() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.abandonLocked()
+}
+
+func (w *archiveWriter) abandonLocked() {
+	if w.seg != nil {
+		w.seg.Close()
+		w.seg = nil
 	}
 }
 
-// Position returns the newest archived epoch for the table.
-func (a *Archiver) Position(table string) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.positions[table]
-}
-
-// Generation returns the highest fencing term seen in the archive.
-func (a *Archiver) Generation() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.gen
+// close fsyncs and closes the current segment; nothing is written after.
+func (w *archiveWriter) close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.closed = true
+	if w.seg == nil {
+		return nil
+	}
+	err := w.seg.Sync()
+	if cerr := w.seg.Close(); err == nil {
+		err = cerr
+	}
+	w.seg = nil
+	return err
 }
 
 // segments lists the archive's segment files in replay (lexical)
@@ -221,123 +189,15 @@ func segments(dir string) ([]string, error) {
 	return segs, nil
 }
 
-// recover replays the archive's live record headers and rebuilds the
-// per-table positions and fencing term, so a restarted archiver resumes
-// instead of re-snapshotting.
-func (a *Archiver) recover() error {
-	n, err := replayLive(a.cfg.Dir, 0, a.cfg.Tables,
-		func(m *recordMeta) (string, uint64) { return m.Table, m.Epoch },
-		func(m *recordMeta) error { a.note(m); return nil })
+// newSegment creates the directory if missing and the next segment
+// file in it, numbered above everything already there.
+func newSegment(dir string) (*os.File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("creating archive directory: %w", err)
+	}
+	segs, err := segments(dir)
 	if err != nil {
-		return err
-	}
-	if n > 0 {
-		a.logf("replica: archive %s: recovered positions %v at generation %d from %d live records",
-			a.cfg.Dir, a.positions, a.gen, n)
-	}
-	return nil
-}
-
-// note folds one record header into the recovered positions. A
-// snapshot resets the table's position (it may regress after a leader
-// restart); everything else advances it monotonically.
-func (a *Archiver) note(m *recordMeta) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if m.Table != "" {
-		if m.Type == RecordSnapshot {
-			a.positions[m.Table] = m.Epoch
-		} else if m.Epoch > a.positions[m.Table] {
-			a.positions[m.Table] = m.Epoch
-		}
-	}
-	if m.Generation > a.gen {
-		a.gen = m.Generation
-	}
-	if m.Boot != "" {
-		a.boot = m.Boot
-	}
-}
-
-// run is the subscription loop: subscribe, archive until the stream
-// breaks, back off, repeat. Unlike a serving follower nothing here is
-// terminal — an archiver pointed at a deposed leader archives nothing
-// new once the real leader fences it, and repointing it is an
-// operator action; meanwhile retrying is harmless because the archive
-// only ever appends records the leader actually sent.
-func (a *Archiver) run() {
-	defer a.wg.Done()
-	never := func(error) bool { return false }
-	_ = retrySessions(a.ctx, a.cfg.ReconnectMin, a.cfg.ReconnectMax, &a.stats.reconnects, a.subscribeOnce, never,
-		func(err error, backoff time.Duration) {
-			if err != nil {
-				a.logf("replica: archiver stream from %s ended: %v (retrying in %v)", a.cfg.Upstream, err, backoff)
-			}
-		})
-}
-
-// subscribeOnce opens one subscription session and archives its
-// records into one fresh segment (created lazily on the first record,
-// so failed connects do not litter the directory with empty files).
-func (a *Archiver) subscribeOnce() (archived int, err error) {
-	a.mu.Lock()
-	req := SubscribeRequest{
-		Version:    ProtocolVersion,
-		Tables:     append([]string(nil), a.cfg.Tables...),
-		Generation: a.gen,
-		Boot:       a.boot,
-		Positions:  make(map[string]uint64, len(a.positions)),
-	}
-	for t, e := range a.positions {
-		req.Positions[t] = e
-	}
-	a.mu.Unlock()
-
-	var seg *os.File
-	written := 0
-	defer func() {
-		if seg != nil {
-			// Fsync before close: the session's tail must be durable by
-			// the time Close (which joins this loop) returns.
-			seg.Sync()
-			seg.Close()
-		}
-	}()
-	return subscribeSession(a.ctx, a.hc, a.cfg.Upstream, &req, func(line []byte) error {
-		var m recordMeta
-		if err := json.Unmarshal(line, &m); err != nil {
-			return fmt.Errorf("decoding stream record: %w", err)
-		}
-		if seg == nil {
-			if seg, err = a.newSegment(); err != nil {
-				return err
-			}
-		}
-		if _, err := seg.Write(append(line, '\n')); err != nil {
-			return fmt.Errorf("writing archive segment: %w", err)
-		}
-		a.note(&m)
-		a.stats.records.Add(1)
-		if m.Type == RecordResume {
-			a.stats.resumes.Add(1)
-		}
-		// Periodic fsync bounds how much a power loss can take with it;
-		// a torn or missing tail is exactly what recovery tolerates.
-		if written++; written%archiveSyncEvery == 0 {
-			if err := seg.Sync(); err != nil {
-				return fmt.Errorf("syncing archive segment: %w", err)
-			}
-		}
-		return nil
-	})
-}
-
-// newSegment creates the next segment file, numbered above everything
-// already in the directory.
-func (a *Archiver) newSegment() (*os.File, error) {
-	segs, err := segments(a.cfg.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("replica: %w", err)
+		return nil, err
 	}
 	next := 1
 	if len(segs) > 0 {
@@ -347,13 +207,11 @@ func (a *Archiver) newSegment() (*os.File, error) {
 			next = n + 1
 		}
 	}
-	path := filepath.Join(a.cfg.Dir, fmt.Sprintf("segment-%08d.ndjson", next))
+	path := filepath.Join(dir, fmt.Sprintf("segment-%08d.ndjson", next))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("replica: creating archive segment: %w", err)
+		return nil, fmt.Errorf("creating archive segment: %w", err)
 	}
-	a.stats.segments.Add(1)
-	a.logf("replica: archiving to %s", path)
 	return f, nil
 }
 

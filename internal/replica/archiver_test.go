@@ -18,35 +18,18 @@ import (
 )
 
 // TestArchiverRoundTripAndBootstrap is the archival contract end to
-// end: an archiver tails a working leader to disk; a fresh follower
+// end: a working leader archives its own stream; a fresh follower
 // pointed at the archive reaches the fleet's epoch by replay alone —
 // its first live subscription is answered with a cheap resume, never a
-// leader snapshot — and serves bit-identically; a restarted archiver
-// recovers its position from the segments and resumes instead of
-// forcing a re-snapshot.
+// leader snapshot — and serves bit-identically.
 func TestArchiverRoundTripAndBootstrap(t *testing.T) {
 	testleak.Check(t)
 	const rows = 1200
 	const batch = 7
-	leader, _, ts := newLeader(t, rows, 80 /* stable layout */, 0)
 	dir := t.TempDir()
+	leader, pub, ts := newArchivingLeader(t, rows, 80 /* stable layout */, 0, dir)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-
-	arch, err := NewArchiver(ArchiverConfig{
-		Upstream:     ts.URL,
-		Dir:          dir,
-		ReconnectMin: 5 * time.Millisecond,
-		ReconnectMax: 50 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hold the workload until the subscription lands: the archive must
-	// start from the epoch-0 snapshot, not from wherever the stream
-	// happened to attach mid-run.
-	waitFor(t, "initial snapshot archived", func() bool { return arch.Stats().Records >= 1 })
 
 	// Queries, appends, and a compaction: the archive must carry every
 	// record kind through a bootstrap.
@@ -75,12 +58,8 @@ func TestArchiverRoundTripAndBootstrap(t *testing.T) {
 			want++
 		}
 	}
-	waitFor(t, fmt.Sprintf("archive at epoch %d", want), func() bool {
-		return arch.Position("orders") == want
-	})
-	if got := arch.Generation(); got != 1 {
-		t.Fatalf("archived generation = %d, want 1", got)
-	}
+	// Every epoch is one record, counted once it is written.
+	waitFor(t, fmt.Sprintf("archive at epoch %d", want), func() bool { return pub.Published() == want })
 
 	// Point-in-time replay: bounding the replay must deliver only
 	// records at or below the bound.
@@ -126,38 +105,14 @@ func TestArchiverRoundTripAndBootstrap(t *testing.T) {
 	}
 	assertLiveBitIdentical(t, leader, fol.Core(), rows, true)
 
-	// Archiver restart: positions recover from the segments, the next
-	// session starts a new segment, and the stream resumes.
-	arch.Close()
-	arch2, err := NewArchiver(ArchiverConfig{
-		Upstream:     ts.URL,
-		Dir:          dir,
-		ReconnectMin: 5 * time.Millisecond,
-		ReconnectMax: 50 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer arch2.Close()
-	if got := arch2.Position("orders"); got != want {
-		t.Fatalf("restarted archiver recovered position %d, want %d", got, want)
-	}
-	waitFor(t, "cheap resume after restart", func() bool { return arch2.Stats().Resumes >= 1 })
-	if _, err := leader.Answer(ctx, workloadQuery(41, rows)); err != nil {
-		t.Fatal(err)
-	}
-	want++
-	waitFor(t, "archive advanced past restart", func() bool {
-		return arch2.Position("orders") == want
-	})
-	if st := arch2.Stats(); st.Records > 4 {
-		t.Fatalf("restarted archiver stats %+v: want a cheap resume, not a replayed history", st)
-	}
-
-	// The whole archive replays cleanly and ends at the final epoch.
+	// The whole archive replays cleanly, opens with the epoch-0 snapshot
+	// at the leader's term and ends at the final epoch.
+	var first *Record
 	var last uint64
 	total, err := ReplayArchive(dir, func(rec *Record) error {
+		if first == nil {
+			first = rec
+		}
 		if rec.Table == "orders" && rec.Epoch > last {
 			last = rec.Epoch
 		}
@@ -166,8 +121,11 @@ func TestArchiverRoundTripAndBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last != want || total == 0 {
-		t.Fatalf("full replay of %d records ended at epoch %d, want %d", total, last, want)
+	if first.Type != RecordSnapshot || first.Epoch != 0 || first.Generation != 1 {
+		t.Fatalf("archive opens with %s at epoch %d, generation %d; want the epoch-0 snapshot at generation 1", first.Type, first.Epoch, first.Generation)
+	}
+	if last != want || uint64(total) != want+1 {
+		t.Fatalf("full replay of %d records ended at epoch %d, want %d records ending at %d", total, last, want+1, want)
 	}
 }
 
@@ -345,4 +303,39 @@ func TestReplaySkipsWhatASnapshotSupersedes(t *testing.T) {
 	if _, err := ReplayArchive(dir, func(*Record) error { return nil }); err == nil {
 		t.Fatal("mid-segment garbage past a table's start went unreported")
 	}
+}
+
+// FuzzArchiveReplay feeds arbitrary bytes to Recover as the one segment
+// of an archive over the 96-row orders fixture testdata/archive-parent
+// was written against. Disk bytes are untrusted input: Recover must
+// return an error or a leader, and never panic or hang.
+func FuzzArchiveReplay(f *testing.F) {
+	parent, err := os.ReadFile(filepath.Join("testdata", "archive-parent", "segment-00000001.ndjson"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The segment ends in a newline, so its last line is lines[n-2].
+	lines := strings.SplitAfter(string(parent), "\n")
+	n := len(lines)
+	torn := parent[:len(parent)-len(lines[n-2])/2-1]
+	garbage := strings.Join(lines[:n/2], "") + "{\"type\":\"decision\",garbage\n" + strings.Join(lines[n/2:], "")
+	f.Add(parent)
+	f.Add(torn)
+	f.Add([]byte(garbage))
+	const rows = 96
+	boot := buildOrders(rows)
+	cfg := serve.PromoteConfig{QueueSize: 64, Tables: map[string]serve.PromoteTable{"orders": {Config: ordersPromoteConfig(80)}}}
+	quiet := func(string, ...any) {}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "segment-00000001.ndjson"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		core, pub, err := Recover(dir, []TableData{{Name: "orders", Dataset: boot}}, 1, cfg, PublisherConfig{Logf: quiet})
+		if err != nil {
+			return
+		}
+		core.Close()
+		pub.Close()
+	})
 }

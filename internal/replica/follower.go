@@ -68,11 +68,12 @@ type FollowerConfig struct {
 	// serve.CoreConfig.ScanParallelism).
 	ScanParallelism int
 	// ArchiveDir, when set, bootstraps the follower from a local
-	// decision-log archive (written by an Archiver) before the first
-	// subscription: every archived record is replayed through the normal
-	// apply path, so the follower reaches the archive's tail epoch
-	// offline and then resubscribes with those positions — the leader
-	// answers with a cheap resume instead of a full re-snapshot.
+	// decision-log archive (written by a leader's Publisher) before the
+	// first subscription: every archived record is replayed through the
+	// normal apply path, so the follower reaches the archive's tail epoch
+	// offline and then resubscribes with those positions — a leader that
+	// wrote them answers with a cheap resume instead of a full
+	// re-snapshot.
 	ArchiveDir string
 }
 
@@ -443,24 +444,42 @@ func (f *Follower) fail(err error) {
 var errFenced = errors.New("replica: stream fenced (upstream generation is older than applied state)")
 
 // run is the subscription loop: subscribe, apply until the stream
-// breaks, back off, repeat. Only failures retrying cannot fix — local
-// rows that diverge from the leader's, a rejected subscription, a
-// fenced stream — are terminal.
+// breaks, back off, repeat, until the follower is detached. Only
+// failures retrying cannot fix — local rows that diverge from the
+// leader's, a rejected subscription, a fenced stream — are terminal.
+// Every attempt after the first counts as a reconnect; a session that
+// applied records earns a fresh backoff, one that failed straight away
+// backs off harder.
 func (f *Follower) run() {
 	defer f.wg.Done()
-	terminal := func(err error) bool {
-		return errors.Is(err, serve.ErrDiverged) || errors.Is(err, errRejected) || errors.Is(err, errFenced)
-	}
-	err := retrySessions(f.ctx, f.cfg.ReconnectMin, f.cfg.ReconnectMax, &f.stats.reconnects, f.subscribeOnce, terminal,
-		func(err error, backoff time.Duration) {
-			if err != nil {
-				f.logf("replica: subscription to %s ended: %v (retrying in %v)", f.cfg.Upstream, err, backoff)
-			} else {
-				f.logf("replica: subscription to %s closed (retrying in %v)", f.cfg.Upstream, backoff)
-			}
-		})
-	if err != nil {
-		f.fail(err)
+	backoff := f.cfg.ReconnectMin
+	for first := true; ; first = false {
+		if !first {
+			f.stats.reconnects.Add(1)
+		}
+		n, err := f.subscribeOnce()
+		if f.ctx.Err() != nil {
+			return
+		}
+		if errors.Is(err, serve.ErrDiverged) || errors.Is(err, errRejected) || errors.Is(err, errFenced) {
+			f.fail(err)
+			return
+		}
+		if err != nil {
+			f.logf("replica: subscription to %s ended: %v (retrying in %v)", f.cfg.Upstream, err, backoff)
+		} else {
+			f.logf("replica: subscription to %s closed (retrying in %v)", f.cfg.Upstream, backoff)
+		}
+		if n > 0 {
+			backoff = f.cfg.ReconnectMin
+		} else if backoff *= 2; backoff > f.cfg.ReconnectMax {
+			backoff = f.cfg.ReconnectMax
+		}
+		select {
+		case <-f.ctx.Done():
+			return
+		case <-time.After(backoff):
+		}
 	}
 }
 

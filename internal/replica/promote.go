@@ -25,11 +25,11 @@ import (
 // Generation is overridden with the incremented term. The adopted term
 // must outlive this process, and it does wherever the new leader's
 // stream is archived: snapshot records carry it, and Recover restarts
-// at the archived term — oreoserve -archive starts that archiver as
-// part of the promotion. On error the follower's replication loop is
-// already stopped (promotion is a one-way door — the caller decides
-// whether to rebuild a follower or retry), but the core's serving
-// surface is unchanged.
+// at the archived term — pubCfg.ArchiveDir names the directory the new
+// publisher archives into (oreoserve -archive passes its own). On
+// error the follower's replication loop is already stopped (promotion
+// is a one-way door — the caller decides whether to rebuild a follower
+// or retry), but the core's serving surface is unchanged.
 func Promote(f *Follower, cfg serve.PromoteConfig, pubCfg PublisherConfig) (*Publisher, error) {
 	f.Detach()
 	return lead(f.Core(), f.Generation()+1, cfg, pubCfg)
@@ -66,9 +66,12 @@ var ErrNoArchive = errors.New("replica: no archive to recover from")
 // by everyone who moved past it.
 //
 // The recovered leader stands at the archive's tail: every epoch,
-// counter and appended row the archiver wrote before the process
-// stopped. On any error nothing is left running and no core is
-// returned; cfg is Promote's, pubCfg's Generation is overridden.
+// counter and appended row its predecessor acknowledged, since a
+// publisher archives each update before its ack. Its own publisher
+// archives on into dir, in a new segment that opens with fresh
+// snapshots. On any error nothing is left running and no core is
+// returned; cfg is Promote's, pubCfg's Generation and ArchiveDir are
+// overridden.
 func Recover(dir string, tables []TableData, scanParallelism int, cfg serve.PromoteConfig, pubCfg PublisherConfig) (*serve.Core, *Publisher, error) {
 	f, err := newFollower(FollowerConfig{
 		Tables:          tables,
@@ -85,6 +88,7 @@ func Recover(dir string, tables []TableData, scanParallelism int, cfg serve.Prom
 		f.Close()
 		return nil, nil, ErrNoArchive
 	}
+	pubCfg.ArchiveDir = dir
 	pub, err := lead(f.Core(), f.Generation(), cfg, pubCfg)
 	if err != nil {
 		f.Close()

@@ -46,6 +46,12 @@ type PublisherConfig struct {
 	// Logf receives operational messages (subscriber churn, forced
 	// re-snapshots); nil selects log.Printf.
 	Logf func(format string, args ...any)
+	// ArchiveDir, when set, is where the publisher archives its own
+	// stream (created if missing): one new segment per publisher,
+	// opened with every table's snapshot, and every published record
+	// appended before the update it carries is acknowledged. See the
+	// archive's description in archiver.go.
+	ArchiveDir string
 }
 
 // Publisher is the leader half of replication: attached to a leader
@@ -54,22 +60,24 @@ type PublisherConfig struct {
 // subscribed followers. It owns the two replication HTTP endpoints
 // (mount with Mount or the individual handlers).
 //
-// The publisher never blocks the decision path: the hook does one JSON
-// encode and N non-blocking channel sends. A subscriber that cannot
-// keep up overflows its bounded queue, and its writer repairs the gap
-// by discarding the backlog and re-snapshotting in-stream.
+// The publisher never blocks the decision path on a subscriber: the hook
+// does one JSON encode, one archive write when archiving, and N
+// non-blocking channel sends. A subscriber that cannot keep up overflows
+// its bounded queue, and its writer repairs the gap by discarding the
+// backlog and re-snapshotting in-stream.
 type Publisher struct {
 	core      *serve.Core
 	gen       uint64
 	boot      string
 	queueSize int
 	logf      func(format string, args ...any)
+	arch      *archiveWriter // nil without PublisherConfig.ArchiveDir
 
 	mu     sync.Mutex
 	subs   map[*subscriber]struct{}
 	subSeq uint64 // subscriber label allocator; under mu
 
-	published   atomic.Uint64 // decision records offered to subscribers
+	published   atomic.Uint64 // decision records offered to subscribers or written to the archive
 	resnapshots atomic.Uint64 // in-stream gap repairs
 
 	// Forwarded-observation outcome counters, registered on the leader
@@ -80,9 +88,10 @@ type Publisher struct {
 	obsFenced   *metrics.Counter
 }
 
-// NewPublisher attaches a publisher to a leader core's decision hook.
-// There should be exactly one publisher per core — attaching a second
-// replaces the first's hook.
+// NewPublisher attaches a publisher to a leader core's decision hook
+// and, with cfg.ArchiveDir, opens its archive segment. There should be
+// exactly one publisher per core — attaching a second replaces the
+// first's hook.
 func NewPublisher(core *serve.Core, cfg PublisherConfig) (*Publisher, error) {
 	if core == nil {
 		return nil, fmt.Errorf("replica: nil core")
@@ -110,10 +119,32 @@ func NewPublisher(core *serve.Core, cfg PublisherConfig) (*Publisher, error) {
 		logf:      cfg.Logf,
 		subs:      make(map[*subscriber]struct{}),
 	}
+	if cfg.ArchiveDir != "" {
+		p.arch = &archiveWriter{dir: cfg.ArchiveDir, snapshots: p.openingSnapshots, logf: cfg.Logf}
+	}
 	p.registerMetrics()
 	core.SetGeneration(p.gen)
 	core.SetDecisionHook(p.publish)
+	if p.arch != nil {
+		// The hook first, then the segment's opening snapshots: every
+		// update applied after a snapshot was cut reaches the hook, which
+		// waits for the snapshots to be written before it writes its own.
+		if err := p.arch.write(nil); err != nil {
+			core.SetDecisionHook(nil)
+			return nil, fmt.Errorf("replica: opening archive %s: %w", cfg.ArchiveDir, err)
+		}
+	}
 	return p, nil
+}
+
+// Close fsyncs and closes the archive segment, if any. Close the core
+// first: an update applied after Close is published to subscribers but
+// no longer archived.
+func (p *Publisher) Close() error {
+	if p.arch == nil {
+		return nil
+	}
+	return p.arch.close()
 }
 
 // registerMetrics attaches the publisher's series to the leader core's
@@ -127,7 +158,7 @@ func (p *Publisher) registerMetrics() {
 		"Connected replication subscribers (follower streams).", nil,
 		func() float64 { return float64(p.Subscribers()) })
 	reg.CounterFunc("oreo_replication_published_total",
-		"Decision records offered to subscribers.", nil,
+		"Decision records offered to subscribers or written to the archive.", nil,
 		func() float64 { return float64(p.published.Load()) })
 	reg.CounterFunc("oreo_replication_resnapshots_total",
 		"In-stream gap repairs: a lagging subscriber's backlog was discarded and its tables re-snapshotted.", nil,
@@ -200,7 +231,8 @@ func (p *Publisher) Subscribers() int {
 	return len(p.subs)
 }
 
-// Published reports decision records offered to subscribers, and
+// Published reports decision records offered to subscribers or written
+// to the archive (counted after the write), and
 // Resnapshots the in-stream gap repairs performed.
 func (p *Publisher) Published() uint64   { return p.published.Load() }
 func (p *Publisher) Resnapshots() uint64 { return p.resnapshots.Load() }
@@ -277,12 +309,14 @@ func (s *subscriber) offer(data []byte, table string, epoch uint64) {
 	}
 }
 
-// publish is the decision hook: encode once, fan out non-blocking.
-// It runs on each table's event consumer goroutine — serialized per
-// table, concurrent across tables — so per-table record order on every
-// subscriber channel matches epoch order. All three update kinds share
-// the path: decisions, append batches, and compactions are one totally
-// ordered log.
+// publish is the decision hook: encode once, archive, fan out
+// non-blocking. It runs on each table's event consumer goroutine —
+// serialized per table, concurrent across tables — so per-table record
+// order in the archive and on every subscriber channel matches epoch
+// order. All three update kinds share the path: decisions, append
+// batches, and compactions are one totally ordered log. The shard calls
+// it before acknowledging an append or compaction, so with an archive an
+// acknowledged update has been written to it.
 func (p *Publisher) publish(table string, upd serve.DecisionUpdate) {
 	p.mu.Lock()
 	var interested []*subscriber
@@ -293,7 +327,7 @@ func (p *Publisher) publish(table string, upd serve.DecisionUpdate) {
 		}
 	}
 	p.mu.Unlock()
-	if len(interested) == 0 {
+	if len(interested) == 0 && p.arch == nil {
 		return
 	}
 
@@ -311,7 +345,17 @@ func (p *Publisher) publish(table string, upd serve.DecisionUpdate) {
 		for _, s := range interested {
 			s.markGapped()
 		}
+		if p.arch != nil {
+			p.arch.abandon()
+		}
 		return
+	}
+	// The archive before the subscribers: it writes into data's spare
+	// capacity, which no subscriber reads.
+	if p.arch != nil {
+		if err := p.arch.write(data); err != nil {
+			p.logf("replica: archiving %s update for %s: %v (the next record opens a fresh segment)", upd.Kind, table, err)
+		}
 	}
 	p.published.Add(1)
 	for _, s := range interested {
@@ -338,6 +382,24 @@ func (p *Publisher) snapshotRecord(table string) (*Record, error) {
 	}
 	rec.Generation, rec.Boot = p.gen, p.boot
 	return rec, nil
+}
+
+// openingSnapshots encodes every served table's snapshot record, in
+// registration order: the head of each archive segment.
+func (p *Publisher) openingSnapshots() ([][]byte, error) {
+	var out [][]byte
+	for _, t := range p.core.Tables() {
+		rec, err := p.snapshotRecord(t)
+		if err != nil {
+			return nil, err
+		}
+		data, err := json.Marshal(rec)
+		if err != nil {
+			return nil, fmt.Errorf("replica: encoding snapshot for %s: %w", t, err)
+		}
+		out = append(out, data)
+	}
+	return out, nil
 }
 
 // SubscribeHandler returns the POST /v2/replication/subscribe handler:
@@ -482,9 +544,8 @@ func (p *Publisher) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		// And the claim must name THIS boot of the leader, not just its
 		// term: a restarted leader re-reaches old epochs along a new
 		// history, so a (generation, epoch) match from a previous boot —
-		// easy for an archiver whose positions persist across arbitrary
-		// downtime — must cost a snapshot, never a silent resume onto a
-		// forked stream.
+		// easy for a follower bootstrapped from an old archive — must
+		// cost a snapshot, never a silent resume onto a forked stream.
 		claim, claimed := req.Positions[t]
 		if ok && req.Generation == p.gen && req.Boot == p.boot && claimed && claim == epoch {
 			data, err := json.Marshal(&Record{Type: RecordResume, Table: t, Epoch: epoch, Generation: p.gen, Boot: p.boot})

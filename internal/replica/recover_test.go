@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,26 +19,6 @@ import (
 	"oreo/internal/serve"
 	"oreo/internal/testleak"
 )
-
-// archiveOf tails the leader at url into dir and returns once the
-// session's opening snapshot is on disk, so the archive starts where the
-// leader stood and not wherever the stream happened to attach.
-func archiveOf(t *testing.T, url, dir string) *Archiver {
-	t.Helper()
-	arch, err := NewArchiver(ArchiverConfig{
-		Upstream:     url,
-		Dir:          dir,
-		ReconnectMin: 5 * time.Millisecond,
-		ReconnectMax: 50 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(arch.Close)
-	waitFor(t, "opening snapshot archived", func() bool { return arch.Stats().Records >= 1 })
-	return arch
-}
 
 // recoverOrders is Recover over the orders fixture with the engine
 // config newLeader boots, registered for teardown.
@@ -49,7 +32,7 @@ func recoverOrders(t *testing.T, dir string, rows int, alpha float64) (*serve.Co
 	if err != nil {
 		t.Fatalf("recovering from %s: %v", dir, err)
 	}
-	t.Cleanup(core.Close)
+	t.Cleanup(func() { core.Close(); pub.Close() })
 	return core, pub
 }
 
@@ -87,10 +70,9 @@ func TestRecoverBitIdentityEveryEpoch(t *testing.T) {
 	compactAt := map[int]bool{14: true, preOps - 1: true, preOps + 9: true}
 	ops := promoteSchedule(total, rows, batch, compactAt)
 
-	leader, _, ts := newLeader(t, rows, 1.5, 0)
-	control := newControlLeader(t, rows, 1.5)
 	dir := t.TempDir()
-	arch := archiveOf(t, ts.URL, dir)
+	leader, _, _ := newArchivingLeader(t, rows, 1.5, 0, dir)
+	control := newControlLeader(t, rows, 1.5)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -111,12 +93,8 @@ func TestRecoverBitIdentityEveryEpoch(t *testing.T) {
 		t.Fatal("workload never reorganized before the kill; property not exercised")
 	}
 
-	// Let the archive reach the last acknowledged epoch, then take the
-	// leader away: its memory is gone, the segment files are all there is.
-	waitFor(t, fmt.Sprintf("archive at epoch %d", want), func() bool { return arch.Position("orders") == want })
-	arch.Close()
-	ts.CloseClientConnections()
-	ts.Close()
+	// Take the leader away: its memory is gone, the segment files —
+	// neither closed nor synced — are all there is.
 	leader.Close()
 
 	recovered, pub := recoverOrders(t, dir, rows, 1.5)
@@ -165,24 +143,18 @@ func TestRecoverKeepsTermAndIsFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub3, err := NewPublisher(srv.Core(), PublisherConfig{Generation: 3, Logf: t.Logf})
+	dir := t.TempDir()
+	pub3, err := NewPublisher(srv.Core(), PublisherConfig{Generation: 3, Logf: t.Logf, ArchiveDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub3.Mount(srv)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-	dir := t.TempDir()
-	arch := archiveOf(t, ts.URL, dir)
+	t.Cleanup(func() { srv.Close(); pub3.Close() })
 	for i := 0; i < 5; i++ {
 		if _, err := srv.Core().Answer(context.Background(), workloadQuery(i, rows)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "archive at epoch 5", func() bool { return arch.Position("orders") == 5 })
-	arch.Close()
-	ts.CloseClientConnections()
-	ts.Close()
+	waitFor(t, "epoch 5", func() bool { return ordersEpoch(srv.Core()) == 5 })
 	srv.Close()
 
 	recovered, pub := recoverOrders(t, dir, rows, 80)
@@ -229,14 +201,13 @@ func TestRecoverKeepsTermAndIsFenced(t *testing.T) {
 func TestRecoverRefusals(t *testing.T) {
 	testleak.Check(t)
 	const rows = 600
-	leader, _, ts := newLeader(t, rows, 80, 0)
 	dir := t.TempDir()
-	arch := archiveOf(t, ts.URL, dir)
+	leader, _, _ := newArchivingLeader(t, rows, 80, 0, dir)
 	if _, err := leader.Answer(context.Background(), workloadQuery(0, rows)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "archive at epoch 1", func() bool { return arch.Position("orders") == 1 })
-	arch.Close()
+	waitFor(t, "epoch 1", func() bool { return ordersEpoch(leader) == 1 })
+	leader.Close()
 
 	tables := func(ds *oreo.Dataset, extra ...TableData) []TableData {
 		return append([]TableData{{Name: "orders", Dataset: ds}}, extra...)
@@ -273,38 +244,32 @@ func TestRecoverRefusals(t *testing.T) {
 }
 
 // TestSecondRestartReplaysOnlyTheNewSession pins what keeps restarts
-// from compounding: a recovered leader's archiver opens a new session
+// from compounding: a recovered leader's publisher opens a new segment
 // with a fresh snapshot, so the next recovery starts there — it is
 // handed that snapshot and what followed it, never the first life's
 // records — and still lands on the same epoch with the same bits.
 func TestSecondRestartReplaysOnlyTheNewSession(t *testing.T) {
 	testleak.Check(t)
 	const rows, firstLife, secondLife = 600, 60, 9
-	leader, _, ts := newLeader(t, rows, 1.5, 0)
 	dir := t.TempDir()
-	arch := archiveOf(t, ts.URL, dir)
+	leader, pub, _ := newArchivingLeader(t, rows, 1.5, 0, dir)
 	ctx := context.Background()
-	run := func(core *serve.Core, arch *Archiver, from, n int) {
+	// run decides n queries and returns once the last one's record is
+	// archived: the publisher counts a record after writing it.
+	run := func(core *serve.Core, pub *Publisher, from, n int) {
 		t.Helper()
-		start := ordersEpoch(core)
 		for i := from; i < from+n; i++ {
 			if _, err := core.Answer(ctx, workloadQuery(i, rows)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		waitFor(t, "archive caught up", func() bool { return arch.Position("orders") == start+uint64(n) })
-		arch.Close()
+		waitFor(t, "archive caught up", func() bool { return pub.Published() == uint64(n) })
 	}
-	run(leader, arch, 0, firstLife)
-	ts.CloseClientConnections()
-	ts.Close()
+	run(leader, pub, 0, firstLife)
 	leader.Close()
 
 	first, pub := recoverOrders(t, dir, rows, 1.5)
-	rts := serveReplication(t, pub)
-	run(first, archiveOf(t, rts.URL, dir), firstLife, secondLife)
-	rts.CloseClientConnections()
-	rts.Close()
+	run(first, pub, firstLife, secondLife)
 
 	delivered, err := replayLive(dir, 0, []string{"orders"}, recordHeader, func(*Record) error { return nil })
 	if err != nil {
@@ -318,4 +283,107 @@ func TestSecondRestartReplaysOnlyTheNewSession(t *testing.T) {
 		t.Fatalf("second recovery at epoch %d, want %d", got, want)
 	}
 	assertLiveBitIdentical(t, first, second, rows, true)
+}
+
+// TestAckedAppendsSurviveKill pins "acknowledged ⇒ archived" under
+// concurrent writers: eight goroutines append 10-row batches with
+// disjoint order_ts ranges to an archiving leader, and mid-stream the
+// archive directory is copied byte for byte with nothing closed or
+// synced — what kill -9 leaves behind. Recover from the copy must serve
+// every row acknowledged before the copy began: the row count, and an
+// executed count over each writer's range.
+func TestAckedAppendsSurviveKill(t *testing.T) {
+	testleak.Check(t)
+	const rows, writers, batch, span = 600, 8, 10, 1 << 20
+	dir := t.TempDir()
+	leader, _, _ := newArchivingLeader(t, rows, 80, 0, dir)
+	ctx := context.Background()
+
+	var acked [writers]atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			next := rows + w*span
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				b := make([]map[string]any, batch)
+				for j := range b {
+					b[j] = appendRow(next + j)
+				}
+				ack, err := leader.Append(ctx, "orders", b)
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				next += ack.Appended
+				acked[w].Add(int64(ack.Appended))
+			}
+		}(w)
+	}
+	total := func() (n int64) {
+		for w := range acked {
+			n += acked[w].Load()
+		}
+		return n
+	}
+	waitFor(t, "acked appends", func() bool { return total() >= 100*batch })
+
+	// Read the acknowledgements first: each was written before its ack
+	// returned, so the copy that follows holds at least these rows.
+	var want [writers]int64
+	for w := range acked {
+		want[w] = acked[w].Load()
+	}
+	crash := t.TempDir()
+	segs, err := segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crash, filepath.Base(seg)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	recovered, _ := recoverOrders(t, crash, rows, 80)
+	pos, _ := recovered.ReplicaPosition("orders")
+	served := pos.Dataset.NumRows() - rows
+	if pos.Delta != nil {
+		served += pos.Delta.NumRows()
+	}
+	var sum int64
+	for w := range want {
+		sum += want[w]
+	}
+	if int64(served) < sum {
+		t.Errorf("recovered leader serves %d appended rows, %d were acknowledged before the kill", served, sum)
+	}
+	for w := range want {
+		lo := int64(rows + w*span)
+		res, err := recovered.Answer(ctx, serve.QueryRequest{
+			Table: "orders", Execute: true,
+			Preds: []serve.PredicateJSON{{Col: "order_ts", HasLo: true, HasHi: true, LoI: lo, HiI: lo + span - 1}},
+			Aggs:  []serve.AggregateJSON{{Op: "count"}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res[0].Execution.MatchedRows; int64(got) < want[w] {
+			t.Errorf("writer %d: %d rows served, %d acknowledged before the kill", w, got, want[w])
+		}
+	}
+	t.Logf("%d rows acknowledged before the kill, %d served after Recover", sum, served)
 }

@@ -72,6 +72,16 @@
 // fencing term, subscribers are re-snapshotted instead of silently
 // resumed onto a forked history.
 //
+// # The archive
+//
+// A leader's Publisher can also archive the stream it publishes
+// (PublisherConfig.ArchiveDir): each record is appended to an NDJSON
+// segment inside the decision hook, so an update is on disk before the
+// shard acknowledges it. Recover brings a leader back from that
+// directory, a follower bootstraps from it (FollowerConfig.ArchiveDir),
+// and ReplayArchiveUpTo replays it to any epoch; archiver.go holds the
+// writer, the format and the readers.
+//
 // # Observations flow upstream
 //
 // Queries answered at a follower still teach the leader's optimizer:

@@ -47,6 +47,13 @@ func buildOrders(rows int) *oreo.Dataset {
 // replication endpoints.
 func newLeader(t *testing.T, rows int, alpha float64, reorgDelay int) (*serve.Core, *Publisher, *httptest.Server) {
 	t.Helper()
+	return newArchivingLeader(t, rows, alpha, reorgDelay, "")
+}
+
+// newArchivingLeader is newLeader whose publisher archives into dir
+// ("" archives nothing).
+func newArchivingLeader(t *testing.T, rows int, alpha float64, reorgDelay int, dir string) (*serve.Core, *Publisher, *httptest.Server) {
+	t.Helper()
 	m := oreo.NewMulti()
 	if err := m.AddTable("orders", buildOrders(rows), oreo.Config{
 		Alpha:       alpha,
@@ -62,13 +69,13 @@ func newLeader(t *testing.T, rows int, alpha float64, reorgDelay int) (*serve.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := NewPublisher(srv.Core(), PublisherConfig{Logf: t.Logf})
+	pub, err := NewPublisher(srv.Core(), PublisherConfig{Logf: t.Logf, ArchiveDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pub.Mount(srv)
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
+	t.Cleanup(func() { ts.Close(); srv.Close(); pub.Close() })
 	return srv.Core(), pub, ts
 }
 

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 )
 
 // maxStreamLine caps one decision-stream line. Snapshot records carry
@@ -31,8 +30,8 @@ var errRejected = errors.New("replica: subscription rejected by leader")
 // accepted, for backoff bookkeeping, and the error that ended the
 // stream; nil means the leader closed it cleanly.
 //
-// Follower and Archiver share this session and the retry loop below;
-// there is no other subscriber loop.
+// The follower's run loop is its one caller; there is no other
+// subscriber loop.
 func subscribeSession(ctx context.Context, hc *http.Client, upstream string, req *SubscribeRequest, onLine func(line []byte) error) (n int, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -78,42 +77,4 @@ func subscribeSession(ctx context.Context, hc *http.Client, upstream string, req
 		return n, fmt.Errorf("reading stream: %w", err)
 	}
 	return n, nil
-}
-
-// retrySessions is the subscription loop: run a session, back off,
-// repeat, until the context ends (nil) or a session ends with an error
-// isTerminal accepts (returned). Every attempt after the first counts
-// as a reconnect. ended hears how each other session ended and the
-// backoff in force before it is adjusted: a session that delivered
-// records earned a fresh one, one that failed straight away backs off
-// harder.
-func retrySessions(ctx context.Context, min, max time.Duration, reconnects *atomicUint64,
-	session func() (int, error), isTerminal func(error) bool, ended func(err error, backoff time.Duration)) error {
-	backoff := min
-	for first := true; ; first = false {
-		if ctx.Err() != nil {
-			return nil
-		}
-		if !first {
-			reconnects.Add(1)
-		}
-		n, err := session()
-		if ctx.Err() != nil {
-			return nil
-		}
-		if err != nil && isTerminal(err) {
-			return err
-		}
-		ended(err, backoff)
-		if n > 0 {
-			backoff = min
-		} else if backoff *= 2; backoff > max {
-			backoff = max
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(backoff):
-		}
-	}
 }

@@ -333,7 +333,9 @@ func (s *shard) consume() {
 // decision hook — after the publish but before any append/compact
 // acknowledgment, so a replication publisher always describes a state
 // this node already serves, and an acked writer knows its rows are
-// in-stream. Callers are serialized per shard: the leader's consumer,
+// in-stream and, on an archiving leader, in the archive (the publisher
+// writes each record there before its hook returns). Callers are
+// serialized per shard: the leader's consumer,
 // or the one goroutine applying a follower's stream.
 func (s *shard) advance(in DecisionUpdate) (out DecisionUpdate, applied bool, err error) {
 	cur := s.rep.Load()

@@ -371,11 +371,14 @@
 // converted, the fleet's answers stay bit-identical across the failover
 // — property-tested at every epoch against a never-failed control run.
 //
-// replica.Archiver decouples follower bootstrap from leader liveness:
-// an ordinary subscriber that persists the decision stream verbatim to
-// append-only NDJSON segments (one per subscription session; torn
+// A leader's publisher can archive its own stream
+// (replica.PublisherConfig.ArchiveDir): every record subscribers
+// receive, appended verbatim to append-only NDJSON segments (one per
+// publisher lifetime, each opened with a snapshot of every table; torn
 // tails from crashes are tolerated, mid-segment corruption fails
-// loudly). A follower started with -archive DIR replays the archive
+// loudly) inside the decision hook, before the update it carries is
+// acknowledged. The archive decouples follower bootstrap from leader
+// liveness: a follower started with -archive DIR replays the archive
 // offline before touching the network, so its first live subscription
 // is a cheap resume instead of a full leader snapshot — new capacity
 // does not tax the leader it is meant to relieve. The same archive
@@ -386,7 +389,8 @@
 // path (from each table's newest snapshot on), then promoted in place —
 // so a cold boot, a promotion and a restart are the only ways to lead a
 // table, and the last two are one. A restart stands at the archive's
-// tail; what a kill -9 outran the archiver by is lost. See
+// tail, which holds every acknowledged update: a kill -9 loses nothing
+// acknowledged, an OS crash at most the un-fsynced last 256 records. See
 // examples/cluster for the whole arc — scale-up
 // under load, leader kill, promotion, fenced old leader — in one
 // script.
