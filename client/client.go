@@ -3,11 +3,12 @@
 // It speaks both wire surfaces of the server (internal/serve behind
 // cmd/oreoserve): the frozen v1 unary endpoints and the v2 streaming
 // bulk endpoint built for query-log replay. The package is
-// transitively standard library only — embedding it pulls in nothing
-// of OREO but the small JSON scanner it shares with the server
-// (internal/wire, itself standard library only) — and its predicate
-// encoding is exactly the query-log format, so a captured production
-// log is a valid request stream as-is.
+// transitively standard library only: embedding it pulls in nothing of
+// OREO but internal/wire, itself standard library only. The server's
+// wire types and their codec are declared there, and the SDK's types
+// are those same types, by alias. Its predicate encoding is exactly the
+// query-log format, so a captured production log is a valid request
+// stream as-is.
 //
 //	c, err := client.New("http://localhost:8080")
 //	results, err := c.Query(ctx, client.Query{
@@ -29,16 +30,6 @@
 //	ack, err := c.Append(ctx, "orders", []client.Row{
 //		{"order_ts": 1700000001, "status": "new", "amount": 12.5},
 //	})
-//
-// Query, Batch and the stream encode Query and decode TableResult and
-// BatchItem with a codec written for those shapes (codec.go): requests
-// go out as the bytes encoding/json would write, and an answer in the
-// canonical spelling a server's encoder produces is decoded in one pass
-// without reflection. Any other answer — an escaped or non-ASCII
-// string, a null, a key the codec does not know — is decoded by
-// encoding/json from the same bytes, so results and errors do not
-// depend on which of the two ran; nothing selects between them but the
-// answer itself. Every other call is encoding/json throughout.
 //
 // Failures surface as *APIError carrying the HTTP status and server
 // message; errors.Is(err, client.ErrNotFound) (and ErrInvalid,
@@ -157,14 +148,12 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 // Query answers one query: per-table cost, survivor skip-list, and —
 // with Execute set — row counts and aggregates.
 func (c *Client) Query(ctx context.Context, q Query) ([]TableResult, error) {
-	body, err := appendQuery(make([]byte, 0, 512), &q)
+	body, err := wire.AppendQueryRequest(make([]byte, 0, 512), &q)
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
-	var resp struct {
-		Results []TableResult `json:"results"`
-	}
-	canonical := func(answer []byte) bool { return decodeQueryAnswer(answer, &resp.Results) }
+	var resp wire.QueryResponse
+	canonical := func(answer []byte) bool { return wire.DecodeQueryResponse(answer, &resp) }
 	if err := c.roundTrip(ctx, http.MethodPost, c.queryURL, body, canonical, &resp); err != nil {
 		return nil, err
 	}
@@ -175,14 +164,12 @@ func (c *Client) Query(ctx context.Context, q Query) ([]TableResult, error) {
 // partial-failure contract: the call fails only if the whole batch
 // does; per-query failures come back in each item's Error.
 func (c *Client) Batch(ctx context.Context, queries []Query) ([]BatchItem, error) {
-	body, err := appendBatch(make([]byte, 0, 256*(1+len(queries))), queries)
+	body, err := wire.AppendBatchRequest(make([]byte, 0, 256*(1+len(queries))), &wire.BatchRequest{Queries: queries})
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
-	var resp struct {
-		Results []BatchItem `json:"results"`
-	}
-	canonical := func(answer []byte) bool { return decodeBatchAnswer(answer, &resp.Results) }
+	var resp wire.BatchResponse
+	canonical := func(answer []byte) bool { return wire.DecodeBatchResponse(answer, &resp) }
 	if err := c.roundTrip(ctx, http.MethodPost, c.batchURL, body, canonical, &resp); err != nil {
 		return nil, err
 	}
@@ -320,24 +307,17 @@ func (c *Client) Compact(ctx context.Context, table string) (*CompactResult, err
 
 // LoadTrace parses a query-log / trace file (JSON lines, the
 // internal/persist encoding) into replayable queries. Blank lines are
-// skipped; any malformed line fails loudly with its line number —
-// silently dropping captured queries would bias a replay.
+// skipped; any malformed line — bad JSON, or a predicate of a shape the
+// server refuses — fails loudly with its line number: silently dropping
+// captured queries would bias a replay. A line's template identity is
+// not part of a request and is dropped.
 func LoadTrace(r io.Reader) ([]Query, error) {
-	dec := json.NewDecoder(r)
+	log, err := wire.ReadQueryLog(r)
+	if err != nil {
+		return nil, fmt.Errorf("client: trace %w", err)
+	}
 	var out []Query
-	for lineNo := 1; ; lineNo++ {
-		// Query-log lines may carry fields a serving request does not
-		// (template identity, for one); they are ignored, not errors.
-		var q struct {
-			ID    int         `json:"id"`
-			Table string      `json:"table,omitempty"`
-			Preds []Predicate `json:"preds"`
-		}
-		if err := dec.Decode(&q); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("client: trace line %d: %w", lineNo, err)
-		}
+	for _, q := range log {
 		out = append(out, Query{Table: q.Table, ID: q.ID, Preds: q.Preds})
 	}
 	return out, nil

@@ -418,6 +418,10 @@ func TestHealthReportsRoleAndEpochs(t *testing.T) {
 	if h.Role != "leader" || h.Advertise != "http://leader.example:8080" || h.Generation != 1 {
 		t.Fatalf("health role/advertise/generation = %q/%q/%d", h.Role, h.Advertise, h.Generation)
 	}
+	// The SDK reads the server's own health shape, field for field.
+	if want := s.Core().Health().ScanParallelism; want == 0 || h.ScanParallelism != want {
+		t.Fatalf("health scan parallelism = %d, server runs %d", h.ScanParallelism, want)
+	}
 }
 
 // TestAppendCompactRoundTrip drives the live write surface end to end:

@@ -15,6 +15,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"oreo/internal/wire"
 )
 
 // goldenAnswers are the server's pinned /v1 response bodies: real
@@ -61,13 +63,9 @@ var answerSeeds = []string{
 // the same value — and that value owns its strings.
 func checkAnswerCodec(t *testing.T, data []byte) (unary, item bool) {
 	t.Helper()
-	var wantU struct {
-		Results []TableResult `json:"results"`
-	}
+	var wantU wire.QueryResponse
 	errU := json.Unmarshal(data, &wantU)
-	var wantB struct {
-		Results []BatchItem `json:"results"`
-	}
+	var wantB wire.BatchResponse
 	errB := json.Unmarshal(data, &wantB)
 	var wantI BatchItem
 	errI := json.Unmarshal(data, &wantI)
@@ -83,34 +81,34 @@ func checkAnswerCodec(t *testing.T, data []byte) (unary, item bool) {
 	}
 
 	buf := scratch()
-	var gotU []TableResult
-	if unary = decodeQueryAnswer(buf, &gotU); unary {
+	var gotU wire.QueryResponse
+	if unary = wire.DecodeQueryResponse(buf, &gotU); unary {
 		scribble(buf)
 		if errU != nil {
 			t.Fatalf("unary answer %q accepted, which json.Unmarshal refuses: %v", data, errU)
 		}
-		if !reflect.DeepEqual(gotU, wantU.Results) {
-			t.Fatalf("unary answer %q:\n got %#v\nwant %#v", data, gotU, wantU.Results)
+		if !reflect.DeepEqual(gotU, wantU) {
+			t.Fatalf("unary answer %q:\n got %#v\nwant %#v", data, gotU, wantU)
 		}
-	} else if gotU != nil {
+	} else if gotU.Results != nil {
 		t.Fatalf("unary answer %q declined but wrote %#v", data, gotU)
 	}
 
 	buf = scratch()
-	var gotB []BatchItem
-	if decodeBatchAnswer(buf, &gotB) {
+	var gotB wire.BatchResponse
+	if wire.DecodeBatchResponse(buf, &gotB) {
 		scribble(buf)
 		if errB != nil {
 			t.Fatalf("batch answer %q accepted, which json.Unmarshal refuses: %v", data, errB)
 		}
-		if !reflect.DeepEqual(gotB, wantB.Results) {
-			t.Fatalf("batch answer %q:\n got %#v\nwant %#v", data, gotB, wantB.Results)
+		if !reflect.DeepEqual(gotB, wantB) {
+			t.Fatalf("batch answer %q:\n got %#v\nwant %#v", data, gotB, wantB)
 		}
 	}
 
 	buf = scratch()
 	var gotI BatchItem
-	if item = decodeBatchItem(buf, &gotI); item {
+	if item = wire.DecodeBatchItem(buf, &gotI); item {
 		scribble(buf)
 		if errI != nil {
 			t.Fatalf("stream answer %q accepted, which json.Unmarshal refuses: %v", data, errI)
@@ -149,13 +147,13 @@ func TestAnswerCodecSeeds(t *testing.T) {
 	for _, s := range answerSeeds {
 		checkAnswerCodec(t, []byte(s))
 	}
-	var items []BatchItem
-	if decodeBatchAnswer(goldenAnswers(t)["batch.json"], &items) {
+	var batch wire.BatchResponse
+	if wire.DecodeBatchResponse(goldenAnswers(t)["batch.json"], &batch) {
 		t.Error("batch.json carries escaped quotes and was not declined")
 	}
 	clean := `{"results":[{"index":0,"id":1,"results":[{"table":"orders","cost":0.125,"layout":"sort(order_ts)","num_partitions":16,"survivor_partitions":[14,15],"observed":true,"query_id":1}]},{"index":1,"error":"empty query"}]}`
-	if !decodeBatchAnswer([]byte(clean), &items) || len(items) != 2 || items[1].Error != "empty query" {
-		t.Errorf("a batch answer without escapes was declined, or misread: %+v", items)
+	if !wire.DecodeBatchResponse([]byte(clean), &batch) || len(batch.Results) != 2 || batch.Results[1].Error != "empty query" {
+		t.Errorf("a batch answer without escapes was declined, or misread: %+v", batch)
 	}
 }
 
@@ -252,19 +250,17 @@ func TestAppendMatchesMarshal(t *testing.T) {
 		g := queryValues{rng: rand.New(rand.NewSource(15)), nonFinite: nonFinite}
 		for i := 0; i < 3000; i++ {
 			q := g.query()
-			got, err := appendQuery([]byte("prefix"), &q)
+			got, err := wire.AppendQueryRequest([]byte("prefix"), &q)
 			check("Query", q, bytes.TrimPrefix(got, []byte("prefix")), err)
 
-			var batch struct {
-				Queries []Query `json:"queries"`
-			}
+			var batch wire.BatchRequest
 			if g.rng.Intn(4) > 0 {
 				batch.Queries = make([]Query, g.rng.Intn(4))
 				for j := range batch.Queries {
 					batch.Queries[j] = g.query()
 				}
 			}
-			got, err = appendBatch(nil, batch.Queries)
+			got, err = wire.AppendBatchRequest(nil, &batch)
 			check("batch", batch, got, err)
 		}
 	}
@@ -352,9 +348,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("answer-decode/general", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var resp struct {
-				Results []TableResult `json:"results"`
-			}
+			var resp wire.QueryResponse
 			if err := json.NewDecoder(bytes.NewReader(answer)).Decode(&resp); err != nil {
 				b.Fatal(err)
 			}
@@ -363,8 +357,8 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("answer-decode/purpose-built", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var results []TableResult
-			if !decodeQueryAnswer(answer, &results) {
+			var resp wire.QueryResponse
+			if !wire.DecodeQueryResponse(answer, &resp) {
 				b.Fatal("declined")
 			}
 		}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"oreo/internal/wire"
 )
 
 // Stream is one open POST /v2/query/stream connection: NDJSON queries
@@ -99,7 +101,7 @@ func (c *Client) OpenStream(ctx context.Context, opts ...StreamOption) (*Stream,
 // JSON document awaiting the next chunk.
 func (s *Stream) Send(q Query) error {
 	var err error
-	if s.out, err = appendQuery(s.out[:0], &q); err != nil {
+	if s.out, err = wire.AppendQueryRequest(s.out[:0], &q); err != nil {
 		return fmt.Errorf("client: encoding query: %w", err)
 	}
 	s.out = append(s.out, '\n')
@@ -160,7 +162,7 @@ func (s *Stream) Recv() (*BatchItem, error) {
 		return nil, fmt.Errorf("client: decoding stream answer: %w", s.readErr)
 	}
 	var item BatchItem
-	if decodeBatchItem(line, &item) {
+	if wire.DecodeBatchItem(line, &item) {
 		s.read += len(line)
 		return &item, nil
 	}

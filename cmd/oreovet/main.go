@@ -77,16 +77,16 @@ func main() {
 	}
 }
 
-// writeWireManifest regenerates the serve package's frozen wire
-// manifest in place.
+// writeWireManifest regenerates the frozen wire manifest of
+// internal/wire in place.
 func writeWireManifest() error {
 	cfg := analysis.ServeWirefreeze
-	pkgs, err := analysis.Load("", "./internal/serve")
+	pkgs, err := analysis.Load("", "./internal/wire")
 	if err != nil {
 		return err
 	}
 	if len(pkgs) != 1 {
-		return fmt.Errorf("expected 1 package for ./internal/serve, got %d", len(pkgs))
+		return fmt.Errorf("expected 1 package for ./internal/wire, got %d", len(pkgs))
 	}
 	text, err := analysis.WireManifest(pkgs[0], cfg.Types)
 	if err != nil {

@@ -39,16 +39,16 @@ func TestWirefreezeTestdata(t *testing.T) {
 	}), "wirefreeze")
 }
 
-// TestWirefreezeRealManifest holds the actual serve package to its
+// TestWirefreezeRealManifest holds the actual wire package to its
 // checked-in manifest: the unit-test edition of the CI contract that
 // deleting a /v1 JSON tag or reordering a wire field fails the build.
 func TestWirefreezeRealManifest(t *testing.T) {
-	pkgs, err := Load("", "../serve")
+	pkgs, err := Load("", "../wire")
 	if err != nil {
-		t.Fatalf("loading internal/serve: %v", err)
+		t.Fatalf("loading internal/wire: %v", err)
 	}
 	diags := Run(pkgs, []*Analyzer{Wirefreeze(ServeWirefreeze)})
 	for _, d := range diags {
-		t.Errorf("wirefreeze on internal/serve: %s", d)
+		t.Errorf("wirefreeze on internal/wire: %s", d)
 	}
 }

@@ -1,7 +1,8 @@
 package analysis
 
-// V1WireTypes is the frozen /v1 wire surface of internal/serve: every
-// type whose JSON shape the replay contract pins byte-for-byte.
+// V1WireTypes is the frozen /v1 wire surface, declared in internal/wire
+// and served by internal/serve: every type whose JSON shape the replay
+// contract pins byte-for-byte.
 // HealthResponse is deliberately absent — /healthz is the documented
 // additive-extensible operational exception — and the /v2 live-write
 // bodies (AppendRequest/AppendResponse/CompactResponse) are versioned
@@ -24,13 +25,13 @@ var V1WireTypes = []string{
 	"ErrorResponse",
 }
 
-// ServeWirefreeze is the production wirefreeze configuration: the
-// serve package's wire types, pinned by the manifest that lives next
-// to the golden fixtures (both artifacts freeze the same contract —
-// the manifest its compile-time shape, the goldens its runtime
-// bytes).
+// ServeWirefreeze is the production wirefreeze configuration: the wire
+// types serve answers with, pinned by the manifest next to their
+// declarations in internal/wire (internal/serve's goldens freeze the
+// same contract at runtime — the manifest its compile-time shape, the
+// goldens its bytes).
 var ServeWirefreeze = WirefreezeConfig{
-	PackagePath: "oreo/internal/serve",
+	PackagePath: "oreo/internal/wire",
 	ManifestRel: "testdata/wire.manifest",
 	Types:       V1WireTypes,
 }

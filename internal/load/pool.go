@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"oreo/client"
+	"oreo/internal/query"
 	"oreo/internal/workload"
 )
 
@@ -29,18 +30,9 @@ func BuildPool(templates []workload.Template, table string, n, segments int, exe
 	}
 	pool := make([]client.Query, len(stream.Queries))
 	for i, q := range stream.Queries {
-		cq := client.Query{Table: table, Execute: execute}
+		cq := client.Query{Table: table, Preds: query.ToWire(q.Preds), Execute: execute}
 		if execute {
 			cq.Aggs = []client.Aggregate{client.Count()}
-		}
-		for _, p := range q.Preds {
-			cq.Preds = append(cq.Preds, client.Predicate{
-				Col:   p.Col,
-				HasLo: p.HasLo, HasHi: p.HasHi,
-				LoI: p.LoI, HiI: p.HiI,
-				LoF: p.LoF, HiF: p.HiF,
-				In: p.In,
-			})
 		}
 		pool[i] = cq
 	}

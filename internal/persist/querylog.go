@@ -7,51 +7,30 @@ import (
 	"io"
 
 	"oreo/internal/query"
+	"oreo/internal/wire"
 )
 
-// Query logs are JSON-lines files: one query per line. This is the
-// interchange format for replaying production workloads through the
-// harness (cmd/oreoreplay) and for capturing synthetic streams so that
-// an experiment is exactly re-runnable elsewhere.
+// Query logs are JSON-lines files: one query per line, a
+// wire.LoggedQuery. This is the interchange format for replaying
+// production workloads through the harness (cmd/oreoreplay) and for
+// capturing synthetic streams so that an experiment is exactly
+// re-runnable elsewhere; client.LoadTrace reads the same lines.
 //
-// The predicate encoding mirrors query.Predicate exactly: numeric
+// Predicates are wire.PredicateJSON, the serving API's own: numeric
 // predicates carry both the int64 and float64 bound families (the
 // evaluator selects by the column's schema type, as query.MatchRow
 // does), so the round trip is lossless for every constructible
-// predicate.
-
-// queryRecord is the serialized form of one query.
-type queryRecord struct {
-	ID       int          `json:"id"`
-	Template int          `json:"template,omitempty"`
-	Preds    []predRecord `json:"preds"`
-}
-
-type predRecord struct {
-	Col   string   `json:"col"`
-	HasLo bool     `json:"has_lo,omitempty"`
-	HasHi bool     `json:"has_hi,omitempty"`
-	LoI   int64    `json:"lo_i,omitempty"`
-	HiI   int64    `json:"hi_i,omitempty"`
-	LoF   float64  `json:"lo_f,omitempty"`
-	HiF   float64  `json:"hi_f,omitempty"`
-	In    []string `json:"in,omitempty"`
-}
+// predicate, and both directions hold each predicate to
+// wire.PredicateJSON.Check — the rule /v1/query enforces.
 
 // SaveQueries writes the queries as JSON lines.
 func SaveQueries(w io.Writer, qs []query.Query) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i, q := range qs {
-		rec := queryRecord{ID: q.ID, Template: q.Template}
-		for _, p := range q.Preds {
-			if err := validatePred(p); err != nil {
-				return fmt.Errorf("persist: query %d: %w", i, err)
-			}
-			rec.Preds = append(rec.Preds, predRecord{
-				Col: p.Col, HasLo: p.HasLo, HasHi: p.HasHi,
-				LoI: p.LoI, HiI: p.HiI, LoF: p.LoF, HiF: p.HiF, In: p.In,
-			})
+		rec := wire.LoggedQuery{ID: q.ID, Template: q.Template, Preds: query.ToWire(q.Preds)}
+		if err := wire.CheckPreds(rec.Preds); err != nil {
+			return fmt.Errorf("persist: query %d: %w", i, err)
 		}
 		if err := enc.Encode(&rec); err != nil {
 			return fmt.Errorf("persist: encoding query %d: %w", i, err)
@@ -60,42 +39,16 @@ func SaveQueries(w io.Writer, qs []query.Query) error {
 	return bw.Flush()
 }
 
-// LoadQueries reads a JSON-lines query log.
+// LoadQueries reads a JSON-lines query log. A malformed line fails the
+// whole log, naming the line (counted from 1).
 func LoadQueries(r io.Reader) ([]query.Query, error) {
-	dec := json.NewDecoder(r)
-	var out []query.Query
-	for lineNo := 0; ; lineNo++ {
-		var rec queryRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("persist: query log line %d: %w", lineNo, err)
-		}
-		q := query.Query{ID: rec.ID, Template: rec.Template}
-		for pi, pr := range rec.Preds {
-			p := query.Predicate{
-				Col: pr.Col, HasLo: pr.HasLo, HasHi: pr.HasHi,
-				LoI: pr.LoI, HiI: pr.HiI, LoF: pr.LoF, HiF: pr.HiF, In: pr.In,
-			}
-			if err := validatePred(p); err != nil {
-				return nil, fmt.Errorf("persist: query log line %d pred %d: %w", lineNo, pi, err)
-			}
-			q.Preds = append(q.Preds, p)
-		}
-		out = append(out, q)
+	log, err := wire.ReadQueryLog(r)
+	if err != nil {
+		return nil, fmt.Errorf("persist: query log %w", err)
+	}
+	out := make([]query.Query, len(log))
+	for i, rec := range log {
+		out[i] = query.Query{ID: rec.ID, Template: rec.Template, Preds: query.FromWire(rec.Preds)}
 	}
 	return out, nil
-}
-
-// validatePred rejects predicates that could never match anything by
-// construction (no bounds and no IN set), which in a log file indicates
-// corruption rather than intent.
-func validatePred(p query.Predicate) error {
-	if p.Col == "" {
-		return fmt.Errorf("predicate with empty column")
-	}
-	if len(p.In) == 0 && !p.HasLo && !p.HasHi {
-		return fmt.Errorf("predicate on %q with neither bounds nor IN set", p.Col)
-	}
-	return nil
 }

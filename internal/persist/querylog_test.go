@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"oreo/client"
 	"oreo/internal/datagen"
 	"oreo/internal/query"
 	"oreo/internal/workload"
@@ -85,4 +86,69 @@ func TestQueryLogSaveRejectsInvalid(t *testing.T) {
 	if err := SaveQueries(&buf, bad); err == nil {
 		t.Error("unbounded numeric predicate accepted at save time")
 	}
+}
+
+// TestQueryLogReadersShareTheShapeRule holds both readers of a query
+// log — this package's and the SDK's — to the predicate rule /v1/query
+// enforces: a predicate mixing numeric bounds with an IN set fails the
+// log, at its line.
+func TestQueryLogReadersShareTheShapeRule(t *testing.T) {
+	log := `{"id":1,"preds":[{"col":"order_ts","has_lo":true,"lo_i":1}]}
+{"id":1,"preds":[{"col":"order_ts","has_lo":true,"lo_i":1,"in":["a"]}]}
+`
+	const want = `line 2: pred 0: predicate on "order_ts" mixes numeric bounds and an IN set`
+	if _, err := LoadQueries(strings.NewReader(log)); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("LoadQueries: %v, want an error ending %q", err, want)
+	}
+	if _, err := client.LoadTrace(strings.NewReader(log)); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("client.LoadTrace: %v, want an error ending %q", err, want)
+	}
+}
+
+// FuzzLoadQueries feeds the query-log reader arbitrary bytes: it must
+// answer with an error or with queries, never panic; what it accepts
+// must survive SaveQueries and LoadQueries unchanged, and the SDK's
+// reader must accept the same bytes with the same IDs and predicates.
+func FuzzLoadQueries(f *testing.F) {
+	var buf bytes.Buffer
+	stream := workload.MustGenerate(workload.TemplatesFor("tpch"), workload.Config{NumQueries: 4, NumSegments: 2}, rand.New(rand.NewSource(1)))
+	if err := SaveQueries(&buf, stream.Queries); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		buf.String(),
+		"",
+		"\n \n",
+		`{"id":0,"preds":null}`,
+		`{"id":1,"template":3,"table":"orders","preds":[{"col":"status","in":["a","b"]}]}`,
+		`{"id":1,"preds":[{"col":"order_ts","has_lo":true,"lo_i":1,"in":["a"]}]}`,
+		`{"id":1,"preds":[{"col":"amount","has_hi":true,"hi_f":-0}]} {"id":2,"preds":[]}`,
+		`{"id":1,"preds":[{"col":"a","has_lo":true}]} garbage`,
+		`{"id":1e2,"preds":[]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		qs, err := LoadQueries(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var saved bytes.Buffer
+		if err := SaveQueries(&saved, qs); err != nil {
+			t.Fatalf("%q loaded, but does not save: %v", data, err)
+		}
+		again, err := LoadQueries(&saved)
+		if err != nil || !reflect.DeepEqual(again, qs) {
+			t.Fatalf("%q: saved as %q, which loads as %+v, %v; want %+v", data, saved.Bytes(), again, err, qs)
+		}
+		trace, err := client.LoadTrace(bytes.NewReader(data))
+		if err != nil || len(trace) != len(qs) {
+			t.Fatalf("%q: LoadQueries read %d queries, client.LoadTrace %d, %v", data, len(qs), len(trace), err)
+		}
+		for i, q := range qs {
+			if trace[i].ID != q.ID || !reflect.DeepEqual(query.FromWire(trace[i].Preds), q.Preds) {
+				t.Fatalf("%q: query %d: client.LoadTrace read %+v, LoadQueries %+v", data, i, trace[i], q)
+			}
+		}
+	})
 }

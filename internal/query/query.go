@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"oreo/internal/table"
+	"oreo/internal/wire"
 )
 
 // Predicate is a single-column filter. Exactly one of the following
@@ -91,6 +92,39 @@ func StrEq(col, v string) Predicate { return Predicate{Col: col, In: []string{v}
 
 // StrIn returns a membership predicate col IN (vs...).
 func StrIn(col string, vs ...string) Predicate { return Predicate{Col: col, In: vs} }
+
+// ToWire returns a conjunction in the wire encoding, internal/wire's
+// PredicateJSON: the shape of the query log, of a /v1 request and of a
+// follower's forwarded observation. An empty conjunction is nil.
+func ToWire(preds []Predicate) []wire.PredicateJSON {
+	if len(preds) == 0 {
+		return nil
+	}
+	out := make([]wire.PredicateJSON, len(preds))
+	for i, p := range preds {
+		out[i] = wire.PredicateJSON{
+			Col: p.Col, HasLo: p.HasLo, HasHi: p.HasHi,
+			LoI: p.LoI, HiI: p.HiI, LoF: p.LoF, HiF: p.HiF, In: p.In,
+		}
+	}
+	return out
+}
+
+// FromWire is the inverse of ToWire. It does not judge shape: a caller
+// taking predicates from outside holds them to wire.CheckPreds first.
+func FromWire(preds []wire.PredicateJSON) []Predicate {
+	if len(preds) == 0 {
+		return nil
+	}
+	out := make([]Predicate, len(preds))
+	for i, p := range preds {
+		out[i] = Predicate{
+			Col: p.Col, HasLo: p.HasLo, HasHi: p.HasHi,
+			LoI: p.LoI, HiI: p.HiI, LoF: p.LoF, HiF: p.HiF, In: p.In,
+		}
+	}
+	return out
+}
 
 // IsNumeric reports whether the predicate is a numeric range predicate.
 func (p Predicate) IsNumeric() bool { return len(p.In) == 0 }

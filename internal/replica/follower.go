@@ -20,7 +20,6 @@ import (
 // Follower defaults.
 const (
 	DefaultForwardQueue    = 4096
-	DefaultForwardBatch    = 256
 	DefaultForwardInterval = 200 * time.Millisecond
 	DefaultReconnectMin    = 100 * time.Millisecond
 	DefaultReconnectMax    = 5 * time.Second
@@ -51,9 +50,6 @@ type FollowerConfig struct {
 	// entirely (answers are still served; the leader just never sees
 	// this follower's traffic).
 	ForwardQueue int
-	// ForwardBatch is how many observations one upstream POST carries
-	// at most; zero selects DefaultForwardBatch.
-	ForwardBatch int
 	// ForwardInterval bounds how long a partial batch waits before
 	// being flushed; zero selects DefaultForwardInterval.
 	ForwardInterval time.Duration
@@ -186,9 +182,6 @@ func newFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.ForwardQueue == 0 {
 		cfg.ForwardQueue = DefaultForwardQueue
 	}
-	if cfg.ForwardBatch <= 0 {
-		cfg.ForwardBatch = DefaultForwardBatch
-	}
 	if cfg.ForwardInterval <= 0 {
 		cfg.ForwardInterval = DefaultForwardInterval
 	}
@@ -227,7 +220,7 @@ func newFollower(cfg FollowerConfig) (*Follower, error) {
 		replicaTables = append(replicaTables, serve.ReplicaTable{Name: name, Dataset: t.Dataset, Forward: forward})
 	}
 	if cfg.ForwardQueue > 0 {
-		f.fwd = newForwarder(f.ctx, cfg.Upstream, f.hc, cfg.ForwardQueue, cfg.ForwardBatch, cfg.ForwardInterval, cfg.Logf, f.Generation, &f.wg)
+		f.fwd = newForwarder(f.ctx, cfg.Upstream, f.hc, cfg.ForwardQueue, cfg.ForwardInterval, cfg.Logf, f.Generation, &f.wg)
 	}
 	core, err := serve.NewReplicaCore(replicaTables, serve.CoreConfig{Upstream: cfg.Upstream, ScanParallelism: cfg.ScanParallelism})
 	if err != nil {

@@ -10,10 +10,15 @@ import (
 	"time"
 
 	"oreo"
+	"oreo/internal/query"
 )
 
 // atomicUint64 is a tiny alias so counter structs read cleanly.
 type atomicUint64 = atomic.Uint64
+
+// forwardBatch is how many observations one upstream POST carries at
+// most.
+const forwardBatch = 256
 
 // forwarder ships follower-answered queries upstream so the leader's
 // optimizer keeps learning from edge traffic. It is built to shed, not
@@ -26,7 +31,6 @@ type forwarder struct {
 	upstream string
 	hc       *http.Client
 	ch       chan Observation
-	batch    int
 	interval time.Duration
 	logf     func(format string, args ...any)
 	ctx      context.Context
@@ -40,12 +44,11 @@ type forwarder struct {
 	rejected  atomic.Uint64 // leader-side validation failures (schema skew)
 }
 
-func newForwarder(ctx context.Context, upstream string, hc *http.Client, queue, batch int, interval time.Duration, logf func(string, ...any), gen func() uint64, wg *sync.WaitGroup) *forwarder {
+func newForwarder(ctx context.Context, upstream string, hc *http.Client, queue int, interval time.Duration, logf func(string, ...any), gen func() uint64, wg *sync.WaitGroup) *forwarder {
 	fw := &forwarder{
 		upstream: upstream,
 		hc:       hc,
 		ch:       make(chan Observation, queue),
-		batch:    batch,
 		interval: interval,
 		logf:     logf,
 		ctx:      ctx,
@@ -62,10 +65,7 @@ func newForwarder(ctx context.Context, upstream string, hc *http.Client, queue, 
 // enqueue hands one answered query to the forwarding loop without
 // blocking; false (counted) when the buffer is full or shutdown begun.
 func (fw *forwarder) enqueue(table string, q oreo.Query) bool {
-	ob := Observation{Table: table, ID: q.ID}
-	for _, p := range q.Preds {
-		ob.Preds = append(ob.Preds, predToWire(p))
-	}
+	ob := Observation{Table: table, ID: q.ID, Preds: query.ToWire(q.Preds)}
 	select {
 	case fw.ch <- ob:
 		return true
@@ -80,7 +80,7 @@ func (fw *forwarder) enqueue(table string, q oreo.Query) bool {
 func (fw *forwarder) run() {
 	tick := time.NewTicker(fw.interval)
 	defer tick.Stop()
-	buf := make([]Observation, 0, fw.batch)
+	buf := make([]Observation, 0, forwardBatch)
 	for {
 		select {
 		case <-fw.ctx.Done():
@@ -103,7 +103,7 @@ func (fw *forwarder) run() {
 			return
 		case ob := <-fw.ch:
 			buf = append(buf, ob)
-			if len(buf) >= fw.batch {
+			if len(buf) >= forwardBatch {
 				fw.post(fw.ctx, buf)
 				buf = buf[:0]
 			}

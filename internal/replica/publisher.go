@@ -13,6 +13,7 @@ import (
 
 	"oreo"
 	"oreo/internal/metrics"
+	"oreo/internal/query"
 	"oreo/internal/serve"
 )
 
@@ -652,10 +653,8 @@ func (p *Publisher) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp ObserveResponse
 	for _, ob := range req.Observations {
-		q := oreo.Query{ID: ob.ID, Template: -1}
-		for _, pj := range ob.Preds {
-			q.Preds = append(q.Preds, predFromWire(pj))
-		}
+		// The column check is Observe's; the shape is not judged here.
+		q := oreo.Query{ID: ob.ID, Template: -1, Preds: query.FromWire(ob.Preds)}
 		ok, err := p.core.Observe(ob.Table, q)
 		switch {
 		case err != nil:

@@ -97,6 +97,7 @@ import (
 	"oreo"
 	"oreo/internal/persist"
 	"oreo/internal/serve"
+	"oreo/internal/wire"
 )
 
 // ProtocolVersion identifies the replication wire protocol. A leader
@@ -343,9 +344,9 @@ type SubscribeRequest struct {
 // so the leader's optimizer sees edge traffic. Predicates use the
 // query-log wire encoding, exactly as serving requests do.
 type Observation struct {
-	Table string                `json:"table"`
-	ID    int                   `json:"id,omitempty"`
-	Preds []serve.PredicateJSON `json:"preds"`
+	Table string               `json:"table"`
+	ID    int                  `json:"id,omitempty"`
+	Preds []wire.PredicateJSON `json:"preds"`
 }
 
 // ObserveRequest is the body of POST /v2/replication/observe: one
@@ -368,21 +369,4 @@ type ObserveResponse struct {
 	Observed int `json:"observed"`
 	Dropped  int `json:"dropped"`
 	Rejected int `json:"rejected"`
-}
-
-// predToWire converts a predicate to the query-log wire encoding.
-func predToWire(p oreo.Predicate) serve.PredicateJSON {
-	return serve.PredicateJSON{
-		Col: p.Col, HasLo: p.HasLo, HasHi: p.HasHi,
-		LoI: p.LoI, HiI: p.HiI, LoF: p.LoF, HiF: p.HiF, In: p.In,
-	}
-}
-
-// predFromWire converts a wire predicate back; shape validation is the
-// receiving Core's (Observe checks columns against the schema).
-func predFromWire(p serve.PredicateJSON) oreo.Predicate {
-	return oreo.Predicate{
-		Col: p.Col, HasLo: p.HasLo, HasHi: p.HasHi,
-		LoI: p.LoI, HiI: p.HiI, LoF: p.LoF, HiF: p.HiF, In: p.In,
-	}
 }

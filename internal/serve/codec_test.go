@@ -15,6 +15,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"oreo/internal/wire"
 )
 
 // declinedSeeds are bodies the purpose-built decoder must hand to
@@ -97,7 +99,7 @@ func checkQueryRequestCodec(t *testing.T, data []byte) (accepted bool) {
 	// scribbling over it afterwards shows any string still aliasing it.
 	buf := append(make([]byte, 0, len(data)), data...)
 	var got QueryRequest
-	if !decodeQueryRequest(buf, &got) {
+	if !wire.DecodeQueryRequest(buf, &got) {
 		if !reflect.DeepEqual(got, QueryRequest{}) {
 			t.Fatalf("declined %q but wrote %+v", data, got)
 		}
@@ -116,7 +118,7 @@ func checkQueryRequestCodec(t *testing.T, data []byte) (accepted bool) {
 	// The batch decoder is the same scanner one level down.
 	batch := []byte(`{"queries":[` + string(data) + `,` + string(data) + `]}`)
 	var gotB, wantB BatchRequest
-	if !decodeBatchRequest(batch, &gotB) {
+	if !wire.DecodeBatchRequest(batch, &gotB) {
 		t.Fatalf("batch of accepted %q declined", data)
 	}
 	if err := json.Unmarshal(batch, &wantB); err != nil || !reflect.DeepEqual(gotB, wantB) {
@@ -389,23 +391,23 @@ func TestAppendMatchesMarshal(t *testing.T) {
 	for _, nonFinite := range []bool{false, true} {
 		g := wireValues{rng: rand.New(rand.NewSource(15)), nonFinite: nonFinite}
 		for i := 0; i < 3000; i++ {
-			results := g.tableResults()
-			got, err := appendQueryResponse(nil, results)
-			check("QueryResponse", QueryResponse{Results: results}, got, err)
+			resp := QueryResponse{Results: g.tableResults()}
+			got, err := wire.AppendQueryResponse(nil, &resp)
+			check("QueryResponse", resp, got, err)
 
 			item := g.batchItem()
-			got, err = appendBatchItem([]byte("prefix"), &item)
+			got, err = wire.AppendBatchItem([]byte("prefix"), &item)
 			check("BatchItem", item, bytes.TrimPrefix(got, []byte("prefix")), err)
 
-			var resp BatchResponse
+			var batch BatchResponse
 			if g.rng.Intn(4) > 0 {
-				resp.Results = make([]BatchItem, g.rng.Intn(4))
-				for j := range resp.Results {
-					resp.Results[j] = g.batchItem()
+				batch.Results = make([]BatchItem, g.rng.Intn(4))
+				for j := range batch.Results {
+					batch.Results[j] = g.batchItem()
 				}
 			}
-			got, err = appendBatchResponse(nil, &resp)
-			check("BatchResponse", resp, got, err)
+			got, err = wire.AppendBatchResponse(nil, &batch)
+			check("BatchResponse", batch, got, err)
 		}
 	}
 }
@@ -414,7 +416,7 @@ func TestAppendMatchesMarshal(t *testing.T) {
 // JSON cannot spell: the honest 500, not an empty body under a 200.
 func TestUnencodableAnswerIs500(t *testing.T) {
 	body := []byte{}
-	body, err := appendQueryResponse(body, []TableResult{{Table: "t", Cost: math.NaN()}})
+	body, err := wire.AppendQueryResponse(body, &QueryResponse{Results: []TableResult{{Table: "t", Cost: math.NaN()}}})
 	if err == nil {
 		t.Fatal("NaN cost encoded")
 	}
@@ -437,8 +439,8 @@ func BenchmarkWireCodec(b *testing.B) {
 	for i := range survivors {
 		survivors[i] = 3 * i
 	}
-	results := []TableResult{{Table: "lineitem", Cost: 0.21875, Layout: "sort(l_shipdate)", NumPartitions: 128,
-		SurvivorPartitions: survivors, Observed: true, QueryID: 4211}}
+	answer := QueryResponse{Results: []TableResult{{Table: "lineitem", Cost: 0.21875, Layout: "sort(l_shipdate)", NumPartitions: 128,
+		SurvivorPartitions: survivors, Observed: true, QueryID: 4211}}}
 
 	b.Run("request-decode/general", func(b *testing.B) {
 		b.ReportAllocs()
@@ -453,7 +455,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var req QueryRequest
-			if !decodeQueryRequest(request, &req) {
+			if !wire.DecodeQueryRequest(request, &req) {
 				b.Fatal("declined")
 			}
 		}
@@ -461,7 +463,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("answer-encode/general", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(QueryResponse{Results: results}); err != nil {
+			if _, err := json.Marshal(answer); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -471,7 +473,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		var buf []byte
 		for i := 0; i < b.N; i++ {
 			var err error
-			if buf, err = appendQueryResponse(buf[:0], results); err != nil {
+			if buf, err = wire.AppendQueryResponse(buf[:0], &answer); err != nil {
 				b.Fatal(err)
 			}
 		}

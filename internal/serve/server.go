@@ -71,13 +71,14 @@
 // and one encoder, amortizing the per-request HTTP and JSON overhead
 // that dominates POST /v1/query at volume (see BenchmarkStreamVsUnary).
 //
-// The wire predicate encoding matches the query-log format of
-// internal/persist, so captured production logs replay against the
-// server unchanged. The public client package speaks both surfaces
-// with stdlib-only dependencies.
+// The wire types are internal/wire's, named here by alias (types.go);
+// their predicate encoding is the query-log format of internal/persist,
+// so captured production logs replay against the server unchanged. The
+// public client package speaks both surfaces with the same types and
+// stdlib-only dependencies.
 //
 // Query, batch and stream bodies are decoded and their answers encoded
-// by the purpose-built codec in codec.go; a body outside the canonical
+// by internal/wire's purpose-built codec; a body outside the canonical
 // shape falls through to encoding/json (oreo_wire_fallback_total), and
 // every other endpoint is encoding/json throughout.
 package serve
@@ -340,7 +341,7 @@ func decodeWire[T any](s *Server, w http.ResponseWriter, r *http.Request, fallba
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !decodeWire(s, w, r, s.queryFallback, decodeQueryRequest, &req) {
+	if !decodeWire(s, w, r, s.queryFallback, wire.DecodeQueryRequest, &req) {
 		return
 	}
 	results, err := s.core.Answer(r.Context(), req)
@@ -350,13 +351,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	bp := wire.GetBuffer()
 	defer wire.PutBuffer(bp)
-	*bp, err = appendQueryResponse(*bp, results)
+	*bp, err = wire.AppendQueryResponse(*bp, &QueryResponse{Results: results})
 	writeEncoded(w, http.StatusOK, bp, err)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !decodeWire(s, w, r, s.batchFallback, decodeBatchRequest, &req) {
+	if !decodeWire(s, w, r, s.batchFallback, wire.DecodeBatchRequest, &req) {
 		return
 	}
 	resp, err := s.core.Batch(r.Context(), req)
@@ -366,7 +367,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	bp := wire.GetBuffer()
 	defer wire.PutBuffer(bp)
-	*bp, err = appendBatchResponse(*bp, &resp)
+	*bp, err = wire.AppendBatchResponse(*bp, &resp)
 	writeEncoded(w, http.StatusOK, bp, err)
 }
 

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"oreo/internal/wire"
 )
 
 // DefaultStreamFlushEvery is how many response lines the stream
@@ -73,7 +75,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var out []byte
 	emit := func(item *BatchItem) bool {
 		var err error
-		if out, err = appendBatchItem(out[:0], item); err != nil {
+		if out, err = wire.AppendBatchItem(out[:0], item); err != nil {
 			return false
 		}
 		out = append(out, '\n')
@@ -113,7 +115,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		item := BatchItem{Index: idx}
 		var req QueryRequest
 		var err error
-		if !decodeQueryRequest(line, &req) {
+		if !wire.DecodeQueryRequest(line, &req) {
 			s.streamFallback.Inc()
 			err = json.Unmarshal(line, &req)
 		}

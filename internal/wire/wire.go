@@ -1,7 +1,12 @@
-// Package wire holds the JSON primitives under the purpose-built codecs
-// of the hot query shapes: internal/serve decodes requests and encodes
-// answers with them, the client SDK does the reverse. The per-type code
-// lives beside the types it serves; what is here knows no type.
+// Package wire is the serving API's JSON wire, declared once: its types
+// (types.go — the frozen /v1 shapes, pinned by testdata/wire.manifest,
+// plus /healthz and the /v2 write bodies), the one predicate shape rule
+// (PredicateJSON.Check), the query-log line (querylog.go), and the
+// purpose-built codec of the hot query shapes (codec.go) over the JSON
+// primitives in this file. internal/serve decodes requests and encodes
+// answers with it, the client SDK does the reverse, and both name the
+// types by alias; internal/persist's query log and a follower's
+// forwarded observation carry the same PredicateJSON.
 //
 // The contract with encoding/json is one-sided on purpose. Appending
 // produces exactly the bytes json.Marshal would. Scanning accepts only
@@ -12,7 +17,9 @@
 // messages: whatever the Scanner accepts decodes to the value
 // encoding/json would have produced, and what it declines is not judged
 // here at all. The differential fuzz targets in internal/serve and
-// client hold both halves.
+// client hold both halves against encoding/json, and FuzzWireRoundTrip
+// here holds them against each other: every field of every shape, sent
+// by one side's encoder, comes back whole through the other's decoder.
 //
 // The package imports only the standard library (the client SDK's
 // promise is transitive; the stdlibonly analyzer checks it).

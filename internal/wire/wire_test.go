@@ -11,10 +11,11 @@ import (
 	"testing/iotest"
 )
 
-// The Scanner and the appenders are held to encoding/json where their
-// callers are — the differential fuzz targets and generated-value tests
-// of internal/serve and client. What is tested here is what those
-// cannot see: number spellings one by one, and the body reader.
+// The codec is held to encoding/json where its callers are — the
+// differential fuzz targets and generated-value tests of internal/serve
+// and client — and to itself in codec_test.go. What is tested here is
+// what those cannot see: number spellings one by one, and the body
+// reader.
 
 func TestScannerNumbersFollowJSON(t *testing.T) {
 	for _, in := range []string{

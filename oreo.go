@@ -134,12 +134,12 @@
 //     query (≥3x unary throughput on a 1k-query replay; measured ~8x —
 //     see BenchmarkStreamVsUnary).
 //
-// The shapes every query carries have a codec of their own, without
-// reflection: on the server QueryRequest and BatchRequest are decoded
-// and TableResult, QueryResponse, BatchItem and BatchResponse encoded
-// by internal/serve/codec.go; in the SDK Query is encoded and
-// TableResult and BatchItem decoded by client/codec.go; both over the
-// one JSON scanner of internal/wire. Encoding writes the bytes
+// The wire is declared once, in internal/wire: every request and
+// answer type, the predicate shape rule, and a codec without
+// reflection for the shapes every query carries — the server decodes
+// QueryRequest and BatchRequest and encodes QueryResponse, BatchItem
+// and BatchResponse with it, and the SDK, whose types are the same
+// types by alias, does the reverse. Encoding writes the bytes
 // json.Marshal writes. Decoding takes only the canonical spelling —
 // plain ASCII strings, numbers the field's type holds, each known key
 // at most once, no null — and anything else (an escaped or non-ASCII
@@ -467,8 +467,8 @@
 // internal/analysis, each with a seeded-violation testdata package:
 //
 //   - wirefreeze: the JSON shape of every /v1 wire type in
-//     internal/serve is diffed against the checked-in manifest
-//     internal/serve/testdata/wire.manifest — renaming a tag,
+//     internal/wire is diffed against the checked-in manifest
+//     internal/wire/testdata/wire.manifest — renaming a tag,
 //     reordering fields, or toggling omitempty fails the build.
 //     Deliberate (reviewed) changes regenerate it with
 //     `go run ./cmd/oreovet -update-wire-manifest`.
