@@ -92,15 +92,6 @@ func (f *Filter) MayContainHash(h1, h2 uint64) bool {
 	return true
 }
 
-// Clone returns an independent copy of the filter: further Adds on
-// either side do not affect the other. Delta segments hand immutable
-// stats snapshots to concurrent readers this way.
-func (f *Filter) Clone() *Filter {
-	bits := make([]uint64, len(f.bits))
-	copy(bits, f.bits)
-	return &Filter{bits: bits, nbits: f.nbits, hashes: f.hashes}
-}
-
 // FillRatio returns the fraction of set bits — a saturation diagnostic
 // (filters past ~50% fill stop pruning effectively).
 func (f *Filter) FillRatio() float64 {

@@ -27,6 +27,14 @@ import (
 	"oreo/internal/metrics"
 )
 
+const (
+	// pollTimeout bounds each health/metrics poll.
+	pollTimeout = 2 * time.Second
+	// promoteTimeout bounds the promotion request (the follower rebuilds
+	// a decision engine per table).
+	promoteTimeout = 60 * time.Second
+)
+
 // ControllerConfig parameterizes a Controller.
 type ControllerConfig struct {
 	// Leader is the initial leader base URL. After a promotion the
@@ -43,11 +51,6 @@ type ControllerConfig struct {
 	// trigger a promotion; zero selects 3. One flaky poll must not
 	// depose a healthy leader.
 	FailThreshold int
-	// PollTimeout bounds each health/metrics poll; zero selects 2s.
-	PollTimeout time.Duration
-	// PromoteTimeout bounds the promotion request (the follower
-	// rebuilds a decision engine per table); zero selects 60s.
-	PromoteTimeout time.Duration
 	// HTTPClient substitutes the transport for metric scrapes; nil
 	// selects a dedicated client.
 	HTTPClient *http.Client
@@ -73,7 +76,7 @@ type Controller struct {
 	leader    string
 	failCount int
 	clients   map[string]*client.Client
-	prev      map[string]*Scrape
+	prev      map[string]*metrics.Scrape
 	prevTime  time.Time
 	signals   Signals
 	target    int
@@ -102,12 +105,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
 	}
-	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = 2 * time.Second
-	}
-	if cfg.PromoteTimeout <= 0 {
-		cfg.PromoteTimeout = 60 * time.Second
-	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = &http.Client{}
 	}
@@ -122,7 +119,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		policy:   cfg.Policy,
 		leader:   cfg.Leader,
 		clients:  make(map[string]*client.Client),
-		prev:     make(map[string]*Scrape),
+		prev:     make(map[string]*metrics.Scrape),
 	}
 	if cfg.Reg != nil {
 		c.reg = cfg.Reg
@@ -215,14 +212,14 @@ func (c *Controller) health(ctx context.Context, url string) (*client.Health, er
 	if err != nil {
 		return nil, err
 	}
-	hctx, cancel := context.WithTimeout(ctx, c.cfg.PollTimeout)
+	hctx, cancel := context.WithTimeout(ctx, pollTimeout)
 	defer cancel()
 	return cl.Health(hctx)
 }
 
 // scrape fetches and parses one member's /metrics.
-func (c *Controller) scrape(ctx context.Context, url string) (*Scrape, error) {
-	hctx, cancel := context.WithTimeout(ctx, c.cfg.PollTimeout)
+func (c *Controller) scrape(ctx context.Context, url string) (*metrics.Scrape, error) {
+	hctx, cancel := context.WithTimeout(ctx, pollTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(hctx, http.MethodGet, url+"/metrics", nil)
 	if err != nil {
@@ -237,7 +234,7 @@ func (c *Controller) scrape(ctx context.Context, url string) (*Scrape, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("metrics answered %d", resp.StatusCode)
 	}
-	return ParseMetrics(resp.Body)
+	return metrics.ParseText(resp.Body)
 }
 
 // Tick runs one control-loop iteration: poll, derive signals, decide,
@@ -370,7 +367,7 @@ func (c *Controller) promote(ctx context.Context, oldLeader string) {
 		c.logf("cluster: promotion of %s failed: %v", best.url, err)
 		return
 	}
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.PromoteTimeout)
+	pctx, cancel := context.WithTimeout(ctx, promoteTimeout)
 	h, err := cl.Promote(pctx)
 	cancel()
 	if err != nil {

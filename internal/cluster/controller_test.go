@@ -157,11 +157,11 @@ func newTestController(t *testing.T, leaderURL string, act Actuator, reg *metric
 
 // scrapeRegistry renders a registry through its own handler and parses
 // it back with the controller's scrape parser.
-func scrapeRegistry(t *testing.T, reg *metrics.Registry) *Scrape {
+func scrapeRegistry(t *testing.T, reg *metrics.Registry) *metrics.Scrape {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	sc, err := ParseMetrics(rec.Body)
+	sc, err := metrics.ParseText(rec.Body)
 	if err != nil {
 		t.Fatalf("controller registry emits unparseable text: %v", err)
 	}

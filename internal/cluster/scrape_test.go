@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"oreo/internal/metrics"
 )
 
 const samplePayload = `# HELP oreo_http_requests_total HTTP requests served.
@@ -26,7 +28,7 @@ oreo_http_request_duration_seconds_count{endpoint="query"} 92
 `
 
 func TestParseMetrics(t *testing.T) {
-	sc, err := ParseMetrics(strings.NewReader(samplePayload))
+	sc, err := metrics.ParseText(strings.NewReader(samplePayload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +62,14 @@ func TestParseMetricsRejectsGarbage(t *testing.T) {
 		`unterminated{a="b value` + "\n",
 		`bad_value{a="b"} not-a-number` + "\n",
 	} {
-		if _, err := ParseMetrics(strings.NewReader(bad)); err == nil {
+		if _, err := metrics.ParseText(strings.NewReader(bad)); err == nil {
 			t.Errorf("payload %q parsed without error", bad)
 		}
 	}
 }
 
 func TestHistQuantile(t *testing.T) {
-	sc, err := ParseMetrics(strings.NewReader(samplePayload))
+	sc, err := metrics.ParseText(strings.NewReader(samplePayload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestHistQuantile(t *testing.T) {
 	// Interval reading: against a previous scrape, only the delta
 	// counts. 10 new observations, all slow (the 0.001 bucket did not
 	// move), so the interval p50 must land above 1ms.
-	prev, err := ParseMetrics(strings.NewReader(`
+	prev, err := metrics.ParseText(strings.NewReader(`
 oreo_http_request_duration_seconds_bucket{endpoint="query",le="0.001"} 80
 oreo_http_request_duration_seconds_bucket{endpoint="query",le="0.01"} 81
 oreo_http_request_duration_seconds_bucket{endpoint="query",le="+Inf"} 82

@@ -108,19 +108,6 @@ func (l *Layout) CostSurvivorsSnapshot(q query.Query) (float64, []int) {
 	return c, ids
 }
 
-// CostSurvivorsCompiled is CostSurvivors for a pre-compiled query. A
-// query compiled against a different schema is transparently rebound.
-func (l *Layout) CostSurvivorsCompiled(cq *prune.CompiledQuery) (float64, []int) {
-	if l.eng == nil {
-		if cq.Schema() != l.schema {
-			cq = prune.Compile(l.schema, cq.Query())
-		}
-		ids, c := cq.Survivors(l.Part)
-		return c, ids
-	}
-	return l.eng.CostSurvivorsCompiled(cq)
-}
-
 // AvgCost returns the mean service cost over a workload.
 func (l *Layout) AvgCost(qs []query.Query) float64 {
 	if len(qs) == 0 {

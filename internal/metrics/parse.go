@@ -1,4 +1,4 @@
-package cluster
+package metrics
 
 import (
 	"bufio"
@@ -10,33 +10,35 @@ import (
 	"strings"
 )
 
-// Series is one scraped time series: a metric name, its label set, and
+// scraped is one parsed time series: a metric name, its label set, and
 // the sampled value.
-type Series struct {
-	Name   string
-	Labels map[string]string
-	Value  float64
+type scraped struct {
+	name   string
+	labels map[string]string
+	value  float64
 }
 
-// Scrape is one parsed /metrics payload. It is the controller's view
-// of a fleet member: every signal the control loop reads — request
-// rates, latency quantiles, replication lag — is derived from pairs of
-// these, because the interesting quantities are rates and deltas, not
-// instantaneous counter values.
+// Scrape is one parsed /metrics payload — what a reader of this
+// process's exposition (the cluster controller) sees of a fleet member.
+// Every signal the control loop reads — request rates, latency
+// quantiles, replication lag — is derived from pairs of these, because
+// the interesting quantities are rates and deltas, not instantaneous
+// counter values.
 type Scrape struct {
 	// series maps metric name to its samples, in payload order.
-	series map[string][]Series
+	series map[string][]scraped
 }
 
-// ParseMetrics parses a Prometheus text-format payload (the subset the
-// internal metrics registry emits: HELP/TYPE comments, counter and
-// gauge samples, histogram _bucket/_sum/_count expansions). Unknown
-// lines fail loudly — the controller must not steer on a half-read
-// scrape.
-func ParseMetrics(r io.Reader) (*Scrape, error) {
+// ParseText parses a Prometheus text-format payload: the subset
+// WriteText emits — HELP/TYPE comments, counter and gauge samples,
+// histogram _bucket/_sum/_count expansions — with WriteText's escape
+// rules and float spellings, so ParseText(WriteText(r)) returns every
+// series unchanged. Unknown lines fail loudly — a controller must not
+// steer on a half-read scrape.
+func ParseText(r io.Reader) (*Scrape, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	out := &Scrape{series: make(map[string][]Series)}
+	out := &Scrape{series: make(map[string][]scraped)}
 	for line := 1; sc.Scan(); line++ {
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
@@ -44,24 +46,24 @@ func ParseMetrics(r io.Reader) (*Scrape, error) {
 		}
 		s, err := parseSample(text)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: metrics line %d: %w", line, err)
+			return nil, fmt.Errorf("metrics: line %d: %w", line, err)
 		}
-		out.series[s.Name] = append(out.series[s.Name], s)
+		out.series[s.name] = append(out.series[s.name], s)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: reading metrics: %w", err)
+		return nil, fmt.Errorf("metrics: reading exposition: %w", err)
 	}
 	return out, nil
 }
 
 // parseSample parses one `name{k="v",...} value` or `name value` line.
-func parseSample(text string) (Series, error) {
-	s := Series{}
+func parseSample(text string) (scraped, error) {
+	s := scraped{}
 	rest := text
 	if i := strings.IndexAny(rest, "{ "); i < 0 {
 		return s, fmt.Errorf("no value in %q", text)
 	} else {
-		s.Name = rest[:i]
+		s.name = rest[:i]
 		rest = rest[i:]
 	}
 	if strings.HasPrefix(rest, "{") {
@@ -90,19 +92,19 @@ func parseSample(text string) (Series, error) {
 		if err != nil {
 			return s, fmt.Errorf("labels in %q: %w", text, err)
 		}
-		s.Labels = labels
+		s.labels = labels
 		rest = rest[end+1:]
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 	if err != nil {
 		return s, fmt.Errorf("value in %q: %w", text, err)
 	}
-	s.Value = v
+	s.value = v
 	return s, nil
 }
 
-// parseLabels parses `k="v",k2="v2"` with the registry's escaping
-// (backslash, quote, newline).
+// parseLabels parses `k="v",k2="v2"`, undoing escapeLabel (backslash,
+// quote, newline).
 func parseLabels(body string) (map[string]string, error) {
 	labels := make(map[string]string)
 	i := 0
@@ -154,8 +156,8 @@ func parseLabels(body string) (map[string]string, error) {
 // several do.
 func (s *Scrape) Value(name string, labels map[string]string) (float64, bool) {
 	for _, ser := range s.series[name] {
-		if labelsMatch(ser.Labels, labels) {
-			return ser.Value, true
+		if labelsMatch(ser.labels, labels) {
+			return ser.value, true
 		}
 	}
 	return 0, false
@@ -166,8 +168,8 @@ func (s *Scrape) Value(name string, labels map[string]string) (float64, bool) {
 func (s *Scrape) Sum(name string, labels map[string]string) float64 {
 	total := 0.0
 	for _, ser := range s.series[name] {
-		if labelsMatch(ser.Labels, labels) {
-			total += ser.Value
+		if labelsMatch(ser.labels, labels) {
+			total += ser.value
 		}
 	}
 	return total
@@ -178,8 +180,8 @@ func (s *Scrape) Sum(name string, labels map[string]string) float64 {
 func (s *Scrape) Max(name string, labels map[string]string) float64 {
 	max := 0.0
 	for _, ser := range s.series[name] {
-		if labelsMatch(ser.Labels, labels) && ser.Value > max {
-			max = ser.Value
+		if labelsMatch(ser.labels, labels) && ser.value > max {
+			max = ser.value
 		}
 	}
 	return max
@@ -245,23 +247,15 @@ func (s *Scrape) HistQuantile(name string, q float64, prev *Scrape) (float64, bo
 }
 
 // bucketCounts sums name's _bucket samples across label sets, keyed by
-// upper bound.
+// upper bound (ParseFloat reads WriteText's "+Inf" spelling too).
 func bucketCounts(s *Scrape, name string) map[float64]float64 {
 	out := make(map[float64]float64)
 	for _, ser := range s.series[name+"_bucket"] {
-		leStr, ok := ser.Labels["le"]
-		if !ok {
+		le, err := strconv.ParseFloat(ser.labels["le"], 64)
+		if err != nil {
 			continue
 		}
-		le, err := strconv.ParseFloat(leStr, 64)
-		if err != nil {
-			if leStr == "+Inf" {
-				le = math.Inf(1)
-			} else {
-				continue
-			}
-		}
-		out[le] += ser.Value
+		out[le] += ser.value
 	}
 	return out
 }

@@ -13,66 +13,32 @@ import (
 // reorganization cost α when it materializes a layout that is not
 // currently resident (evicting another copy to stay within budget).
 //
-// The decision rule is the same counter machinery as the single-copy
-// algorithm, applied to the resident set: each state in S accumulates
-// the cost it would have incurred; the resident set is judged by the
-// cost of its best member. When the best resident state saturates, the
-// algorithm materializes a random (γ-biased) unsaturated state —
-// preferring already-resident ones, which are free to "switch" to — and
-// evicts the resident copy with the fullest counter if over budget.
-// With B = 1 this degenerates exactly to the single-copy algorithm's
-// move pattern.
+// The decision rule is the single-copy algorithm's counter machinery —
+// the embedded counters: state space, α-saturating counters, phases
+// with deferred additions, the uniform draw — applied to the resident
+// set: each state in S accumulates the cost it would have incurred, and
+// the query is served on the cheapest resident copy. Once every
+// resident copy has saturated, the algorithm materializes a uniformly
+// drawn unsaturated (hence non-resident) state and evicts the resident
+// copy with the fullest counter if at budget; when no state is left
+// unsaturated a new phase starts in place. Config.Gamma does not apply.
+// With B = 1 this is the single-copy algorithm at γ = 0, move for move.
 type MultiCopy struct {
-	cfg    Config
-	budget int
-	rng    *rand.Rand
-
-	states   map[StateID]bool // S; value = active (counter < alpha)
-	counter  map[StateID]float64
+	counters
+	budget   int
 	resident map[StateID]bool
-	pending  map[StateID]bool
 
-	started       bool
 	materializedN int // reorganizations paid (non-resident materializations)
-	phases        int
-	maxSpace      int
 }
 
 // NewMultiCopy returns a multi-copy decision maker with the given
 // storage budget (number of simultaneously resident layouts, >= 1).
 func NewMultiCopy(cfg Config, budget int, rng *rand.Rand) *MultiCopy {
-	if cfg.Alpha <= 1 {
-		panic(fmt.Sprintf("mts: Alpha must be > 1, got %g", cfg.Alpha))
-	}
+	c := newCounters(cfg.Alpha, rng)
 	if budget < 1 {
 		panic(fmt.Sprintf("mts: budget must be >= 1, got %d", budget))
 	}
-	return &MultiCopy{
-		cfg:      cfg,
-		budget:   budget,
-		rng:      rng,
-		states:   make(map[StateID]bool),
-		counter:  make(map[StateID]float64),
-		resident: make(map[StateID]bool),
-		pending:  make(map[StateID]bool),
-	}
-}
-
-// AddState introduces a state; mid-stream additions defer to the next
-// phase, as in the single-copy algorithm.
-func (m *MultiCopy) AddState(id StateID) {
-	if _, ok := m.states[id]; ok || m.pending[id] {
-		return
-	}
-	if !m.started {
-		m.states[id] = true
-		m.counter[id] = 0
-	} else {
-		m.pending[id] = true
-	}
-	if n := len(m.states) + len(m.pending); n > m.maxSpace {
-		m.maxSpace = n
-	}
+	return &MultiCopy{counters: c, budget: budget, resident: make(map[StateID]bool)}
 }
 
 // MakeResident marks a state as initially materialized (before
@@ -94,73 +60,28 @@ func (m *MultiCopy) MakeResident(id StateID) {
 // reports which resident state served the query (the cheapest), and
 // whether a new layout was materialized (one reorganization of cost α).
 func (m *MultiCopy) Observe(cost func(StateID) float64) (serveIn StateID, materialized bool) {
-	m.start()
-
-	for id, active := range m.states {
-		if !active {
-			continue
-		}
-		c := cost(id)
-		if c < 0 || c > 1 {
-			//oreovet:ignore maporder panic formats the one violating cost; any violating member aborts the run identically
-			panic(fmt.Sprintf("mts: cost %g outside [0,1]", c))
-		}
-		m.counter[id] += c
-		if m.counter[id] >= m.cfg.Alpha {
-			m.states[id] = false
-		}
+	if m.start() && len(m.resident) == 0 {
+		// Default: the smallest state ID starts resident.
+		m.resident[m.activeIDs()[0]] = true
 	}
-
-	// Serve on the cheapest resident copy.
+	m.charge(cost)
 	serveIn = m.bestResident(cost)
 
 	// If every resident copy has saturated, bring in an unsaturated
-	// state (phase bookkeeping mirrors the single-copy algorithm).
+	// state — necessarily a non-resident one (phase bookkeeping mirrors
+	// the single-copy algorithm).
 	if !m.anyResidentActive() {
-		if m.activeCount() == 0 {
+		if m.NumActive() == 0 {
 			m.resetPhase()
 			return serveIn, false // stay-in-place across the phase edge
 		}
-		target := m.pickActive()
-		if !m.resident[target] {
-			m.evictIfNeeded()
-			m.resident[target] = true
-			m.materializedN++
-			return m.bestResident(cost), true
-		}
+		target := m.pickUniform()
+		m.evictIfNeeded()
+		m.resident[target] = true
+		m.materializedN++
+		return m.bestResident(cost), true
 	}
 	return serveIn, false
-}
-
-func (m *MultiCopy) start() {
-	if m.started {
-		return
-	}
-	if len(m.states) == 0 {
-		panic("mts: Observe with empty state space")
-	}
-	if len(m.resident) == 0 {
-		// Default: the smallest state ID starts resident.
-		ids := m.sortedIDs()
-		m.resident[ids[0]] = true
-	}
-	m.started = true
-	m.phases = 1
-}
-
-func (m *MultiCopy) resetPhase() {
-	for id := range m.pending {
-		m.states[id] = true
-		delete(m.pending, id)
-	}
-	for id := range m.states {
-		m.states[id] = true
-		m.counter[id] = 0
-	}
-	m.phases++
-	if n := len(m.states); n > m.maxSpace {
-		m.maxSpace = n
-	}
 }
 
 // bestResident returns the resident state with the lowest current cost.
@@ -185,36 +106,6 @@ func (m *MultiCopy) anyResidentActive() bool {
 	return false
 }
 
-func (m *MultiCopy) activeCount() int {
-	n := 0
-	for _, a := range m.states {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
-// pickActive selects a uniformly random active state, preferring
-// resident ones (switching to a resident copy is free).
-func (m *MultiCopy) pickActive() StateID {
-	var residentActive, otherActive []StateID
-	for _, id := range m.sortedIDs() {
-		if !m.states[id] {
-			continue
-		}
-		if m.resident[id] {
-			residentActive = append(residentActive, id)
-		} else {
-			otherActive = append(otherActive, id)
-		}
-	}
-	if len(residentActive) > 0 {
-		return residentActive[m.rng.Intn(len(residentActive))]
-	}
-	return otherActive[m.rng.Intn(len(otherActive))]
-}
-
 // evictIfNeeded drops the resident copy with the fullest counter when
 // the budget is exhausted.
 func (m *MultiCopy) evictIfNeeded() {
@@ -229,15 +120,6 @@ func (m *MultiCopy) evictIfNeeded() {
 		}
 	}
 	delete(m.resident, victim)
-}
-
-func (m *MultiCopy) sortedIDs() []StateID {
-	ids := make([]StateID, 0, len(m.states))
-	for id := range m.states {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 func (m *MultiCopy) sortedResidentIDs() []StateID {
@@ -255,9 +137,6 @@ func (m *MultiCopy) Resident() []StateID { return m.sortedResidentIDs() }
 // Materializations returns how many reorganizations (cost α each) have
 // been paid.
 func (m *MultiCopy) Materializations() int { return m.materializedN }
-
-// Phases returns the number of phases started.
-func (m *MultiCopy) Phases() int { return m.phases }
 
 // Budget returns the configured resident-copy budget.
 func (m *MultiCopy) Budget() int { return m.budget }

@@ -21,6 +21,14 @@
 //     with probability proportional to w(s)^γ, where w(s) is the average
 //     fraction of data the state skipped in the previous phase; γ = 0
 //     recovers the classic uniform choice.
+//
+// The counter machinery — state space, counters that saturate at α,
+// phases with deferred additions, |Smax| and the uniform draw — exists
+// once, as the unexported counters type (counters.go). Reorganizer
+// embeds it and adds the current state, the predictor and the switch
+// rule; MultiCopy, the Appendix D storage-budget ablation, embeds the
+// same counters and adds a resident set, eviction and cheapest-resident
+// serving.
 package mts
 
 import (
@@ -54,72 +62,28 @@ type Config struct {
 // concurrent use. All randomness comes from the rng passed at
 // construction, so runs are reproducible.
 type Reorganizer struct {
+	counters
 	cfg Config
-	rng *rand.Rand
-
-	// states is the full state space S; value is true while the state is
-	// active (member of SA, counter below alpha).
-	states map[StateID]bool
-	// counter is C(s) for s in S (present for active and saturated).
-	counter map[StateID]float64
-	// pending are states added mid-phase, deferred to the next phase.
-	pending map[StateID]bool
 
 	current     StateID
 	haveCurrent bool
-	started     bool
 
-	// Predictor bookkeeping. phaseCost accumulates this phase's service
-	// cost per state; weight holds last phase's average skipped fraction.
-	phaseCost    map[StateID]float64
-	phaseQueries int
-	weight       map[StateID]float64
+	// weight holds last phase's average skipped fraction per state, the
+	// predictor's bias (refreshed from counters.phaseCost).
+	weight map[StateID]float64
 
-	// Stats.
 	switches int
-	phases   int
-	maxSpace int // |Smax|: largest state space seen (for bound reporting)
 }
 
 // New returns a reorganizer. It panics if cfg.Alpha <= 1, because the
 // competitive analysis (and the phase structure itself) requires the
 // movement cost to exceed any single query's service cost.
 func New(cfg Config, rng *rand.Rand) *Reorganizer {
-	if cfg.Alpha <= 1 {
-		panic(fmt.Sprintf("mts: Alpha must be > 1, got %g", cfg.Alpha))
-	}
+	c := newCounters(cfg.Alpha, rng)
 	if cfg.Gamma < 0 {
 		panic(fmt.Sprintf("mts: Gamma must be >= 0, got %g", cfg.Gamma))
 	}
-	return &Reorganizer{
-		cfg:       cfg,
-		rng:       rng,
-		states:    make(map[StateID]bool),
-		counter:   make(map[StateID]float64),
-		pending:   make(map[StateID]bool),
-		phaseCost: make(map[StateID]float64),
-		weight:    make(map[StateID]float64),
-	}
-}
-
-// AddState introduces a state into the state space S. Before processing
-// starts, the state joins the active set immediately; mid-stream it is
-// deferred to the start of the next phase, exactly as Algorithm 4
-// prescribes. Adding an existing state is a no-op.
-func (r *Reorganizer) AddState(id StateID) {
-	if _, ok := r.states[id]; ok {
-		return
-	}
-	if r.pending[id] {
-		return
-	}
-	if !r.started {
-		r.states[id] = true
-		r.counter[id] = 0
-	} else {
-		r.pending[id] = true
-	}
-	r.trackSpace()
+	return &Reorganizer{counters: c, cfg: cfg, weight: make(map[StateID]float64)}
 }
 
 // RemoveState deletes a state from the state space. Its counter is set
@@ -148,8 +112,8 @@ func (r *Reorganizer) RemoveState(id StateID) (switched bool) {
 		return false
 	}
 
-	if r.activeCount() == 0 {
-		r.resetPhase()
+	if r.NumActive() == 0 {
+		r.nextPhase()
 	}
 	if r.haveCurrent && r.current == id {
 		r.current = r.pickNext()
@@ -178,33 +142,19 @@ func (r *Reorganizer) SetInitial(id StateID) {
 // switched states (incurring one reorganization of cost α) and the
 // state the query should be served in.
 func (r *Reorganizer) Observe(cost func(StateID) float64) (switched bool, serveIn StateID) {
-	r.start()
-
-	// Update counters for all active states (Algorithm 3 line 1).
-	for id, active := range r.states {
-		if !active {
-			continue
-		}
-		c := cost(id)
-		if c < 0 || c > 1 || math.IsNaN(c) {
-			//oreovet:ignore maporder panic formats the one violating cost; any violating member aborts the run identically
-			panic(fmt.Sprintf("mts: service cost %g for state %d outside [0,1]", c, id))
-		}
-		r.counter[id] += c
-		r.phaseCost[id] += c
-		if r.counter[id] >= r.cfg.Alpha {
-			r.states[id] = false // saturated: drops out of SA
-		}
+	if r.start() && !r.haveCurrent {
+		r.current = r.pickUniform()
+		r.haveCurrent = true
 	}
-	r.phaseQueries++
+	r.charge(cost)
 
 	// If the current state saturated, move (Algorithm 3 lines 3-6).
 	if r.haveCurrent && !r.states[r.current] {
-		if r.activeCount() == 0 {
+		if r.NumActive() == 0 {
 			// All counters full: new phase. By default the stay-in-place
 			// optimization keeps the current state; the original BLS
 			// algorithm instead transitions to a random state.
-			r.resetPhase()
+			r.nextPhase()
 			if r.cfg.DisableStayInPlace {
 				prev := r.current
 				r.current = r.pickNext()
@@ -222,27 +172,10 @@ func (r *Reorganizer) Observe(cost func(StateID) float64) (switched bool, serveI
 	return false, r.current
 }
 
-// start lazily performs Algorithm 1's initialization on first use.
-func (r *Reorganizer) start() {
-	if r.started {
-		return
-	}
-	if len(r.states) == 0 {
-		panic("mts: Observe with empty state space")
-	}
-	r.started = true
-	r.phases = 1
-	if !r.haveCurrent {
-		r.current = r.pickUniform()
-		r.haveCurrent = true
-	}
-}
-
-// resetPhase implements ResetStates for the dynamic setting: pending
-// additions join S, every state becomes active with a zero counter, and
-// predictor weights are refreshed from the finished phase's costs.
-func (r *Reorganizer) resetPhase() {
-	// Refresh predictor weights: w(s) = avg fraction skipped last phase.
+// nextPhase starts a new phase (counters.resetPhase), first refreshing
+// the predictor weights from the finished phase's costs.
+func (r *Reorganizer) nextPhase() {
+	// w(s) = avg fraction skipped last phase.
 	if r.phaseQueries > 0 {
 		fresh := make(map[StateID]float64, len(r.states))
 		var known []float64
@@ -263,19 +196,7 @@ func (r *Reorganizer) resetPhase() {
 		}
 		r.weight = fresh
 	}
-
-	for id := range r.pending {
-		r.states[id] = true
-		delete(r.pending, id)
-	}
-	for id := range r.states {
-		r.states[id] = true
-		r.counter[id] = 0
-	}
-	r.phaseCost = make(map[StateID]float64, len(r.states))
-	r.phaseQueries = 0
-	r.phases++
-	r.trackSpace()
+	r.resetPhase()
 }
 
 // pickNext draws the next state from the active set using the
@@ -318,27 +239,6 @@ func (r *Reorganizer) pickNext() StateID {
 	return ids[len(ids)-1]
 }
 
-func (r *Reorganizer) pickUniform() StateID {
-	ids := r.activeIDs()
-	if len(ids) == 0 {
-		panic("mts: pickUniform with empty active set")
-	}
-	return ids[r.rng.Intn(len(ids))]
-}
-
-// activeIDs returns the active states in sorted order, so that random
-// selection consumes rng deterministically across map iteration orders.
-func (r *Reorganizer) activeIDs() []StateID {
-	ids := make([]StateID, 0, len(r.states))
-	for id, active := range r.states {
-		if active {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 func (r *Reorganizer) knownWeights(ids []StateID) []float64 {
 	var ws []float64
 	for _, id := range ids {
@@ -347,22 +247,6 @@ func (r *Reorganizer) knownWeights(ids []StateID) []float64 {
 		}
 	}
 	return ws
-}
-
-func (r *Reorganizer) activeCount() int {
-	n := 0
-	for _, active := range r.states {
-		if active {
-			n++
-		}
-	}
-	return n
-}
-
-func (r *Reorganizer) trackSpace() {
-	if n := len(r.states) + len(r.pending); n > r.maxSpace {
-		r.maxSpace = n
-	}
 }
 
 // median of a float slice; 0 for empty input.
@@ -382,33 +266,8 @@ func median(xs []float64) float64 {
 // SetInitial was called.
 func (r *Reorganizer) Current() StateID { return r.current }
 
-// Has reports whether the state is in the state space (active,
-// saturated, or pending).
-func (r *Reorganizer) Has(id StateID) bool {
-	if _, ok := r.states[id]; ok {
-		return true
-	}
-	return r.pending[id]
-}
-
-// NumStates returns |S| including pending additions.
-func (r *Reorganizer) NumStates() int { return len(r.states) + len(r.pending) }
-
-// NumActive returns |SA|.
-func (r *Reorganizer) NumActive() int { return r.activeCount() }
-
-// Counter returns C(s) for diagnostics and tests.
-func (r *Reorganizer) Counter(id StateID) float64 { return r.counter[id] }
-
 // Switches returns the number of state transitions made so far.
 func (r *Reorganizer) Switches() int { return r.switches }
-
-// Phases returns the number of phases started so far.
-func (r *Reorganizer) Phases() int { return r.phases }
-
-// MaxSpace returns |Smax|, the largest state-space size observed, which
-// governs the 2(1+log|Smax|) competitive bound of Theorem IV.1.
-func (r *Reorganizer) MaxSpace() int { return r.maxSpace }
 
 // CompetitiveBound returns the worst-case guarantee 2·H(|Smax|) from
 // Theorem IV.1 for the state space seen so far.

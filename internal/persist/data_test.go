@@ -176,7 +176,7 @@ func TestStateV1StillLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, warm, err := LoadState(bytes.NewReader(data), ds)
+	got, warm, err := loadState(bytes.NewReader(data), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 // column-major statistics block and the costing engine's memo. A cold
 // restart rebuilds metadata in one dataset pass but starts with an
 // empty memo, so the first window re-costings after boot pay full
-// evaluation cost; LoadState restores the memo so the serving hot path
-// restarts hot.
+// evaluation cost; LoadStateWithData restores the memo so the serving
+// hot path restarts hot.
 //
 // Soundness: partition metadata is still recomputed from the dataset at
 // load — nothing read from disk ever feeds partition skipping. The
@@ -372,16 +372,6 @@ func (f *StateDoc) checkVersion() error {
 	return nil
 }
 
-// SaveState writes a warm-start snapshot of the layout; see
-// CaptureState for what it carries.
-func SaveState(w io.Writer, l *layout.Layout) error {
-	f, err := CaptureState(l)
-	if err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(f)
-}
-
 // SaveStateWithData writes a warm-start snapshot that also carries the
 // rows the boot source cannot reproduce; see CaptureStateWithData.
 func SaveStateWithData(w io.Writer, l *layout.Layout, base *table.Dataset, bootRows int, delta *table.Dataset) error {
@@ -428,16 +418,6 @@ func (f *StateDoc) Bind(ds *table.Dataset) (*layout.Layout, bool, error) {
 	}
 	l.Engine().SeedMemo(entries)
 	return l, true, nil
-}
-
-// LoadState reads a warm-start snapshot and rebinds it to the dataset;
-// see StateDoc.Bind for the integrity contract.
-func LoadState(r io.Reader, ds *table.Dataset) (*layout.Layout, bool, error) {
-	var f StateDoc
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, false, fmt.Errorf("persist: decoding state: %w", err)
-	}
-	return f.Bind(ds)
 }
 
 // LoadStateWithData reads a snapshot written by SaveStateWithData and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -54,6 +55,17 @@ func stateFixture(t *testing.T, rows int, seed int64) (*table.Dataset, *layout.L
 	return ds, l, qs
 }
 
+// saveState and loadState are the WithData pair over a table that never
+// took a live write: a layout snapshot with no data section.
+func saveState(w io.Writer, l *layout.Layout, ds *table.Dataset) error {
+	return SaveStateWithData(w, l, ds, ds.NumRows(), nil)
+}
+
+func loadState(r io.Reader, ds *table.Dataset) (*layout.Layout, bool, error) {
+	l, warm, _, _, err := LoadStateWithData(r, ds)
+	return l, warm, err
+}
+
 // TestStateRoundTrip saves a warm layout and loads it against the same
 // dataset: the restart must come back warm, with every memoized cost
 // answered from the memo, bitwise-equal to the pre-save values.
@@ -68,10 +80,10 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := SaveState(&buf, l); err != nil {
+	if err := saveState(&buf, l, ds); err != nil {
 		t.Fatal(err)
 	}
-	got, warm, err := LoadState(bytes.NewReader(buf.Bytes()), ds)
+	got, warm, err := loadState(bytes.NewReader(buf.Bytes()), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +115,12 @@ func TestStateRoundTrip(t *testing.T) {
 func TestStateStaleDatasetGoesCold(t *testing.T) {
 	ds, l, _ := stateFixture(t, 600, 1)
 	var buf bytes.Buffer
-	if err := SaveState(&buf, l); err != nil {
+	if err := saveState(&buf, l, ds); err != nil {
 		t.Fatal(err)
 	}
-	_ = ds
 
 	other, _, _ := stateFixture(t, 600, 2) // same schema and row count, different values
-	got, warm, err := LoadState(bytes.NewReader(buf.Bytes()), other)
+	got, warm, err := loadState(bytes.NewReader(buf.Bytes()), other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,20 +140,20 @@ func TestStateStaleDatasetGoesCold(t *testing.T) {
 func TestStateRejects(t *testing.T) {
 	ds, l, _ := stateFixture(t, 200, 3)
 	var buf bytes.Buffer
-	if err := SaveState(&buf, l); err != nil {
+	if err := saveState(&buf, l, ds); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, _, err := LoadState(strings.NewReader("not json"), ds); err == nil {
+	if _, _, err := loadState(strings.NewReader("not json"), ds); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, _, err := LoadState(strings.NewReader(`{"version":99}`), ds); err == nil {
+	if _, _, err := loadState(strings.NewReader(`{"version":99}`), ds); err == nil {
 		t.Error("unknown version accepted")
 	}
 
 	checkColdButLoaded := func(name, state string) {
 		t.Helper()
-		got, warm, err := LoadState(strings.NewReader(state), ds)
+		got, warm, err := loadState(strings.NewReader(state), ds)
 		if err != nil {
 			t.Errorf("%s: corrupt memo must degrade, not fail: %v", name, err)
 			return

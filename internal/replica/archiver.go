@@ -263,10 +263,8 @@ func ReplayArchive(dir string, fn func(*Record) error) (int, error) {
 // fleet served when each table was at min(E, its tail) — the
 // debugging time machine the archive exists for.
 func ReplayArchiveUpTo(dir string, maxEpoch uint64, fn func(*Record) error) (int, error) {
-	return replayLive(dir, maxEpoch, nil, recordHeader, fn)
+	return replayLive(dir, maxEpoch, nil, fn)
 }
-
-func recordHeader(rec *Record) (table string, epoch uint64) { return rec.Table, rec.Epoch }
 
 // archivePos locates an archived line: its segment's index in replay
 // order, then the 1-based count of non-empty lines within it.
@@ -279,16 +277,15 @@ type archivePos struct{ seg, line int }
 var snapshotMark = []byte(`"type":"snapshot"`)
 
 // replayLive delivers the archive's live records to fn, in replay
-// order, each decoded into a T whose table and epoch header reads. A
-// first pass walks the segments newest first for every table's newest
-// snapshot (with maxEpoch set, the newest at or below it) and stops at
-// the segment where each of tables has one; with none named, or one
-// the archive never snapshotted, it reaches the first segment. The
-// second pass decodes from that segment on and skips what lies above
-// maxEpoch (0 means unbounded) or before its own table's snapshot:
-// what a later snapshot supersedes is never applied, and the segments
-// before the walk's end are never opened.
-func replayLive[T any](dir string, maxEpoch uint64, tables []string, header func(*T) (string, uint64), fn func(*T) error) (int, error) {
+// order. A first pass walks the segments newest first for every
+// table's newest snapshot (with maxEpoch set, the newest at or below
+// it) and stops at the segment where each of tables has one; with none
+// named, or one the archive never snapshotted, it reaches the first
+// segment. The second pass decodes from that segment on and skips what
+// lies above maxEpoch (0 means unbounded) or before its own table's
+// snapshot: what a later snapshot supersedes is never applied, and the
+// segments before the walk's end are never opened.
+func replayLive(dir string, maxEpoch uint64, tables []string, fn func(*Record) error) (int, error) {
 	segs, err := segments(dir)
 	if err != nil {
 		return 0, fmt.Errorf("replica: %w", err)
@@ -325,13 +322,12 @@ func replayLive[T any](dir string, maxEpoch uint64, tables []string, header func
 		line := 0
 		err := scanSegment(segs[i], func(b []byte) error {
 			line++
-			var rec T
+			var rec Record
 			if err := json.Unmarshal(b, &rec); err != nil {
 				return err
 			}
-			table, epoch := header(&rec)
-			at, ok := starts[table]
-			if ok && (i < at.seg || i == at.seg && line < at.line) || maxEpoch != 0 && epoch > maxEpoch {
+			at, ok := starts[rec.Table]
+			if ok && (i < at.seg || i == at.seg && line < at.line) || maxEpoch != 0 && rec.Epoch > maxEpoch {
 				return nil
 			}
 			if err := fn(&rec); err != nil {

@@ -285,7 +285,7 @@ func TestReplaySkipsWhatASnapshotSupersedes(t *testing.T) {
 		{"never snapshotted", 0, []string{"c"}, "snapshot a0, decision a1, decision c1, resume a1, decision a2, snapshot b5, decision b6"},
 	} {
 		var got []string
-		n, err := replayLive(dir, tc.maxEpoch, tc.tables, recordHeader, func(rec *Record) error {
+		n, err := replayLive(dir, tc.maxEpoch, tc.tables, func(rec *Record) error {
 			got = append(got, fmt.Sprintf("%s %s%d", rec.Type, rec.Table, rec.Epoch))
 			return nil
 		})
@@ -297,7 +297,7 @@ func TestReplaySkipsWhatASnapshotSupersedes(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "segment-00000001.ndjson"), []byte(strings.Replace(seg1, line(RecordSnapshot, "b", 0), "not json\n", 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replayLive(dir, 0, []string{"b"}, recordHeader, func(*Record) error { return nil }); err != nil {
+	if _, err := replayLive(dir, 0, []string{"b"}, func(*Record) error { return nil }); err != nil {
 		t.Fatalf("replay of the newest session read an older segment: %v", err)
 	}
 	if _, err := ReplayArchive(dir, func(*Record) error { return nil }); err == nil {

@@ -247,7 +247,7 @@ func newFollower(cfg FollowerConfig) (*Follower, error) {
 // divergent archive fails construction loudly rather than seeding bad
 // state.
 func (f *Follower) bootstrapFromArchive(dir string) error {
-	n, err := replayLive(dir, 0, f.core.Tables(), recordHeader, func(rec *Record) error {
+	n, err := replayLive(dir, 0, f.core.Tables(), func(rec *Record) error {
 		if _, ok := f.datasets[rec.Table]; !ok && rec.Table != "" {
 			return nil
 		}

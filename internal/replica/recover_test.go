@@ -271,7 +271,7 @@ func TestSecondRestartReplaysOnlyTheNewSession(t *testing.T) {
 	first, pub := recoverOrders(t, dir, rows, 1.5)
 	run(first, pub, firstLife, secondLife)
 
-	delivered, err := replayLive(dir, 0, []string{"orders"}, recordHeader, func(*Record) error { return nil })
+	delivered, err := replayLive(dir, 0, []string{"orders"}, func(*Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

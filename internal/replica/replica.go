@@ -288,7 +288,7 @@ func DecodeRecord(rec *Record, boot *oreo.Dataset) (upd serve.DecisionUpdate, er
 			return upd, fmt.Errorf("%s record for %q carries no layout", rec.Type, rec.Table)
 		}
 		counters := upd.Snapshot
-		upd.Bind = func(ds *oreo.Dataset) (oreo.OptimizerSnapshot, error) {
+		upd.Bind = func(ds *oreo.Dataset, _ uint64) (oreo.OptimizerSnapshot, error) {
 			lay, err := bindLayout(rec, ds)
 			snap := counters
 			snap.Serving = lay

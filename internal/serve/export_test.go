@@ -29,9 +29,9 @@ func wrapStep(s *shard) *StepTable {
 // NewStepLeader mirrors newShard, minus the consumer goroutine.
 func NewStepLeader(ds *oreo.Dataset, opt *oreo.Optimizer, compactThreshold int) *StepTable {
 	s := &shard{table: "t", ds: ds, scanPar: 1}
-	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewDelta(ds.Schema())})
+	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewBuilder(ds.Schema(), 0)})
 	s.registerMetrics(metrics.NewRegistry())
-	s.lead(opt, oreo.Stats{}, 0, 1, compactThreshold)
+	s.lead(opt, oreo.Stats{}, 1, compactThreshold)
 	return wrapStep(s)
 }
 
@@ -59,7 +59,7 @@ func (t *StepTable) Promote(cfg oreo.Config, compactThreshold int) error {
 		return err
 	}
 	st := t.s.rep.Load()
-	t.s.lead(opt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), 1, compactThreshold)
+	t.s.lead(opt, st.snap.Stats, 1, compactThreshold)
 	return nil
 }
 

@@ -108,8 +108,6 @@ type shard struct {
 	// compactThreshold triggers an automatic fold when the delta
 	// reaches this many rows; <= 0 disables auto-compaction.
 	compactThreshold int
-	// compactSeq names compacted layouts (compact-1, compact-2, …).
-	compactSeq int
 	// statsBase accumulates the cumulative counters of every optimizer
 	// retired by compaction, so published stats stay monotone across
 	// engine rebuilds. Consumer-owned.
@@ -193,9 +191,9 @@ type eventAck struct {
 
 func newShard(name string, ds *oreo.Dataset, opt *oreo.Optimizer, queueSize, scanPar, compactThreshold int, reg *metrics.Registry) *shard {
 	s := &shard{table: name, ds: ds, scanPar: scanPar}
-	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewDelta(ds.Schema())})
+	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewBuilder(ds.Schema(), 0)})
 	s.registerMetrics(reg)
-	s.lead(opt, oreo.Stats{}, 0, queueSize, compactThreshold)
+	s.lead(opt, oreo.Stats{}, queueSize, compactThreshold)
 	s.wg.Add(1)
 	go s.consume()
 	return s
@@ -207,19 +205,18 @@ func newShard(name string, ds *oreo.Dataset, opt *oreo.Optimizer, queueSize, sca
 // update is applied.
 func newReplicaShard(name string, ds *oreo.Dataset, forward func(oreo.Query) bool, scanPar int, reg *metrics.Registry) *shard {
 	s := &shard{table: name, ds: ds, replica: true, forward: forward, scanPar: scanPar}
-	s.rep.Store(&repState{tail: table.NewDelta(ds.Schema())})
+	s.rep.Store(&repState{tail: table.NewBuilder(ds.Schema(), 0)})
 	s.registerMetrics(reg)
 	return s
 }
 
 // lead attaches the leader-only machinery — the decision engine, the
-// counters and layout-name sequence it continues from, the event queue
-// — for the consumer the caller starts next. It cannot fail; callers
-// racing readers (promote) hold the obsMu write lock.
-func (s *shard) lead(opt *oreo.Optimizer, statsBase oreo.Stats, compactSeq, queueSize, compactThreshold int) {
+// counters it continues from, the event queue — for the consumer the
+// caller starts next. It cannot fail; callers racing readers (promote)
+// hold the obsMu write lock.
+func (s *shard) lead(opt *oreo.Optimizer, statsBase oreo.Stats, queueSize, compactThreshold int) {
 	s.copt.Store(opt)
 	s.statsBase = statsBase
-	s.compactSeq = compactSeq
 	s.compactThreshold = compactThreshold
 	s.queue = make(chan shardEvent, queueSize)
 	s.replica = false
@@ -388,11 +385,13 @@ func (s *shard) handleAppend(rows *oreo.Dataset) eventAck {
 // grown base with the compacted layout as its initial state — the
 // optimizer's own machinery (window, candidate generation, D-UMTS
 // counters) then reorganizes the compacted table as usual. Cumulative
-// stats survive the engine swap via statsBase.
+// stats survive the engine swap via statsBase. The compacted layout is
+// named after the epoch the fold lands at: epochs never repeat, not
+// across a promotion or a restart either, so neither do fold names.
 func (s *shard) handleCompact() eventAck {
 	cur := s.rep.Load()
 	installed := false
-	out, _, err := s.advance(DecisionUpdate{Kind: UpdateCompact, Bind: func(grown *oreo.Dataset) (oreo.OptimizerSnapshot, error) {
+	out, _, err := s.advance(DecisionUpdate{Kind: UpdateCompact, Bind: func(grown *oreo.Dataset, epoch uint64) (oreo.OptimizerSnapshot, error) {
 		serving := cur.snap.Serving
 		assign := extendAssignment(serving.Part, cur.delta)
 		part, err := table.BuildPartitioning(grown, assign, serving.Part.NumPartitions)
@@ -401,7 +400,7 @@ func (s *shard) handleCompact() eventAck {
 		}
 		// The retiring engine's resolved configuration, but for the start.
 		cfg := s.copt.Load().Config()
-		cfg.Initial = layout.New(fmt.Sprintf("compact-%d", s.compactSeq+1), grown.Schema(), part)
+		cfg.Initial = layout.New(fmt.Sprintf("compact-%d", epoch), grown.Schema(), part)
 		cfg.InitialSort = nil
 		opt, err := oreo.New(grown, cfg)
 		if err != nil {
@@ -414,7 +413,6 @@ func (s *shard) handleCompact() eventAck {
 		// at +13 % rss_peak_mb @ serve-write otherwise.
 		s.statsBase = addStats(s.statsBase, s.copt.Load().Stats())
 		s.copt.Store(opt)
-		s.compactSeq++
 		installed = true
 		return combinedSnapshot(s.statsBase, opt), nil
 	}})
@@ -646,10 +644,8 @@ func (s *shard) promotionEngine(cfg oreo.Config) (*oreo.Optimizer, error) {
 // infallible half. The shard already owns what the transition needs
 // (grown base, write tail, epoch), so it only attaches the engine, the
 // queue and the consumer: the replicated cumulative counters become the
-// stats base, and the compaction sequence resumes from the serving
-// layout's name so post-promotion folds never reuse a layout name the
-// stream has already carried. The transition mints the next epoch from
-// the applied position.
+// stats base. The transition mints the next epoch from the applied
+// position.
 func (s *shard) promote(opt *oreo.Optimizer, queueSize, compactThreshold int) {
 	st := s.rep.Load()
 	s.obsMu.Lock()
@@ -657,21 +653,9 @@ func (s *shard) promote(opt *oreo.Optimizer, queueSize, compactThreshold int) {
 	if s.obsClosed {
 		return // Close won the race: a consumer started now would never be stopped
 	}
-	s.lead(opt, st.snap.Stats, compactSeqFromName(st.snap.Serving.Name), queueSize, compactThreshold)
+	s.lead(opt, st.snap.Stats, queueSize, compactThreshold)
 	s.wg.Add(1)
 	go s.consume()
-}
-
-// compactSeqFromName recovers the compaction sequence from a layout
-// name: "compact-N" yields N, anything else 0. A promoted leader
-// resumes the old leader's sequence so stream-visible layout names
-// stay unique across the role change.
-func compactSeqFromName(name string) int {
-	var n int
-	if _, err := fmt.Sscanf(name, "compact-%d", &n); err == nil && n > 0 {
-		return n
-	}
-	return 0
 }
 
 // observe hands the query to the decision loop — or, on a replica,

@@ -22,10 +22,11 @@ type repState struct {
 	// empty. Scans append it in full (it is unpartitioned, so it is an
 	// always-survivor extra partition), and costs count its rows.
 	delta *oreo.Dataset
-	// tail is the mutable write tail delta is a view of. It belongs to
-	// the chain's single writer (shard.advance); readers never touch it.
-	// Never nil, so a replica's unseeded state still anchors the schema.
-	tail *table.Delta
+	// tail is the open builder delta is a view of: the rows appended
+	// since the last fold. It belongs to the chain's single writer
+	// (shard.advance); readers never touch it. Never nil, so a replica's
+	// unseeded state still anchors the schema.
+	tail *table.Builder
 }
 
 // seeded reports whether the state holds a snapshot; false only on a
@@ -101,10 +102,10 @@ type DecisionUpdate struct {
 	Snapshot oreo.OptimizerSnapshot
 	// Bind, on an input, produces Snapshot from the base the update
 	// lands on — the current base for a decision, the grown base for a
-	// compaction, which only the transition computes. A follower binds
-	// the shipped layout document there; a leader repartitions and builds
-	// its next engine there.
-	Bind func(base *oreo.Dataset) (oreo.OptimizerSnapshot, error)
+	// compaction, which only the transition computes — and the epoch it
+	// lands at. A follower binds the shipped layout document there; a
+	// leader repartitions and builds its next engine there.
+	Bind func(base *oreo.Dataset, epoch uint64) (oreo.OptimizerSnapshot, error)
 	// Base is the partitioned base (UpdateSnapshot only).
 	Base *oreo.Dataset
 	// Rows is the appended batch (UpdateAppend) or the whole live tail
@@ -135,7 +136,8 @@ var (
 //
 // next == cur means nothing changed: a replay at or below the current
 // epoch (overlap after a re-snapshot), or a minted fold of an empty
-// delta. The tail is mutated in place, only after every check passed.
+// delta. An append grows the tail in place, only after every check
+// passed; a fold or a snapshot hands the next state a fresh one.
 func step(cur *repState, in DecisionUpdate) (next *repState, out DecisionUpdate, err error) {
 	schema := cur.tail.Schema()
 	minted := in.Epoch == 0
@@ -162,7 +164,7 @@ func step(cur *repState, in DecisionUpdate) (next *repState, out DecisionUpdate,
 		if next.snap, err = in.resolve(in.Base, nil); err != nil {
 			return cur, out, err
 		}
-		next.ds, next.tail = in.Base, table.NewDelta(schema)
+		next.ds, next.tail = in.Base, table.NewBuilder(schema, 0)
 		if in.Rows != nil {
 			next.tail.AppendDataset(in.Rows)
 		}
@@ -173,12 +175,12 @@ func step(cur *repState, in DecisionUpdate) (next *repState, out DecisionUpdate,
 		}
 
 	case UpdateAppend:
-		// table.Delta panics on a foreign schema instance, and batches
+		// AppendDataset panics on a foreign schema instance, and batches
 		// here may come off a wire.
 		if in.Rows == nil || in.Rows.Schema() != schema {
 			return cur, out, errors.New("append batch is missing or built over a different schema instance")
 		}
-		if after := cur.tail.Rows() + in.Rows.NumRows(); !minted && in.DeltaRows != after {
+		if after := cur.tail.NumRows() + in.Rows.NumRows(); !minted && in.DeltaRows != after {
 			// A record was lost in a way the epoch discipline missed.
 			// Checked before the batch lands: a delta cannot un-append.
 			return cur, out, fmt.Errorf("%w: delta is %d rows after append, update reports %d", ErrDiverged, after, in.DeltaRows)
@@ -186,7 +188,7 @@ func step(cur *repState, in DecisionUpdate) (next *repState, out DecisionUpdate,
 		cur.tail.AppendDataset(in.Rows)
 
 	case UpdateCompact:
-		n := cur.tail.Rows()
+		n := cur.tail.NumRows()
 		if minted && n == 0 {
 			// Folding an empty delta does not advance the epoch — safe to
 			// call in a settle loop.
@@ -196,20 +198,20 @@ func step(cur *repState, in DecisionUpdate) (next *repState, out DecisionUpdate,
 			return cur, out, fmt.Errorf("%w: compaction folded %d rows, local delta holds %d", ErrDiverged, in.Folded, n)
 		}
 		// A compact update carries no rows: the base grows from rows
-		// already in the chain, identically on every node.
+		// already in the chain, identically on every node, and the folded
+		// rows leave with the tail they were counted from.
 		if in.Folded = n; n > 0 {
-			next.ds = table.Concat(cur.ds, cur.delta)
+			next.ds, next.tail = table.Concat(cur.ds, cur.delta), table.NewBuilder(schema, 0)
 		}
 		if next.snap, err = in.resolve(next.ds, nil); err != nil {
 			return cur, out, err
 		}
-		cur.tail.Reset(n)
 
 	default:
 		return cur, out, fmt.Errorf("unknown update kind %q", in.Kind)
 	}
-	if next.tail.Rows() > 0 {
-		next.delta = next.tail.View().Data // cached until the tail next changes
+	if next.tail.NumRows() > 0 {
+		next.delta = next.tail.View() // cached until the tail next changes
 	}
 	out = in
 	out.Bind, out.Snapshot, out.DeltaRows = nil, next.snap, next.deltaRows()
@@ -223,7 +225,7 @@ func step(cur *repState, in DecisionUpdate) (next *repState, out DecisionUpdate,
 // not describe exactly base's rows.
 func (u DecisionUpdate) resolve(base *oreo.Dataset, serving *oreo.Layout) (snap oreo.OptimizerSnapshot, err error) {
 	if snap = u.Snapshot; u.Bind != nil {
-		if snap, err = u.Bind(base); err != nil {
+		if snap, err = u.Bind(base, u.Epoch); err != nil {
 			return snap, err
 		}
 	}

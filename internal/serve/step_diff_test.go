@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oreo"
@@ -300,6 +301,49 @@ func TestShardStepDifferential(t *testing.T) {
 			}
 		}
 		runStepSchedule(t, schedule)
+	}
+}
+
+// TestFoldNamesNeverRepeatAcrossPromotion: a leader folds, then
+// reorganizes away from the compacted layout, and is replaced by its
+// promoted follower, whose next fold must not reuse a layout name the
+// stream has already carried.
+func TestFoldNamesNeverRepeatAcrossPromotion(t *testing.T) {
+	leader, rep := newStepLeader(t, 0), newStepReplica()
+	seed(t, leader, rep)
+	carried := map[string]bool{leader.tbl.Position().Snapshot.Serving.Name: true}
+	relay := func() {
+		for _, upd := range leader.tbl.Drain() {
+			carried[upd.Snapshot.Serving.Name] = true
+			ship(t, rep, upd, 0)
+		}
+	}
+	fold := func(n stepNode, from int) string {
+		if err := n.tbl.Append(stepRowsOver(n.boot.Schema(), from, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.tbl.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		return n.tbl.Position().Snapshot.Serving.Name
+	}
+
+	if name := fold(leader, stepRows); !strings.HasPrefix(name, "compact-") {
+		t.Fatalf("fold served %q, want a compacted layout", name)
+	}
+	relay()
+	for i := 0; strings.HasPrefix(leader.tbl.Position().Snapshot.Serving.Name, "compact-"); i++ {
+		if i == 500 {
+			t.Fatal("the leader never reorganized away from its compacted layout")
+		}
+		leader.tbl.Observe(stepQuery(i))
+		relay()
+	}
+	if err := rep.tbl.Promote(stepConfig(0), stepThreshold); err != nil {
+		t.Fatal(err)
+	}
+	if name := fold(rep, stepRows+2); carried[name] {
+		t.Fatalf("the promoted leader's fold reuses %q; the stream carried %v", name, carried)
 	}
 }
 

@@ -19,7 +19,7 @@ func stepFixture(t *testing.T) (unseeded, seeded *repState, snap oreo.OptimizerS
 		t.Fatal(err)
 	}
 	snap = opt.Snapshot()
-	unseeded = &repState{tail: table.NewDelta(ds.Schema())}
+	unseeded = &repState{tail: table.NewBuilder(ds.Schema(), 0)}
 	seeded, _, err = step(unseeded, DecisionUpdate{Kind: UpdateSnapshot, Epoch: 5, Snapshot: snap, Base: ds, Rows: rowsOver(ds.Schema(), 64, 3)})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestStepRejections(t *testing.T) {
 			in:      DecisionUpdate{Kind: UpdateCompact, Epoch: 6, Folded: 3, Snapshot: snap},
 			wantErr: "pairs a 64-row layout with a 67-row dataset"},
 		{name: "compact whose bind fails", cur: seeded,
-			in: DecisionUpdate{Kind: UpdateCompact, Epoch: 6, Folded: 3, Bind: func(*oreo.Dataset) (oreo.OptimizerSnapshot, error) {
+			in: DecisionUpdate{Kind: UpdateCompact, Epoch: 6, Folded: 3, Bind: func(*oreo.Dataset, uint64) (oreo.OptimizerSnapshot, error) {
 				return oreo.OptimizerSnapshot{}, ErrDiverged
 			}},
 			wantErr: "diverges", is: ErrDiverged},
@@ -109,7 +109,7 @@ func TestStepRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before, tailRows, view := *tc.cur, tc.cur.tail.Rows(), tc.cur.tail.View().Data
+			before, tailRows, view := *tc.cur, tc.cur.tail.NumRows(), tc.cur.tail.View()
 			next, out, err := step(tc.cur, tc.in)
 			switch {
 			case tc.wantErr == "" && err != nil:
@@ -125,8 +125,8 @@ func TestStepRejections(t *testing.T) {
 			if out.Kind != "" {
 				t.Fatalf("a refused update emitted %+v", out)
 			}
-			if *tc.cur != before || tc.cur.tail.Rows() != tailRows || tc.cur.tail.View().Data != view {
-				t.Fatalf("state moved: %+v → %+v (tail %d → %d rows)", before, *tc.cur, tailRows, tc.cur.tail.Rows())
+			if *tc.cur != before || tc.cur.tail.NumRows() != tailRows || tc.cur.tail.View() != view {
+				t.Fatalf("state moved: %+v → %+v (tail %d → %d rows)", before, *tc.cur, tailRows, tc.cur.tail.NumRows())
 			}
 		})
 	}
@@ -152,7 +152,7 @@ func TestStepMintedEmptyFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, out, err := step(cur, DecisionUpdate{Kind: UpdateCompact, Bind: func(*oreo.Dataset) (oreo.OptimizerSnapshot, error) {
+	next, out, err := step(cur, DecisionUpdate{Kind: UpdateCompact, Bind: func(*oreo.Dataset, uint64) (oreo.OptimizerSnapshot, error) {
 		t.Fatal("an empty minted fold must not bind")
 		return oreo.OptimizerSnapshot{}, nil
 	}})

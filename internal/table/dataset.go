@@ -84,6 +84,10 @@ func (d *Dataset) Sample(rows []int) *Dataset {
 
 // Builder accumulates rows for a Dataset. It is not safe for concurrent
 // use. Build may be called once; the builder must not be reused after.
+//
+// A builder is also a live table's write tail: the serving layer's one
+// writer appends each landed batch (AppendDataset) and publishes the
+// rows so far with View, while readers hold earlier views.
 type Builder struct {
 	schema  *Schema
 	numRows int
@@ -92,6 +96,8 @@ type Builder struct {
 	dicts   []dictWriter
 	codes   [][]uint32
 	built   bool
+	// view caches View's result until the next append.
+	view *Dataset
 }
 
 // NewBuilder returns a builder for the given schema with capacity hints.
@@ -139,6 +145,7 @@ func (b *Builder) AppendRow(vals ...Value) {
 		}
 	}
 	b.numRows++
+	b.view = nil
 }
 
 // AppendRows bulk-appends the rows of d at the given indices. The
@@ -170,6 +177,7 @@ func (b *Builder) AppendRows(d *Dataset, rows []int) {
 		}
 	}
 	b.numRows += len(rows)
+	b.view = nil
 }
 
 // gather appends src's cells at the given rows to dst, growing dst once.
@@ -183,8 +191,15 @@ func gather[T any](dst, src []T, rows []int) []T {
 	return dst
 }
 
-// appendAll is AppendRows over every row of d, in order.
-func (b *Builder) appendAll(d *Dataset) {
+// AppendDataset is AppendRows over every row of d, in order, with the
+// same schema-identity contract. A dataset with no rows is a no-op.
+func (b *Builder) AppendDataset(d *Dataset) {
+	if d.schema != b.schema {
+		panic("table: AppendDataset across different schemas")
+	}
+	if d.numRows == 0 {
+		return
+	}
 	for c := 0; c < b.schema.NumCols(); c++ {
 		switch b.schema.Col(c).Type {
 		case Int64:
@@ -198,6 +213,7 @@ func (b *Builder) appendAll(d *Dataset) {
 		}
 	}
 	b.numRows += d.numRows
+	b.view = nil
 }
 
 // recode brings string column c's cells from start on, just copied from
@@ -208,11 +224,49 @@ func (b *Builder) recode(c, start int, src *Dataset) {
 	if start == 0 {
 		w.adopt(src.dicts[c])
 	}
-	w.recode(b.codes[c][start:], src.dicts[c], nil)
+	w.recode(b.codes[c][start:], src.dicts[c])
 }
 
 // NumRows returns the number of rows appended so far.
 func (b *Builder) NumRows() int { return b.numRows }
+
+// Schema returns the schema the builder appends over.
+func (b *Builder) Schema() *Schema { return b.schema }
+
+// View returns the rows appended so far as an immutable Dataset and
+// leaves the builder open. Column slices are clipped to the current row
+// count, so later appends write past every view's length or reallocate,
+// and each string column gets a dictionary snapshot of the values coded
+// so far (its value→code map stays the writer's). Views are safe to
+// share across goroutines while the builder's owner keeps appending.
+// The result is cached until the next append.
+func (b *Builder) View() *Dataset {
+	if b.view != nil {
+		return b.view
+	}
+	n := b.numRows
+	ds := &Dataset{
+		schema:  b.schema,
+		numRows: n,
+		ints:    make([][]int64, len(b.ints)),
+		floats:  make([][]float64, len(b.floats)),
+		dicts:   make([]*StringDict, len(b.dicts)),
+		codes:   make([][]uint32, len(b.codes)),
+	}
+	for c := 0; c < b.schema.NumCols(); c++ {
+		switch b.schema.Col(c).Type {
+		case Int64:
+			ds.ints[c] = b.ints[c][:n:n]
+		case Float64:
+			ds.floats[c] = b.floats[c][:n:n]
+		case String:
+			ds.codes[c] = b.codes[c][:n:n]
+			ds.dicts[c] = b.dicts[c].snapshot()
+		}
+	}
+	b.view = ds
+	return ds
+}
 
 // Build finalizes the dataset. The builder must not be used afterwards.
 func (b *Builder) Build() *Dataset {
@@ -234,4 +288,21 @@ func (b *Builder) Build() *Dataset {
 		}
 	}
 	return ds
+}
+
+// Concat returns a new dataset holding base's rows followed by tail's,
+// sharing base's schema. Compaction grows a table's base this way; both
+// inputs are left untouched. The tail must share the base's schema
+// pointer, the same contract as Builder.AppendRows. The result shares
+// base's string dictionaries unless the tail holds a value they lack,
+// in which case that column gets base's dictionary extended by the
+// tail's new values in first-appearance order (base codes unchanged).
+func Concat(base, tail *Dataset) *Dataset {
+	if tail.schema != base.schema {
+		panic("table: Concat across different schemas")
+	}
+	b := NewBuilder(base.schema, base.numRows+tail.numRows)
+	b.AppendDataset(base)
+	b.AppendDataset(tail)
+	return b.Build()
 }

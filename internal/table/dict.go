@@ -24,10 +24,10 @@ import "sync"
 type StringDict struct {
 	values []string
 
-	// index maps value → code. Dictionaries frozen from a Builder
-	// inherit its map; snapshots of a live Delta carry only values
-	// (the writer's map keeps mutating) and build theirs on the first
-	// Code call.
+	// index maps value → code. Dictionaries frozen by Builder.Build
+	// inherit the builder's map; Builder.View snapshots of a still-open
+	// builder carry only values (the writer's map keeps mutating) and
+	// build theirs on the first Code call.
 	indexOnce sync.Once
 	index     map[string]uint32
 }
@@ -56,7 +56,7 @@ func (d *StringDict) Value(c uint32) string { return d.values[c] }
 func (d *StringDict) Len() int { return len(d.values) }
 
 // dictWriter is the mutable, single-owner side of a dictionary: what a
-// Builder or Delta encodes incoming strings against. It either borrows
+// Builder encodes incoming strings against. It either borrows
 // a published dictionary (adopt) — read-only until the first new value
 // forces a private copy — or owns its values and index outright.
 type dictWriter struct {
@@ -65,6 +65,9 @@ type dictWriter struct {
 	borrowed *StringDict
 	values   []string
 	index    map[string]uint32
+	// pub is the last snapshot handed out, reused while the writer has
+	// gained no value since.
+	pub *StringDict
 }
 
 // adopt makes the writer encode against src without copying it. Only
@@ -98,11 +101,9 @@ func (w *dictWriter) code(v string) uint32 {
 
 // recode rewrites codes in place from the code space of from into the
 // writer's. Each distinct source value is translated once, new values
-// taking the next codes in first-appearance order; fresh, when non-nil,
-// is called once per distinct value the cells use (the delta folds its
-// stats there).
-func (w *dictWriter) recode(codes []uint32, from *StringDict, fresh func(string)) {
-	if from == w.borrowed && fresh == nil {
+// taking the next codes in first-appearance order.
+func (w *dictWriter) recode(codes []uint32, from *StringDict) {
+	if from == w.borrowed {
 		return // same code space
 	}
 	const unmapped = ^uint32(0)
@@ -113,12 +114,8 @@ func (w *dictWriter) recode(codes []uint32, from *StringDict, fresh func(string)
 	for i, sc := range codes {
 		c := remap[sc]
 		if c == unmapped {
-			v := from.values[sc]
-			c = w.code(v)
+			c = w.code(from.values[sc])
 			remap[sc] = c
-			if fresh != nil {
-				fresh(v)
-			}
 		}
 		codes[i] = c
 	}
@@ -132,4 +129,18 @@ func (w *dictWriter) freeze() *StringDict {
 		return w.borrowed
 	}
 	return &StringDict{values: w.values, index: w.index}
+}
+
+// snapshot publishes the values coded so far as an immutable
+// dictionary while the writer stays open: a borrowed dictionary as is,
+// otherwise the value list clipped to its current length, which later
+// appends never overwrite.
+func (w *dictWriter) snapshot() *StringDict {
+	if w.borrowed != nil {
+		return w.borrowed
+	}
+	if n := len(w.values); w.pub == nil || w.pub.Len() != n {
+		w.pub = &StringDict{values: w.values[:n:n]}
+	}
+	return w.pub
 }

@@ -77,7 +77,8 @@ func TestBuilderCodesFirstAppearance(t *testing.T) {
 }
 
 // TestDictionaryAcrossAppends pins how Concat, Builder.AppendRows and
-// Delta.AppendDataset treat a tail's strings: cells always read back
+// a write tail's Builder.AppendDataset + View treat a tail's strings:
+// cells always read back
 // equal; a tail introducing no value leaves the dictionary shared by
 // pointer; a tail introducing values extends a copy in first-appearance
 // order without renumbering what was there.
@@ -130,16 +131,16 @@ func TestDictionaryAcrossAppends(t *testing.T) {
 		})
 
 		t.Run("Delta/"+tc.name, func(t *testing.T) {
-			d := NewDelta(s)
+			d := NewBuilder(s, 0)
 			d.AppendDataset(base)
 			v1 := d.View()
 			d.AppendDataset(tail)
 			v2 := d.View()
-			// The delta codes against its own dictionaries, so its code
+			// A view snapshots the open builder's dictionary, so its code
 			// order is first appearance over everything appended.
-			checkCoded(t, v2.Data, wantCells, tc.wantDict)
-			checkCoded(t, v1.Data, tc.base, tc.wantDict[:v1.Data.Dict(0).Len()])
-			if reused := v2.Data.Dict(0) == v1.Data.Dict(0); reused != tc.shared {
+			checkCoded(t, v2, wantCells, tc.wantDict)
+			checkCoded(t, v1, tc.base, tc.wantDict[:v1.Dict(0).Len()])
+			if reused := v2.Dict(0) == v1.Dict(0); reused != tc.shared {
 				t.Fatalf("view dictionary reused = %v, want %v", reused, tc.shared)
 			}
 		})
@@ -193,13 +194,13 @@ func TestSampleSharesDictionary(t *testing.T) {
 	checkCoded(t, d, []string{"p", "q", "r", "q", "p"}, []string{"p", "q", "r"})
 }
 
-// TestDeltaViewStableUnderAppends is the -race half of the view
-// contract: readers decode a published view (cells, dictionary values
-// and the lazily indexed Code) while the owner keeps appending batches
-// that both reuse and extend the dictionary.
+// TestDeltaViewStableUnderAppends is the -race half of the write
+// tail's view contract: readers decode a published Builder.View (cells,
+// dictionary values and the lazily indexed Code) while the owner keeps
+// appending batches that both reuse and extend the dictionary.
 func TestDeltaViewStableUnderAppends(t *testing.T) {
 	s := strSchema()
-	d := NewDelta(s)
+	d := NewBuilder(s, 0)
 	rng := rand.New(rand.NewSource(21))
 	batch := func(n, card int) *Dataset {
 		vals := make([]string, n)
@@ -210,8 +211,8 @@ func TestDeltaViewStableUnderAppends(t *testing.T) {
 	}
 	d.AppendDataset(batch(64, 8))
 	view := d.View()
-	want := column(view.Data)
-	wantDict := dictValues(view.Data.Dict(0))
+	want := column(view)
+	wantDict := dictValues(view.Dict(0))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -225,11 +226,11 @@ func TestDeltaViewStableUnderAppends(t *testing.T) {
 					return
 				default:
 				}
-				if got := column(view.Data); !reflect.DeepEqual(got, want) {
+				if got := column(view); !reflect.DeepEqual(got, want) {
 					t.Error("published view's cells changed under appends")
 					return
 				}
-				dict := view.Data.Dict(0)
+				dict := view.Dict(0)
 				for c, v := range wantDict {
 					if got, ok := dict.Code(v); !ok || got != uint32(c) || dict.Len() != len(wantDict) {
 						t.Error("published view's dictionary changed under appends")
@@ -246,11 +247,7 @@ func TestDeltaViewStableUnderAppends(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	final := d.View()
-	if !reflect.DeepEqual(column(final.Data)[:len(want)], want) {
+	if !reflect.DeepEqual(column(d.View())[:len(want)], want) {
 		t.Fatal("later view disagrees with the earlier one on shared rows")
-	}
-	for c := range final.Stats {
-		statsEqual(t, final.Stats[c], statsByRescan(final.Data)[c])
 	}
 }

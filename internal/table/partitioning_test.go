@@ -285,3 +285,32 @@ func BenchmarkBuildPartitioning(b *testing.B) {
 		MustBuildPartitioning(d, assign, k)
 	}
 }
+
+// statsEqual holds two ColumnStats to bit-equality.
+func statsEqual(t *testing.T, got, want ColumnStats) {
+	t.Helper()
+	if got.Type != want.Type || got.seen != want.seen {
+		t.Fatalf("stats shape mismatch: got %+v want %+v", got, want)
+	}
+	switch got.Type {
+	case Int64:
+		if got.MinI != want.MinI || got.MaxI != want.MaxI {
+			t.Fatalf("int range: got [%d,%d] want [%d,%d]", got.MinI, got.MaxI, want.MinI, want.MaxI)
+		}
+	case Float64:
+		if math.Float64bits(got.MinF) != math.Float64bits(want.MinF) ||
+			math.Float64bits(got.MaxF) != math.Float64bits(want.MaxF) {
+			t.Fatalf("float range: got [%v,%v] want [%v,%v]", got.MinF, got.MaxF, want.MinF, want.MaxF)
+		}
+	case String:
+		if got.MinS != want.MinS || got.MaxS != want.MaxS {
+			t.Fatalf("string range: got [%q,%q] want [%q,%q]", got.MinS, got.MaxS, want.MinS, want.MaxS)
+		}
+		if !reflect.DeepEqual(got.Distinct, want.Distinct) {
+			t.Fatalf("distinct sets differ: got %v want %v", got.Distinct, want.Distinct)
+		}
+		if (got.Bloom == nil) != (want.Bloom == nil) {
+			t.Fatalf("bloom presence differs: got %v want %v", got.Bloom != nil, want.Bloom != nil)
+		}
+	}
+}

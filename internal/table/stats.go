@@ -65,24 +65,6 @@ func newColumnStats(t ColType) ColumnStats {
 // Empty reports whether no rows have been folded into the stats.
 func (cs *ColumnStats) Empty() bool { return !cs.seen }
 
-// Clone returns an independent deep copy: folding further observations
-// into either side leaves the other unchanged. Delta segments use this
-// to hand immutable stats snapshots to concurrent readers while the
-// live stats keep absorbing appends.
-func (cs *ColumnStats) Clone() ColumnStats {
-	out := *cs
-	if cs.Distinct != nil {
-		out.Distinct = make(map[string]struct{}, len(cs.Distinct))
-		for v := range cs.Distinct {
-			out.Distinct[v] = struct{}{}
-		}
-	}
-	if cs.Bloom != nil {
-		out.Bloom = cs.Bloom.Clone()
-	}
-	return out
-}
-
 // AddInt folds an int64 observation into the stats.
 func (cs *ColumnStats) AddInt(v int64) {
 	cs.seen = true

@@ -158,11 +158,11 @@
 // through one stream (Client.Replay; cmd/oreoreplay -mode serve drives
 // it against a live server and reports QPS). See examples/serving for
 // the raw wire loop and examples/client for the SDK loop.
-// SaveState/LoadState (and their WithData forms) round-trip a layout
-// together with its statistics block and cost memo; that document is the
-// framing of the replication stream's snapshot records, not a state
-// file: no server writes or reads one on its own, and a restart is
-// archive replay (see Cluster below).
+// SaveStateWithData/LoadStateWithData round-trip a layout together
+// with its statistics block, cost memo and live-written rows; that
+// document is the framing of the replication stream's snapshot
+// records, not a state file: no server writes or reads one on its own,
+// and a restart is archive replay (see Cluster below).
 //
 // # Execution
 //
@@ -237,12 +237,12 @@
 // Tables are not frozen at boot: POST /v2/tables/{table}/append lands
 // new rows through serve.Core (client.Append / client.BulkLoad on the
 // SDK side) into the table's *delta segment* — an append-only,
-// unpartitioned column block (table.Delta) with its own incrementally
-// maintained per-column statistics. The delta has no partitions to
-// prune, so every scan treats it as one extra always-surviving
-// segment: costs count its rows as always read, executes re-check its
-// rows row-by-row after the survivor blocks and merge its aggregate
-// partial last, and therefore pruned ≡ unpruned and kernel ≡
+// unpartitioned column block: a still-open table.Builder whose View
+// readers hold, with no statistics of its own. The delta has no
+// partitions to prune, so every scan treats it as one extra
+// always-surviving segment: costs count its rows as always read,
+// executes re-check its rows row-by-row after the survivor blocks and
+// merge its aggregate partial last, and therefore pruned ≡ unpruned and kernel ≡
 // interpreted stay bitwise with writes in flight. Appended rows are
 // queryable on the leader immediately — the append is an epoch-
 // advancing event on the same per-table decision loop that serializes
@@ -251,9 +251,11 @@
 // readers always see a coherent (layout, store, delta) triple.
 //
 // A compaction folds the delta into the base: the transition
-// concatenates the delta rows onto the dataset; the leader extends the
-// serving layout's row→partition assignment over them by placing each
-// new row into the partition whose metadata it widens least and
+// concatenates the delta rows onto the dataset and starts a fresh
+// builder for the next delta; the leader extends the serving layout's
+// row→partition assignment over them by placing each new row into the
+// partition whose metadata it widens least, names the compacted layout
+// after the epoch the fold lands at, and
 // rebuilds the optimizer over the grown dataset (same resolved Config,
 // same converged layout as Initial). Compaction triggers automatically
 // past a delta-size threshold or explicitly via POST /v2/tables/

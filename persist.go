@@ -18,27 +18,14 @@ func SaveLayout(w io.Writer, l *Layout) error { return persist.SaveLayout(w, l) 
 // a restarted process resumes from the layout it had converged to.
 func LoadLayout(r io.Reader, ds *Dataset) (*Layout, error) { return persist.LoadLayout(r, ds) }
 
-// SaveState writes a warm-start snapshot of the layout: the assignment
-// (as SaveLayout), the column-major statistics block, and the layout's
-// cost memo. It is the document a replication snapshot record carries:
-// whoever loads it — a follower, an archive replay — costs its first
-// windows from the restored memo instead of re-evaluating metadata.
-func SaveState(w io.Writer, l *Layout) error { return persist.SaveState(w, l) }
-
-// LoadState reads a snapshot written by SaveState and rebinds it to the
-// dataset. Partition metadata is always recomputed from the dataset
-// (persisted state never feeds partition skipping); the memo is
-// installed only when the saved statistics block matches the recomputed
-// one bit-for-bit, and the boolean reports whether it was (a "warm"
-// restart). Pass the layout as Config.Initial to resume serving on it.
-func LoadState(r io.Reader, ds *Dataset) (*Layout, bool, error) { return persist.LoadState(r, ds) }
-
-// SaveStateWithData writes a warm-start snapshot that also carries the
-// rows the boot source cannot reproduce: the tail of base beyond the
-// first bootRows rows (appended batches a compaction folded in) and
-// the uncompacted delta segment (nil or empty for none). A table that
-// never took a live write produces exactly the SaveState encoding,
-// readable by older builds.
+// SaveStateWithData writes a warm-start snapshot of the layout — the
+// assignment (as SaveLayout), the column-major statistics block, and
+// the layout's cost memo — that also carries the rows the boot source
+// cannot reproduce: the tail of base beyond the first bootRows rows
+// (appended batches a compaction folded in) and the uncompacted delta
+// segment (nil or empty for none). It is the document a replication
+// snapshot record carries. A table that never took a live write gets
+// no data section, readable by older builds.
 func SaveStateWithData(w io.Writer, l *Layout, base *Dataset, bootRows int, delta *Dataset) error {
 	return persist.SaveStateWithData(w, l, base, bootRows, delta)
 }
@@ -49,7 +36,11 @@ func SaveStateWithData(w io.Writer, l *Layout, base *Dataset, bootRows int, delt
 // pass it, not boot, as the table's dataset), delta is the saved delta
 // segment to replay through the live write path (nil when none), and
 // warm reports whether the cost memo survived the statistics gate.
-// Files written by SaveState load with base == boot and a nil delta.
+// Partition metadata is always recomputed from the rows (persisted
+// state never feeds partition skipping); the memo is installed only
+// when the saved statistics block matches the recomputed one
+// bit-for-bit. A file without a data section loads with base == boot
+// and a nil delta.
 func LoadStateWithData(r io.Reader, boot *Dataset) (l *Layout, warm bool, base, delta *Dataset, err error) {
 	return persist.LoadStateWithData(r, boot)
 }
