@@ -1,8 +1,10 @@
 package layout
 
 import (
+	"math/rand"
 	"testing"
 
+	"oreo/internal/datagen"
 	"oreo/internal/prune"
 	"oreo/internal/query"
 )
@@ -15,6 +17,21 @@ func BenchmarkQdTreeGenerate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Generate(d, qs, 32)
+	}
+}
+
+// BenchmarkQdTreeGenerateTPCH is one candidate build at the shape of
+// the benchmark's decide-drift workload: 100 000 TPC-H rows, a 200-query
+// window drifting between two templates, k = 66 (the default partition
+// count at that size).
+func BenchmarkQdTreeGenerateTPCH(b *testing.B) {
+	d := datagen.GenerateTPCH(100000, rand.New(rand.NewSource(1)))
+	qs := tpchDriftWindow(200, 2)
+	g := NewQdTreeGenerator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Generate(d, qs, 66)
 	}
 }
 

@@ -27,7 +27,8 @@ import (
 // query.FractionScanned, which remains available as the reference path.
 type Layout struct {
 	// Name describes how the layout was produced, e.g.
-	// "zorder(l_shipdate,l_discount,l_quantity)" or "qdtree(w=200@1400)".
+	// "zorder(l_shipdate,l_discount,l_quantity)" or
+	// "qdtree(cuts=281,leaves=66,w=q0..199,tree=0c514a5731779879)".
 	Name string
 	// Part is the materialized partitioning of the full dataset.
 	Part *table.Partitioning

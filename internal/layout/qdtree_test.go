@@ -1,18 +1,24 @@
 package layout
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"oreo/internal/datagen"
 	"oreo/internal/query"
 	"oreo/internal/table"
+	"oreo/internal/workload"
 )
 
 func qdWorkload(n int, seed int64) []query.Query {
@@ -32,6 +38,25 @@ func qdWorkload(n int, seed int64) []query.Query {
 			qs = append(qs, query.Query{ID: i, Preds: []query.Predicate{
 				query.FloatRange("amount", lo, lo+150)}})
 		}
+	}
+	return qs
+}
+
+// tpchDriftWindow draws n queries the way a window of decide-drift's
+// stream looks at a run boundary: the first half from one TPC-H
+// template, the second half from another, with fresh constants.
+func tpchDriftWindow(n int, seed int64) []query.Query {
+	templates := workload.TPCHTemplates()
+	rng := rand.New(rand.NewSource(seed))
+	from := rng.Intn(len(templates))
+	to := (from + 1 + rng.Intn(len(templates)-1)) % len(templates)
+	qs := make([]query.Query, n)
+	for i := range qs {
+		t := from
+		if i >= n/2 {
+			t = to
+		}
+		qs[i] = query.Query{ID: i, Template: t, Preds: templates[t].Make(rng)}
 	}
 	return qs
 }
@@ -298,9 +323,11 @@ func TestQdTreeSampleSizeOption(t *testing.T) {
 // Bloom filters), IN lists with duplicates and with values no row has,
 // predicates on unknown or type-mismatched columns, repeated predicates
 // on one column, datasets smaller than the sample, and k from 1 to far
-// more leaves than can be split.
+// more leaves than can be split. Up to ten columns means some cases
+// hold five or more of one type, so metadata sweeps that take columns
+// in groups meet every group width and remainder.
 func qdRandomCase(rng *rand.Rand) (*table.Dataset, []query.Query, int, *QdTreeGenerator) {
-	ncols := 1 + rng.Intn(6)
+	ncols := 1 + rng.Intn(10)
 	cols := make([]table.Column, ncols)
 	vocab := make([][]string, ncols)
 	for c := range cols {
@@ -439,7 +466,7 @@ func TestQdTreeMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		cases = 60
 	}
-	bloomSeen := false
+	bloomSeen, wideSeen := false, false
 	for seed := int64(0); seed < int64(cases); seed++ {
 		d, qs, k, g := qdRandomCase(rand.New(rand.NewSource(seed)))
 		got, want := g.Generate(d, qs, k), oracleGenerate(g, d, qs, k)
@@ -451,24 +478,89 @@ func TestQdTreeMatchesOracle(t *testing.T) {
 				bloomSeen = bloomSeen || m.Stats[c].Bloom != nil
 			}
 		}
+		wideSeen = wideSeen || maxColsOfOneType(d.Schema()) >= 5
 	}
 	if !bloomSeen {
 		t.Error("no case overflowed a distinct set into a Bloom filter; the generator lost that corner")
 	}
+	if !wideSeen {
+		t.Error("no case had five columns of one type; the generator lost that corner")
+	}
+}
+
+// FuzzQdTreeMatchesOracle is the native-fuzzing form of
+// TestQdTreeMatchesOracle.
+func FuzzQdTreeMatchesOracle(f *testing.F) {
+	for _, seed := range []int64{0, 1, 7, 42, 1234, 999983} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		d, qs, k, g := qdRandomCase(rand.New(rand.NewSource(seed)))
+		if err := sameLayout(g.Generate(d, qs, k), oracleGenerate(g, d, qs, k)); err != nil {
+			t.Fatalf("%d rows, %d queries, k=%d, %+v: %v", d.NumRows(), len(qs), k, *g, err)
+		}
+	})
+}
+
+// maxColsOfOneType is the largest number of schema columns sharing a
+// type.
+func maxColsOfOneType(schema *table.Schema) int {
+	var n [3]int
+	for c := 0; c < schema.NumCols(); c++ {
+		n[schema.Col(c).Type]++
+	}
+	return max(n[0], n[1], n[2])
 }
 
 // TestQdTreeMatchesOracleTPCHShape runs the equivalence at the
-// benchmark's shape: a wide table, default sampling, a 200-query
-// window, more partitions than a window can carve.
+// benchmark's shape: the 27-column TPC-H table (14 int, 3 float and 10
+// string columns), default sampling, a 200-query window drifting
+// between two templates, and k from a few partitions to more than a
+// window can carve.
 func TestQdTreeMatchesOracleTPCHShape(t *testing.T) {
-	d := testDataset(t, 30000, 41)
+	d := datagen.GenerateTPCH(30000, rand.New(rand.NewSource(41)))
 	for _, k := range []int{8, 66} {
-		qs := qdWorkload(200, int64(k))
+		qs := tpchDriftWindow(200, int64(k))
 		g := NewQdTreeGenerator()
 		if err := sameLayout(g.Generate(d, qs, k), oracleGenerate(g, d, qs, k)); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 	}
+}
+
+// TestQdTreeNamesIdentifyTrees holds a candidate's name to its tree
+// over windows that the workload tag cannot tell apart: a stationary
+// TPC-H mix whose queries all carry ID 0, as they do from a client that
+// sends none. Two candidates must share a name exactly when they share
+// an assignment; the state space drops a candidate whose name it
+// already holds, so a shared name on different trees loses a layout.
+func TestQdTreeNamesIdentifyTrees(t *testing.T) {
+	const windows, size = 60, 200
+	d := datagen.GenerateTPCH(20000, rand.New(rand.NewSource(5)))
+	s := workload.MustGenerate(workload.TPCHTemplates(), workload.Config{
+		NumQueries: windows * size, NumSegments: windows * size,
+	}, rand.New(rand.NewSource(6)))
+	g := NewQdTreeGenerator()
+	names, assigns := make([]string, windows), make([][]int, windows)
+	for w := range names {
+		qs := append([]query.Query(nil), s.Queries[w*size:(w+1)*size]...)
+		for i := range qs {
+			qs[i].ID = 0
+		}
+		l := g.Generate(d, qs, 66)
+		names[w], assigns[w] = l.Name, l.Part.Assign
+	}
+	distinct := map[string]bool{}
+	for i := range names {
+		distinct[names[i]] = true
+		for j := i + 1; j < len(names); j++ {
+			sameName, sameTree := names[i] == names[j], slices.Equal(assigns[i], assigns[j])
+			if sameName != sameTree {
+				t.Errorf("windows %d and %d: names %q and %q, equal assignments %v", i, j, names[i], names[j], sameTree)
+			}
+		}
+	}
+	t.Logf("%d windows, %d distinct names", windows, len(distinct))
 }
 
 // allocsPer runs f n times and returns the mean heap allocations and
@@ -810,6 +902,45 @@ func oracleGenerate(g *QdTreeGenerator, d *table.Dataset, qs []query.Query, k in
 		assign[r] = root.route(d, r)
 	}
 	part := oraclePartitioning(d, assign, len(leaves))
-	name := fmt.Sprintf("qdtree(cuts=%d,leaves=%d,w=%s)", len(cuts), len(leaves), workloadTag(qs))
+	h := fnv.New64a()
+	root.hash(h)
+	name := fmt.Sprintf("qdtree(cuts=%d,leaves=%d,w=%s,tree=%016x)", len(cuts), len(leaves), workloadTag(qs), h.Sum64())
 	return New(name, d.Schema(), part)
+}
+
+// hash writes the subtree in preorder: an inner node as its cut's kind
+// byte, column (uint32 little-endian) and either its threshold's bits
+// (uint64 little-endian, every NaN as math.NaN()) or its IN values in
+// ascending order, each as a uint32 length and its bytes; a leaf as
+// 0xff and its partition ID (uint32 little-endian).
+func (n *oracleNode) hash(h hash.Hash64) {
+	var b []byte
+	if n.cut == nil {
+		h.Write(binary.LittleEndian.AppendUint32([]byte{0xff}, uint32(n.leafID)))
+		return
+	}
+	c := n.cut
+	b = binary.LittleEndian.AppendUint32([]byte{byte(c.kind)}, uint32(c.col))
+	switch c.kind {
+	case cutIntLT:
+		b = binary.LittleEndian.AppendUint64(b, uint64(c.i))
+	case cutFloatLT:
+		f := c.f
+		if math.IsNaN(f) {
+			f = math.NaN()
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	case cutStrIn:
+		vals := make([]string, 0, len(c.set))
+		for v := range c.set {
+			vals = append(vals, v)
+		}
+		sort.Strings(vals)
+		for _, v := range vals {
+			b = append(binary.LittleEndian.AppendUint32(b, uint32(len(v))), v...)
+		}
+	}
+	h.Write(b)
+	n.left.hash(h)
+	n.right.hash(h)
 }

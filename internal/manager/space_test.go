@@ -1,10 +1,12 @@
 package manager
 
 import (
+	"slices"
 	"testing"
 
 	"oreo/internal/layout"
 	"oreo/internal/mts"
+	"oreo/internal/query"
 )
 
 // newTestManager returns a manager over the ts-sorted layout whose
@@ -86,5 +88,27 @@ func TestManagerPruneSparesCurrentAndNeverReusesIDs(t *testing.T) {
 		if id, v := m.Offer(l); v != Admitted || id != other+1 {
 			t.Errorf("current=%d: re-admission got ID %d (verdict %d), want %d", current, id, v, other+1)
 		}
+	}
+}
+
+// TestManagerJudgesCollidingQdTreesByEpsilon offers two Qd-tree
+// candidates that the window tag cannot tell apart — every query has ID
+// 0, and each window harvests two cuts and carves three leaves — but
+// that split the table at different places. The second must meet the ε
+// rule, not be dropped as a duplicate of the first.
+func TestManagerJudgesCollidingQdTreesByEpsilon(t *testing.T) {
+	m, _ := newTestManager(t, -1, 0) // ε < 0: every non-duplicate is admitted
+	gen := layout.NewQdTreeGenerator()
+	d := testDataset(400)
+	a := gen.Generate(d, []query.Query{tsQuery(0, 100, 199)}, 8)
+	b := gen.Generate(d, []query.Query{tsQuery(0, 150, 249)}, 8)
+	if a.Part.NumPartitions != 3 || b.Part.NumPartitions != 3 || slices.Equal(a.Part.Assign, b.Part.Assign) {
+		t.Fatalf("fixture: %d and %d leaves, want 3 each over different assignments", a.Part.NumPartitions, b.Part.NumPartitions)
+	}
+	if _, v := m.Offer(a); v != Admitted {
+		t.Fatalf("first candidate %q: verdict %d, want Admitted", a.Name, v)
+	}
+	if id, v := m.Offer(b); v != Admitted || m.Layout(id) != b {
+		t.Fatalf("second candidate %q after %q: verdict %d, want Admitted", b.Name, a.Name, v)
 	}
 }

@@ -111,9 +111,11 @@ func TestPartitioningConservationProperty(t *testing.T) {
 // floats in every order, extreme ints, empty strings, string columns
 // far above MaxTrackedDistinct (partitions overflow into Bloom filters),
 // dictionaries shared with a parent dataset (values no row uses), empty
-// partitions, and k = 1.
+// partitions, and k = 1. Up to ten columns means some cases hold five or
+// more of one type, so the sweeps that take columns in groups meet every
+// group width and remainder.
 func randomPartitioningCase(rng *rand.Rand) (*Dataset, []int, int) {
-	ncols := 1 + rng.Intn(5)
+	ncols := 1 + rng.Intn(10)
 	cols := make([]Column, ncols)
 	card := make([]int, ncols)
 	for c := range cols {
@@ -228,7 +230,7 @@ func bitsOf(fs []float64) []uint64 {
 }
 
 func TestBuildPartitioningMatchesAddRowFold(t *testing.T) {
-	bloomSeen := false
+	bloomSeen, wideSeen := false, false
 	for seed := int64(0); seed < 300; seed++ {
 		d, assign, k := randomPartitioningCase(rand.New(rand.NewSource(seed)))
 		checkBuildMatchesAddRowFold(t, d, assign, k)
@@ -237,9 +239,17 @@ func TestBuildPartitioningMatchesAddRowFold(t *testing.T) {
 				bloomSeen = bloomSeen || m.Stats[c].Bloom != nil
 			}
 		}
+		var ofType [3]int
+		for c := 0; c < d.Schema().NumCols(); c++ {
+			ofType[d.Schema().Col(c).Type]++
+		}
+		wideSeen = wideSeen || max(ofType[0], ofType[1], ofType[2]) >= 5
 	}
 	if !bloomSeen {
 		t.Error("no case overflowed a distinct set into a Bloom filter; the generator lost that corner")
+	}
+	if !wideSeen {
+		t.Error("no case had five columns of one type; the generator lost that corner")
 	}
 }
 
@@ -257,7 +267,11 @@ func FuzzBuildPartitioningEquivalence(f *testing.F) {
 
 // BenchmarkBuildPartitioning folds a 100 000-row table of the
 // benchmark's column mix (ints, floats, low- and mid-cardinality
-// strings) into 64 partitions.
+// strings) into 64 partitions. assign=sorted is an almost sorted
+// assignment (runs of ~1 500 rows, as a sort or z-order layout gives);
+// assign=random gives every row an independent partition, as a Qd-tree
+// candidate over unsorted data does (its same-partition runs are one to
+// two rows long).
 func BenchmarkBuildPartitioning(b *testing.B) {
 	const rows, k = 100000, 64
 	schema := NewSchema(
@@ -275,14 +289,23 @@ func BenchmarkBuildPartitioning(b *testing.B) {
 			Str(fmt.Sprintf("Brand#%d", rng.Intn(25))), Str(fmt.Sprintf("C%d", rng.Intn(40))))
 	}
 	d := bld.Build()
-	assign := make([]int, rows)
-	for r := range assign {
-		assign[r] = (r*k/rows + rng.Intn(3)) % k
+	sorted, random := make([]int, rows), make([]int, rows)
+	for r := range sorted {
+		sorted[r] = (r*k/rows + rng.Intn(3)) % k
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MustBuildPartitioning(d, assign, k)
+	for r := range random {
+		random[r] = rng.Intn(k)
+	}
+	for _, c := range []struct {
+		name   string
+		assign []int
+	}{{"sorted", sorted}, {"random", random}} {
+		b.Run("assign="+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MustBuildPartitioning(d, c.assign, k)
+			}
+		})
 	}
 }
 
