@@ -315,5 +315,8 @@ func sweepTable(s *experiments.Scenario) *report.Table {
 	return t
 }
 
-func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
+// round2 rounds to two decimals. float64(v*100) rounds the product
+// before the add, which arm64 would otherwise fuse.
+func round2(v float64) float64 { return float64(int64(float64(v*100)+0.5)) / 100 }
+
 func round0(v float64) float64 { return float64(int64(v + 0.5)) }

@@ -83,7 +83,9 @@ func GenerateTPCDS(rows int, rng *rand.Rand) *table.Dataset {
 	span := float64(TPCDSDateMax - TPCDSDateMin)
 	for i := 0; i < rows; i++ {
 		frac := float64(i) / float64(rows)
-		jitter := (rng.Float64() - 0.5) * 0.05
+		// float64(...) rounds the product before the add: arm64 would
+		// otherwise fuse the two, and the result would differ from amd64's.
+		jitter := float64((float64(rng.Float64()) - 0.5) * 0.05)
 		pos := frac + jitter
 		if pos < 0 {
 			pos = 0
@@ -117,9 +119,9 @@ func GenerateTPCDS(rows int, rng *rand.Rand) *table.Dataset {
 		brand := TPCDSBrandsDS[(catIdx*2+rng.Intn(4))%len(TPCDSBrandsDS)]
 
 		qty := int64(1 + rng.Intn(100))
-		wholesale := 1 + rng.Float64()*99
-		listPrice := wholesale * (1.2 + rng.Float64()*1.3)
-		salesPrice := listPrice * (0.3 + rng.Float64()*0.7)
+		wholesale := 1 + float64(rng.Float64()*99)
+		listPrice := wholesale * (1.2 + float64(rng.Float64()*1.3))
+		salesPrice := float64(listPrice * (0.3 + float64(rng.Float64()*0.7)))
 		extSales := salesPrice * float64(qty)
 		profit := (salesPrice - wholesale) * float64(qty)
 		coupon := 0.0
@@ -143,7 +145,7 @@ func GenerateTPCDS(rows int, rng *rand.Rand) *table.Dataset {
 			table.Str(category),
 			table.Str(class),
 			table.Str(brand),
-			table.Float(listPrice*(0.9+rng.Float64()*0.2)),
+			table.Float(listPrice*(0.9+float64(rng.Float64()*0.2))),
 			table.Str(uniformStrings(rng, TPCDSGenders)),
 			table.Str(uniformStrings(rng, TPCDSMarital)),
 			table.Str(uniformStrings(rng, TPCDSEducation)),

@@ -92,7 +92,9 @@ func GenerateTPCH(rows int, rng *rand.Rand) *table.Dataset {
 		// Arrival-ordered order date with jitter: position in the file
 		// correlates with time, like an ingest-ordered fact table.
 		frac := float64(i) / float64(rows)
-		jitter := (rng.Float64() - 0.5) * 0.06
+		// float64(...) rounds the product before the add: arm64 would
+		// otherwise fuse the two, and the result would differ from amd64's.
+		jitter := float64((float64(rng.Float64()) - 0.5) * 0.06)
 		pos := frac + jitter
 		if pos < 0 {
 			pos = 0

@@ -172,7 +172,7 @@ func checkCoveredScenario(t testing.TB, rng *rand.Rand, queries int) (pairs, cov
 			}
 			for j := range sc.preds {
 				pairs++
-				if sc.preds[j].covers(part.Meta[pid].Stats) {
+				if sc.preds[j].covers(part.Meta()[pid].Stats) {
 					covered++
 				}
 			}

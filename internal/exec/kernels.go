@@ -202,7 +202,7 @@ func (s *Store) bindKernels(sc *scanScratch, q query.Query) (never bool) {
 // (foldCovered).
 func (s *Store) selectBlock(preds []kernPred, pid int, buf *[]int32) (sel []int32, covered bool) {
 	blk := s.blocks[pid]
-	stats := s.part.Meta[pid].Stats
+	stats := s.part.Meta()[pid].Stats
 	first := true
 	for i := range preds {
 		p := &preds[i]

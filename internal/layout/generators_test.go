@@ -39,7 +39,7 @@ func TestBottomUpPerfectSkippingForFeatures(t *testing.T) {
 		qs[i].ID = i
 	}
 	l := NewBottomUpGenerator().Generate(d, qs, 4)
-	for pid, m := range l.Part.Meta {
+	for pid, m := range l.Part.Meta() {
 		if m.NumRows == 0 {
 			continue
 		}
@@ -90,7 +90,7 @@ func TestBottomUpSkippingSound(t *testing.T) {
 	l := NewBottomUpGenerator().Generate(d, qs, 6)
 	for _, q := range qs[:8] {
 		for r := 0; r < d.NumRows(); r++ {
-			if q.MatchRow(d, r) && !q.MayMatch(d.Schema(), l.Part.Meta[l.Part.Assign[r]]) {
+			if q.MatchRow(d, r) && !q.MayMatch(d.Schema(), l.Part.Meta()[l.Part.Assign[r]]) {
 				t.Fatalf("partition containing a match skipped for %v", q)
 			}
 		}
@@ -163,7 +163,7 @@ func TestAllGeneratorsContract(t *testing.T) {
 		}
 		q := qs[0]
 		for r := 0; r < d.NumRows(); r++ {
-			if q.MatchRow(d, r) && !q.MayMatch(d.Schema(), l.Part.Meta[l.Part.Assign[r]]) {
+			if q.MatchRow(d, r) && !q.MayMatch(d.Schema(), l.Part.Meta()[l.Part.Assign[r]]) {
 				t.Errorf("%s: unsound skipping", g.Name())
 				break
 			}

@@ -136,7 +136,7 @@ func TestQdTreeSkippingSound(t *testing.T) {
 			for r := 0; r < d.NumRows(); r++ {
 				if q.MatchRow(d, r) {
 					pid := l.Part.Assign[r]
-					if !q.MayMatch(d.Schema(), l.Part.Meta[pid]) {
+					if !q.MayMatch(d.Schema(), l.Part.Meta()[pid]) {
 						return false
 					}
 				}
@@ -431,15 +431,15 @@ func sameLayout(got, want *Layout) error {
 		return fmt.Errorf("name %q, want %q", got.Name, want.Name)
 	}
 	gp, wp := got.Part, want.Part
-	if gp.NumPartitions != wp.NumPartitions || gp.TotalRows != wp.TotalRows || len(gp.Meta) != len(wp.Meta) {
+	if gp.NumPartitions != wp.NumPartitions || gp.TotalRows != wp.TotalRows || len(gp.Meta()) != len(wp.Meta()) {
 		return fmt.Errorf("shape (%d parts, %d rows, %d metas), want (%d, %d, %d)",
-			gp.NumPartitions, gp.TotalRows, len(gp.Meta), wp.NumPartitions, wp.TotalRows, len(wp.Meta))
+			gp.NumPartitions, gp.TotalRows, len(gp.Meta()), wp.NumPartitions, wp.TotalRows, len(wp.Meta()))
 	}
 	if !reflect.DeepEqual(gp.Assign, wp.Assign) {
 		return fmt.Errorf("assignments differ")
 	}
-	for pid := range wp.Meta {
-		g, w := gp.Meta[pid], wp.Meta[pid]
+	for pid := range wp.Meta() {
+		g, w := gp.Meta()[pid], wp.Meta()[pid]
 		if g.ID != w.ID || g.NumRows != w.NumRows || len(g.Stats) != len(w.Stats) {
 			return fmt.Errorf("partition %d: (id %d, %d rows), want (id %d, %d rows)", pid, g.ID, g.NumRows, w.ID, w.NumRows)
 		}
@@ -473,7 +473,7 @@ func TestQdTreeMatchesOracle(t *testing.T) {
 		if err := sameLayout(got, want); err != nil {
 			t.Fatalf("seed %d (%d rows, %d queries, k=%d, %+v): %v", seed, d.NumRows(), len(qs), k, *g, err)
 		}
-		for _, m := range got.Part.Meta {
+		for _, m := range got.Part.Meta() {
 			for c := range m.Stats {
 				bloomSeen = bloomSeen || m.Stats[c].Bloom != nil
 			}
@@ -782,19 +782,14 @@ func oracleStrideSample(n, size int) []int {
 // oraclePartitioning folds every row through PartitionMeta.AddRow in
 // ascending row order — the reference table.BuildPartitioning is held to.
 func oraclePartitioning(d *table.Dataset, assign []int, k int) *table.Partitioning {
-	p := &table.Partitioning{
-		NumPartitions: k,
-		Assign:        assign,
-		Meta:          make([]*table.PartitionMeta, k),
-		TotalRows:     d.NumRows(),
-	}
-	for i := range p.Meta {
-		p.Meta[i] = table.NewPartitionMeta(i, d.Schema())
+	meta := make([]*table.PartitionMeta, k)
+	for i := range meta {
+		meta[i] = table.NewPartitionMeta(i, d.Schema())
 	}
 	for r, pid := range assign {
-		p.Meta[pid].AddRow(d, r)
+		meta[pid].AddRow(d, r)
 	}
-	return p
+	return table.NewPartitioning(meta, assign)
 }
 
 // oracleGenerate is the pre-columnar QdTreeGenerator.Generate.

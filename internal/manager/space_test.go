@@ -1,12 +1,15 @@
 package manager
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
+	"oreo/internal/datagen"
 	"oreo/internal/layout"
 	"oreo/internal/mts"
 	"oreo/internal/query"
+	"oreo/internal/workload"
 )
 
 // newTestManager returns a manager over the ts-sorted layout whose
@@ -110,5 +113,50 @@ func TestManagerJudgesCollidingQdTreesByEpsilon(t *testing.T) {
 	}
 	if id, v := m.Offer(b); v != Admitted || m.Layout(id) != b {
 		t.Fatalf("second candidate %q after %q: verdict %d, want Admitted", b.Name, a.Name, v)
+	}
+}
+
+// TestRejectedCandidateBuildsOnlyReservoirColumns pins what lazy
+// partition metadata saves: a candidate Offer rejects was read only
+// through its cost vector on the reservoir sample, so of its columns'
+// statistics exactly the reservoir's predicate columns are built. An
+// admitted candidate has at least those built.
+func TestRejectedCandidateBuildsOnlyReservoirColumns(t *testing.T) {
+	d := datagen.GenerateTPCH(6000, rand.New(rand.NewSource(1)))
+	schema := d.Schema()
+	feed := NewFeed(d, layout.NewQdTreeGenerator(), FeedConfig{WindowSize: 100, Period: 50, Partitions: 16}, rand.New(rand.NewSource(2)))
+	m := New(feed, layout.NewSortGenerator("o_orderdate").Generate(d, nil, 16), 0.08, 0)
+	templates := workload.TPCHTemplates()
+	rng := rand.New(rand.NewSource(3))
+	rejected := 0
+	for i := 0; i < 1200; i++ {
+		tpl := []int{0, 5, 9}[i/400]
+		if rng.Intn(4) == 0 {
+			tpl = rng.Intn(len(templates))
+		}
+		for _, c := range m.Observe(query.Query{ID: i, Template: tpl, Preds: templates[tpl].Make(rng)}) {
+			read := make([]bool, schema.NumCols())
+			for _, q := range feed.ReservoirQueries() {
+				for _, p := range q.Preds {
+					read[schema.MustIndex(p.Col)] = true
+				}
+			}
+			_, v := m.Offer(c.Layout)
+			if v == Duplicate {
+				continue
+			}
+			for col, want := range read {
+				if got := c.Layout.Part.Built(col); got != want && (v == Rejected || want) {
+					t.Fatalf("query %d: %s candidate %s: column %s built = %v, read by the reservoir = %v",
+						i, map[Verdict]string{Admitted: "admitted", Rejected: "rejected"}[v], c.Layout.Name, schema.Col(col).Name, got, want)
+				}
+			}
+			if v == Rejected {
+				rejected++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no candidate was rejected; the stream lost its point")
 	}
 }

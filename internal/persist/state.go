@@ -202,21 +202,22 @@ type MemoDoc struct {
 
 // newStatsDoc snapshots a statistics block.
 func newStatsDoc(b *table.StatsBlock) StatsDoc {
+	c := b.Columns()
 	f := StatsDoc{
 		NumParts: b.NumParts,
 		NumCols:  b.NumCols,
 		Rows:     append([]int(nil), b.Rows...),
-		MinI:     append([]int64(nil), b.MinI...),
-		MaxI:     append([]int64(nil), b.MaxI...),
-		MinFBits: make([]uint64, len(b.MinF)),
-		MaxFBits: make([]uint64, len(b.MaxF)),
-		Seen:     append([]bool(nil), b.Seen...),
+		MinI:     append([]int64(nil), c.MinI...),
+		MaxI:     append([]int64(nil), c.MaxI...),
+		MinFBits: make([]uint64, len(c.MinF)),
+		MaxFBits: make([]uint64, len(c.MaxF)),
+		Seen:     append([]bool(nil), c.Seen...),
 		NonEmpty: append([]uint64(nil), b.NonEmpty...),
 	}
-	for i, v := range b.MinF {
+	for i, v := range c.MinF {
 		f.MinFBits[i] = math.Float64bits(v)
 	}
-	for i, v := range b.MaxF {
+	for i, v := range c.MaxF {
 		f.MaxFBits[i] = math.Float64bits(v)
 	}
 	return f
@@ -225,10 +226,11 @@ func newStatsDoc(b *table.StatsBlock) StatsDoc {
 // matchesBlock reports whether the saved statistics equal the block
 // recomputed from the live dataset, bit for bit.
 func (f *StatsDoc) matchesBlock(b *table.StatsBlock) bool {
+	c := b.Columns()
 	if f.NumParts != b.NumParts || f.NumCols != b.NumCols ||
-		len(f.Rows) != len(b.Rows) || len(f.MinI) != len(b.MinI) ||
-		len(f.MaxI) != len(b.MaxI) || len(f.MinFBits) != len(b.MinF) ||
-		len(f.MaxFBits) != len(b.MaxF) || len(f.Seen) != len(b.Seen) ||
+		len(f.Rows) != len(b.Rows) || len(f.MinI) != len(c.MinI) ||
+		len(f.MaxI) != len(c.MaxI) || len(f.MinFBits) != len(c.MinF) ||
+		len(f.MaxFBits) != len(c.MaxF) || len(f.Seen) != len(c.Seen) ||
 		len(f.NonEmpty) != len(b.NonEmpty) {
 		return false
 	}
@@ -237,27 +239,27 @@ func (f *StatsDoc) matchesBlock(b *table.StatsBlock) bool {
 			return false
 		}
 	}
-	for i, v := range b.MinI {
+	for i, v := range c.MinI {
 		if f.MinI[i] != v {
 			return false
 		}
 	}
-	for i, v := range b.MaxI {
+	for i, v := range c.MaxI {
 		if f.MaxI[i] != v {
 			return false
 		}
 	}
-	for i, v := range b.MinF {
+	for i, v := range c.MinF {
 		if f.MinFBits[i] != math.Float64bits(v) {
 			return false
 		}
 	}
-	for i, v := range b.MaxF {
+	for i, v := range c.MaxF {
 		if f.MaxFBits[i] != math.Float64bits(v) {
 			return false
 		}
 	}
-	for i, v := range b.Seen {
+	for i, v := range c.Seen {
 		if f.Seen[i] != v {
 			return false
 		}

@@ -21,7 +21,8 @@
 //     column-major statistics block (table.StatsBlock): each numeric
 //     predicate sweeps two contiguous min/max arrays and clears bits in
 //     a partition survivor mask, with zero map lookups and zero heap
-//     allocations on the hot path.
+//     allocations on the hot path. Only the predicates' columns are
+//     read, and the block builds each on its first read.
 //   - Engine memoizes per-(layout, query) costs under a bounded LRU
 //     keyed by the query's structural fingerprint, so window
 //     re-evaluations and admission distance checks stop recomputing
@@ -292,13 +293,11 @@ func (cq *CompiledQuery) applyPreds(b *table.StatsBlock, mask []uint64) {
 	words := len(mask)
 	for i := range cq.preds {
 		p := &cq.preds[i]
-		base := p.ci * np
+		col := b.Column(p.ci)
 		switch p.kind {
 		case kindInt:
 			// Dense sweep over the column's contiguous min/max arrays.
-			seen := b.Seen[base : base+np]
-			minI := b.MinI[base : base+np]
-			maxI := b.MaxI[base : base+np]
+			seen, minI, maxI := col.Seen, col.MinI, col.MaxI
 			for pid := 0; pid < np; pid++ {
 				ok := seen[pid]
 				if p.hasLo && maxI[pid] < p.loI {
@@ -312,9 +311,7 @@ func (cq *CompiledQuery) applyPreds(b *table.StatsBlock, mask []uint64) {
 				}
 			}
 		case kindFloat:
-			seen := b.Seen[base : base+np]
-			minF := b.MinF[base : base+np]
-			maxF := b.MaxF[base : base+np]
+			seen, minF, maxF := col.Seen, col.MinF, col.MaxF
 			for pid := 0; pid < np; pid++ {
 				// NaN-poisoned metadata compares false on both bounds and
 				// stays scannable, matching the interpreted path.
@@ -338,13 +335,13 @@ func (cq *CompiledQuery) applyPreds(b *table.StatsBlock, mask []uint64) {
 					bit := uint(bits.TrailingZeros64(m))
 					m &= m - 1
 					pid := w<<6 + int(bit)
-					if !stringPredMayMatch(p, b, base+pid) {
+					if !stringPredMayMatch(p, &col, pid) {
 						mask[w] &^= 1 << bit
 					}
 				}
 			}
 		case kindSeen:
-			seen := b.Seen[base : base+np]
+			seen := col.Seen
 			for pid := 0; pid < np; pid++ {
 				if !seen[pid] {
 					mask[pid>>6] &^= 1 << uint(pid&63)
@@ -356,11 +353,11 @@ func (cq *CompiledQuery) applyPreds(b *table.StatsBlock, mask []uint64) {
 
 // stringPredMayMatch mirrors ColumnStats.ContainsString over the interned
 // IN-set, probing Bloom filters with precomputed hash pairs.
-func stringPredMayMatch(p *compiledPred, b *table.StatsBlock, idx int) bool {
-	if !b.Seen[idx] {
+func stringPredMayMatch(p *compiledPred, col *table.ColumnBlock, pid int) bool {
+	if !col.Seen[pid] {
 		return false
 	}
-	cs := b.Col[idx]
+	cs := col.Col[pid]
 	for i := range p.in {
 		iv := &p.in[i]
 		if cs.Distinct != nil {

@@ -146,7 +146,7 @@ func TestNaNMetadataStaysScannable(t *testing.T) {
 	// prune it, so the partition must stay scannable.
 	m.Stats[1].MinF = math.NaN()
 	m.Stats[1].MaxF = math.NaN()
-	part := &table.Partitioning{NumPartitions: 1, Meta: []*table.PartitionMeta{m}, TotalRows: 1}
+	part := table.NewPartitioning([]*table.PartitionMeta{m}, nil)
 
 	q := query.Query{Preds: []query.Predicate{query.FloatRange("val", 10, 20)}}
 	if c := check(t, schema, part, q); c != 1 {

@@ -12,7 +12,7 @@ import (
 // interpreted Query.MayMatch cannot rule out, in partition-ID order.
 func interpretedSurvivors(schema *table.Schema, part *table.Partitioning, q query.Query) []int {
 	var ids []int
-	for pid, m := range part.Meta {
+	for pid, m := range part.Meta() {
 		if q.MayMatch(schema, m) {
 			ids = append(ids, pid)
 		}

@@ -26,12 +26,12 @@ func TestMayMatchAfterDistinctOverflow(t *testing.T) {
 	// exact set degrades to Bloom-filter metadata.
 	for i := 0; i < 200; i++ {
 		q := Query{Preds: []Predicate{StrEq("s", fmt.Sprintf("v%03d", i))}}
-		if !q.MayMatch(d.Schema(), p.Meta[0]) {
+		if !q.MayMatch(d.Schema(), p.Meta()[0]) {
 			t.Fatalf("present value v%03d ruled out after overflow", i)
 		}
 	}
 	// Out of range: prunable regardless of the Bloom filter.
-	if (Query{Preds: []Predicate{StrEq("s", "zzz")}}).MayMatch(d.Schema(), p.Meta[0]) {
+	if (Query{Preds: []Predicate{StrEq("s", "zzz")}}).MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("out-of-range value not pruned")
 	}
 	// Absent in-range values are usually pruned by the Bloom filter;
@@ -39,7 +39,7 @@ func TestMayMatchAfterDistinctOverflow(t *testing.T) {
 	passed := 0
 	for i := 0; i < 200; i++ {
 		q := Query{Preds: []Predicate{StrEq("s", fmt.Sprintf("v%03dx", i))}}
-		if q.MayMatch(d.Schema(), p.Meta[0]) {
+		if q.MayMatch(d.Schema(), p.Meta()[0]) {
 			passed++
 		}
 	}
@@ -58,15 +58,15 @@ func TestMayMatchFloatRanges(t *testing.T) {
 	p := table.MustBuildPartitioning(d, []int{0, 0, 1, 1}, 2)
 
 	q := Query{Preds: []Predicate{FloatRange("f", 3.0, 4.0)}}
-	if q.MayMatch(d.Schema(), p.Meta[0]) {
+	if q.MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("partition [1.5,2.5] not skipped for [3,4]")
 	}
-	if !q.MayMatch(d.Schema(), p.Meta[1]) {
+	if !q.MayMatch(d.Schema(), p.Meta()[1]) {
 		t.Error("partition [3.5,4.5] wrongly skipped for [3,4]")
 	}
 	// Boundary touch: [2.5, 2.6] overlaps partition 0 at its max.
 	q2 := Query{Preds: []Predicate{FloatRange("f", 2.5, 2.6)}}
-	if !q2.MayMatch(d.Schema(), p.Meta[0]) {
+	if !q2.MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("inclusive boundary not treated as overlap")
 	}
 }
@@ -79,16 +79,16 @@ func TestMayMatchHalfOpenBounds(t *testing.T) {
 	}
 	d := b.Build()
 	p := table.MustBuildPartitioning(d, []int{0, 0, 0}, 1)
-	if !(Query{Preds: []Predicate{IntGE("i", 30)}}).MayMatch(d.Schema(), p.Meta[0]) {
+	if !(Query{Preds: []Predicate{IntGE("i", 30)}}).MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("GE at exact max skipped")
 	}
-	if (Query{Preds: []Predicate{IntGE("i", 31)}}).MayMatch(d.Schema(), p.Meta[0]) {
+	if (Query{Preds: []Predicate{IntGE("i", 31)}}).MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("GE above max not skipped")
 	}
-	if !(Query{Preds: []Predicate{IntLE("i", 10)}}).MayMatch(d.Schema(), p.Meta[0]) {
+	if !(Query{Preds: []Predicate{IntLE("i", 10)}}).MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("LE at exact min skipped")
 	}
-	if (Query{Preds: []Predicate{IntLE("i", 9)}}).MayMatch(d.Schema(), p.Meta[0]) {
+	if (Query{Preds: []Predicate{IntLE("i", 9)}}).MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("LE below min not skipped")
 	}
 }
@@ -98,11 +98,11 @@ func TestTypeMismatchMetadata(t *testing.T) {
 	p := table.MustBuildPartitioning(d, make([]int, 20), 1)
 	// String predicate on numeric column can never match: the partition
 	// is skippable.
-	if (Query{Preds: []Predicate{StrEq("ts", "5")}}).MayMatch(d.Schema(), p.Meta[0]) {
+	if (Query{Preds: []Predicate{StrEq("ts", "5")}}).MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("string predicate on int column not pruned")
 	}
 	// Numeric predicate on string column likewise.
-	if (Query{Preds: []Predicate{IntGE("region", 0)}}).MayMatch(d.Schema(), p.Meta[0]) {
+	if (Query{Preds: []Predicate{IntGE("region", 0)}}).MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("numeric predicate on string column not pruned")
 	}
 	// MayMatch and MatchRow must agree on emptiness for mismatches.
@@ -114,8 +114,7 @@ func TestTypeMismatchMetadata(t *testing.T) {
 func TestFractionScannedEmptyTable(t *testing.T) {
 	schema := table.NewSchema(table.Column{Name: "i", Type: table.Int64})
 	d := table.NewBuilder(schema, 0).Build()
-	p := &table.Partitioning{NumPartitions: 1, Assign: nil,
-		Meta: []*table.PartitionMeta{table.NewPartitionMeta(0, schema)}, TotalRows: 0}
+	p := table.NewPartitioning([]*table.PartitionMeta{table.NewPartitionMeta(0, schema)}, nil)
 	if got := FractionScanned(schema, p, Query{}); got != 0 {
 		t.Errorf("empty table fraction = %g", got)
 	}
@@ -129,12 +128,12 @@ func TestStrInMixedPresence(t *testing.T) {
 	p := table.MustBuildPartitioning(d, make([]int, 50), 1)
 	// IN with one present and one absent value must match.
 	q := Query{Preds: []Predicate{StrIn("region", "east", "nowhere")}}
-	if !q.MayMatch(d.Schema(), p.Meta[0]) {
+	if !q.MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("IN with a present member pruned")
 	}
 	// IN with only absent values must prune.
 	q2 := Query{Preds: []Predicate{StrIn("region", "nowhere", "elsewhere")}}
-	if q2.MayMatch(d.Schema(), p.Meta[0]) {
+	if q2.MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("IN with no present members not pruned")
 	}
 }
@@ -148,7 +147,7 @@ func TestContradictoryConjunction(t *testing.T) {
 	if Selectivity(d, q) != 0 {
 		t.Error("contradictory range matched rows")
 	}
-	if q.MayMatch(d.Schema(), p.Meta[0]) {
+	if q.MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("contradictory range not pruned by metadata")
 	}
 }

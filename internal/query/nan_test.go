@@ -54,7 +54,7 @@ func TestMatchRowNaNNeverMatchesBounds(t *testing.T) {
 	part := table.MustBuildPartitioning(d, []int{0, 1, 0}, 2)
 	q := Query{Preds: []Predicate{FloatRange("x", 0, 10)}}
 	for r := 0; r < d.NumRows(); r++ {
-		if q.MatchRow(d, r) && !q.MayMatch(d.Schema(), part.Meta[part.Assign[r]]) {
+		if q.MatchRow(d, r) && !q.MayMatch(d.Schema(), part.Meta()[part.Assign[r]]) {
 			t.Fatalf("row %d matches but its partition is pruned", r)
 		}
 	}

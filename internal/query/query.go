@@ -311,7 +311,7 @@ func FractionScanned(schema *table.Schema, part *table.Partitioning, q Query) fl
 		return 0
 	}
 	scanned := 0
-	for _, m := range part.Meta {
+	for _, m := range part.Meta() {
 		if q.MayMatch(schema, m) {
 			scanned += m.NumRows
 		}

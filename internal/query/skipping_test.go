@@ -43,7 +43,7 @@ func TestMayMatchSoundness(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			q := randomQuery(rng)
 			for r := 0; r < d.NumRows(); r++ {
-				if q.MatchRow(d, r) && !q.MayMatch(d.Schema(), p.Meta[assign[r]]) {
+				if q.MatchRow(d, r) && !q.MayMatch(d.Schema(), p.Meta()[assign[r]]) {
 					return false // skipped a partition holding a match
 				}
 			}
@@ -90,10 +90,10 @@ func TestMayMatchEmptyPartition(t *testing.T) {
 	assign := make([]int, 10)
 	p := table.MustBuildPartitioning(d, assign, 2)
 	q := Query{} // matches everything
-	if q.MayMatch(d.Schema(), p.Meta[1]) {
+	if q.MayMatch(d.Schema(), p.Meta()[1]) {
 		t.Error("empty partition reported as possibly matching")
 	}
-	if !q.MayMatch(d.Schema(), p.Meta[0]) {
+	if !q.MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("full partition reported as skippable for match-all query")
 	}
 }
@@ -102,7 +102,7 @@ func TestMayMatchUnknownColumnConservative(t *testing.T) {
 	d := testDataset(t, 10, 6)
 	p := table.MustBuildPartitioning(d, make([]int, 10), 1)
 	q := Query{Preds: []Predicate{IntGE("not_a_column", 5)}}
-	if !q.MayMatch(d.Schema(), p.Meta[0]) {
+	if !q.MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("unknown column should not allow skipping")
 	}
 }
@@ -123,10 +123,10 @@ func TestMayMatchRangeSkips(t *testing.T) {
 	p := table.MustBuildPartitioning(d, assign, 2)
 
 	q := Query{Preds: []Predicate{IntRange("ts", 0, 100)}}
-	if !q.MayMatch(d.Schema(), p.Meta[0]) {
+	if !q.MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("partition 0 wrongly skipped")
 	}
-	if q.MayMatch(d.Schema(), p.Meta[1]) {
+	if q.MayMatch(d.Schema(), p.Meta()[1]) {
 		t.Error("partition 1 not skipped for disjoint range")
 	}
 	if got := FractionScanned(d.Schema(), p, q); got != 0.5 {
@@ -144,16 +144,16 @@ func TestMayMatchStringDistinct(t *testing.T) {
 	p := table.MustBuildPartitioning(d, []int{0, 0, 1, 1}, 2)
 
 	q := Query{Preds: []Predicate{StrEq("region", "west")}}
-	if q.MayMatch(d.Schema(), p.Meta[0]) {
+	if q.MayMatch(d.Schema(), p.Meta()[0]) {
 		t.Error("east-only partition not skipped for region=west")
 	}
-	if !q.MayMatch(d.Schema(), p.Meta[1]) {
+	if !q.MayMatch(d.Schema(), p.Meta()[1]) {
 		t.Error("west partition wrongly skipped")
 	}
 	// A value between "east" and "west" lexically but absent: the
 	// distinct set should prune it everywhere.
 	q2 := Query{Preds: []Predicate{StrEq("region", "north")}}
-	if q2.MayMatch(d.Schema(), p.Meta[0]) || q2.MayMatch(d.Schema(), p.Meta[1]) {
+	if q2.MayMatch(d.Schema(), p.Meta()[0]) || q2.MayMatch(d.Schema(), p.Meta()[1]) {
 		t.Error("absent value not pruned by exact distinct sets")
 	}
 }

@@ -57,7 +57,9 @@ func (r *RTBS) Add(q query.Query) {
 	for u == 0 { // log(0) guard; Float64 can return 0
 		u = r.rng.Float64()
 	}
-	score := math.Log(-math.Log(u)) - r.lambda*t
+	// float64(...) rounds the product before the add: arm64 would
+	// otherwise fuse the two, and the result would differ from amd64's.
+	score := math.Log(-math.Log(u)) - float64(r.lambda*t)
 
 	if r.h.Len() < r.capacity {
 		heap.Push(&r.h, scoredQuery{score: score, q: q})

@@ -154,7 +154,7 @@ func TestQueryEndpointSurvivorsMatchReference(t *testing.T) {
 	q := oreo.Query{Preds: []oreo.Predicate{oreo.IntRange("order_ts", 500, 900)}}
 	var want []int
 	rows := 0
-	for pid, m := range snap.Serving.Part.Meta {
+	for pid, m := range snap.Serving.Part.Meta() {
 		if q.MayMatch(snap.Serving.Schema(), m) {
 			want = append(want, pid)
 			rows += m.NumRows

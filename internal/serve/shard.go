@@ -191,7 +191,9 @@ type eventAck struct {
 
 func newShard(name string, ds *oreo.Dataset, opt *oreo.Optimizer, queueSize, scanPar, compactThreshold int, reg *metrics.Registry) *shard {
 	s := &shard{table: name, ds: ds, scanPar: scanPar}
-	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewBuilder(ds.Schema(), 0)})
+	snap := opt.Snapshot()
+	snap.Serving.Part.Meta() // see advance
+	s.rep.Store(&repState{snap: snap, ds: ds, tail: table.NewBuilder(ds.Schema(), 0)})
 	s.registerMetrics(reg)
 	s.lead(opt, oreo.Stats{}, queueSize, compactThreshold)
 	s.wg.Add(1)
@@ -340,6 +342,12 @@ func (s *shard) advance(in DecisionUpdate) (out DecisionUpdate, applied bool, er
 	if err != nil || next == cur {
 		return out, false, err
 	}
+	if next.seeded() {
+		// Build every column of the serving layout before readers see
+		// it, so no reader's latency includes a column sweep. Readers
+		// would build what they read themselves; this is for latency.
+		next.snap.Serving.Part.Meta()
+	}
 	s.rep.Store(next)
 	s.syncStore(next)
 	switch out.Kind {
@@ -434,10 +442,10 @@ func (s *shard) handleCompact() eventAck {
 func extendAssignment(part *table.Partitioning, delta *table.Dataset) []int {
 	assign := make([]int, 0, len(part.Assign)+delta.NumRows())
 	assign = append(assign, part.Assign...)
+	meta := part.Meta()
 	for r := 0; r < delta.NumRows(); r++ {
 		best, bestWiden, bestRows := 0, delta.Schema().NumCols()+1, int(^uint(0)>>1)
-		for pid := 0; pid < part.NumPartitions; pid++ {
-			m := part.Meta[pid]
+		for pid, m := range meta {
 			w := widening(m, delta, r)
 			if w < bestWiden || (w == bestWiden && m.NumRows < bestRows) {
 				best, bestWiden, bestRows = pid, w, m.NumRows
@@ -871,10 +879,8 @@ func (s *shard) layoutInfo() (LayoutResponse, error) {
 	}
 	lay := rst.snap.Serving
 	rows := make([]int, lay.Part.NumPartitions)
-	for pid, m := range lay.Part.Meta {
-		if m != nil {
-			rows[pid] = m.NumRows
-		}
+	for pid := range rows {
+		rows[pid] = lay.Part.RowsInPartition(pid)
 	}
 	res := LayoutResponse{
 		Table:         s.table,

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -30,10 +31,13 @@ const (
 	stepThreshold = 11 // auto-compaction: small enough for schedules to cross it
 )
 
+// stepSchema's region column is read by no query, so only the publish
+// step builds its statistics (see assertComplete).
 var stepSchema = oreo.NewSchema(
 	oreo.Column{Name: "order_ts", Type: oreo.Int64},
 	oreo.Column{Name: "status", Type: oreo.String},
 	oreo.Column{Name: "amount", Type: oreo.Float64},
+	oreo.Column{Name: "region", Type: oreo.String},
 )
 
 // stepRowsOver builds logical rows [from, from+n) over schema —
@@ -47,7 +51,7 @@ func stepRowsOver(schema *oreo.Schema, from, n int) *oreo.Dataset {
 		if i%53 == 0 {
 			amount = math.Inf(1) // non-finite cells must survive the wire's bit framing
 		}
-		b.AppendRow(oreo.Int(int64(i)), oreo.Str(statuses[(i*7)%len(statuses)]), oreo.Float(amount))
+		b.AppendRow(oreo.Int(int64(i)), oreo.Str(statuses[(i*7)%len(statuses)]), oreo.Float(amount), oreo.Str([]string{"east", "west"}[i%2]))
 	}
 	return b.Build()
 }
@@ -131,6 +135,7 @@ func ship(t testing.TB, dst stepNode, upd serve.DecisionUpdate, bootRows int) {
 	if err != nil || !applied {
 		t.Fatalf("applying %s update at epoch %d: applied=%v err=%v", upd.Kind, upd.Epoch, applied, err)
 	}
+	assertComplete(t, fmt.Sprintf("follower apply of %s at epoch %d", upd.Kind, upd.Epoch), dst)
 	// The replayed update must come out as the update that went in (a
 	// snapshot is cut from a position, not emitted, and knows no Switched).
 	if out := dst.tbl.Drain(); len(out) != 1 || out[0].Kind != upd.Kind || out[0].Epoch != upd.Epoch ||
@@ -212,6 +217,20 @@ func assertSame(t testing.TB, step int, what string, a, b stepNode) {
 	}
 }
 
+// assertComplete checks that the node publishes a serving layout whose
+// every column's statistics are built, so no reader's first touch pays
+// for a column sweep. It must run before anything that reads the
+// layout's metadata in full (a snapshot capture, an executed probe).
+func assertComplete(t testing.TB, what string, n stepNode) {
+	t.Helper()
+	part := n.tbl.Position().Snapshot.Serving.Part
+	for c := 0; c < n.boot.Schema().NumCols(); c++ {
+		if !part.Built(c) {
+			t.Fatalf("%s: serving layout published with column %s unbuilt", what, n.boot.Schema().Col(c).Name)
+		}
+	}
+}
+
 // statsBits is oreo.Stats with its floats as bit patterns, comparable.
 func statsBits(s oreo.Stats) [8]uint64 {
 	return [8]uint64{
@@ -235,6 +254,7 @@ func runStepSchedule(t testing.TB, schedule []byte) {
 	// emitted to its follower, and compares all of them.
 	do := func(step int, op func(n stepNode)) {
 		op(leader)
+		assertComplete(t, fmt.Sprintf("step %d, leader", step), leader)
 		if !promoted {
 			follow(t, leader, rep)
 			assertSame(t, step, "leader vs replica", leader, rep)
@@ -242,6 +262,7 @@ func runStepSchedule(t testing.TB, schedule []byte) {
 		}
 		leader.tbl.Drain()
 		op(rep)
+		assertComplete(t, fmt.Sprintf("step %d, promoted", step), rep)
 		follow(t, rep, tail)
 		assertSame(t, step, "never-failed vs promoted", leader, rep)
 		assertSame(t, step, "promoted vs its replica", rep, tail)
@@ -283,6 +304,7 @@ func runStepSchedule(t testing.TB, schedule []byte) {
 			if err := rep.tbl.Promote(stepConfig(reorgDelay), stepThreshold); err != nil {
 				t.Fatal(err)
 			}
+			assertComplete(t, fmt.Sprintf("step %d, promotion", step), rep)
 			promoted, tail = true, newStepReplica()
 			seed(t, rep, tail)
 			assertSame(t, step, "promoted vs its replica", rep, tail)

@@ -89,7 +89,9 @@ func (m DiskModel) ReorgSeconds(mb float64) float64 {
 	}
 	perMB := 1/m.ReadMBps + 1/m.DecompressMBps + 1/m.ShuffleMBps +
 		1/m.CompressMBps + 1/m.WriteMBps
-	return m.ReorgStartup + mb*perMB
+	// float64(...) rounds the product before the add: arm64 would
+	// otherwise fuse the two, and the result would differ from amd64's.
+	return m.ReorgStartup + float64(mb*perMB)
 }
 
 // Alpha returns the simulated relative reorganization cost

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Partitioning is a materialized data layout for one dataset: an
@@ -15,39 +16,43 @@ import (
 // partition-level metadata that the query optimizer consults for
 // skipping. Because the dataset under study is static, the mapping is
 // materialized as a dense row→partition vector.
+//
+// Row counts are computed up front; each column's statistics are built
+// the first time anything reads that column — through Meta, which
+// builds every column, or through the statistics block's column
+// accessors, which build what they return. A candidate layout that is
+// judged on a few predicate columns and then discarded never pays for
+// the rest. Every accessor is safe for concurrent use.
 type Partitioning struct {
 	NumPartitions int
-	// Assign maps row index to partition ID in [0, NumPartitions).
+	// Assign maps row index to partition ID in [0, NumPartitions). It is
+	// frozen once the partitioning is built: columns not yet read are
+	// built from it later, so callers must never write to it.
 	Assign []int
-	// Meta holds one entry per partition, indexed by partition ID.
-	Meta []*PartitionMeta
 	// TotalRows is the number of rows across all partitions.
 	TotalRows int
 
-	// stats is the lazily built column-major mirror of Meta, shared by
-	// every reader; see Stats. Laziness (rather than building inside
-	// BuildPartitioning only) keeps partitionings reconstructed by other
-	// paths — persistence, tests building the struct by hand — on the
-	// same fast path.
-	statsOnce sync.Once
-	stats     *StatsBlock
-}
+	meta  []*PartitionMeta // one entry per partition ID; see Meta
+	stats *StatsBlock      // column-major mirror of meta; see Stats
 
-// Stats returns the partitioning's column-major statistics block,
-// building it on first use. The block assumes the partitioning's Meta is
-// frozen (which BuildPartitioning guarantees); callers must not mutate
-// Meta afterwards. Safe for concurrent use.
-func (p *Partitioning) Stats() *StatsBlock {
-	p.statsOnce.Do(func() { p.stats = buildStatsBlock(p) })
-	return p.stats
+	// Lazy column fill. built[c] is set once column c of meta and stats
+	// is written, complete once every column is. mu serializes fills and
+	// guards left, the number of unbuilt columns, and data, the dataset
+	// they are swept from (dropped with the last of them).
+	built    []atomic.Bool
+	complete atomic.Bool
+	mu       sync.Mutex
+	left     int
+	data     *Dataset
 }
 
 // BuildPartitioning materializes a partitioning from a row→partition
-// assignment and computes all partition metadata, sweeping the
-// assignment once per pair of same-typed columns. assign must have one
-// entry per dataset row; IDs must be in [0, k).
+// assignment. assign must have one entry per dataset row; IDs must be
+// in [0, k). It validates the assignment and counts every partition's
+// rows; column statistics are built on first read (see Partitioning),
+// from d and assign, which therefore must not change afterwards.
 //
-// The result is field-for-field what folding every row through
+// Each built column is field-for-field what folding every row through
 // PartitionMeta.AddRow in ascending row order leaves (the reference the
 // equivalence tests and fuzz target compare against). Numeric columns
 // run AddInt/AddFloat's comparisons over per-partition min/max tables in
@@ -66,179 +71,56 @@ func BuildPartitioning(d *Dataset, assign []int, k int) (*Partitioning, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("table: invalid partition count %d", k)
 	}
-	p := &Partitioning{
-		NumPartitions: k,
-		Assign:        assign,
-		Meta:          make([]*PartitionMeta, k),
-		TotalRows:     d.NumRows(),
-	}
-	schema := d.Schema()
-	for i := 0; i < k; i++ {
-		p.Meta[i] = NewPartitionMeta(i, schema)
+	nc := d.Schema().NumCols()
+	metas := make([]PartitionMeta, k)
+	stats := make([]ColumnStats, k*nc)
+	meta := make([]*PartitionMeta, k)
+	for i := range meta {
+		metas[i] = PartitionMeta{ID: i, Stats: stats[i*nc : (i+1)*nc : (i+1)*nc]}
+		meta[i] = &metas[i]
 	}
 	for r, pid := range assign {
 		if pid < 0 || pid >= k {
 			return nil, fmt.Errorf("table: row %d assigned to partition %d, want [0,%d)", r, pid, k)
 		}
-		p.Meta[pid].NumRows++
+		metas[pid].NumRows++
 	}
-
-	var ints, floats, small, large []int // column indices by sweep kind
-	for c := 0; c < schema.NumCols(); c++ {
-		switch schema.Col(c).Type {
-		case Int64:
-			ints = append(ints, c)
-		case Float64:
-			floats = append(floats, c)
-		case String:
-			if len(d.dicts[c].values) <= 64 {
-				small = append(small, c)
-			} else {
-				large = append(large, c)
-			}
-		}
+	p := &Partitioning{
+		NumPartitions: k,
+		Assign:        assign,
+		TotalRows:     d.NumRows(),
+		meta:          meta,
+		built:         make([]atomic.Bool, nc),
+		left:          nc,
+		data:          d,
 	}
-	n := len(assign)
-	ri := [2][]span[int64]{make([]span[int64], k), make([]span[int64], k)}
-	foldPairs(ints, func(a, b int) {
-		sweepInts(assign, d.ints[a][:n], d.ints[b][:n], ri)
-	}, func(c, g int) {
-		for pid, m := range p.Meta {
-			cs := &m.Stats[c]
-			cs.MinI, cs.MaxI, cs.seen = ri[g][pid].min, ri[g][pid].max, m.NumRows > 0
-		}
-	})
-	rf := [2][]span[float64]{make([]span[float64], k), make([]span[float64], k)}
-	foldPairs(floats, func(a, b int) {
-		sweepFloats(assign, d.floats[a][:n], d.floats[b][:n], rf)
-	}, func(c, g int) {
-		for pid, m := range p.Meta {
-			cs := &m.Stats[c]
-			cs.MinF, cs.MaxF, cs.seen = rf[g][pid].min, rf[g][pid].max, m.NumRows > 0
-		}
-	})
-	marks := [2][]uint64{make([]uint64, k), make([]uint64, k)}
-	foldPairs(small, func(a, b int) {
-		sweepMarks(assign, d.codes[a][:n], d.codes[b][:n], marks)
-	}, func(c, g int) {
-		for pid, m := range p.Meta {
-			foldMarked(&m.Stats[c], marks[g][pid:pid+1], d.dicts[c].values)
-		}
-	})
-	var wide []uint64 // k rows of one bit per dictionary code
-	for _, c := range large {
-		codes, values := d.codes[c][:n], d.dicts[c].values
-		words := (len(values) + 63) / 64
-		if need := k * words; cap(wide) < need {
-			wide = make([]uint64, need)
-		} else {
-			wide = wide[:need]
-			clear(wide)
-		}
-		for r, pid := range assign {
-			code := codes[r]
-			wide[pid*words+int(code>>6)] |= 1 << (code & 63)
-		}
-		for pid, m := range p.Meta {
-			foldMarked(&m.Stats[c], wide[pid*words:(pid+1)*words], values)
-		}
-	}
-	// Materialize the column-major statistics mirror now that Meta is
-	// frozen, so the first query never pays the transpose.
-	p.Stats()
+	p.stats = newStatsBlock(p, nc)
+	p.complete.Store(nc == 0)
 	return p, nil
 }
 
-// span is one partition's running [min, max] over a numeric column.
-type span[T int64 | float64] struct{ min, max T }
-
-// foldPairs runs sweep over cols two at a time — a lone last column is
-// swept as its own pair — and after each sweep hands every column of it
-// to store with its slot in the pair.
-func foldPairs(cols []int, sweep func(a, b int), store func(c, slot int)) {
-	for i := 0; i < len(cols); i += 2 {
-		pair := cols[i:min(i+2, len(cols))]
-		sweep(pair[0], pair[len(pair)-1])
-		for slot, c := range pair {
-			store(c, slot)
+// NewPartitioning wraps metadata assembled outside BuildPartitioning —
+// a row-at-a-time reference fold, a hand-built test case — as a
+// partitioning whose every column is already built. TotalRows is the
+// sum of the partitions' row counts; nil entries are empty partitions.
+// meta and assign must not change afterwards.
+func NewPartitioning(meta []*PartitionMeta, assign []int) *Partitioning {
+	p := &Partitioning{NumPartitions: len(meta), Assign: assign, meta: meta}
+	nc := 0
+	for _, m := range meta {
+		if m != nil {
+			p.TotalRows += m.NumRows
+			nc = max(nc, len(m.Stats))
 		}
 	}
-}
-
-// sweepInts folds int columns a and b into per-partition spans in one
-// pass over assign. When a and b are the same column, s[1] repeats s[0].
-// An int span is the same whatever order its values arrive in, so it
-// takes the branch-free min and max.
-func sweepInts(assign []int, a, b []int64, s [2][]span[int64]) {
-	resetSpans(s, math.MaxInt64, math.MinInt64)
-	sa, sb := s[0], s[1]
-	for r, pid := range assign {
-		x, y := &sa[pid], &sb[pid]
-		u, v := a[r], b[r]
-		x.min, x.max = min(x.min, u), max(x.max, u)
-		y.min, y.max = min(y.min, v), max(y.max, v)
+	p.stats = newStatsBlock(p, nc)
+	p.built = make([]atomic.Bool, nc)
+	for c := range p.built {
+		p.stats.load(c, meta)
+		p.built[c].Store(true)
 	}
-}
-
-// sweepFloats is sweepInts for float columns, with AddFloat's own
-// comparisons in ascending row order: the builtin min and max would let
-// a NaN cell win and order -0 below +0, where AddFloat skips the one
-// and keeps whichever zero came first.
-func sweepFloats(assign []int, a, b []float64, s [2][]span[float64]) {
-	resetSpans(s, math.Inf(1), math.Inf(-1))
-	sa, sb := s[0], s[1]
-	for r, pid := range assign {
-		x, y := &sa[pid], &sb[pid]
-		if v := a[r]; v < x.min {
-			x.min = v
-		}
-		if v := a[r]; v > x.max {
-			x.max = v
-		}
-		if v := b[r]; v < y.min {
-			y.min = v
-		}
-		if v := b[r]; v > y.max {
-			y.max = v
-		}
-	}
-}
-
-// resetSpans empties both tables of a pair to the (lo, hi) sentinels.
-func resetSpans[T int64 | float64](s [2][]span[T], lo, hi T) {
-	for g := range s {
-		for i := range s[g] {
-			s[g][i] = span[T]{lo, hi}
-		}
-	}
-}
-
-// sweepMarks marks, for columns a and b whose codes are all below 64,
-// each code a partition's rows exhibit in the partition's word.
-func sweepMarks(assign []int, a, b []uint32, marks [2][]uint64) {
-	ma, mb := marks[0], marks[1]
-	clear(ma)
-	clear(mb)
-	for r, pid := range assign {
-		ma[pid] |= 1 << (a[r] & 63)
-		mb[pid] |= 1 << (b[r] & 63)
-	}
-}
-
-// foldMarked folds the dictionary values whose codes are marked into cs.
-func foldMarked(cs *ColumnStats, marked []uint64, values []string) {
-	n := 0
-	for _, w := range marked {
-		n += bits.OnesCount64(w)
-	}
-	if 0 < n && n <= MaxTrackedDistinct {
-		cs.Distinct = make(map[string]struct{}, n)
-	}
-	for i, w := range marked {
-		for ; w != 0; w &= w - 1 {
-			cs.AddString(values[i*64+bits.TrailingZeros64(w)])
-		}
-	}
+	p.complete.Store(true)
+	return p
 }
 
 // MustBuildPartitioning is BuildPartitioning that panics on error, for
@@ -251,19 +133,155 @@ func MustBuildPartitioning(d *Dataset, assign []int, k int) *Partitioning {
 	return p
 }
 
+// Meta returns the per-partition metadata, indexed by partition ID,
+// with every column built. Callers must not mutate it.
+func (p *Partitioning) Meta() []*PartitionMeta {
+	if !p.complete.Load() {
+		p.mu.Lock()
+		for c := range p.built {
+			if !p.built[c].Load() {
+				p.fill(c)
+			}
+		}
+		p.mu.Unlock()
+	}
+	return p.meta
+}
+
+// Built reports whether column c's statistics have been built.
+func (p *Partitioning) Built(c int) bool { return p.built[c].Load() }
+
+// Stats returns the partitioning's column-major statistics block. Its
+// row counts are ready; its column statistics are built by its
+// accessors on first read.
+func (p *Partitioning) Stats() *StatsBlock { return p.stats }
+
+// column builds column c unless it is built already.
+func (p *Partitioning) column(c int) {
+	if p.built[c].Load() {
+		return
+	}
+	p.mu.Lock()
+	if !p.built[c].Load() {
+		p.fill(c)
+	}
+	p.mu.Unlock()
+}
+
+// fill sweeps column c of the dataset into every partition's
+// ColumnStats and the statistics block, then marks it built. The
+// caller holds mu and has seen the column unbuilt.
+func (p *Partitioning) fill(c int) {
+	d, assign, k := p.data, p.Assign, p.NumPartitions
+	n := len(assign)
+	switch d.Schema().Col(c).Type {
+	case Int64:
+		s := make([]span[int64], k)
+		sweepInts(assign, d.ints[c][:n], s)
+		for pid, m := range p.meta {
+			m.Stats[c] = ColumnStats{Type: Int64, MinI: s[pid].min, MaxI: s[pid].max, seen: m.NumRows > 0}
+		}
+	case Float64:
+		s := make([]span[float64], k)
+		sweepFloats(assign, d.floats[c][:n], s)
+		for pid, m := range p.meta {
+			m.Stats[c] = ColumnStats{Type: Float64, MinF: s[pid].min, MaxF: s[pid].max, seen: m.NumRows > 0}
+		}
+	case String:
+		codes, values := d.codes[c][:n], d.dicts[c].values
+		words := max((len(values)+63)/64, 1)
+		marks := make([]uint64, k*words) // k rows of one bit per code
+		if words == 1 {
+			sweepMarks(assign, codes, marks)
+		} else {
+			for r, pid := range assign {
+				code := codes[r]
+				marks[pid*words+int(code>>6)] |= 1 << (code & 63)
+			}
+		}
+		for pid, m := range p.meta {
+			m.Stats[c] = ColumnStats{Type: String}
+			foldMarked(&m.Stats[c], marks[pid*words:(pid+1)*words], values)
+		}
+	}
+	p.stats.load(c, p.meta)
+	p.built[c].Store(true)
+	if p.left--; p.left == 0 {
+		p.data = nil
+		p.complete.Store(true)
+	}
+}
+
+// span is one partition's running [min, max] over a numeric column.
+type span[T int64 | float64] struct{ min, max T }
+
+// sweepInts folds an int column into per-partition spans in one pass
+// over assign. An int span is the same whatever order its values arrive
+// in, so it takes the branch-free min and max.
+func sweepInts(assign []int, col []int64, s []span[int64]) {
+	for i := range s {
+		s[i] = span[int64]{math.MaxInt64, math.MinInt64}
+	}
+	for r, pid := range assign {
+		x, v := &s[pid], col[r]
+		x.min, x.max = min(x.min, v), max(x.max, v)
+	}
+}
+
+// sweepFloats is sweepInts for a float column, with AddFloat's own
+// comparisons in ascending row order: the builtin min and max would let
+// a NaN cell win and order -0 below +0, where AddFloat skips the one
+// and keeps whichever zero came first.
+func sweepFloats(assign []int, col []float64, s []span[float64]) {
+	for i := range s {
+		s[i] = span[float64]{math.Inf(1), math.Inf(-1)}
+	}
+	for r, pid := range assign {
+		x, v := &s[pid], col[r]
+		if v < x.min {
+			x.min = v
+		}
+		if v > x.max {
+			x.max = v
+		}
+	}
+}
+
+// sweepMarks marks, for a column whose codes are all below 64, each
+// code a partition's rows exhibit in the partition's word.
+func sweepMarks(assign []int, codes []uint32, marks []uint64) {
+	for r, pid := range assign {
+		marks[pid] |= 1 << (codes[r] & 63)
+	}
+}
+
+// foldMarked folds the dictionary values whose codes are marked into
+// cs, an empty String column's stats: the distinct set is allocated at
+// its final size, or at the size that overflows it into a Bloom filter.
+func foldMarked(cs *ColumnStats, marked []uint64, values []string) {
+	n := 0
+	for _, w := range marked {
+		n += bits.OnesCount64(w)
+	}
+	cs.Distinct = make(map[string]struct{}, min(n, MaxTrackedDistinct+1))
+	for i, w := range marked {
+		for ; w != 0; w &= w - 1 {
+			cs.AddString(values[i*64+bits.TrailingZeros64(w)])
+		}
+	}
+}
+
 // RowsInPartition returns the row count of partition pid.
 func (p *Partitioning) RowsInPartition(pid int) int {
-	return p.Meta[pid].NumRows
+	return p.stats.Rows[pid]
 }
 
 // NonEmptyPartitions returns the number of partitions holding at least
 // one row.
 func (p *Partitioning) NonEmptyPartitions() int {
 	n := 0
-	for _, m := range p.Meta {
-		if m.NumRows > 0 {
-			n++
-		}
+	for _, w := range p.stats.NonEmpty {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

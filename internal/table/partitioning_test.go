@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -64,7 +65,7 @@ func TestEmptyPartitionsMetadata(t *testing.T) {
 	if p.NonEmptyPartitions() != 1 {
 		t.Fatalf("NonEmptyPartitions = %d, want 1", p.NonEmptyPartitions())
 	}
-	if !p.Meta[1].Stats[0].Empty() || p.Meta[1].NumRows != 0 {
+	if !p.Meta()[1].Stats[0].Empty() || p.Meta()[1].NumRows != 0 {
 		t.Error("empty partition has non-empty metadata")
 	}
 }
@@ -94,7 +95,7 @@ func TestPartitioningConservationProperty(t *testing.T) {
 			return false
 		}
 		for r := 0; r < rows; r++ {
-			m := p.Meta[assign[r]]
+			m := p.Meta()[assign[r]]
 			if v := d.Int64At(0, r); v < m.Stats[0].MinI || v > m.Stats[0].MaxI {
 				return false
 			}
@@ -177,26 +178,54 @@ func randomPartitioningCase(rng *rand.Rand) (*Dataset, []int, int) {
 
 // checkBuildMatchesAddRowFold holds BuildPartitioning to the reference
 // it replaces: every row folded through PartitionMeta.AddRow in
-// ascending order. Every field is compared — floats by bit pattern,
-// distinct sets and Bloom filters in full — and so is the statistics
-// block built from each.
-func checkBuildMatchesAddRowFold(t *testing.T, d *Dataset, assign []int, k int) {
+// ascending order. Columns are first read in an order drawn from rng —
+// a random subset, one at a time through the statistics block, as the
+// compiled cost path reads them — and each is checked against the
+// reference while the rest are still unbuilt; then Meta builds the
+// rest. Every field is compared — floats by bit pattern, distinct sets
+// and Bloom filters in full — and so is the statistics block.
+func checkBuildMatchesAddRowFold(t *testing.T, d *Dataset, assign []int, k int, rng *rand.Rand) {
 	t.Helper()
 	got := MustBuildPartitioning(d, assign, k)
-	want := &Partitioning{NumPartitions: k, Assign: assign, Meta: make([]*PartitionMeta, k), TotalRows: d.NumRows()}
-	for i := range want.Meta {
-		want.Meta[i] = NewPartitionMeta(i, d.Schema())
+	meta := make([]*PartitionMeta, k)
+	for i := range meta {
+		meta[i] = NewPartitionMeta(i, d.Schema())
 	}
 	for r, pid := range assign {
-		want.Meta[pid].AddRow(d, r)
+		meta[pid].AddRow(d, r)
 	}
-	if got.NumPartitions != k || got.TotalRows != d.NumRows() || len(got.Meta) != k {
-		t.Fatalf("shape = (%d, %d, %d metas), want (%d, %d, %d)", got.NumPartitions, got.TotalRows, len(got.Meta), k, d.NumRows(), k)
+	want := NewPartitioning(meta, assign)
+	if got.NumPartitions != k || got.TotalRows != d.NumRows() {
+		t.Fatalf("shape = (%d, %d), want (%d, %d)", got.NumPartitions, got.TotalRows, k, d.NumRows())
 	}
-	for pid := range want.Meta {
-		g, w := got.Meta[pid], want.Meta[pid]
+	gb, wb := got.Stats(), want.Stats()
+	nc := d.Schema().NumCols()
+	read := make([]bool, nc)
+	for _, c := range rng.Perm(nc)[:rng.Intn(nc+1)] {
+		columnsEqual(t, c, gb.Column(c), wb.Column(c))
+		read[c] = true
+		for c2, want := range read {
+			if got.Built(c2) != want {
+				t.Fatalf("column %d built = %v after reading columns %v", c2, got.Built(c2), read)
+			}
+		}
+	}
+	gm := got.Meta()
+	for c := 0; c < nc; c++ {
+		if !got.Built(c) {
+			t.Fatalf("column %d unbuilt after Meta", c)
+		}
+	}
+	if len(gm) != k || got.data != nil {
+		t.Fatalf("after Meta: %d metas, dataset kept %v", len(gm), got.data != nil)
+	}
+	for pid, w := range want.Meta() {
+		g := gm[pid]
 		if g.ID != w.ID || g.NumRows != w.NumRows {
 			t.Fatalf("partition %d = (id %d, %d rows), want (id %d, %d rows)", pid, g.ID, g.NumRows, w.ID, w.NumRows)
+		}
+		if len(g.Stats) != len(w.Stats) {
+			t.Fatalf("partition %d: %d column stats, want %d", pid, len(g.Stats), len(w.Stats))
 		}
 		for c := range w.Stats {
 			statsEqual(t, g.Stats[c], w.Stats[c])
@@ -210,14 +239,36 @@ func checkBuildMatchesAddRowFold(t *testing.T, d *Dataset, assign []int, k int) 
 			}
 		}
 	}
-	gb, wb := got.Stats(), want.Stats()
-	gb.Col, wb.Col = nil, nil // pointers into each side's own Meta
-	if !reflect.DeepEqual(bitsOf(gb.MinF), bitsOf(wb.MinF)) || !reflect.DeepEqual(bitsOf(gb.MaxF), bitsOf(wb.MaxF)) {
-		t.Fatal("statistics block float bits differ")
+	if gb.NumParts != wb.NumParts || gb.NumCols != wb.NumCols ||
+		!reflect.DeepEqual(gb.Rows, wb.Rows) || !reflect.DeepEqual(gb.NonEmpty, wb.NonEmpty) {
+		t.Fatal("statistics block shape or row counts differ")
 	}
-	gb.MinF, gb.MaxF, wb.MinF, wb.MaxF = nil, nil, nil, nil
-	if !reflect.DeepEqual(gb, wb) {
-		t.Fatal("statistics blocks differ")
+	gc, wc := gb.Columns(), wb.Columns()
+	if !reflect.DeepEqual(bitsOf(gc.MinF), bitsOf(wc.MinF)) || !reflect.DeepEqual(bitsOf(gc.MaxF), bitsOf(wc.MaxF)) ||
+		!reflect.DeepEqual(gc.MinI, wc.MinI) || !reflect.DeepEqual(gc.MaxI, wc.MaxI) || !reflect.DeepEqual(gc.Seen, wc.Seen) {
+		t.Fatal("statistics block columns differ")
+	}
+	for i, cs := range gc.Col {
+		if cs != &gm[i%k].Stats[i/k] {
+			t.Fatalf("block entry %d does not point at its partition's stats", i)
+		}
+	}
+}
+
+// columnsEqual holds one column's block view to the reference's, field
+// for field.
+func columnsEqual(t *testing.T, c int, got, want ColumnBlock) {
+	t.Helper()
+	if !reflect.DeepEqual(got.MinI, want.MinI) || !reflect.DeepEqual(got.MaxI, want.MaxI) ||
+		!reflect.DeepEqual(bitsOf(got.MinF), bitsOf(want.MinF)) || !reflect.DeepEqual(bitsOf(got.MaxF), bitsOf(want.MaxF)) ||
+		!reflect.DeepEqual(got.Seen, want.Seen) || len(got.Col) != len(want.Col) {
+		t.Fatalf("column %d: block view differs", c)
+	}
+	for pid := range want.Col {
+		statsEqual(t, *got.Col[pid], *want.Col[pid])
+		if !reflect.DeepEqual(got.Col[pid].Bloom, want.Col[pid].Bloom) {
+			t.Fatalf("partition %d column %d: Bloom bits differ", pid, c)
+		}
 	}
 }
 
@@ -232,9 +283,10 @@ func bitsOf(fs []float64) []uint64 {
 func TestBuildPartitioningMatchesAddRowFold(t *testing.T) {
 	bloomSeen, wideSeen := false, false
 	for seed := int64(0); seed < 300; seed++ {
-		d, assign, k := randomPartitioningCase(rand.New(rand.NewSource(seed)))
-		checkBuildMatchesAddRowFold(t, d, assign, k)
-		for _, m := range MustBuildPartitioning(d, assign, k).Meta {
+		rng := rand.New(rand.NewSource(seed))
+		d, assign, k := randomPartitioningCase(rng)
+		checkBuildMatchesAddRowFold(t, d, assign, k, rng)
+		for _, m := range MustBuildPartitioning(d, assign, k).Meta() {
 			for c := range m.Stats {
 				bloomSeen = bloomSeen || m.Stats[c].Bloom != nil
 			}
@@ -260,8 +312,9 @@ func FuzzBuildPartitioningEquivalence(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		d, assign, k := randomPartitioningCase(rand.New(rand.NewSource(seed)))
-		checkBuildMatchesAddRowFold(t, d, assign, k)
+		rng := rand.New(rand.NewSource(seed))
+		d, assign, k := randomPartitioningCase(rng)
+		checkBuildMatchesAddRowFold(t, d, assign, k, rng)
 	})
 }
 
@@ -271,7 +324,8 @@ func FuzzBuildPartitioningEquivalence(f *testing.F) {
 // assignment (runs of ~1 500 rows, as a sort or z-order layout gives);
 // assign=random gives every row an independent partition, as a Qd-tree
 // candidate over unsorted data does (its same-partition runs are one to
-// two rows long).
+// two rows long). Every column is built: the figure is the whole
+// metadata build, not the part BuildPartitioning does before a read.
 func BenchmarkBuildPartitioning(b *testing.B) {
 	const rows, k = 100000, 64
 	schema := NewSchema(
@@ -303,7 +357,7 @@ func BenchmarkBuildPartitioning(b *testing.B) {
 		b.Run("assign="+c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MustBuildPartitioning(d, c.assign, k)
+				MustBuildPartitioning(d, c.assign, k).Meta()
 			}
 		})
 	}
@@ -334,6 +388,60 @@ func statsEqual(t *testing.T, got, want ColumnStats) {
 		}
 		if (got.Bloom == nil) != (want.Bloom == nil) {
 			t.Fatalf("bloom presence differs: got %v want %v", got.Bloom != nil, want.Bloom != nil)
+		}
+	}
+}
+
+// TestConcurrentFirstTouch has eight goroutines first-read overlapping
+// column sets of fresh partitionings — through the statistics block, as
+// the cost path does, and through Meta — and holds every answer to the
+// same partitioning built one column after another. Run it under -race:
+// each column must be swept once, and no reader may see a column while
+// it is written.
+func TestConcurrentFirstTouch(t *testing.T) {
+	const readers = 8
+	cases := 0
+	for seed := int64(0); cases < 20; seed++ {
+		d, assign, k := randomPartitioningCase(rand.New(rand.NewSource(seed)))
+		nc := d.Schema().NumCols()
+		if nc < 4 || d.NumRows() == 0 {
+			continue
+		}
+		cases++
+		want := MustBuildPartitioning(d, assign, k)
+		wb := want.Stats()
+		for c := 0; c < nc; c++ {
+			wb.Column(c)
+		}
+		got := MustBuildPartitioning(d, assign, k)
+		gb := got.Stats()
+		cols := func(g int) []int { return []int{g % nc, (g + 1) % nc, (g + 3) % nc} }
+		var views [readers][]ColumnBlock
+		var metas [readers][]*PartitionMeta
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if g == readers-1 {
+					metas[g] = got.Meta()
+					return
+				}
+				for _, c := range cols(g) {
+					views[g] = append(views[g], gb.Column(c))
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g, vs := range views[:readers-1] {
+			for i, c := range cols(g) {
+				columnsEqual(t, c, vs[i], wb.Column(c))
+			}
+		}
+		for pid, w := range want.Meta() {
+			for c := range w.Stats {
+				statsEqual(t, metas[readers-1][pid].Stats[c], w.Stats[c])
+			}
 		}
 	}
 }

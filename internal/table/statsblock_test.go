@@ -38,28 +38,32 @@ func TestStatsBlockMirrorsMeta(t *testing.T) {
 	if b.NumParts != 4 || b.NumCols != 3 {
 		t.Fatalf("dims = %dx%d, want 4x3", b.NumParts, b.NumCols)
 	}
-	for pid, m := range p.Meta {
+	c := b.Columns()
+	for pid, m := range p.Meta() {
 		if b.Rows[pid] != m.NumRows {
 			t.Errorf("Rows[%d] = %d, want %d", pid, b.Rows[pid], m.NumRows)
 		}
 		for ci := range m.Stats {
 			cs := &m.Stats[ci]
 			idx := ci*b.NumParts + pid
-			if b.MinI[idx] != cs.MinI || b.MaxI[idx] != cs.MaxI {
+			if col := b.Column(ci); col.Col[pid] != c.Col[idx] {
+				t.Errorf("(%d,%d) Column and Columns disagree", ci, pid)
+			}
+			if c.MinI[idx] != cs.MinI || c.MaxI[idx] != cs.MaxI {
 				t.Errorf("(%d,%d) int range (%d,%d), want (%d,%d)",
-					ci, pid, b.MinI[idx], b.MaxI[idx], cs.MinI, cs.MaxI)
+					ci, pid, c.MinI[idx], c.MaxI[idx], cs.MinI, cs.MaxI)
 			}
 			fEq := func(a, c float64) bool {
 				return a == c || (math.IsNaN(a) && math.IsNaN(c))
 			}
-			if !fEq(b.MinF[idx], cs.MinF) || !fEq(b.MaxF[idx], cs.MaxF) {
+			if !fEq(c.MinF[idx], cs.MinF) || !fEq(c.MaxF[idx], cs.MaxF) {
 				t.Errorf("(%d,%d) float range (%v,%v), want (%v,%v)",
-					ci, pid, b.MinF[idx], b.MaxF[idx], cs.MinF, cs.MaxF)
+					ci, pid, c.MinF[idx], c.MaxF[idx], cs.MinF, cs.MaxF)
 			}
-			if b.Seen[idx] != !cs.Empty() {
-				t.Errorf("(%d,%d) Seen = %v, want %v", ci, pid, b.Seen[idx], !cs.Empty())
+			if c.Seen[idx] != !cs.Empty() {
+				t.Errorf("(%d,%d) Seen = %v, want %v", ci, pid, c.Seen[idx], !cs.Empty())
 			}
-			if b.Col[idx] != cs {
+			if c.Col[idx] != cs {
 				t.Errorf("(%d,%d) Col does not point at the source stats", ci, pid)
 			}
 		}
@@ -69,7 +73,7 @@ func TestStatsBlockMirrorsMeta(t *testing.T) {
 func TestStatsBlockNonEmptyMask(t *testing.T) {
 	_, p := statsBlockFixture(t)
 	b := p.Stats()
-	for pid, m := range p.Meta {
+	for pid, m := range p.Meta() {
 		got := b.NonEmpty[pid/64]&(1<<(pid%64)) != 0
 		if got != (m.NumRows > 0) {
 			t.Errorf("NonEmpty bit %d = %v, want %v", pid, got, m.NumRows > 0)
@@ -82,11 +86,8 @@ func TestStatsBlockBuiltOnceAndShared(t *testing.T) {
 	if p.Stats() != p.Stats() {
 		t.Error("Stats() rebuilt the block")
 	}
-	// Hand-built partitionings (persistence, tests) build lazily.
-	manual := &Partitioning{
-		NumPartitions: 1,
-		Meta:          []*PartitionMeta{{ID: 0, NumRows: 0, Stats: nil}},
-	}
+	// Hand-built partitionings come with every column built.
+	manual := NewPartitioning([]*PartitionMeta{{ID: 0, NumRows: 0, Stats: nil}}, nil)
 	if b := manual.Stats(); b.NumParts != 1 || b.NumCols != 0 {
 		t.Errorf("manual block dims %dx%d", b.NumParts, b.NumCols)
 	}

@@ -60,7 +60,9 @@ func ColumnSweepTemplates(d *table.Dataset) []Template {
 			templates = append(templates, Template{
 				Name: "sweep-" + col.Name,
 				Make: func(rng *rand.Rand) []query.Predicate {
-					start := lo + rng.Float64()*(span-width)
+					// float64(...) rounds the product before the add: arm64 would
+					// otherwise fuse the two, and the result would differ from amd64's.
+					start := lo + float64(rng.Float64()*(span-width))
 					return []query.Predicate{query.FloatRange(col.Name, start, start+width)}
 				},
 			})

@@ -49,7 +49,9 @@ func TPCDSTemplates() []Template {
 			// q13: marital/education + sales-price band.
 			Name: "q13-price-demographics",
 			Make: func(rng *rand.Rand) []query.Predicate {
-				lo := 20 + rng.Float64()*80
+				// float64(...) rounds the product before the add: arm64 would
+				// otherwise fuse the two, and the result would differ from amd64's.
+				lo := 20 + float64(rng.Float64()*80)
 				return []query.Predicate{
 					query.StrEq("cd_marital_status", datagen.TPCDSMarital[rng.Intn(len(datagen.TPCDSMarital))]),
 					query.FloatRange("ss_sales_price", lo, lo+50),
@@ -87,7 +89,7 @@ func TPCDSTemplates() []Template {
 			Name: "q28-quantity-buckets",
 			Make: func(rng *rand.Rand) []query.Predicate {
 				q0 := int64(rng.Intn(80))
-				p0 := 10 + rng.Float64()*150
+				p0 := 10 + float64(rng.Float64()*150)
 				return []query.Predicate{
 					query.IntRange("ss_quantity", q0, q0+20),
 					query.FloatRange("ss_list_price", p0, p0+60),
@@ -166,7 +168,7 @@ func TPCDSTemplates() []Template {
 				county := datagen.TPCDSCounties[rng.Intn(len(datagen.TPCDSCounties))]
 				return []query.Predicate{
 					query.StrEq("s_county", county),
-					query.FloatGE("ss_coupon_amt", 1+rng.Float64()*20),
+					query.FloatGE("ss_coupon_amt", 1+float64(rng.Float64()*20)),
 				}
 			},
 		},
@@ -177,7 +179,7 @@ func TPCDSTemplates() []Template {
 				st := datagen.TPCDSStates[rng.Intn(len(datagen.TPCDSStates))]
 				return []query.Predicate{
 					query.StrEq("s_state", st),
-					query.FloatGE("ss_net_profit", 100+rng.Float64()*2000),
+					query.FloatGE("ss_net_profit", 100+float64(rng.Float64()*2000)),
 				}
 			},
 		},

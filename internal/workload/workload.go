@@ -137,7 +137,9 @@ func segmentLengths(total, n int, minFrac float64, rng *rand.Rand) []int {
 	weights := make([]float64, n)
 	sum := 0.0
 	for i := range weights {
-		weights[i] = 0.2 + rng.Float64()
+		// float64(...) rounds rng.Float64's scaling multiply, which arm64
+		// would otherwise fuse into the add.
+		weights[i] = 0.2 + float64(rng.Float64())
 		sum += weights[i]
 	}
 	slack := total - minLen*n

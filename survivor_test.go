@@ -74,7 +74,7 @@ func TestDecisionSurvivorPartitions(t *testing.T) {
 		// cannot rule the conjunction out.
 		var want []int
 		rows := 0
-		for pid, m := range dec.Layout.Part.Meta {
+		for pid, m := range dec.Layout.Part.Meta() {
 			if q.MayMatch(dec.Layout.Schema(), m) {
 				want = append(want, pid)
 				rows += m.NumRows
