@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,17 +22,6 @@ import (
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 
-	orders := oreo.NewSchema(
-		oreo.Column{Name: "order_ts", Type: oreo.Int64},
-		oreo.Column{Name: "status", Type: oreo.String},
-		oreo.Column{Name: "amount", Type: oreo.Float64},
-	)
-	statuses := []string{"cancelled", "delivered", "pending", "returned"}
-	ob := oreo.NewDatasetBuilder(orders, 4000)
-	for i := 0; i < 4000; i++ {
-		ob.AppendRow(oreo.Int(int64(i)), oreo.Str(statuses[i%4]), oreo.Float(float64(i%500)+0.25))
-	}
-
 	events := oreo.NewSchema(
 		oreo.Column{Name: "ts", Type: oreo.Int64},
 		oreo.Column{Name: "user", Type: oreo.String},
@@ -43,9 +33,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	}
 
 	m := oreo.NewMulti()
-	if err := m.AddTable("orders", ob.Build(), oreo.Config{
-		Partitions: 16, InitialSort: []string{"order_ts"}, Seed: 1, TraceCapacity: 32,
-	}); err != nil {
+	if err := m.AddTable("orders", ordersDataset(), ordersConfig); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.AddTable("events", eb.Build(), oreo.Config{
@@ -61,6 +49,23 @@ func newTestServer(t *testing.T) *httptest.Server {
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return ts
 }
+
+// ordersDataset and ordersConfig are the test server's orders table.
+func ordersDataset() *oreo.Dataset {
+	orders := oreo.NewSchema(
+		oreo.Column{Name: "order_ts", Type: oreo.Int64},
+		oreo.Column{Name: "status", Type: oreo.String},
+		oreo.Column{Name: "amount", Type: oreo.Float64},
+	)
+	statuses := []string{"cancelled", "delivered", "pending", "returned"}
+	ob := oreo.NewDatasetBuilder(orders, 4000)
+	for i := 0; i < 4000; i++ {
+		ob.AppendRow(oreo.Int(int64(i)), oreo.Str(statuses[i%4]), oreo.Float(float64(i%500)+0.25))
+	}
+	return ob.Build()
+}
+
+var ordersConfig = oreo.Config{Partitions: 16, InitialSort: []string{"order_ts"}, Seed: 1, TraceCapacity: 32}
 
 func newTestClient(t *testing.T) *client.Client {
 	t.Helper()
@@ -150,6 +155,61 @@ func TestExecuteAggregates(t *testing.T) {
 	}
 	if a := ex.Aggregates[2]; a.Type != "string" || a.ValueS != "cancelled" {
 		t.Fatalf("min aggregate = %+v", a)
+	}
+}
+
+// TestConstructorsAgreeWithInProcess answers one query per SDK
+// predicate constructor against the test server and checks it against
+// the same predicate built by the root package: the cost and survivors
+// a fresh in-process Optimizer over the same table reports, and the
+// matched rows and max(amount) of a row-at-a-time fold.
+func TestConstructorsAgreeWithInProcess(t *testing.T) {
+	c := newTestClient(t)
+	ds := ordersDataset()
+	opt, err := oreo.New(ds, ordersConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	amount, _ := ds.Schema().Index("amount")
+	for _, tc := range []struct {
+		name string
+		sdk  client.Predicate
+		in   oreo.Predicate
+	}{
+		{"IntRange", client.IntRange("order_ts", 500, 900), oreo.IntRange("order_ts", 500, 900)},
+		{"IntGE", client.IntGE("order_ts", 3000), oreo.IntGE("order_ts", 3000)},
+		{"IntLE", client.IntLE("order_ts", 99), oreo.IntLE("order_ts", 99)},
+		{"FloatRange", client.FloatRange("amount", 10, 20.5), oreo.FloatRange("amount", 10, 20.5)},
+		{"FloatGE", client.FloatGE("amount", 450), oreo.FloatGE("amount", 450)},
+		{"FloatLE", client.FloatLE("amount", 3), oreo.FloatLE("amount", 3)},
+		{"StrEq", client.StrEq("status", "pending"), oreo.StrEq("status", "pending")},
+		{"StrIn", client.StrIn("status", "pending", "returned"), oreo.StrIn("status", "pending", "returned")},
+	} {
+		results, err := c.Query(context.Background(), client.Query{
+			Table: "orders", Execute: true,
+			Preds: []client.Predicate{tc.sdk},
+			Aggs:  []client.Aggregate{client.Count(), client.Max("amount")},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := results[0]
+		q := oreo.Query{Preds: []oreo.Predicate{tc.in}}
+		d := opt.ProcessQuery(q)
+		if got.Cost != d.Cost || !slices.Equal(got.SurvivorPartitions, d.SurvivorPartitions()) {
+			t.Errorf("%s: server cost %v survivors %v, in-process %v %v", tc.name, got.Cost, got.SurvivorPartitions, d.Cost, d.SurvivorPartitions())
+		}
+		matched, maxAmount := 0, 0.0
+		for r := 0; r < ds.NumRows(); r++ {
+			if q.MatchRow(ds, r) {
+				matched++
+				maxAmount = max(maxAmount, ds.Float64At(amount, r))
+			}
+		}
+		ex := got.Execution
+		if matched == 0 || ex == nil || ex.MatchedRows != matched || ex.Aggregates[1].ValueF != maxAmount {
+			t.Errorf("%s: execution %+v, want %d rows with max(amount) %v", tc.name, ex, matched, maxAmount)
+		}
 	}
 }
 

@@ -59,6 +59,7 @@ type Package struct {
 // consumes.
 type listedPackage struct {
 	ImportPath string
+	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
@@ -80,7 +81,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := goList(dir, patterns)
+	listed, err := goList(dir, []string{"-deps", "-export"}, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -122,10 +123,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 // goList shells out to the go tool once for the whole pattern list.
-// -deps pulls in the transitive closure, -export compiles export data
-// into the build cache and reports where it landed.
-func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
+// Load passes -deps, which pulls in the transitive closure, and
+// -export, which compiles export data into the build cache and reports
+// where it landed.
+func goList(dir string, flags, patterns []string) ([]*listedPackage, error) {
+	args := append(append([]string{"list", "-json"}, flags...), patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer

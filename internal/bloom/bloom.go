@@ -91,15 +91,3 @@ func (f *Filter) MayContainHash(h1, h2 uint64) bool {
 	}
 	return true
 }
-
-// FillRatio returns the fraction of set bits — a saturation diagnostic
-// (filters past ~50% fill stop pruning effectively).
-func (f *Filter) FillRatio() float64 {
-	set := 0
-	for _, w := range f.bits {
-		for ; w != 0; w &= w - 1 {
-			set++
-		}
-	}
-	return float64(set) / float64(f.nbits)
-}

@@ -59,25 +59,6 @@ func TestEmptyFilterContainsNothing(t *testing.T) {
 			t.Fatal("empty filter claims membership")
 		}
 	}
-	if f.FillRatio() != 0 {
-		t.Errorf("empty fill ratio = %g", f.FillRatio())
-	}
-}
-
-func TestFillRatioGrows(t *testing.T) {
-	f := New(512, 3)
-	prev := 0.0
-	for i := 0; i < 50; i++ {
-		f.Add(fmt.Sprintf("v%d", i))
-		if r := f.FillRatio(); r < prev {
-			t.Fatal("fill ratio decreased")
-		} else {
-			prev = r
-		}
-	}
-	if prev <= 0 || prev > 1 {
-		t.Errorf("fill ratio = %g", prev)
-	}
 }
 
 func TestValidation(t *testing.T) {

@@ -172,7 +172,7 @@ func BenchmarkScanStringIn(b *testing.B) {
 	const rows, k = 131072, 64
 	_, store := benchStoreTagged(rows, k)
 	q := query.Query{Preds: []query.Predicate{query.StrIn("tag", "t00", "t03", "t07", "t11")}}
-	ids := store.AllPartitions()
+	ids := store.allIDs
 	const want = rows / 4
 	b.Run("engine=kernel", func(b *testing.B) {
 		b.ReportAllocs()

@@ -161,7 +161,7 @@ func checkCoveredScenario(t testing.TB, rng *rand.Rand, queries int) (pairs, cov
 		aggs := summaryAggs(rng, ds.Schema())
 		ids, _ := prune.Compile(ds.Schema(), q).Survivors(part)
 		checkEngineEquality(t, store, q, aggs, ids)
-		checkEngineEquality(t, store, q, aggs, store.AllPartitions())
+		checkEngineEquality(t, store, q, aggs, store.allIDs)
 		checkScanEquality(t, ds, part, store, q, aggs)
 		if store.bindKernels(sc, q) {
 			continue
@@ -223,7 +223,7 @@ func TestCoveredSumOverflow(t *testing.T) {
 		}
 		ds := b.Build()
 		store := MustNewStore(ds, table.MustBuildPartitioning(ds, tc.assign, 2))
-		checkEngineEquality(t, store, q, aggs, store.AllPartitions())
+		checkEngineEquality(t, store, q, aggs, store.allIDs)
 		res, err := store.ScanFull(q, aggs, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -274,7 +274,7 @@ func TestPartitionsCovered(t *testing.T) {
 				t.Errorf("%s (par=%d): read %d blocks / %d rows, want 4 / 8", tc.name, par, res.PartitionsRead, res.RowsExamined)
 			}
 		}
-		checkEngineEquality(t, store, q, []AggSpec{{Op: AggCount}, {Op: AggSum, Col: "price"}, {Op: AggMin, Col: "tag"}}, store.AllPartitions())
+		checkEngineEquality(t, store, q, []AggSpec{{Op: AggCount}, {Op: AggSum, Col: "price"}, {Op: AggMin, Col: "tag"}}, store.allIDs)
 	}
 }
 

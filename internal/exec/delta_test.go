@@ -193,7 +193,7 @@ func TestDeltaSchemaMismatch(t *testing.T) {
 	if _, err := store.ScanFull(query.Query{}, nil, Options{Delta: foreign}); err == nil {
 		t.Fatal("foreign-schema delta accepted")
 	}
-	if _, err := store.ScanInterpreted(query.Query{}, store.AllPartitions(), nil, Options{Delta: foreign}); err == nil {
+	if _, err := store.ScanInterpreted(query.Query{}, store.allIDs, nil, Options{Delta: foreign}); err == nil {
 		t.Fatal("foreign-schema delta accepted by interpreted engine")
 	}
 }

@@ -74,8 +74,8 @@ type Store struct {
 	// partial foldBlockAgg folds over the whole block, kept so a covered
 	// block answers a sum without reading the column.
 	sums []blockSum
-	// allIDs caches the full-scan survivor list [0..k): AllPartitions
-	// is on the per-request execute path and must not allocate.
+	// allIDs caches the full-scan survivor list [0..k), so ScanFull
+	// allocates none per call.
 	allIDs []int
 }
 
@@ -151,29 +151,11 @@ func MustNewStore(ds *table.Dataset, part *table.Partitioning) *Store {
 	return s
 }
 
-// Schema returns the schema the store's blocks share.
-func (s *Store) Schema() *table.Schema { return s.schema }
-
 // Partitioning returns the partitioning the store was arranged by.
 func (s *Store) Partitioning() *table.Partitioning { return s.part }
 
-// NumPartitions returns the number of blocks.
-func (s *Store) NumPartitions() int { return len(s.blocks) }
-
 // TotalRows returns the number of rows across all blocks.
 func (s *Store) TotalRows() int { return s.part.TotalRows }
-
-// Block returns partition pid's rows as a columnar table (read-only).
-func (s *Store) Block(pid int) *table.Dataset { return s.blocks[pid] }
-
-// Dict returns the dictionary string column ci is coded against in
-// every block (the dataset's own), or nil for non-string columns.
-func (s *Store) Dict(ci int) *table.StringDict { return s.dicts[ci] }
-
-// AllPartitions returns the ascending list of every partition ID — the
-// survivor list of a full scan. The slice is cached on the Store and
-// shared across calls; callers must treat it as read-only.
-func (s *Store) AllPartitions() []int { return s.allIDs }
 
 // Options tunes a Scan.
 type Options struct {

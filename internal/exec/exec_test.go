@@ -475,13 +475,13 @@ func TestIntSumOverflowInvalid(t *testing.T) {
 
 func TestValidateAggs(t *testing.T) {
 	_, store := fixtureStore(t)
-	if err := ValidateAggs(store.Schema(), []AggSpec{{Op: AggCount}, {Op: AggSum, Col: "price"}}); err != nil {
+	if err := ValidateAggs(store.schema, []AggSpec{{Op: AggCount}, {Op: AggSum, Col: "price"}}); err != nil {
 		t.Errorf("legal aggs rejected: %v", err)
 	}
-	if err := ValidateAggs(store.Schema(), []AggSpec{{Op: AggSum, Col: "tag"}}); err == nil {
+	if err := ValidateAggs(store.schema, []AggSpec{{Op: AggSum, Col: "tag"}}); err == nil {
 		t.Error("string sum accepted")
 	}
-	if err := ValidateAggs(store.Schema(), []AggSpec{{Op: AggMin, Col: "ghost"}}); err == nil {
+	if err := ValidateAggs(store.schema, []AggSpec{{Op: AggMin, Col: "ghost"}}); err == nil {
 		t.Error("unknown column accepted")
 	}
 }
@@ -515,11 +515,11 @@ func TestScanValidation(t *testing.T) {
 
 func TestNewStoreShape(t *testing.T) {
 	ds, store := fixtureStore(t)
-	if store.NumPartitions() != 4 || store.TotalRows() != 8 {
-		t.Fatalf("store shape %d/%d, want 4 partitions 8 rows", store.NumPartitions(), store.TotalRows())
+	if len(store.blocks) != 4 || store.TotalRows() != 8 {
+		t.Fatalf("store shape %d/%d, want 4 partitions 8 rows", len(store.blocks), store.TotalRows())
 	}
 	for pid := 0; pid < 4; pid++ {
-		blk := store.Block(pid)
+		blk := store.blocks[pid]
 		if blk.NumRows() != store.Partitioning().RowsInPartition(pid) {
 			t.Fatalf("block %d holds %d rows, meta says %d",
 				pid, blk.NumRows(), store.Partitioning().RowsInPartition(pid))

@@ -72,7 +72,7 @@ func TestParallelScanEqualsSequentialProperty(t *testing.T) {
 			aggs := randomAggs(rng, ds.Schema())
 			ids, _ := prune.Compile(ds.Schema(), q).Survivors(part)
 			checkEngineEquality(t, store, q, aggs, ids)
-			checkEngineEquality(t, store, q, aggs, store.AllPartitions())
+			checkEngineEquality(t, store, q, aggs, store.allIDs)
 		}
 	}
 }
@@ -134,7 +134,7 @@ func TestDictionaryINSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		q := query.Query{Preds: []query.Predicate{query.StrIn("tag", tc.in...)}}
-		checkEngineEquality(t, store, q, []AggSpec{{Op: AggCount}, {Op: AggMin, Col: "tag"}}, store.AllPartitions())
+		checkEngineEquality(t, store, q, []AggSpec{{Op: AggCount}, {Op: AggMin, Col: "tag"}}, store.allIDs)
 		res, err := store.ScanFull(q, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -148,15 +148,15 @@ func TestDictionaryINSemantics(t *testing.T) {
 	// back to the original cells in every block — including none at all
 	// in the empty one.
 	ci := 1
-	dict := store.Dict(ci)
+	dict := store.dicts[ci]
 	if dict == nil || dict.Len() != 3 {
 		t.Fatalf("tag dict = %v, want 3 distinct values", dict)
 	}
-	if store.Dict(0) != nil {
+	if store.dicts[0] != nil {
 		t.Fatal("int column grew a dictionary")
 	}
-	for pid := 0; pid < store.NumPartitions(); pid++ {
-		blk := store.Block(pid)
+	for pid := 0; pid < len(store.blocks); pid++ {
+		blk := store.blocks[pid]
 		if blk.Dict(ci) != dict {
 			t.Fatalf("block %d does not share the dataset's dictionary", pid)
 		}
@@ -221,7 +221,7 @@ func TestScanCancellation(t *testing.T) {
 
 	for _, par := range []int{1, 4} {
 		ctx := &countingCtx{Context: context.Background(), limit: 5}
-		_, err := store.Scan(q, store.AllPartitions(), aggs, Options{Context: ctx, Parallelism: par})
+		_, err := store.Scan(q, store.allIDs, aggs, Options{Context: ctx, Parallelism: par})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("par=%d mid-scan cancel returned %v, want context.Canceled", par, err)
 		}
@@ -231,7 +231,7 @@ func TestScanCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, par := range []int{1, 4} {
-		_, err := store.Scan(q, store.AllPartitions(), aggs, Options{Context: ctx, Parallelism: par})
+		_, err := store.Scan(q, store.allIDs, aggs, Options{Context: ctx, Parallelism: par})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("par=%d pre-canceled scan returned %v", par, err)
 		}
@@ -240,7 +240,7 @@ func TestScanCancellation(t *testing.T) {
 	// A context that never cancels changes nothing.
 	tctx, tcancel := context.WithTimeout(context.Background(), time.Minute)
 	defer tcancel()
-	res, err := store.Scan(q, store.AllPartitions(), aggs, Options{Context: tctx, Parallelism: 4})
+	res, err := store.Scan(q, store.allIDs, aggs, Options{Context: tctx, Parallelism: 4})
 	if err != nil || res.Matched != 4096 {
 		t.Fatalf("live-context scan: %v, matched %d", err, res.Matched)
 	}
@@ -260,7 +260,7 @@ func TestParallelismClamp(t *testing.T) {
 		{0, 8, 1}, {1, 8, 1}, {4, 8, 4}, {64, 8, 8}, {4, 1, 1},
 	}
 	for _, tc := range cases {
-		ids := store.AllPartitions()[:tc.survivors]
+		ids := store.allIDs[:tc.survivors]
 		res, err := store.Scan(q, ids, nil, Options{Parallelism: tc.par})
 		if err != nil {
 			t.Fatal(err)
@@ -303,6 +303,6 @@ func TestKernelSentinelBounds(t *testing.T) {
 	}
 	aggs := []AggSpec{{Op: AggCount}, {Op: AggMin, Col: "f"}, {Op: AggMax, Col: "f"}}
 	for _, q := range queries {
-		checkEngineEquality(t, store, q, aggs, store.AllPartitions())
+		checkEngineEquality(t, store, q, aggs, store.allIDs)
 	}
 }

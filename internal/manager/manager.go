@@ -189,9 +189,6 @@ func (f *Feed) ReservoirQueries() []query.Query { return f.rtbs.Queries() }
 // WindowQueries returns the current sliding-window contents.
 func (f *Feed) WindowQueries() []query.Query { return f.window.Queries() }
 
-// Seen returns the number of queries observed.
-func (f *Feed) Seen() int { return f.seen }
-
 // AdmitCompiled implements Algorithm 5 (ADMIT STATE): the candidate
 // joins the state space only if its normalized-L1 cost-vector distance
 // to *every* incumbent, measured on the compiled sample, exceeds

@@ -139,8 +139,8 @@ func TestFeedSeenAndSamples(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		f.Observe(catQuery(i, "a"))
 	}
-	if f.Seen() != 8 {
-		t.Errorf("Seen = %d", f.Seen())
+	if f.seen != 8 {
+		t.Errorf("seen = %d", f.seen)
 	}
 	if got := len(f.WindowQueries()); got != 5 {
 		t.Errorf("window holds %d, want 5", got)

@@ -78,16 +78,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add accumulates delta with a CAS loop (no lock).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Load returns the current value.
 func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -154,9 +144,6 @@ func (h *Histogram) Count() uint64 {
 	}
 	return n
 }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // Max returns the largest observed value (0 before any observation).
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.maxBits.Load()) }

@@ -149,15 +149,6 @@ func (c *counters) trackSpace() {
 	}
 }
 
-// Has reports whether the state is in the state space (active,
-// saturated, or pending).
-func (c *counters) Has(id StateID) bool {
-	if _, ok := c.states[id]; ok {
-		return true
-	}
-	return c.pending[id]
-}
-
 // NumStates returns |S| including pending additions.
 func (c *counters) NumStates() int { return len(c.states) + len(c.pending) }
 
@@ -171,9 +162,6 @@ func (c *counters) NumActive() int {
 	}
 	return n
 }
-
-// Counter returns C(s) for diagnostics and tests.
-func (c *counters) Counter(id StateID) float64 { return c.counter[id] }
 
 // Phases returns the number of phases started so far.
 func (c *counters) Phases() int { return c.phases }

@@ -54,7 +54,7 @@ func TestRandomOperationInvariants(t *testing.T) {
 			if len(ledger) == 0 {
 				t.Fatalf("seed %d: ledger drained; test harness bug", seed)
 			}
-			if !r.Has(r.Current()) {
+			if _, in := r.states[r.Current()]; !in && !r.pending[r.Current()] {
 				t.Fatalf("seed %d op %d: current state %d not in S", seed, op, r.Current())
 			}
 			if got := r.NumStates(); got != len(ledger) {
@@ -64,7 +64,7 @@ func TestRandomOperationInvariants(t *testing.T) {
 				t.Fatalf("seed %d op %d: MaxSpace %d < |S| %d", seed, op, r.MaxSpace(), r.NumStates())
 			}
 			for id := range ledger {
-				c := r.Counter(id)
+				c := r.counter[id]
 				if math.IsNaN(c) || c < 0 || c > 4+1 {
 					t.Fatalf("seed %d op %d: counter(%d) = %g out of range", seed, op, id, c)
 				}

@@ -130,13 +130,3 @@ func (m *MultiCopy) sortedResidentIDs() []StateID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
-
-// Resident returns the resident state IDs in sorted order.
-func (m *MultiCopy) Resident() []StateID { return m.sortedResidentIDs() }
-
-// Materializations returns how many reorganizations (cost α each) have
-// been paid.
-func (m *MultiCopy) Materializations() int { return m.materializedN }
-
-// Budget returns the configured resident-copy budget.
-func (m *MultiCopy) Budget() int { return m.budget }

@@ -62,10 +62,10 @@ func TestMultiCopyMaterializesWhenResidentsSaturate(t *testing.T) {
 	if materializedAt != 4 {
 		t.Errorf("materialized at query %d, want 4 (counter reaches alpha=5)", materializedAt)
 	}
-	if m.Materializations() != 1 {
-		t.Errorf("Materializations = %d", m.Materializations())
+	if m.materializedN != 1 {
+		t.Errorf("Materializations = %d", m.materializedN)
 	}
-	res := m.Resident()
+	res := m.sortedResidentIDs()
 	if len(res) != 1 || res[0] != 1 {
 		t.Errorf("resident = %v, want [1] (budget 1 evicts state 0)", res)
 	}
@@ -80,7 +80,7 @@ func TestMultiCopyBudgetTwoKeepsBoth(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Observe(constCost(costs))
 	}
-	res := m.Resident()
+	res := m.sortedResidentIDs()
 	if len(res) != 2 {
 		t.Errorf("resident = %v, want both copies under budget 2", res)
 	}
@@ -146,7 +146,7 @@ func TestMultiCopyDefaultResident(t *testing.T) {
 	m.AddState(3)
 	m.AddState(1)
 	m.Observe(func(StateID) float64 { return 0 })
-	res := m.Resident()
+	res := m.sortedResidentIDs()
 	if len(res) != 1 || res[0] != 1 {
 		t.Errorf("default resident = %v, want smallest ID [1]", res)
 	}
@@ -196,7 +196,7 @@ func TestMultiCopyBudgetMonotonicity(t *testing.T) {
 				return 0.6
 			})
 		}
-		return m.Materializations()
+		return m.materializedN
 	}
 	m1, m4 := run(1), run(4)
 	if m4 > m1 {
@@ -219,7 +219,7 @@ func TestStayInPlaceAblation(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			r.Observe(func(StateID) float64 { return 1 })
 		}
-		return r.Switches()
+		return r.switches
 	}
 	withOpt := run(false)
 	withoutOpt := run(true)

@@ -266,9 +266,6 @@ func median(xs []float64) float64 {
 // SetInitial was called.
 func (r *Reorganizer) Current() StateID { return r.current }
 
-// Switches returns the number of state transitions made so far.
-func (r *Reorganizer) Switches() int { return r.switches }
-
 // CompetitiveBound returns the worst-case guarantee 2·H(|Smax|) from
 // Theorem IV.1 for the state space seen so far.
 func (r *Reorganizer) CompetitiveBound() float64 {

@@ -62,8 +62,8 @@ func TestStaysWhileUnderAlpha(t *testing.T) {
 	if !switched || cur != 1 {
 		t.Fatalf("saturation: switched=%v cur=%d, want true,1", switched, cur)
 	}
-	if r.Switches() != 1 {
-		t.Errorf("Switches = %d", r.Switches())
+	if r.switches != 1 {
+		t.Errorf("Switches = %d", r.switches)
 	}
 }
 
@@ -76,10 +76,10 @@ func TestCounterAccumulation(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Observe(costs)
 	}
-	if got := r.Counter(0); got != 2 {
+	if got := r.counter[0]; got != 2 {
 		t.Errorf("counter(0) = %g, want 2", got)
 	}
-	if got := r.Counter(1); got != 1 {
+	if got := r.counter[1]; got != 1 {
 		t.Errorf("counter(1) = %g, want 1", got)
 	}
 }
@@ -104,10 +104,10 @@ func TestPhaseResetStaysInPlace(t *testing.T) {
 	if r.Phases() != 2 {
 		t.Errorf("Phases = %d, want 2 (one reset)", r.Phases())
 	}
-	if r.Switches() != 0 {
-		t.Errorf("Switches = %d, want 0 (stay-in-place)", r.Switches())
+	if r.switches != 0 {
+		t.Errorf("Switches = %d, want 0 (stay-in-place)", r.switches)
 	}
-	if got := r.Counter(0); got != 0 {
+	if got := r.counter[0]; got != 0 {
 		t.Errorf("counter not reset: %g", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestAddStateDeferredToNextPhase(t *testing.T) {
 	if r.NumActive() != 1 {
 		t.Fatalf("pending state already active: NumActive = %d", r.NumActive())
 	}
-	if !r.Has(1) {
+	if !r.pending[1] {
 		t.Fatal("pending state not tracked in S")
 	}
 	// Saturate state 0: with no other active state, the phase resets and
@@ -191,7 +191,7 @@ func TestRemoveStateMarksSaturated(t *testing.T) {
 	if switched {
 		t.Fatal("removing a non-current state reported a switch")
 	}
-	if r.Has(1) {
+	if _, in := r.states[1]; in || r.pending[1] {
 		t.Fatal("removed state still in S")
 	}
 	if r.NumActive() != 2 {
@@ -212,8 +212,8 @@ func TestRemoveCurrentStateJumps(t *testing.T) {
 	if r.Current() != 1 {
 		t.Errorf("current = %d, want 1", r.Current())
 	}
-	if r.Switches() != 1 {
-		t.Errorf("Switches = %d", r.Switches())
+	if r.switches != 1 {
+		t.Errorf("Switches = %d", r.switches)
 	}
 }
 
@@ -254,7 +254,7 @@ func TestRemovePendingState(t *testing.T) {
 	if switched := r.RemoveState(5); switched {
 		t.Fatal("removing a pending state reported a switch")
 	}
-	if r.Has(5) {
+	if _, in := r.states[5]; in || r.pending[5] {
 		t.Fatal("pending state survived removal")
 	}
 }
@@ -350,7 +350,7 @@ func TestSwitchTargetsUnsaturated(t *testing.T) {
 	r.SetInitial(0)
 	for step := 0; step < 2000; step++ {
 		r.Observe(func(id StateID) float64 { return rng.Float64() })
-		if c := r.Counter(r.Current()); c >= 3 && r.NumActive() > 0 {
+		if c := r.counter[r.Current()]; c >= 3 && r.NumActive() > 0 {
 			t.Fatalf("step %d: sitting in saturated state (counter %g) with active states available", step, c)
 		}
 	}

@@ -91,17 +91,6 @@ func (e *Engine) CostSurvivors(q query.Query) (float64, []int) {
 	return c, ids
 }
 
-// CostSurvivorsCompiled is CostSurvivors for a pre-compiled query. A
-// query compiled against a different schema is transparently rebound.
-func (e *Engine) CostSurvivorsCompiled(cq *CompiledQuery) (float64, []int) {
-	if cq.schema != e.schema {
-		cq = compileFP(e.schema, cq.src, cq.fp)
-	}
-	ids, c := cq.Survivors(e.part)
-	e.store(cq.fp, c)
-	return c, ids
-}
-
 // MemoEntry is one exported (fingerprint, cost) pair; see ExportMemo.
 type MemoEntry struct {
 	// FP is the query's binary structural fingerprint.

@@ -89,7 +89,12 @@ type compiledPred struct {
 type CompiledQuery struct {
 	schema *table.Schema
 	src    query.Query
-	fp     string
+	// fp is the query's structural identity over the cost model: two
+	// queries share it iff they have the same predicate sequence
+	// (column, flags, bounds, IN list). ID and Template are excluded —
+	// they do not affect cost. The encoding is injective
+	// (length-prefixed), so equality is exact, never a hash collision.
+	fp string
 	// preds holds the bound predicates. Predicates on unknown columns
 	// are elided at compile time (they can never prune).
 	preds []compiledPred
@@ -180,23 +185,8 @@ func internIn(in []string) []inValue {
 	return out
 }
 
-// Fingerprint returns the query's structural identity over the compiled
-// cost model: two queries share a fingerprint iff they have the same
-// predicate sequence (column, flags, bounds, IN list). ID and Template
-// are deliberately excluded — they do not affect cost. The encoding is
-// injective (length-prefixed), so fingerprint equality is exact, never a
-// hash collision.
-func (cq *CompiledQuery) Fingerprint() string { return cq.fp }
-
 // Query returns the source query the compilation was built from.
 func (cq *CompiledQuery) Query() query.Query { return cq.src }
-
-// Schema returns the schema the query was bound against.
-func (cq *CompiledQuery) Schema() *table.Schema { return cq.schema }
-
-// NeverMatches reports whether compilation proved the query matches no
-// partition (some predicate is type-mismatched against the schema).
-func (cq *CompiledQuery) NeverMatches() bool { return cq.never }
 
 // stackMaskWords bounds the survivor mask kept on the stack: 16 words
 // cover 1024 partitions, far above the default partition-count clamp.

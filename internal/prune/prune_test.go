@@ -79,8 +79,8 @@ func TestTypeMismatchedPredicates(t *testing.T) {
 	}
 	for _, q := range cases {
 		cq := Compile(schema, q)
-		if !cq.NeverMatches() {
-			t.Errorf("%v: expected NeverMatches", q.Preds)
+		if !cq.never {
+			t.Errorf("%v: expected a never-matching compilation", q.Preds)
 		}
 		if c := check(t, schema, part, q); c != 0 {
 			t.Errorf("%v: cost %v, want 0", q.Preds, c)

@@ -56,7 +56,7 @@ func TestSurvivorsEquivalenceProperty(t *testing.T) {
 				t.Fatalf("survivor cost %v != interpreted %v\nquery: %+v", cost, wantCost, q.Preds)
 			}
 
-			ec, eids := eng.CostSurvivorsCompiled(cq)
+			ec, eids := eng.CostSurvivors(q)
 			if !equalIDs(eids, want) || ec != wantCost {
 				t.Fatalf("engine survivors (%v, %v) != interpreted (%v, %v)", eids, ec, want, wantCost)
 			}
@@ -114,8 +114,8 @@ func TestSurvivorsDegenerate(t *testing.T) {
 	part := table.MustBuildPartitioning(b.Build(), []int{0, 0, 1, 1}, 2)
 	// Numeric predicate on a string column: unsatisfiable by type.
 	never := Compile(schema, query.Query{Preds: []query.Predicate{query.IntGE("s", 0)}})
-	if !never.NeverMatches() {
-		t.Fatal("type-mismatched query not marked NeverMatches")
+	if !never.never {
+		t.Fatal("type-mismatched query not proved never-matching")
 	}
 	if ids, cost := never.Survivors(part); len(ids) != 0 || cost != 0 {
 		t.Fatalf("never-matching query: survivors %v cost %v, want none", ids, cost)

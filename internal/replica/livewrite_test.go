@@ -183,7 +183,11 @@ func TestFollowerLiveWritesBitIdentity(t *testing.T) {
 				t.Fatal("resync scheduled on an empty delta; mid-append property not exercised")
 			}
 			before := fol.Stats().Snapshots
-			pub.Resync()
+			pub.mu.Lock()
+			for s := range pub.subs {
+				s.markGapped()
+			}
+			pub.mu.Unlock()
 			waitFor(t, "in-stream re-snapshot", func() bool { return fol.Stats().Snapshots > before })
 			assertLiveBitIdentical(t, leader, fol.Core(), rows, true)
 		}

@@ -221,10 +221,6 @@ func newBootID() string {
 // Generation returns the leader's monotonic fencing term.
 func (p *Publisher) Generation() uint64 { return p.gen }
 
-// BootID returns the publisher's boot-unique identity, as carried on
-// snapshot and resume records.
-func (p *Publisher) BootID() string { return p.boot }
-
 // Subscribers reports the current subscriber count.
 func (p *Publisher) Subscribers() int {
 	p.mu.Lock()
@@ -243,17 +239,6 @@ func (p *Publisher) Resnapshots() uint64 { return p.resnapshots.Load() }
 func (p *Publisher) Mount(srv *serve.Server) {
 	srv.Mount("POST /v2/replication/subscribe", p.SubscribeHandler())
 	srv.Mount("POST /v2/replication/observe", p.ObserveHandler())
-}
-
-// Resync forces a fresh snapshot onto every current subscriber — the
-// operational "make the fleet re-sync now" lever (and the test hook
-// for the gap-repair path). Safe anytime.
-func (p *Publisher) Resync() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for s := range p.subs {
-		s.markGapped()
-	}
 }
 
 // DropSubscribers severs every current subscriber's stream. Followers

@@ -276,7 +276,11 @@ func TestFollowerBitIdentityEveryEpoch(t *testing.T) {
 			// Forced gap repair: the publisher discards the subscriber's
 			// backlog and re-snapshots in-stream.
 			before := fol.Stats().Snapshots
-			pub.Resync()
+			pub.mu.Lock()
+			for s := range pub.subs {
+				s.markGapped()
+			}
+			pub.mu.Unlock()
 			waitFor(t, "in-stream re-snapshot", func() bool { return fol.Stats().Snapshots > before })
 		case dropAt:
 			// Severed stream: the follower reconnects and negotiates
@@ -403,11 +407,11 @@ func TestResumeRequiresBootIdentity(t *testing.T) {
 	// The exact publisher instance at the exact position: resume, and
 	// the resume record carries the identity for the next reconnect.
 	match := base
-	match.Generation, match.Boot = pub.Generation(), pub.BootID()
+	match.Generation, match.Boot = pub.Generation(), pub.boot
 	if rec := subscribeFirstRecord(t, ts.URL, match); rec.Type != RecordResume {
 		t.Fatalf("matching term+boot+position got %q, want resume", rec.Type)
-	} else if rec.Boot != pub.BootID() {
-		t.Fatalf("resume record boot = %q, want the publisher's %q", rec.Boot, pub.BootID())
+	} else if rec.Boot != pub.boot {
+		t.Fatalf("resume record boot = %q, want the publisher's %q", rec.Boot, pub.boot)
 	}
 
 	// Same term and position but another process's boot ID — the

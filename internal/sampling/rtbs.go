@@ -74,9 +74,6 @@ func (r *RTBS) Add(q query.Query) {
 // Len returns the current sample size.
 func (r *RTBS) Len() int { return r.h.Len() }
 
-// Seen returns the lifetime number of queries offered.
-func (r *RTBS) Seen() int { return r.seen }
-
 // Queries returns the sampled queries in arrival order.
 func (r *RTBS) Queries() []query.Query {
 	out := make([]query.Query, 0, r.h.Len())

@@ -12,8 +12,8 @@ func q(id int) query.Query { return query.Query{ID: id} }
 
 func TestSlidingWindowBasics(t *testing.T) {
 	w := NewSlidingWindow(3)
-	if w.Len() != 0 || w.Capacity() != 3 {
-		t.Fatalf("fresh window: len=%d cap=%d", w.Len(), w.Capacity())
+	if w.Len() != 0 || len(w.buf) != 3 {
+		t.Fatalf("fresh window: len=%d cap=%d", w.Len(), len(w.buf))
 	}
 	w.Add(q(1))
 	w.Add(q(2))
@@ -36,9 +36,6 @@ func TestSlidingWindowEviction(t *testing.T) {
 		if got[i].ID != want {
 			t.Errorf("slot %d = %d, want %d", i, got[i].ID, want)
 		}
-	}
-	if w.Total() != 7 {
-		t.Errorf("Total = %d, want 7", w.Total())
 	}
 }
 
@@ -90,8 +87,8 @@ func TestRTBSSizeBound(t *testing.T) {
 	if r.Len() != 50 {
 		t.Fatalf("Len = %d, want 50", r.Len())
 	}
-	if r.Seen() != 5000 {
-		t.Fatalf("Seen = %d, want 5000", r.Seen())
+	if r.seen != 5000 {
+		t.Fatalf("seen = %d, want 5000", r.seen)
 	}
 }
 

@@ -14,7 +14,6 @@ type SlidingWindow struct {
 	buf   []query.Query
 	head  int // index of the oldest element
 	count int
-	total int // lifetime number of queries observed
 }
 
 // NewSlidingWindow returns a window holding up to capacity queries.
@@ -34,17 +33,10 @@ func (w *SlidingWindow) Add(q query.Query) {
 		w.buf[w.head] = q
 		w.head = (w.head + 1) % len(w.buf)
 	}
-	w.total++
 }
 
 // Len returns the number of queries currently held.
 func (w *SlidingWindow) Len() int { return w.count }
-
-// Total returns the lifetime number of queries observed.
-func (w *SlidingWindow) Total() int { return w.total }
-
-// Capacity returns the window's maximum size.
-func (w *SlidingWindow) Capacity() int { return len(w.buf) }
 
 // Queries returns the window contents oldest-first as a fresh slice.
 func (w *SlidingWindow) Queries() []query.Query {

@@ -279,11 +279,6 @@ func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h
 // HTTP listener has stopped accepting requests.
 func (s *Server) Close() { s.core.Close() }
 
-// Snapshot returns the named table's current optimizer snapshot.
-func (s *Server) Snapshot(table string) (oreo.OptimizerSnapshot, bool) {
-	return s.core.Snapshot(table)
-}
-
 // decodeBodyNumber decodes a JSON request body under the configured
 // size cap, writing the error response itself on failure: an oversized
 // body is 413 with the standard error shape, everything else malformed

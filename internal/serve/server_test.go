@@ -147,7 +147,7 @@ func TestQueryEndpointSurvivorsMatchReference(t *testing.T) {
 
 	// Reference: the interpreted per-partition prunable checks on the
 	// layout the server reports having served on.
-	snap, ok := s.Snapshot("orders")
+	snap, ok := s.core.Snapshot("orders")
 	if !ok || snap.Serving.Name != res.Layout {
 		t.Fatalf("snapshot layout %q, served on %q", snap.Serving.Name, res.Layout)
 	}
@@ -350,7 +350,7 @@ func TestStatsEndpointAndQueueDrain(t *testing.T) {
 	// Graceful close drains the queue completely; the decision loop
 	// must have seen exactly the observed queries.
 	s.Close()
-	snap, _ := s.Snapshot("orders")
+	snap, _ := s.core.Snapshot("orders")
 	if uint64(snap.Stats.Queries) != st.Observed {
 		t.Errorf("after close: optimizer saw %d queries, observed %d", snap.Stats.Queries, st.Observed)
 	}

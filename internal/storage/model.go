@@ -94,17 +94,6 @@ func (m DiskModel) ReorgSeconds(mb float64) float64 {
 	return m.ReorgStartup + float64(mb*perMB)
 }
 
-// Alpha returns the simulated relative reorganization cost
-// α(size) = reorg time / full-scan time for a file of the given size.
-func (m DiskModel) Alpha(mb float64) float64 {
-	scan := m.ScanSeconds(mb)
-	//oreovet:ignore floatbits division guard; ScanSeconds returns exactly 0 only for a 0-MB file
-	if scan == 0 {
-		return 0
-	}
-	return m.ReorgSeconds(mb) / scan
-}
-
 // AlphaRow is one row of the Table I reproduction.
 type AlphaRow struct {
 	FileMB float64

@@ -92,14 +92,6 @@ func TestMeasureAlphaCustomSizes(t *testing.T) {
 	}
 }
 
-func TestAlphaZeroScan(t *testing.T) {
-	m := DiskModel{ReadMBps: 1, DecompressMBps: 1, CompressMBps: 1, WriteMBps: 1, ShuffleMBps: 1, SpillMBps: 1}
-	if got := m.Alpha(0); got == 0 {
-		// QueryStartup is 0 here so scan(0)=0; Alpha must return 0, not NaN.
-		t.Skip("scan(0) nonzero in this configuration")
-	}
-}
-
 func TestTable1SizesMatchPaper(t *testing.T) {
 	want := []float64{16, 64, 256, 1024, 4096}
 	if len(Table1Sizes) != len(want) {

@@ -275,13 +275,3 @@ func foldMarked(cs *ColumnStats, marked []uint64, values []string) {
 func (p *Partitioning) RowsInPartition(pid int) int {
 	return p.stats.Rows[pid]
 }
-
-// NonEmptyPartitions returns the number of partitions holding at least
-// one row.
-func (p *Partitioning) NonEmptyPartitions() int {
-	n := 0
-	for _, w := range p.stats.NonEmpty {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}

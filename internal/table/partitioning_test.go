@@ -28,8 +28,8 @@ func TestBuildPartitioning(t *testing.T) {
 			t.Errorf("partition %d rows = %d, want 4", pid, got)
 		}
 	}
-	if p.NonEmptyPartitions() != 3 {
-		t.Errorf("NonEmptyPartitions = %d", p.NonEmptyPartitions())
+	if p.stats.NonEmpty[0] != 0b111 {
+		t.Errorf("non-empty mask = %b, want 111", p.stats.NonEmpty[0])
 	}
 }
 
@@ -62,8 +62,8 @@ func TestMustBuildPartitioningPanics(t *testing.T) {
 func TestEmptyPartitionsMetadata(t *testing.T) {
 	d := buildTestDataset(t, 4)
 	p := MustBuildPartitioning(d, []int{0, 0, 0, 0}, 3)
-	if p.NonEmptyPartitions() != 1 {
-		t.Fatalf("NonEmptyPartitions = %d, want 1", p.NonEmptyPartitions())
+	if p.stats.NonEmpty[0] != 0b001 {
+		t.Fatalf("non-empty mask = %b, want 001", p.stats.NonEmpty[0])
 	}
 	if !p.Meta()[1].Stats[0].Empty() || p.Meta()[1].NumRows != 0 {
 		t.Error("empty partition has non-empty metadata")

@@ -55,9 +55,6 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// Less reports whether v orders strictly before o.
-func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
-
 // Equal reports whether v and o are the same typed value.
 func (v Value) Equal(o Value) bool { return v.Type == o.Type && v.Compare(o) == 0 }
 

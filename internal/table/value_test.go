@@ -49,9 +49,6 @@ func TestValueCompareMixedTypesPanics(t *testing.T) {
 }
 
 func TestValueLessEqual(t *testing.T) {
-	if !Int(1).Less(Int(2)) || Int(2).Less(Int(1)) {
-		t.Error("Less on ints wrong")
-	}
 	if !Str("a").Equal(Str("a")) || Str("a").Equal(Str("b")) {
 		t.Error("Equal on strings wrong")
 	}

@@ -80,7 +80,6 @@ type Recorder struct {
 	buf   []Event
 	head  int
 	count int
-	total int
 	seq   int
 }
 
@@ -118,7 +117,6 @@ func (r *Recorder) Record(kind Kind, layout, detail string) {
 		r.buf[r.head] = e
 		r.head = (r.head + 1) % len(r.buf)
 	}
-	r.total++
 }
 
 // Events returns the retained events, oldest first.
@@ -131,26 +129,6 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, r.count)
 	for i := 0; i < r.count; i++ {
 		out[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	return out
-}
-
-// Total returns the lifetime number of events recorded (including
-// evicted ones).
-func (r *Recorder) Total() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// CountByKind tallies retained events per kind.
-func (r *Recorder) CountByKind() map[Kind]int {
-	out := make(map[Kind]int)
-	for _, e := range r.Events() {
-		out[e.Kind]++
 	}
 	return out
 }
