@@ -98,7 +98,7 @@ func main() {
 		// endpoints; -follow turns the process into a read replica of
 		// the named leader instead.
 		follow    = flag.String("follow", "", "leader URL to follow as a read replica (no local optimizer)")
-		advertise = flag.String("advertise", "", "URL followers should subscribe to, shown on /healthz (leader only)")
+		advertise = flag.String("advertise", "", "URL followers should subscribe to, shown on /healthz (a leader, or a follower once promoted)")
 		archive   = flag.String("archive", "", "decision-log archive directory: a leader archives its own stream there and restarts from it; a follower replays it before subscribing and archives there once promoted")
 
 		// Connection hygiene. Without a header timeout a client that
@@ -117,9 +117,16 @@ func main() {
 	if len(sources) == 0 {
 		log.Fatal("oreoserve: no tables")
 	}
-	// What leading a table takes, on every path to it: the cold boot adds
-	// only the initial sort; a restart from the archive and a follower's
-	// promotion start from the replicated layout instead.
+	// What leading takes, on every path to it — the cold boot, a restart
+	// from the archive, a follower's promotion: one serving Config, and
+	// one engine Config per table. The cold boot adds only the initial
+	// sort; the other two start from the replicated layout instead.
+	cfg := serve.Config{
+		QueueSize:        *queue,
+		Advertise:        *advertise,
+		ScanParallelism:  *scanPar,
+		CompactThreshold: *compact,
+	}
 	engine := oreo.Config{
 		Alpha:         *alpha,
 		WindowSize:    *window,
@@ -127,12 +134,7 @@ func main() {
 		Seed:          *seed,
 		TraceCapacity: *traceN,
 	}
-	promoCfg := serve.PromoteConfig{
-		QueueSize:        *queue,
-		CompactThreshold: *compact,
-		Advertise:        *advertise,
-		Tables:           make(map[string]serve.PromoteTable, len(sources)),
-	}
+	engines := make(map[string]oreo.Config, len(sources))
 	var (
 		names []string
 		tabs  []replica.TableData
@@ -140,7 +142,7 @@ func main() {
 	for _, src := range sources {
 		names = append(names, src.name)
 		tabs = append(tabs, replica.TableData{Name: src.name, Dataset: src.ds})
-		promoCfg.Tables[src.name] = serve.PromoteTable{Config: engine}
+		engines[src.name] = engine
 	}
 	// Every publisher this process runs archives its stream into -archive.
 	pubCfg := replica.PublisherConfig{ArchiveDir: *archive}
@@ -154,17 +156,17 @@ func main() {
 		// Follower: same data, no optimizer — state is replicated from
 		// the leader.
 		var err error
-		fol, err = replica.NewFollower(replica.FollowerConfig{Upstream: *follow, Tables: tabs, ScanParallelism: *scanPar, ArchiveDir: *archive})
+		fol, err = replica.NewFollower(replica.FollowerConfig{Upstream: *follow, Tables: tabs, Serve: cfg, ArchiveDir: *archive})
 		if err != nil {
 			log.Fatalf("oreoserve: %v", err)
 		}
-		srv = serve.NewServer(fol.Core(), serve.Config{})
+		srv = serve.NewServer(fol.Core(), cfg)
 		// A follower can be promoted to leader at runtime, so its mux
 		// carries the leader-only endpoints from boot: promotion itself,
 		// and the replication endpoints answering 503 until a promotion
 		// installs a publisher behind them (ServeMux registration is not
 		// safe once serving has started; an atomic handler swap is).
-		promo := &promoteServer{fol: fol, cfg: promoCfg, pubCfg: pubCfg, lead: &lead}
+		promo := &promoteServer{fol: fol, engines: engines, pubCfg: pubCfg, lead: &lead}
 		srv.Mount("POST /v2/cluster/promote", http.HandlerFunc(promo.handlePromote))
 		srv.Mount("POST /v2/replication/subscribe", promo.delegate((*replica.Publisher).SubscribeHandler))
 		srv.Mount("POST /v2/replication/observe", promo.delegate((*replica.Publisher).ObserveHandler))
@@ -179,26 +181,21 @@ func main() {
 	} else {
 		// A restart is archive replay + promotion; with no -archive, or a
 		// missing or empty one, there is nothing to replay: the cold boot.
-		core, pub, err := replica.Recover(*archive, tabs, *scanPar, promoCfg, pubCfg)
+		core, pub, err := replica.Recover(*archive, tabs, cfg, engines, pubCfg)
 		switch {
 		case err == nil:
-			srv = serve.NewServer(core, serve.Config{})
+			srv = serve.NewServer(core, cfg)
 			log.Printf("oreoserve: recovered from %s at generation %d (epochs %v)", *archive, pub.Generation(), core.Health().LayoutEpochs)
 		case errors.Is(err, replica.ErrNoArchive):
 			m := oreo.NewMulti()
 			for _, src := range sources {
-				cfg := engine
-				cfg.InitialSort = []string{src.sortCol}
-				if err := m.AddTable(src.name, src.ds, cfg); err != nil {
+				ec := engine
+				ec.InitialSort = []string{src.sortCol}
+				if err := m.AddTable(src.name, src.ds, ec); err != nil {
 					log.Fatalf("oreoserve: %v", err)
 				}
 			}
-			if srv, err = serve.New(m, serve.Config{
-				QueueSize:        *queue,
-				Advertise:        *advertise,
-				ScanParallelism:  *scanPar,
-				CompactThreshold: *compact,
-			}); err != nil {
+			if srv, err = serve.New(m, cfg); err != nil {
 				log.Fatalf("oreoserve: %v", err)
 			}
 			if pub, err = replica.NewPublisher(srv.Core(), pubCfg); err != nil {
@@ -264,9 +261,9 @@ func main() {
 // and installs a publisher behind the pre-mounted replication
 // endpoints, which answer 503 until then.
 type promoteServer struct {
-	mu  sync.Mutex
-	fol *replica.Follower
-	cfg serve.PromoteConfig
+	mu      sync.Mutex
+	fol     *replica.Follower
+	engines map[string]oreo.Config
 	// pubCfg carries -archive: the promoted leader's log — and in it the
 	// term it adopted — is on disk for its next restart.
 	pubCfg replica.PublisherConfig
@@ -280,7 +277,7 @@ func (p *promoteServer) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusBadRequest, serve.ErrorResponse{Error: "already promoted"})
 		return
 	}
-	pub, err := replica.Promote(p.fol, p.cfg, p.pubCfg)
+	pub, err := replica.Promote(p.fol, p.engines, p.pubCfg)
 	if err != nil {
 		log.Printf("oreoserve: promotion failed: %v", err)
 		writeJSONStatus(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: err.Error()})

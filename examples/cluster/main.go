@@ -110,11 +110,7 @@ func newMember(leader string) (*member, error) {
 			http.Error(w, `{"error":"already promoted"}`, http.StatusBadRequest)
 			return
 		}
-		pub, err := replica.Promote(fol, serve.PromoteConfig{
-			Tables: map[string]serve.PromoteTable{
-				"orders": {Config: ordersConfig},
-			},
-		}, replica.PublisherConfig{Logf: quiet})
+		pub, err := replica.Promote(fol, map[string]oreo.Config{"orders": ordersConfig}, replica.PublisherConfig{Logf: quiet})
 		if err != nil {
 			http.Error(w, `{"error":"promotion failed"}`, http.StatusServiceUnavailable)
 			return

@@ -39,7 +39,8 @@ type ProcessActuatorConfig struct {
 	// Binary is the oreoserve executable to spawn.
 	Binary string
 	// BaseArgs are the flags every follower shares (-tables, -rows,
-	// -csv, ...). The actuator appends -addr and -follow per process.
+	// -csv, ...). The actuator appends -addr, -follow and -advertise
+	// per process.
 	BaseArgs []string
 	// Host is the address followers bind and are reached at; zero
 	// selects 127.0.0.1.
@@ -309,8 +310,10 @@ func (a *ProcessActuator) spawnLocked(leader string) error {
 	}
 	port := a.cfg.PortBase + slot
 	addr := fmt.Sprintf("%s:%d", a.cfg.Host, port)
+	// -advertise is the follower's own URL: it is what /healthz reports
+	// once a failover promotes it.
 	args := append(append([]string(nil), a.cfg.BaseArgs...),
-		"-addr", addr, "-follow", leader)
+		"-addr", addr, "-follow", leader, "-advertise", "http://"+addr)
 	cmd := exec.Command(a.cfg.Binary, args...)
 	var out *os.File
 	if a.cfg.LogDir != "" {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -323,8 +324,8 @@ func TestControllerPromotionSkipsUnhealthyFollowers(t *testing.T) {
 // trivially spawnable command: spawn toward a target one action per
 // call, respect the cool-down and max, release a promoted follower
 // without reusing its slot, and retire on scale-down. The command is
-// a shell no-op that ignores the appended -addr/-follow flags (they
-// land in unused positional parameters).
+// a shell no-op that ignores the appended -addr/-follow/-advertise
+// flags (they land in unused positional parameters).
 func TestProcessActuatorLifecycle(t *testing.T) {
 	const cooldown = 150 * time.Millisecond
 	reg := metrics.NewRegistry()
@@ -358,6 +359,14 @@ func TestProcessActuatorLifecycle(t *testing.T) {
 	urls := a.Followers()
 	if len(urls) != 2 || urls[0] != "http://127.0.0.1:42000" || urls[1] != "http://127.0.0.1:42001" {
 		t.Fatalf("followers = %v; want slots 42000, 42001 in order", urls)
+	}
+	// Each follower advertises its own URL, which /healthz reports once
+	// a failover promotes it.
+	a.mu.Lock()
+	args := a.procs[1].cmd.Args[1:]
+	a.mu.Unlock()
+	if want := []string{"-c", "sleep 60", "follower", "-addr", "127.0.0.1:42001", "-follow", "http://leader", "-advertise", "http://127.0.0.1:42001"}; !slices.Equal(args, want) {
+		t.Fatalf("spawned args = %q; want %q", args, want)
 	}
 
 	// Target above Max clamps.

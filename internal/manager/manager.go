@@ -57,6 +57,11 @@ func (s Source) String() string {
 	}
 }
 
+// reservoirSize is the R-TBS sample capacity (the paper keeps it
+// small); it decays at sampling.DefaultLambda. The reservoir also feeds
+// admission distances.
+const reservoirSize = 100
+
 // FeedConfig parameterizes candidate generation.
 type FeedConfig struct {
 	// WindowSize is the sliding-window capacity (paper default: 200).
@@ -69,11 +74,6 @@ type FeedConfig struct {
 	Partitions int
 	// Source selects the workload sample(s) candidates come from.
 	Source Source
-	// ReservoirSize is the R-TBS sample capacity (paper keeps this
-	// small; default 100). The reservoir also feeds admission distances.
-	ReservoirSize int
-	// ReservoirLambda is the R-TBS decay rate; zero selects the default.
-	ReservoirLambda float64
 	// MinWindowFill is the minimum number of window queries before the
 	// first candidate is generated. Zero means WindowSize/2.
 	MinWindowFill int
@@ -124,9 +124,6 @@ func NewFeed(ds *table.Dataset, gen layout.Generator, cfg FeedConfig, rng *rand.
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 64
 	}
-	if cfg.ReservoirSize <= 0 {
-		cfg.ReservoirSize = 100
-	}
 	if cfg.MinWindowFill <= 0 {
 		cfg.MinWindowFill = cfg.WindowSize / 2
 	}
@@ -135,7 +132,7 @@ func NewFeed(ds *table.Dataset, gen layout.Generator, cfg FeedConfig, rng *rand.
 		gen:    gen,
 		ds:     ds,
 		window: sampling.NewSlidingWindow(cfg.WindowSize),
-		rtbs:   sampling.NewRTBS(cfg.ReservoirSize, cfg.ReservoirLambda, rng),
+		rtbs:   sampling.NewRTBS(reservoirSize, sampling.DefaultLambda, rng),
 		cache:  make(map[string]*layout.Layout),
 	}
 }

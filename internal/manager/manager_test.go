@@ -240,9 +240,15 @@ func TestSourceString(t *testing.T) {
 func TestFeedDefaults(t *testing.T) {
 	d := testDataset(50)
 	f := newTestFeed(d, FeedConfig{})
-	if f.cfg.WindowSize != 200 || f.cfg.Period != 200 || f.cfg.Partitions != 64 ||
-		f.cfg.ReservoirSize != 100 || f.cfg.MinWindowFill != 100 {
+	if f.cfg.WindowSize != 200 || f.cfg.Period != 200 || f.cfg.Partitions != 64 || f.cfg.MinWindowFill != 100 {
 		t.Errorf("defaults = %+v", f.cfg)
+	}
+	// The reservoir holds 100 queries once more than that have passed.
+	for i := 0; i < 150; i++ {
+		f.rtbs.Add(query.Query{ID: i})
+	}
+	if n := len(f.ReservoirQueries()); n != 100 {
+		t.Errorf("reservoir capacity = %d, want 100", n)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"oreo"
 	"oreo/internal/serve"
 	"oreo/internal/testleak"
 )
@@ -324,14 +325,15 @@ func FuzzArchiveReplay(f *testing.F) {
 	f.Add([]byte(garbage))
 	const rows = 96
 	boot := buildOrders(rows)
-	cfg := serve.PromoteConfig{QueueSize: 64, Tables: map[string]serve.PromoteTable{"orders": {Config: ordersPromoteConfig(80)}}}
+	cfg := serve.Config{QueueSize: 64, ScanParallelism: 1}
+	engines := map[string]oreo.Config{"orders": ordersEngineConfig(80)}
 	quiet := func(string, ...any) {}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "segment-00000001.ndjson"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		core, pub, err := Recover(dir, []TableData{{Name: "orders", Dataset: boot}}, 1, cfg, PublisherConfig{Logf: quiet})
+		core, pub, err := Recover(dir, []TableData{{Name: "orders", Dataset: boot}}, cfg, engines, PublisherConfig{Logf: quiet})
 		if err != nil {
 			return
 		}

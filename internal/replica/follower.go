@@ -59,10 +59,11 @@ type FollowerConfig struct {
 	ReconnectMax time.Duration
 	// Logf receives operational messages; nil selects log.Printf.
 	Logf func(format string, args ...any)
-	// ScanParallelism is the execute-path scan worker count of the
-	// replica core; zero selects runtime.NumCPU() (see
-	// serve.CoreConfig.ScanParallelism).
-	ScanParallelism int
+	// Serve configures the replica core (serve.NewReplicaCore): its scan
+	// parallelism now, and the queue, compaction threshold and advertised
+	// URL it leads with once promoted. It is validated here, so a knob
+	// no promotion could honor fails construction, not the failover.
+	Serve serve.Config
 	// ArchiveDir, when set, bootstraps the follower from a local
 	// decision-log archive (written by a leader's Publisher) before the
 	// first subscription: every archived record is replayed through the
@@ -222,7 +223,7 @@ func newFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.ForwardQueue > 0 {
 		f.fwd = newForwarder(f.ctx, cfg.Upstream, f.hc, cfg.ForwardQueue, cfg.ForwardInterval, cfg.Logf, f.Generation, &f.wg)
 	}
-	core, err := serve.NewReplicaCore(replicaTables, serve.CoreConfig{Upstream: cfg.Upstream, ScanParallelism: cfg.ScanParallelism})
+	core, err := serve.NewReplicaCore(replicaTables, cfg.Upstream, cfg.Serve)
 	if err != nil {
 		f.Detach()
 		return nil, fmt.Errorf("replica: building replica core: %w", err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"oreo"
 	"oreo/internal/serve"
 )
 
@@ -21,8 +22,9 @@ import (
 // old leader, should it revive, is rejected on sight by both the
 // subscribe and observe paths.
 //
-// cfg.Tables must name every replicated table; PublisherConfig's
-// Generation is overridden with the incremented term. The adopted term
+// engines must name every replicated table (serve.Core.Promote); the
+// queue, compaction threshold and advertised URL the new leader runs
+// with are the FollowerConfig.Serve it was built with. The adopted term
 // must outlive this process, and it does wherever the new leader's
 // stream is archived: snapshot records carry it, and Recover restarts
 // at the archived term — pubCfg.ArchiveDir names the directory the new
@@ -30,19 +32,18 @@ import (
 // error the follower's replication loop is already stopped (promotion
 // is a one-way door — the caller decides whether to rebuild a follower
 // or retry), but the core's serving surface is unchanged.
-func Promote(f *Follower, cfg serve.PromoteConfig, pubCfg PublisherConfig) (*Publisher, error) {
+func Promote(f *Follower, engines map[string]oreo.Config, pubCfg PublisherConfig) (*Publisher, error) {
 	f.Detach()
-	return lead(f.Core(), f.Generation()+1, cfg, pubCfg)
+	return lead(f.Core(), f.Generation()+1, engines, pubCfg)
 }
 
 // lead flips a replica core nothing writes anymore to leader role and
 // attaches its publisher at the given fencing term.
-func lead(core *serve.Core, term uint64, cfg serve.PromoteConfig, pubCfg PublisherConfig) (*Publisher, error) {
-	if err := core.Promote(cfg); err != nil {
+func lead(core *serve.Core, term uint64, engines map[string]oreo.Config, pubCfg PublisherConfig) (*Publisher, error) {
+	if err := core.Promote(engines); err != nil {
 		return nil, fmt.Errorf("replica: promoting follower core: %w", err)
 	}
-	pubCfg.Generation = term
-	pub, err := NewPublisher(core, pubCfg)
+	pub, err := newPublisher(core, pubCfg, term)
 	if err != nil {
 		return nil, fmt.Errorf("replica: attaching publisher to promoted leader: %w", err)
 	}
@@ -70,15 +71,16 @@ var ErrNoArchive = errors.New("replica: no archive to recover from")
 // publisher archives each update before its ack. Its own publisher
 // archives on into dir, in a new segment that opens with fresh
 // snapshots. On any error nothing is left running and no core is
-// returned; cfg is Promote's, pubCfg's Generation and ArchiveDir are
-// overridden.
-func Recover(dir string, tables []TableData, scanParallelism int, cfg serve.PromoteConfig, pubCfg PublisherConfig) (*serve.Core, *Publisher, error) {
+// returned. cfg configures the recovered core as FollowerConfig.Serve
+// does a follower's, and is validated before any record is replayed;
+// engines is Promote's; pubCfg's ArchiveDir is overridden with dir.
+func Recover(dir string, tables []TableData, cfg serve.Config, engines map[string]oreo.Config, pubCfg PublisherConfig) (*serve.Core, *Publisher, error) {
 	f, err := newFollower(FollowerConfig{
-		Tables:          tables,
-		ScanParallelism: scanParallelism,
-		ArchiveDir:      dir,
-		ForwardQueue:    -1, // a leader has no upstream to forward to
-		Logf:            pubCfg.Logf,
+		Tables:       tables,
+		Serve:        cfg,
+		ArchiveDir:   dir,
+		ForwardQueue: -1, // a leader has no upstream to forward to
+		Logf:         pubCfg.Logf,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -89,7 +91,9 @@ func Recover(dir string, tables []TableData, scanParallelism int, cfg serve.Prom
 		return nil, nil, ErrNoArchive
 	}
 	pubCfg.ArchiveDir = dir
-	pub, err := lead(f.Core(), f.Generation(), cfg, pubCfg)
+	// An archive whose records carry no term was written by a fresh
+	// leader: term 1.
+	pub, err := lead(f.Core(), max(f.Generation(), 1), engines, pubCfg)
 	if err != nil {
 		f.Close()
 		return nil, nil, err

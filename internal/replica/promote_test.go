@@ -19,11 +19,11 @@ import (
 	"oreo/internal/testleak"
 )
 
-// ordersPromoteConfig is the per-table engine config a promotion
+// ordersEngineConfig is the per-table engine config a promotion
 // rebuilds the optimizer with — it must match what newLeader boots so
 // the promoted node's decisions stay comparable to a control leader's
 // (promote itself overrides Initial and drops InitialSort).
-func ordersPromoteConfig(alpha float64) oreo.Config {
+func ordersEngineConfig(alpha float64) oreo.Config {
 	return oreo.Config{Alpha: alpha, WindowSize: 40, Partitions: 16, Seed: 7}
 }
 
@@ -177,13 +177,7 @@ func TestPromotionBitIdentityEveryEpoch(t *testing.T) {
 	if err := fol.Err(); err != nil {
 		t.Fatalf("follower failed before promotion: %v", err)
 	}
-	pub, err := Promote(fol, serve.PromoteConfig{
-		QueueSize: 4096,
-		Advertise: "promoted-orders",
-		Tables: map[string]serve.PromoteTable{
-			"orders": {Config: ordersPromoteConfig(1.5)},
-		},
-	}, PublisherConfig{Logf: t.Logf})
+	pub, err := Promote(fol, map[string]oreo.Config{"orders": ordersEngineConfig(1.5)}, PublisherConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("promotion: %v", err)
 	}
@@ -252,10 +246,7 @@ func TestPromoteDerivesBootRows(t *testing.T) {
 
 	ts.CloseClientConnections()
 	ts.Close()
-	pub, err := Promote(fol, serve.PromoteConfig{
-		QueueSize: 4096,
-		Tables:    map[string]serve.PromoteTable{"orders": {Config: ordersPromoteConfig(1.5)}},
-	}, PublisherConfig{Logf: t.Logf})
+	pub, err := Promote(fol, map[string]oreo.Config{"orders": ordersEngineConfig(1.5)}, PublisherConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("promotion: %v", err)
 	}
@@ -360,7 +351,7 @@ func TestFollowerFencesStaleStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := NewPublisher(srv.Core(), PublisherConfig{Generation: 5, Logf: t.Logf})
+	pub, err := newPublisher(srv.Core(), PublisherConfig{Logf: t.Logf}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ import (
 	"oreo/internal/serve"
 )
 
-// DefaultSubscriberQueue bounds each subscriber's pending-record
-// buffer. Deep enough to ride out flushes and scheduling hiccups at
-// full decision rate; overflow costs the subscriber one in-stream
-// re-snapshot, never the leader a stalled decision loop.
-const DefaultSubscriberQueue = 256
+// subscriberQueue bounds each subscriber's pending-record buffer. Deep
+// enough to ride out flushes and scheduling hiccups at full decision
+// rate; overflow costs the subscriber one in-stream re-snapshot, never
+// the leader a stalled decision loop.
+const subscriberQueue = 256
 
 // maxSubscribeBody caps the subscribe request body — a handful of
 // table names and positions, nowhere near this.
@@ -32,18 +32,6 @@ const maxObserveBody = 8 << 20
 
 // PublisherConfig parameterizes a Publisher.
 type PublisherConfig struct {
-	// QueueSize bounds each subscriber's pending-record buffer; zero
-	// selects DefaultSubscriberQueue.
-	QueueSize int
-	// Generation is the leader's monotonic fencing term. Zero selects 1,
-	// the term of a fresh (never-promoted) leader; a promotion passes
-	// the deposed leader's term + 1 so followers can tell the new
-	// lineage from a revival of the old one. The term must outlive the
-	// process — a restarted leader republishing at term 1 after a
-	// failover to 2+ would be fenced out by its own fleet — and it lives
-	// in the archived stream's record headers: Recover passes the
-	// archived term back.
-	Generation uint64
 	// Logf receives operational messages (subscriber churn, forced
 	// re-snapshots); nil selects log.Printf.
 	Logf func(format string, args ...any)
@@ -67,12 +55,18 @@ type PublisherConfig struct {
 // its bounded queue, and its writer repairs the gap by discarding the
 // backlog and re-snapshotting in-stream.
 type Publisher struct {
-	core      *serve.Core
-	gen       uint64
-	boot      string
-	queueSize int
-	logf      func(format string, args ...any)
-	arch      *archiveWriter // nil without PublisherConfig.ArchiveDir
+	core *serve.Core
+	// gen is the leader's monotonic fencing term: 1 for a fresh
+	// (never-promoted) leader, the deposed leader's term + 1 after a
+	// promotion, so followers can tell the new lineage from a revival of
+	// the old one. The term must outlive the process — a restarted
+	// leader republishing at term 1 after a failover to 2+ would be
+	// fenced out by its own fleet — and it lives in the archived
+	// stream's record headers: Recover passes the archived term back.
+	gen  uint64
+	boot string
+	logf func(format string, args ...any)
+	arch *archiveWriter // nil without PublisherConfig.ArchiveDir
 
 	mu     sync.Mutex
 	subs   map[*subscriber]struct{}
@@ -90,35 +84,32 @@ type Publisher struct {
 }
 
 // NewPublisher attaches a publisher to a leader core's decision hook
-// and, with cfg.ArchiveDir, opens its archive segment. There should be
-// exactly one publisher per core — attaching a second replaces the
-// first's hook.
+// at fencing term 1, the term of a fresh leader, and, with
+// cfg.ArchiveDir, opens its archive segment. There should be exactly
+// one publisher per core — attaching a second replaces the first's
+// hook.
 func NewPublisher(core *serve.Core, cfg PublisherConfig) (*Publisher, error) {
+	return newPublisher(core, cfg, 1)
+}
+
+// newPublisher is NewPublisher at a given fencing term: Promote passes
+// the deposed leader's term + 1, Recover the archived one.
+func newPublisher(core *serve.Core, cfg PublisherConfig, term uint64) (*Publisher, error) {
 	if core == nil {
 		return nil, fmt.Errorf("replica: nil core")
 	}
 	if core.Role() != serve.RoleLeader {
 		return nil, fmt.Errorf("replica: publisher requires a leader core, got role %q", core.Role())
 	}
-	if cfg.QueueSize == 0 {
-		cfg.QueueSize = DefaultSubscriberQueue
-	}
-	if cfg.QueueSize < 0 {
-		return nil, fmt.Errorf("replica: QueueSize must be positive, got %d", cfg.QueueSize)
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	if cfg.Generation == 0 {
-		cfg.Generation = 1
-	}
 	p := &Publisher{
-		core:      core,
-		gen:       cfg.Generation,
-		boot:      newBootID(),
-		queueSize: cfg.QueueSize,
-		logf:      cfg.Logf,
-		subs:      make(map[*subscriber]struct{}),
+		core: core,
+		gen:  term,
+		boot: newBootID(),
+		logf: cfg.Logf,
+		subs: make(map[*subscriber]struct{}),
 	}
 	if cfg.ArchiveDir != "" {
 		p.arch = &archiveWriter{dir: cfg.ArchiveDir, snapshots: p.openingSnapshots, logf: cfg.Logf}
@@ -437,7 +428,7 @@ func (p *Publisher) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	sub := &subscriber{
 		tables:  set,
-		ch:      make(chan []byte, p.queueSize),
+		ch:      make(chan []byte, subscriberQueue),
 		kick:    make(chan struct{}, 1),
 		offered: make(map[string]*atomic.Uint64, len(set)),
 		drop:    make(chan struct{}),

@@ -24,11 +24,8 @@ import (
 // config newLeader boots, registered for teardown.
 func recoverOrders(t *testing.T, dir string, rows int, alpha float64) (*serve.Core, *Publisher) {
 	t.Helper()
-	core, pub, err := Recover(dir, []TableData{{Name: "orders", Dataset: buildOrders(rows)}}, 0,
-		serve.PromoteConfig{
-			QueueSize: 4096,
-			Tables:    map[string]serve.PromoteTable{"orders": {Config: ordersPromoteConfig(alpha)}},
-		}, PublisherConfig{Logf: t.Logf})
+	core, pub, err := Recover(dir, []TableData{{Name: "orders", Dataset: buildOrders(rows)}}, serve.Config{QueueSize: 4096},
+		map[string]oreo.Config{"orders": ordersEngineConfig(alpha)}, PublisherConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("recovering from %s: %v", dir, err)
 	}
@@ -144,7 +141,7 @@ func TestRecoverKeepsTermAndIsFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	pub3, err := NewPublisher(srv.Core(), PublisherConfig{Generation: 3, Logf: t.Logf, ArchiveDir: dir})
+	pub3, err := newPublisher(srv.Core(), PublisherConfig{Logf: t.Logf, ArchiveDir: dir}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +209,11 @@ func TestRecoverRefusals(t *testing.T) {
 	tables := func(ds *oreo.Dataset, extra ...TableData) []TableData {
 		return append([]TableData{{Name: "orders", Dataset: ds}}, extra...)
 	}
-	cfg := serve.PromoteConfig{QueueSize: 4096, Tables: map[string]serve.PromoteTable{
-		"orders": {Config: ordersPromoteConfig(80)},
-		"events": {Config: ordersPromoteConfig(80)},
-	}}
+	cfg := serve.Config{QueueSize: 4096}
+	engines := map[string]oreo.Config{"orders": ordersEngineConfig(80), "events": ordersEngineConfig(80)}
 	attempt := func(dir string, tabs []TableData) error {
 		t.Helper()
-		core, pub, err := Recover(dir, tabs, 0, cfg, PublisherConfig{Logf: t.Logf})
+		core, pub, err := Recover(dir, tabs, cfg, engines, PublisherConfig{Logf: t.Logf})
 		if err == nil || core != nil || pub != nil {
 			t.Fatalf("Recover(%s) = %v, %v, %v; want an error and nothing else", dir, core, pub, err)
 		}
@@ -240,6 +235,19 @@ func TestRecoverRefusals(t *testing.T) {
 	err := attempt(dir, tables(buildOrders(rows), TableData{Name: "events", Dataset: buildOrders(rows)}))
 	if errors.Is(err, ErrNoArchive) || !strings.Contains(err.Error(), `"events"`) || !strings.Contains(err.Error(), "no snapshot") {
 		t.Fatalf("unarchived table: %v, want Promote's unseeded-table error", err)
+	}
+	// A knob no promotion could honor: refused at construction, before
+	// any record is replayed — over divergent rows, replay would answer
+	// ErrDiverged instead. A follower refuses it at boot, not failover.
+	cfg.QueueSize = -1
+	if err := attempt(dir, tables(buildOrders(rows+1))); errors.Is(err, serve.ErrDiverged) || !strings.Contains(err.Error(), "QueueSize") {
+		t.Fatalf("QueueSize -1: %v, want the QueueSize rejection before replay", err)
+	}
+	if fol, err := NewFollower(FollowerConfig{Upstream: "http://leader", Tables: tables(buildOrders(rows)), Serve: cfg}); err == nil || !strings.Contains(err.Error(), "QueueSize") {
+		if fol != nil {
+			fol.Close()
+		}
+		t.Fatalf("NewFollower with QueueSize -1: %v, want the QueueSize rejection", err)
 	}
 }
 

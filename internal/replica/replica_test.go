@@ -90,6 +90,8 @@ func newFollowerFixture(t *testing.T, rows int, upstream string, forward bool) *
 		ReconnectMin:    5 * time.Millisecond,
 		ReconnectMax:    50 * time.Millisecond,
 		ForwardInterval: 5 * time.Millisecond,
+		// newLeader's queue, which a promoted follower leads with.
+		Serve: serve.Config{QueueSize: 4096},
 	}
 	if !forward {
 		cfg.ForwardQueue = -1

@@ -13,7 +13,7 @@ import (
 
 // DefaultCompactThreshold triggers an automatic delta fold when a
 // table's delta segment reaches this many rows; see
-// CoreConfig.CompactThreshold. Sized so the always-scanned delta stays
+// Config.CompactThreshold. Sized so the always-scanned delta stays
 // a small fraction of typical table sizes while folds stay infrequent
 // enough to amortize the repartitioning rewrite.
 const DefaultCompactThreshold = 8192

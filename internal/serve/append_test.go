@@ -393,7 +393,7 @@ func TestAppendInt64Precision(t *testing.T) {
 // refuse appends and compactions with a client error naming the rule.
 func TestAppendOnReplicaRejected(t *testing.T) {
 	ds := buildOrdersDet(500)
-	rc, err := NewReplicaCore([]ReplicaTable{{Name: "orders", Dataset: ds}}, CoreConfig{})
+	rc, err := NewReplicaCore([]ReplicaTable{{Name: "orders", Dataset: ds}}, "", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func benchFixture(b *testing.B) (*oreo.Dataset, *oreo.Optimizer, []oreo.Query) {
 // POST /v1/query does per request.
 func BenchmarkServingSnapshotQPS(b *testing.B) {
 	ds, opt, queries := benchFixture(b)
-	sh := newShard("orders", ds, opt, DefaultQueueSize, 1, DefaultCompactThreshold, metrics.NewRegistry())
+	sh := newShard("orders", ds, opt, Config{QueueSize: DefaultQueueSize, ScanParallelism: 1, CompactThreshold: DefaultCompactThreshold}, metrics.NewRegistry())
 	defer sh.close()
 	var i atomic.Uint64
 	b.ResetTimer()
@@ -232,7 +232,7 @@ func TestStreamThroughputBar(t *testing.T) {
 // the per-query figure.
 func BenchmarkServingSnapshotBatch32(b *testing.B) {
 	ds, opt, queries := benchFixture(b)
-	sh := newShard("orders", ds, opt, DefaultQueueSize, 1, DefaultCompactThreshold, metrics.NewRegistry())
+	sh := newShard("orders", ds, opt, Config{QueueSize: DefaultQueueSize, ScanParallelism: 1, CompactThreshold: DefaultCompactThreshold}, metrics.NewRegistry())
 	defer sh.close()
 	const batch = 32
 	var i atomic.Uint64

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,65 +12,6 @@ import (
 	"oreo/internal/exec"
 	"oreo/internal/metrics"
 )
-
-// CoreConfig parameterizes a Core.
-type CoreConfig struct {
-	// QueueSize bounds each table's decision-observation queue; zero
-	// selects DefaultQueueSize. When a shard's queue is full, new
-	// queries are answered normally but sampled out of reorganization
-	// decisions (the Dropped metric counts them). Replica cores have no
-	// decision queues; the field is ignored there.
-	QueueSize int
-	// Advertise is the URL this (leader) core is reachable at for
-	// replication subscribers, surfaced on /healthz so operators can
-	// discover the topology with a curl. Informational only.
-	Advertise string
-	// Upstream is the leader URL a replica core follows, surfaced on
-	// /healthz. Set by NewReplicaCore callers; ignored on leaders.
-	Upstream string
-	// ScanParallelism is the worker count execute-path scans run with
-	// (exec.Options.Parallelism). Zero selects runtime.NumCPU(); one
-	// forces sequential scans; values above NumCPU are clamped to it
-	// (more scan workers than cores only adds scheduling overhead).
-	// Scan results are bit-identical at every setting — per-block
-	// partials merge in skip-list order regardless of which worker
-	// produced them — so this tunes latency only. Negative is an error.
-	ScanParallelism int
-	// CompactThreshold triggers an automatic delta fold when a table's
-	// delta segment reaches this many rows (checked after each append).
-	// Zero selects DefaultCompactThreshold; negative disables
-	// auto-compaction entirely (Compact still folds on demand).
-	// Replica cores apply the leader's folds; the field is ignored there.
-	CompactThreshold int
-}
-
-// resolveLeaderKnobs applies the defaulting and validation rules of
-// CoreConfig.QueueSize and CoreConfig.CompactThreshold — the one rule
-// for a booted leader and a promoted one.
-func resolveLeaderKnobs(queueSize, compactThreshold int) (int, int, error) {
-	if queueSize == 0 {
-		queueSize = DefaultQueueSize
-	}
-	if queueSize < 0 {
-		return 0, 0, errInvalid("serve: QueueSize must be positive, got %d", queueSize)
-	}
-	if compactThreshold == 0 {
-		compactThreshold = DefaultCompactThreshold
-	}
-	return queueSize, compactThreshold, nil
-}
-
-// resolveScanParallelism applies CoreConfig.ScanParallelism's
-// defaulting and clamping rules.
-func resolveScanParallelism(p int) (int, error) {
-	if p < 0 {
-		return 0, errInvalid("serve: ScanParallelism must be non-negative, got %d", p)
-	}
-	if p == 0 || p > runtime.NumCPU() {
-		p = runtime.NumCPU()
-	}
-	return p, nil
-}
 
 // Core is the transport-neutral serving core: one place that owns
 // request validation, predicate routing, costing, execution, and the
@@ -102,10 +42,11 @@ func resolveScanParallelism(p int) (int, error) {
 type Core struct {
 	names  []string
 	shards map[string]*shard
-	// topo is the core's role and topology hints, published atomically
-	// because Promote flips a running follower to leader while /healthz
-	// readers race the flip; see CoreConfig for the field meanings.
-	topo atomic.Pointer[coreTopology]
+	// leader is the core's role, atomic because Promote flips a running
+	// follower to leader while /healthz readers race the flip. A
+	// follower reports its upstream on /healthz, a leader cfg.Advertise.
+	leader   atomic.Bool
+	upstream string
 	// promoteMu serializes Promote: two racing callers must not both
 	// flip the shards.
 	promoteMu sync.Mutex
@@ -115,22 +56,14 @@ type Core struct {
 	// attached yet" — a standalone core. Surfaced on /healthz so fencing
 	// state is observable with a curl.
 	gen atomic.Uint64
-	// scanPar is the resolved execute-scan worker count; see
-	// CoreConfig.ScanParallelism.
-	scanPar int
+	// cfg is the resolved Config the core was built with. It is kept in
+	// either role: a promotion leads with it.
+	cfg Config
 	// reg is the core's metrics registry: every shard, the HTTP codec,
 	// and any attached replication component register their instruments
 	// here, and GET /metrics scrapes it. One registry per core, so the
 	// leader and each follower expose their own truth.
 	reg *metrics.Registry
-}
-
-// coreTopology is the atomically published (role, advertise, upstream)
-// triple; see Core.topo.
-type coreTopology struct {
-	role      string
-	advertise string
-	upstream  string
 }
 
 // Metrics returns the core's metrics registry — the registration point
@@ -147,36 +80,32 @@ func (c *Core) registerCoreMetrics() {
 		"Replication fencing term: the leader's own term, or the newest term a follower applied. 0 with no replication attached.",
 		nil, func() float64 { return float64(c.gen.Load()) })
 	c.reg.GaugeFunc("oreo_scan_parallelism",
-		"Worker count execute-path scans run with (CoreConfig.ScanParallelism after defaulting).",
-		nil, func() float64 { return float64(c.scanPar) })
+		"Worker count execute-path scans run with (Config.ScanParallelism after defaulting).",
+		nil, func() float64 { return float64(c.cfg.ScanParallelism) })
 }
 
 // NewCore builds a serving core over the registered tables. The
 // MultiOptimizer (and its per-table Optimizers) must not be used
 // directly afterwards: every shard owns its table's decision path.
-func NewCore(m *oreo.MultiOptimizer, cfg CoreConfig) (*Core, error) {
+func NewCore(m *oreo.MultiOptimizer, cfg Config) (*Core, error) {
 	names := m.Tables()
 	if len(names) == 0 {
 		return nil, errInvalid("serve: no tables registered")
 	}
-	queueSize, compactThreshold, err := resolveLeaderKnobs(cfg.QueueSize, cfg.CompactThreshold)
-	if err != nil {
-		return nil, err
-	}
-	scanPar, err := resolveScanParallelism(cfg.ScanParallelism)
+	cfg, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
 	c := &Core{
-		names:   names,
-		shards:  make(map[string]*shard, len(names)),
-		scanPar: scanPar,
-		reg:     metrics.NewRegistry(),
+		names:  names,
+		shards: make(map[string]*shard, len(names)),
+		cfg:    cfg,
+		reg:    metrics.NewRegistry(),
 	}
-	c.topo.Store(&coreTopology{role: RoleLeader, advertise: cfg.Advertise})
+	c.leader.Store(true)
 	c.registerCoreMetrics()
 	for _, name := range names {
-		c.shards[name] = newShard(name, m.Dataset(name), m.Optimizer(name), queueSize, scanPar, compactThreshold, c.reg)
+		c.shards[name] = newShard(name, m.Dataset(name), m.Optimizer(name), cfg, c.reg)
 	}
 	return c, nil
 }
@@ -195,21 +124,23 @@ type ReplicaTable struct {
 // surface as NewCore, but with no optimizers and no decision loops —
 // per-table state arrives through Apply (driven by a replication
 // follower, see internal/replica) and every table answers unavailable
-// until its first snapshot lands.
-func NewReplicaCore(tables []ReplicaTable, cfg CoreConfig) (*Core, error) {
+// until its first snapshot lands. upstream is the leader URL it
+// follows, surfaced on /healthz. cfg is resolved and validated here in
+// full, leader knobs included: Promote leads with it.
+func NewReplicaCore(tables []ReplicaTable, upstream string, cfg Config) (*Core, error) {
 	if len(tables) == 0 {
 		return nil, errInvalid("serve: no tables registered")
 	}
-	scanPar, err := resolveScanParallelism(cfg.ScanParallelism)
+	cfg, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
 	c := &Core{
-		shards:  make(map[string]*shard, len(tables)),
-		scanPar: scanPar,
-		reg:     metrics.NewRegistry(),
+		shards:   make(map[string]*shard, len(tables)),
+		upstream: upstream,
+		cfg:      cfg,
+		reg:      metrics.NewRegistry(),
 	}
-	c.topo.Store(&coreTopology{role: RoleFollower, upstream: cfg.Upstream})
 	c.registerCoreMetrics()
 	for _, t := range tables {
 		if t.Name == "" {
@@ -222,7 +153,7 @@ func NewReplicaCore(tables []ReplicaTable, cfg CoreConfig) (*Core, error) {
 			return nil, errInvalid("serve: replica table %q registered twice", t.Name)
 		}
 		c.names = append(c.names, t.Name)
-		c.shards[t.Name] = newReplicaShard(t.Name, t.Dataset, t.Forward, scanPar, c.reg)
+		c.shards[t.Name] = newReplicaShard(t.Name, t.Dataset, t.Forward, cfg.ScanParallelism, c.reg)
 	}
 	return c, nil
 }
@@ -237,7 +168,12 @@ const (
 func (c *Core) Tables() []string { return append([]string(nil), c.names...) }
 
 // Role reports whether this core is a leader or a replica follower.
-func (c *Core) Role() string { return c.topo.Load().role }
+func (c *Core) Role() string {
+	if c.leader.Load() {
+		return RoleLeader
+	}
+	return RoleFollower
+}
 
 // SetGeneration records the replication fencing term this core serves
 // under: a publisher sets the leader's own term, a replication follower
@@ -331,28 +267,6 @@ func (c *Core) Apply(table string, upd DecisionUpdate) (applied bool, err error)
 	return applied, nil
 }
 
-// PromoteTable parameterizes one table's promotion: the optimizer
-// configuration the new leader rebuilds its decision engine with
-// (Initial and InitialSort are overridden — the replicated serving
-// layout IS the initial state).
-type PromoteTable struct {
-	Config oreo.Config
-}
-
-// PromoteConfig parameterizes Core.Promote. QueueSize and
-// CompactThreshold follow CoreConfig's defaulting rules; Advertise
-// replaces the healthz topology hint (a promoted leader is the URL
-// followers should now point at).
-type PromoteConfig struct {
-	QueueSize        int
-	CompactThreshold int
-	Advertise        string
-	// Tables maps each served table to its promotion parameters. Every
-	// table must be present — a leader cannot run half its tables
-	// without a decision path.
-	Tables map[string]PromoteTable
-}
-
 // Promote flips a replica core to leader role in place: per table, a
 // fresh optimizer is built over the replicated base with the replicated
 // serving layout as its initial state, the replicated cumulative
@@ -369,34 +283,39 @@ type PromoteConfig struct {
 // snapshot; promotion is all-or-nothing — every table's engine is built
 // before any shard flips — and an error leaves the core a follower.
 // After a successful promotion the core accepts writes, observations,
-// and a replication publisher exactly like a NewCore leader.
-func (c *Core) Promote(cfg PromoteConfig) error {
+// and a replication publisher exactly like a NewCore leader, under the
+// Config it was built with (queue size, compaction threshold,
+// advertised URL).
+//
+// engines maps every served table to the optimizer configuration its
+// new decision engine is built with (Initial and InitialSort are
+// overridden — the replicated serving layout IS the initial state). A
+// leader cannot run half its tables without a decision path, so a
+// missing table is an error.
+func (c *Core) Promote(engines map[string]oreo.Config) error {
 	c.promoteMu.Lock()
 	defer c.promoteMu.Unlock()
 	if c.Role() != RoleFollower {
 		return errInvalid("serve: promote requires a follower core, got role %q", c.Role())
 	}
-	queueSize, compactThreshold, err := resolveLeaderKnobs(cfg.QueueSize, cfg.CompactThreshold)
-	if err != nil {
-		return err
-	}
 	// Everything that can fail happens before any shard is touched: a
 	// half-promoted core would serve some tables as leader and some as
 	// follower.
-	engines := make([]*oreo.Optimizer, len(c.names))
+	opts := make([]*oreo.Optimizer, len(c.names))
 	for i, name := range c.names {
-		pt, ok := cfg.Tables[name]
+		ec, ok := engines[name]
 		if !ok {
 			return errInvalid("serve: promote config missing table %q", name)
 		}
-		if engines[i], err = c.shards[name].promotionEngine(pt.Config); err != nil {
+		var err error
+		if opts[i], err = c.shards[name].promotionEngine(ec); err != nil {
 			return err
 		}
 	}
 	for i, name := range c.names {
-		c.shards[name].promote(engines[i], queueSize, compactThreshold)
+		c.shards[name].promote(opts[i], c.cfg)
 	}
-	c.topo.Store(&coreTopology{role: RoleLeader, advertise: cfg.Advertise})
+	c.leader.Store(true)
 	// The role gauge follows the flip: retire the follower-labeled
 	// series, register the leader-labeled one.
 	c.reg.Unregister("oreo_role", metrics.Labels{"role": RoleFollower})
@@ -608,17 +527,18 @@ func (c *Core) Trace(table string) (TraceResponse, error) {
 func (c *Core) Health() HealthResponse {
 	names := append([]string(nil), c.names...)
 	sort.Strings(names)
-	topo := c.topo.Load()
 	resp := HealthResponse{
 		Status:          "ok",
-		Role:            topo.role,
+		Role:            RoleFollower,
 		Generation:      c.gen.Load(),
-		Upstream:        topo.upstream,
-		Advertise:       topo.advertise,
+		Upstream:        c.upstream,
 		Tables:          names,
 		LayoutEpochs:    make(map[string]uint64, len(names)),
 		DeltaRows:       make(map[string]int, len(names)),
-		ScanParallelism: c.scanPar,
+		ScanParallelism: c.cfg.ScanParallelism,
+	}
+	if c.leader.Load() {
+		resp.Role, resp.Upstream, resp.Advertise = RoleLeader, "", c.cfg.Advertise
 	}
 	for _, name := range names {
 		sh := c.shards[name]

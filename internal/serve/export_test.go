@@ -31,7 +31,7 @@ func NewStepLeader(ds *oreo.Dataset, opt *oreo.Optimizer, compactThreshold int) 
 	s := &shard{table: "t", ds: ds, scanPar: 1}
 	s.rep.Store(&repState{snap: opt.Snapshot(), ds: ds, tail: table.NewBuilder(ds.Schema(), 0)})
 	s.registerMetrics(metrics.NewRegistry())
-	s.lead(opt, oreo.Stats{}, 1, compactThreshold)
+	s.lead(opt, oreo.Stats{}, Config{QueueSize: 1, CompactThreshold: compactThreshold})
 	return wrapStep(s)
 }
 
@@ -59,7 +59,7 @@ func (t *StepTable) Promote(cfg oreo.Config, compactThreshold int) error {
 		return err
 	}
 	st := t.s.rep.Load()
-	t.s.lead(opt, st.snap.Stats, 1, compactThreshold)
+	t.s.lead(opt, st.snap.Stats, Config{QueueSize: 1, CompactThreshold: compactThreshold})
 	return nil
 }
 

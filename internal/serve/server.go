@@ -89,6 +89,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -110,29 +111,65 @@ const DefaultQueueSize = 1024
 // (unbounded, by design) body.
 const DefaultMaxBodyBytes = 1 << 20
 
-// Config parameterizes a Server.
+// Config parameterizes a serving Core and the HTTP Server over it. It
+// is the one home of every serving knob: a Core resolves it once at
+// construction (resolve) and keeps the result in either role, so a
+// follower promoted to leader leads with the Config it booted with.
 type Config struct {
 	// QueueSize bounds each table's decision-observation queue; zero
 	// selects DefaultQueueSize. When a shard's queue is full, new
 	// queries are answered normally but sampled out of reorganization
-	// decisions (the Dropped metric counts them).
+	// decisions (the Dropped metric counts them). A replica core has no
+	// decision queues until it is promoted; the value is validated at
+	// construction all the same.
 	QueueSize int
 	// MaxBodyBytes caps each request body; oversized requests are
 	// answered 413 with the standard error shape. Zero selects
 	// DefaultMaxBodyBytes; negative disables the cap (trusted
 	// single-tenant deployments only). Stream requests are capped per
-	// line, not per body.
+	// line, not per body. Read by NewServer only.
 	MaxBodyBytes int64
-	// Advertise is the URL this server is reachable at for replication
-	// subscribers, surfaced on /healthz (see CoreConfig.Advertise).
+	// Advertise is the URL this core is reachable at for replication
+	// subscribers while it leads, surfaced on /healthz so operators can
+	// discover the topology with a curl. Informational only; a replica
+	// core reports it from its promotion on.
 	Advertise string
-	// ScanParallelism is the execute-path scan worker count; zero
-	// selects runtime.NumCPU() (see CoreConfig.ScanParallelism).
+	// ScanParallelism is the worker count execute-path scans run with
+	// (exec.Options.Parallelism). Zero selects runtime.NumCPU(); one
+	// forces sequential scans; values above NumCPU are clamped to it
+	// (more scan workers than cores only adds scheduling overhead).
+	// Scan results are bit-identical at every setting — per-block
+	// partials merge in skip-list order regardless of which worker
+	// produced them — so this tunes latency only. Negative is an error.
 	ScanParallelism int
-	// CompactThreshold is the delta row count that triggers automatic
-	// compaction after an append; zero selects DefaultCompactThreshold,
-	// negative disables auto-compaction (see CoreConfig.CompactThreshold).
+	// CompactThreshold triggers an automatic delta fold when a table's
+	// delta segment reaches this many rows (checked after each append).
+	// Zero selects DefaultCompactThreshold; negative disables
+	// auto-compaction entirely (Compact still folds on demand). A
+	// replica core applies the leader's folds until it is promoted.
 	CompactThreshold int
+}
+
+// resolve applies every defaulting, clamping and validation rule of the
+// core's knobs, for a booted leader and a replica (and so the leader
+// it may be promoted to) alike.
+func (cfg Config) resolve() (Config, error) {
+	if cfg.QueueSize == 0 {
+		cfg.QueueSize = DefaultQueueSize
+	}
+	if cfg.QueueSize < 0 {
+		return Config{}, errInvalid("serve: QueueSize must be positive, got %d", cfg.QueueSize)
+	}
+	if cfg.ScanParallelism < 0 {
+		return Config{}, errInvalid("serve: ScanParallelism must be non-negative, got %d", cfg.ScanParallelism)
+	}
+	if cfg.ScanParallelism == 0 || cfg.ScanParallelism > runtime.NumCPU() {
+		cfg.ScanParallelism = runtime.NumCPU()
+	}
+	if cfg.CompactThreshold == 0 {
+		cfg.CompactThreshold = DefaultCompactThreshold
+	}
+	return cfg, nil
 }
 
 // Server is the HTTP codec over a serving Core: it decodes bytes,
@@ -152,12 +189,7 @@ type Server struct {
 // MultiOptimizer (and its per-table Optimizers) must not be used
 // directly afterwards: every shard owns its table's decision path.
 func New(m *oreo.MultiOptimizer, cfg Config) (*Server, error) {
-	core, err := NewCore(m, CoreConfig{
-		QueueSize:        cfg.QueueSize,
-		Advertise:        cfg.Advertise,
-		ScanParallelism:  cfg.ScanParallelism,
-		CompactThreshold: cfg.CompactThreshold,
-	})
+	core, err := NewCore(m, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -445,7 +445,7 @@ func TestCloseIdempotent(t *testing.T) {
 	// contract: double-close during follower teardown must not panic.
 	rc, err := NewReplicaCore([]ReplicaTable{
 		{Name: "orders", Dataset: s.core.shards["orders"].ds},
-	}, CoreConfig{})
+	}, "", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestReplicaCoreUnavailableBeforeSnapshot(t *testing.T) {
 	base, _ := newFixtureServer(t, 8)
 	rc, err := NewReplicaCore([]ReplicaTable{
 		{Name: "orders", Dataset: base.core.shards["orders"].ds},
-	}, CoreConfig{Upstream: "http://leader:8080"})
+	}, "http://leader:8080", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,13 +189,13 @@ type eventAck struct {
 	err error
 }
 
-func newShard(name string, ds *oreo.Dataset, opt *oreo.Optimizer, queueSize, scanPar, compactThreshold int, reg *metrics.Registry) *shard {
-	s := &shard{table: name, ds: ds, scanPar: scanPar}
+func newShard(name string, ds *oreo.Dataset, opt *oreo.Optimizer, cfg Config, reg *metrics.Registry) *shard {
+	s := &shard{table: name, ds: ds, scanPar: cfg.ScanParallelism}
 	snap := opt.Snapshot()
 	snap.Serving.Part.Meta() // see advance
 	s.rep.Store(&repState{snap: snap, ds: ds, tail: table.NewBuilder(ds.Schema(), 0)})
 	s.registerMetrics(reg)
-	s.lead(opt, oreo.Stats{}, queueSize, compactThreshold)
+	s.lead(opt, oreo.Stats{}, cfg)
 	s.wg.Add(1)
 	go s.consume()
 	return s
@@ -214,13 +214,14 @@ func newReplicaShard(name string, ds *oreo.Dataset, forward func(oreo.Query) boo
 
 // lead attaches the leader-only machinery — the decision engine, the
 // counters it continues from, the event queue — for the consumer the
-// caller starts next. It cannot fail; callers racing readers (promote)
-// hold the obsMu write lock.
-func (s *shard) lead(opt *oreo.Optimizer, statsBase oreo.Stats, queueSize, compactThreshold int) {
+// caller starts next, sized and thresholded by the core's resolved
+// Config. It cannot fail; callers racing readers (promote) hold the
+// obsMu write lock.
+func (s *shard) lead(opt *oreo.Optimizer, statsBase oreo.Stats, cfg Config) {
 	s.copt.Store(opt)
 	s.statsBase = statsBase
-	s.compactThreshold = compactThreshold
-	s.queue = make(chan shardEvent, queueSize)
+	s.compactThreshold = cfg.CompactThreshold
+	s.queue = make(chan shardEvent, cfg.QueueSize)
 	s.replica = false
 	s.forward = nil
 }
@@ -654,14 +655,14 @@ func (s *shard) promotionEngine(cfg oreo.Config) (*oreo.Optimizer, error) {
 // queue and the consumer: the replicated cumulative counters become the
 // stats base. The transition mints the next epoch from the applied
 // position.
-func (s *shard) promote(opt *oreo.Optimizer, queueSize, compactThreshold int) {
+func (s *shard) promote(opt *oreo.Optimizer, cfg Config) {
 	st := s.rep.Load()
 	s.obsMu.Lock()
 	defer s.obsMu.Unlock()
 	if s.obsClosed {
 		return // Close won the race: a consumer started now would never be stopped
 	}
-	s.lead(opt, st.snap.Stats, queueSize, compactThreshold)
+	s.lead(opt, st.snap.Stats, cfg)
 	s.wg.Add(1)
 	go s.consume()
 }

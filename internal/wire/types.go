@@ -356,7 +356,7 @@ type HealthResponse struct {
 	// lost counts. Always 0 on a follower (no local decision queues).
 	QueueDepth int `json:"queue_depth"`
 	// ScanParallelism is the worker count execute-path scans run with
-	// (serve.CoreConfig.ScanParallelism after defaulting/clamping), and
+	// (serve.Config.ScanParallelism after defaulting/clamping), and
 	// ParallelScans counts the executions across all tables that
 	// actually used more than one worker. Parallelism never changes
 	// results — scans are bit-identical at every setting — so these are
