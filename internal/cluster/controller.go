@@ -20,6 +20,8 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -333,33 +335,47 @@ func (c *Controller) collect(ctx context.Context, leader string) Signals {
 	return sig
 }
 
-// promote executes the failover: pick the most caught-up follower
-// (highest summed layout epochs — the stream position, i.e. the most
-// state preserved), ask it to promote, and repoint the fleet's world
-// at it. Candidates that fail are skipped; if every candidate fails
-// the old leader stays on probation and the next tick retries.
+// promote executes the failover: pick the follower that dominates
+// every other healthy candidate — at least as far along on every
+// table's (generation, epoch), so promoting it drops no table's state
+// another follower holds — ask it to promote, and repoint the fleet's
+// world at it. A sum of epochs is not enough: a follower ahead on one
+// table and behind on another would win it and lose the second table's
+// acked writes. Candidates that fail are skipped; if none dominates, or
+// every candidate fails, the old leader stays on probation and the next
+// tick retries.
 func (c *Controller) promote(ctx context.Context, oldLeader string) {
 	type candidate struct {
-		url    string
-		epochs uint64
+		url string
+		h   *client.Health
 	}
-	var best *candidate
+	var healthy []candidate
 	for _, url := range c.actuator.Followers() {
 		h, err := c.health(ctx, url)
 		if err != nil {
 			c.logf("cluster: promotion candidate %s unhealthy: %v", url, err)
 			continue
 		}
-		var total uint64
-		for _, e := range h.LayoutEpochs {
-			total += e
-		}
-		if best == nil || total > best.epochs {
-			best = &candidate{url: url, epochs: total}
+		healthy = append(healthy, candidate{url: url, h: h})
+	}
+	if len(healthy) == 0 {
+		c.logf("cluster: leader %s is down and no follower is promotable; retrying", oldLeader)
+		return
+	}
+	var best *candidate
+	for i := range healthy {
+		if !slices.ContainsFunc(healthy, func(o candidate) bool { return !dominates(healthy[i].h, o.h) }) {
+			best = &healthy[i]
+			break
 		}
 	}
 	if best == nil {
-		c.logf("cluster: leader %s is down and no follower is promotable; retrying", oldLeader)
+		var positions []string
+		for _, cand := range healthy {
+			positions = append(positions, fmt.Sprintf("%s at generation %d, epochs %v", cand.url, cand.h.Generation, cand.h.LayoutEpochs))
+		}
+		c.logf("cluster: leader %s is down and no follower is at least as far along as every other on every table (%s); promoting none, retrying",
+			oldLeader, strings.Join(positions, "; "))
 		return
 	}
 	cl, err := c.clientFor(best.url)
@@ -391,4 +407,19 @@ func (c *Controller) promote(ctx context.Context, oldLeader string) {
 	if moved := c.actuator.Retarget(best.url); moved > 0 {
 		c.logf("cluster: retargeted %d surviving follower(s) onto %s", moved, best.url)
 	}
+}
+
+// dominates reports whether a is at least as far along as b on every
+// table: its (generation, epoch) is lexicographically no less than b's.
+// A table a follower does not name is at epoch 0.
+func dominates(a, b *client.Health) bool {
+	if a.Generation != b.Generation {
+		return a.Generation > b.Generation
+	}
+	for t, e := range b.LayoutEpochs {
+		if a.LayoutEpochs[t] < e {
+			return false
+		}
+	}
+	return true
 }

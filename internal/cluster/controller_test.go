@@ -320,6 +320,41 @@ func TestControllerPromotionSkipsUnhealthyFollowers(t *testing.T) {
 	}
 }
 
+// TestControllerPromotesOnlyADominatingFollower pins the dominance
+// rule: a follower ahead on one table and behind on another is not
+// promoted over one ahead on the second table — that would lose the
+// second table's acked writes — so with neither dominating nobody is
+// promoted, and the next tick, once one follower has caught up on every
+// table, promotes it.
+func TestControllerPromotesOnlyADominatingFollower(t *testing.T) {
+	leader := newFakeMember(t, leaderHealth)
+	first := newFakeMember(t, `{"status":"ok","role":"follower","generation":1,"layout_epochs":{"orders":10,"events":1}}`)
+	second := newFakeMember(t, `{"status":"ok","role":"follower","generation":1,"layout_epochs":{"orders":2,"events":8}}`)
+	act := &fakeActuator{followers: []string{first.srv.URL, second.srv.URL}}
+	ctl := newTestController(t, leader.srv.URL, act, nil)
+	ctx := context.Background()
+
+	leader.set("", "", false)
+	for range 3 {
+		ctl.Tick(ctx)
+	}
+	if first.wasPromoted() || second.wasPromoted() {
+		t.Fatal("promoted a follower that is behind another on some table")
+	}
+	if got := ctl.Leader(); got != leader.srv.URL {
+		t.Fatalf("with no dominating follower the leader moved to %q", got)
+	}
+
+	first.set(`{"status":"ok","role":"follower","generation":1,"layout_epochs":{"orders":10,"events":8}}`, "", true)
+	ctl.Tick(ctx)
+	if !first.wasPromoted() || second.wasPromoted() {
+		t.Fatalf("promoted first %v, second %v; want only the follower ahead on every table", first.wasPromoted(), second.wasPromoted())
+	}
+	if got := ctl.Leader(); got != first.srv.URL {
+		t.Fatalf("controller leader = %q, want the promoted follower", got)
+	}
+}
+
 // TestProcessActuatorLifecycle exercises the real actuator against a
 // trivially spawnable command: spawn toward a target one action per
 // call, respect the cool-down and max, release a promoted follower

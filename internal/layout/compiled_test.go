@@ -64,18 +64,3 @@ func TestLayoutMemoServesRepeatedWindows(t *testing.T) {
 		t.Error("no memo hits across repeated window costing")
 	}
 }
-
-// TestHandBuiltLayoutFallsBack covers Layout literals constructed
-// without New (no engine): they stay correct via the interpreted path.
-func TestHandBuiltLayoutFallsBack(t *testing.T) {
-	d := testDataset(t, 500, 9)
-	built := NewSortGenerator("ts").Generate(d, nil, 8)
-	bare := &Layout{Name: "bare", Part: built.Part, schema: built.Schema()}
-	q := query.Query{Preds: []query.Predicate{query.IntRange("ts", 10, 60)}}
-	if got, want := bare.Cost(q), built.Cost(q); got != want {
-		t.Errorf("bare layout cost %v != %v", got, want)
-	}
-	if got, want := bare.CostCompiled(built.Compile(q)), built.Cost(q); got != want {
-		t.Errorf("bare layout CostCompiled %v != %v", got, want)
-	}
-}

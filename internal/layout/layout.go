@@ -52,11 +52,6 @@ func (l *Layout) Engine() *prune.Engine { return l.eng }
 // Cost returns the paper's service cost c(s, q): the fraction of rows in
 // partitions that cannot be skipped for q, judged from metadata only.
 func (l *Layout) Cost(q query.Query) float64 {
-	if l.eng == nil {
-		// Hand-built Layout literal (tests): fall back to the
-		// interpreted path rather than requiring New.
-		return query.FractionScanned(l.schema, l.Part, q)
-	}
 	return l.eng.Cost(q)
 }
 
@@ -76,9 +71,6 @@ func (l *Layout) CompileWorkload(qs []query.Query) []*prune.CompiledQuery {
 // CostCompiled is Cost for a pre-compiled query: callers costing the
 // same query against many layouts compile once and fan the result out.
 func (l *Layout) CostCompiled(cq *prune.CompiledQuery) float64 {
-	if l.eng == nil {
-		return query.FractionScanned(l.schema, l.Part, cq.Query())
-	}
 	return l.eng.CostCompiled(cq)
 }
 
@@ -89,11 +81,6 @@ func (l *Layout) CostCompiled(cq *prune.CompiledQuery) float64 {
 // row mass of the list divided by the table size and is bit-for-bit
 // equal to Cost(q); the evaluation also warms the layout's cost memo.
 func (l *Layout) CostSurvivors(q query.Query) (float64, []int) {
-	if l.eng == nil {
-		// Hand-built Layout literal (tests): the memo-free path is the
-		// whole evaluation.
-		return l.CostSurvivorsSnapshot(q)
-	}
 	return l.eng.CostSurvivors(q)
 }
 

@@ -285,13 +285,11 @@ func CaptureState(l *layout.Layout) (*StateDoc, error) {
 		Layout:  *lf,
 		Stats:   newStatsDoc(l.Part.Stats()),
 	}
-	if eng := l.Engine(); eng != nil {
-		for _, en := range eng.ExportMemo() {
-			f.Memo = append(f.Memo, MemoDoc{
-				FP:   base64.StdEncoding.EncodeToString([]byte(en.FP)),
-				Cost: en.Cost,
-			})
-		}
+	for _, en := range l.Engine().ExportMemo() {
+		f.Memo = append(f.Memo, MemoDoc{
+			FP:   base64.StdEncoding.EncodeToString([]byte(en.FP)),
+			Cost: en.Cost,
+		})
 	}
 	return f, nil
 }

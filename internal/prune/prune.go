@@ -185,9 +185,6 @@ func internIn(in []string) []inValue {
 	return out
 }
 
-// Query returns the source query the compilation was built from.
-func (cq *CompiledQuery) Query() query.Query { return cq.src }
-
 // stackMaskWords bounds the survivor mask kept on the stack: 16 words
 // cover 1024 partitions, far above the default partition-count clamp.
 const stackMaskWords = 16

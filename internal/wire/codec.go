@@ -3,22 +3,28 @@ package wire
 import "strconv"
 
 // The purpose-built codec of the query wire: each shape every /v1 and
-// /v2 query carries is appended and scanned here, without reflection,
-// its append and its scan side by side. internal/serve decodes requests
-// and encodes answers with it; the client SDK encodes requests and
-// decodes answers.
+// /v2 query carries is declared once, as a field table below, and one
+// generic appendObject/scanObject pair frames every table, without
+// reflection. internal/serve decodes requests and encodes answers with
+// it; the client SDK encodes requests and decodes answers.
 //
-// The struct tags in types.go stay the definition of the wire; this
-// file is held to them from outside. Appending writes the bytes
-// json.Marshal writes (the /v1 goldens, TestAppendMatchesMarshal in
-// both users, FuzzWireRoundTrip here). Decoding accepts only the
-// canonical spelling an encoder here produces and declines the rest —
-// an escape, a null, a key it does not know — to the encoding/json call
-// it stands in front of, so accepted inputs, decoded values and error
+// The struct tags in types.go stay the definition of the wire; the
+// tables are held to them from outside. TestFieldTablesMatchTags checks
+// each table against its struct's tags, key for key and omitempty for
+// omitempty. Appending writes the bytes json.Marshal writes (the /v1
+// goldens, TestAppendMatchesMarshal in both users, FuzzWireRoundTrip
+// here). Decoding accepts only the canonical spelling an encoder here
+// produces and declines the rest — an escape, a null, a key its table
+// does not list or the body repeats — to the encoding/json call it
+// stands in front of, so accepted inputs, decoded values and error
 // messages are encoding/json's (FuzzQueryRequestCodec in internal/serve,
 // FuzzTableResultCodec in client). FuzzWireRoundTrip feeds every field
 // of every shape through one side and back through the other, so a
-// field without its line here fails it.
+// field whose entry is wrong fails it.
+//
+// The tables are composite literals of closures that capture nothing,
+// so the compiler lays them out as static data and a binary that never
+// calls the codec links none of it.
 
 // Every Decode function decodes a canonical body into its out value and
 // reports whether it did; on false out is untouched and the caller
@@ -28,585 +34,381 @@ import "strconv"
 
 // AppendQueryRequest appends q as json.Marshal encodes it.
 func AppendQueryRequest(dst []byte, q *QueryRequest) ([]byte, error) {
-	dst = append(dst, '{')
-	if q.Table != "" {
-		dst = append(AppendString(append(dst, `"table":`...), q.Table), ',')
-	}
-	if q.ID != 0 {
-		dst = append(strconv.AppendInt(append(dst, `"id":`...), int64(q.ID), 10), ',')
-	}
-	dst = append(dst, `"preds":`...)
-	if q.Preds == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range q.Preds {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			var err error
-			if dst, err = appendPredicate(dst, &q.Preds[i]); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, ']')
-	}
-	if q.Execute {
-		dst = append(dst, `,"execute":true`...)
-	}
-	if len(q.Aggs) > 0 {
-		dst = append(dst, `,"aggs":[`...)
-		for i := range q.Aggs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendAggregate(dst, &q.Aggs[i])
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}'), nil
+	return queryRequestFields.appendObject(dst, q)
 }
 
 // DecodeQueryRequest decodes a canonical QueryRequest body.
 func DecodeQueryRequest(body []byte, out *QueryRequest) bool {
-	s := Scan(body)
-	var req QueryRequest
-	scanQueryRequest(&s, &req)
-	if !s.Done() {
-		return false
-	}
-	*out = req
-	return true
-}
-
-func scanQueryRequest(s *Scanner, req *QueryRequest) {
-	var seen uint
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		switch string(s.Key()) {
-		case "table":
-			s.Once(&seen, 1<<0)
-			req.Table = s.String()
-		case "id":
-			s.Once(&seen, 1<<1)
-			req.ID = s.Int()
-		case "preds":
-			s.Once(&seen, 1<<2)
-			req.Preds = make([]PredicateJSON, 0, 4)
-			s.Begin('[')
-			for n := 0; s.Elem(']', n); n++ {
-				req.Preds = append(req.Preds, PredicateJSON{})
-				scanPredicate(s, &req.Preds[n])
-			}
-		case "execute":
-			s.Once(&seen, 1<<3)
-			req.Execute = s.Bool()
-		case "aggs":
-			s.Once(&seen, 1<<4)
-			req.Aggs = []AggregateJSON{}
-			s.Begin('[')
-			for n := 0; s.Elem(']', n); n++ {
-				req.Aggs = append(req.Aggs, AggregateJSON{})
-				scanAggregate(s, &req.Aggs[n])
-			}
-		default:
-			s.Decline()
-		}
-	}
-}
-
-func appendPredicate(dst []byte, p *PredicateJSON) ([]byte, error) {
-	dst = AppendString(append(dst, `{"col":`...), p.Col)
-	if p.HasLo {
-		dst = append(dst, `,"has_lo":true`...)
-	}
-	if p.HasHi {
-		dst = append(dst, `,"has_hi":true`...)
-	}
-	if p.LoI != 0 {
-		dst = strconv.AppendInt(append(dst, `,"lo_i":`...), p.LoI, 10)
-	}
-	if p.HiI != 0 {
-		dst = strconv.AppendInt(append(dst, `,"hi_i":`...), p.HiI, 10)
-	}
-	var err error
-	//oreovet:ignore floatbits omitempty's own test: encoding/json drops a float field when it == 0, -0 included
-	if p.LoF != 0 {
-		if dst, err = AppendFloat(append(dst, `,"lo_f":`...), p.LoF); err != nil {
-			return dst, err
-		}
-	}
-	//oreovet:ignore floatbits omitempty's own test, as for lo_f
-	if p.HiF != 0 {
-		if dst, err = AppendFloat(append(dst, `,"hi_f":`...), p.HiF); err != nil {
-			return dst, err
-		}
-	}
-	if len(p.In) > 0 {
-		dst = append(dst, `,"in":[`...)
-		for i, v := range p.In {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = AppendString(dst, v)
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}'), nil
-}
-
-func scanPredicate(s *Scanner, p *PredicateJSON) {
-	var seen uint
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		switch string(s.Key()) {
-		case "col":
-			s.Once(&seen, 1<<0)
-			p.Col = s.String()
-		case "has_lo":
-			s.Once(&seen, 1<<1)
-			p.HasLo = s.Bool()
-		case "has_hi":
-			s.Once(&seen, 1<<2)
-			p.HasHi = s.Bool()
-		case "lo_i":
-			s.Once(&seen, 1<<3)
-			p.LoI = s.Int64()
-		case "hi_i":
-			s.Once(&seen, 1<<4)
-			p.HiI = s.Int64()
-		case "lo_f":
-			s.Once(&seen, 1<<5)
-			p.LoF = s.Float64()
-		case "hi_f":
-			s.Once(&seen, 1<<6)
-			p.HiF = s.Float64()
-		case "in":
-			s.Once(&seen, 1<<7)
-			p.In = []string{}
-			s.Begin('[')
-			for n := 0; s.Elem(']', n); n++ {
-				p.In = append(p.In, s.String())
-			}
-		default:
-			s.Decline()
-		}
-	}
-}
-
-func appendAggregate(dst []byte, a *AggregateJSON) []byte {
-	dst = AppendString(append(dst, `{"op":`...), a.Op)
-	if a.Col != "" {
-		dst = AppendString(append(dst, `,"col":`...), a.Col)
-	}
-	return append(dst, '}')
-}
-
-func scanAggregate(s *Scanner, a *AggregateJSON) {
-	var seen uint
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		switch string(s.Key()) {
-		case "op":
-			s.Once(&seen, 1<<0)
-			a.Op = s.String()
-		case "col":
-			s.Once(&seen, 1<<1)
-			a.Col = s.String()
-		default:
-			s.Decline()
-		}
-	}
+	return queryRequestFields.decode(body, out)
 }
 
 // AppendBatchRequest appends req as json.Marshal encodes it.
 func AppendBatchRequest(dst []byte, req *BatchRequest) ([]byte, error) {
-	dst = append(dst, `{"queries":`...)
-	if req.Queries == nil {
-		return append(dst, "null}"...), nil
-	}
-	dst = append(dst, '[')
-	for i := range req.Queries {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var err error
-		if dst, err = AppendQueryRequest(dst, &req.Queries[i]); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, "]}"...), nil
+	return batchRequestFields.appendObject(dst, req)
 }
 
 // DecodeBatchRequest decodes a canonical BatchRequest body.
 func DecodeBatchRequest(body []byte, out *BatchRequest) bool {
-	s := Scan(body)
-	var req BatchRequest
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		if string(s.Key()) != "queries" || req.Queries != nil {
-			s.Decline()
-			break
-		}
-		req.Queries = []QueryRequest{}
-		s.Begin('[')
-		for n := 0; s.Elem(']', n); n++ {
-			req.Queries = append(req.Queries, QueryRequest{})
-			scanQueryRequest(&s, &req.Queries[n])
-		}
-	}
-	if !s.Done() {
-		return false
-	}
-	*out = req
-	return true
+	return batchRequestFields.decode(body, out)
 }
 
 // AppendQueryResponse appends resp as json.Marshal encodes it.
 func AppendQueryResponse(dst []byte, resp *QueryResponse) ([]byte, error) {
-	dst = append(dst, `{"results":`...)
-	dst, err := appendTableResults(dst, resp.Results)
-	return append(dst, '}'), err
+	return queryResponseFields.appendObject(dst, resp)
 }
 
 // DecodeQueryResponse decodes a canonical QueryResponse body.
 func DecodeQueryResponse(body []byte, out *QueryResponse) bool {
-	s := Scan(body)
-	var resp QueryResponse
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		if string(s.Key()) != "results" || resp.Results != nil {
-			s.Decline()
-			break
-		}
-		resp.Results = scanTableResults(&s)
-	}
-	if !s.Done() {
-		return false
-	}
-	*out = resp
-	return true
+	return queryResponseFields.decode(body, out)
 }
 
 // AppendBatchResponse appends resp as json.Marshal encodes it.
 func AppendBatchResponse(dst []byte, resp *BatchResponse) ([]byte, error) {
-	dst = append(dst, `{"results":`...)
-	if resp.Results == nil {
-		return append(dst, "null}"...), nil
-	}
-	dst = append(dst, '[')
-	for i := range resp.Results {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var err error
-		if dst, err = AppendBatchItem(dst, &resp.Results[i]); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, "]}"...), nil
+	return batchResponseFields.appendObject(dst, resp)
 }
 
 // DecodeBatchResponse decodes a canonical BatchResponse body.
 func DecodeBatchResponse(body []byte, out *BatchResponse) bool {
-	s := Scan(body)
-	var resp BatchResponse
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		if string(s.Key()) != "results" || resp.Results != nil {
-			s.Decline()
-			break
-		}
-		resp.Results = []BatchItem{}
-		s.Begin('[')
-		for n := 0; s.Elem(']', n); n++ {
-			resp.Results = append(resp.Results, BatchItem{})
-			scanBatchItem(&s, &resp.Results[n])
-		}
-	}
-	if !s.Done() {
-		return false
-	}
-	*out = resp
-	return true
+	return batchResponseFields.decode(body, out)
 }
 
 // AppendBatchItem appends one batch or stream answer as json.Marshal
 // encodes it.
 func AppendBatchItem(dst []byte, it *BatchItem) ([]byte, error) {
-	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(it.Index), 10)
-	if it.ID != 0 {
-		dst = strconv.AppendInt(append(dst, `,"id":`...), int64(it.ID), 10)
-	}
-	if len(it.Results) > 0 {
-		var err error
-		if dst, err = appendTableResults(append(dst, `,"results":`...), it.Results); err != nil {
-			return dst, err
-		}
-	}
-	if it.Error != "" {
-		dst = AppendString(append(dst, `,"error":`...), it.Error)
-	}
-	return append(dst, '}'), nil
+	return batchItemFields.appendObject(dst, it)
 }
 
 // DecodeBatchItem decodes one canonical stream answer line.
 func DecodeBatchItem(line []byte, out *BatchItem) bool {
-	s := Scan(line)
-	var item BatchItem
-	scanBatchItem(&s, &item)
+	return batchItemFields.decode(line, out)
+}
+
+// A field is one entry of a shape's table: its JSON key, json.Marshal's
+// omitempty test (nil when the field is always written), and how its
+// value is appended and scanned.
+type field[T any] struct {
+	key  string
+	omit func(*T) bool
+	put  func(dst []byte, v *T) ([]byte, error)
+	get  func(s *Scanner, v *T)
+}
+
+// fields is a shape's field table, in its struct's field order — the
+// order json.Marshal writes.
+type fields[T any] []field[T]
+
+var queryRequestFields = fields[QueryRequest]{
+	{"table", func(q *QueryRequest) bool { return q.Table == "" },
+		func(dst []byte, q *QueryRequest) ([]byte, error) { return AppendString(dst, q.Table), nil },
+		func(s *Scanner, q *QueryRequest) { q.Table = s.String() }},
+	{"id", func(q *QueryRequest) bool { return q.ID == 0 },
+		func(dst []byte, q *QueryRequest) ([]byte, error) { return strconv.AppendInt(dst, int64(q.ID), 10), nil },
+		func(s *Scanner, q *QueryRequest) { q.ID = s.Int() }},
+	{"preds", nil,
+		func(dst []byte, q *QueryRequest) ([]byte, error) {
+			return appendArray(dst, q.Preds, predicateFields.appendObject)
+		},
+		func(s *Scanner, q *QueryRequest) { q.Preds = scanArray(s, 4, predicateFields.scanObject) }},
+	{"execute", func(q *QueryRequest) bool { return !q.Execute },
+		func(dst []byte, q *QueryRequest) ([]byte, error) { return AppendBool(dst, q.Execute), nil },
+		func(s *Scanner, q *QueryRequest) { q.Execute = s.Bool() }},
+	{"aggs", func(q *QueryRequest) bool { return len(q.Aggs) == 0 },
+		func(dst []byte, q *QueryRequest) ([]byte, error) {
+			return appendArray(dst, q.Aggs, aggregateFields.appendObject)
+		},
+		func(s *Scanner, q *QueryRequest) { q.Aggs = scanArray(s, 0, aggregateFields.scanObject) }},
+}
+
+var predicateFields = fields[PredicateJSON]{
+	{"col", nil,
+		func(dst []byte, p *PredicateJSON) ([]byte, error) { return AppendString(dst, p.Col), nil },
+		func(s *Scanner, p *PredicateJSON) { p.Col = s.String() }},
+	{"has_lo", func(p *PredicateJSON) bool { return !p.HasLo },
+		func(dst []byte, p *PredicateJSON) ([]byte, error) { return AppendBool(dst, p.HasLo), nil },
+		func(s *Scanner, p *PredicateJSON) { p.HasLo = s.Bool() }},
+	{"has_hi", func(p *PredicateJSON) bool { return !p.HasHi },
+		func(dst []byte, p *PredicateJSON) ([]byte, error) { return AppendBool(dst, p.HasHi), nil },
+		func(s *Scanner, p *PredicateJSON) { p.HasHi = s.Bool() }},
+	{"lo_i", func(p *PredicateJSON) bool { return p.LoI == 0 },
+		func(dst []byte, p *PredicateJSON) ([]byte, error) { return strconv.AppendInt(dst, p.LoI, 10), nil },
+		func(s *Scanner, p *PredicateJSON) { p.LoI = s.Int64() }},
+	{"hi_i", func(p *PredicateJSON) bool { return p.HiI == 0 },
+		func(dst []byte, p *PredicateJSON) ([]byte, error) { return strconv.AppendInt(dst, p.HiI, 10), nil },
+		func(s *Scanner, p *PredicateJSON) { p.HiI = s.Int64() }},
+	//oreovet:ignore floatbits omitempty's own test: encoding/json drops a float field when it == 0, -0 included
+	{"lo_f", func(p *PredicateJSON) bool { return p.LoF == 0 },
+		func(dst []byte, p *PredicateJSON) ([]byte, error) { return AppendFloat(dst, p.LoF) },
+		func(s *Scanner, p *PredicateJSON) { p.LoF = s.Float64() }},
+	//oreovet:ignore floatbits omitempty's own test, as for lo_f
+	{"hi_f", func(p *PredicateJSON) bool { return p.HiF == 0 },
+		func(dst []byte, p *PredicateJSON) ([]byte, error) { return AppendFloat(dst, p.HiF) },
+		func(s *Scanner, p *PredicateJSON) { p.HiF = s.Float64() }},
+	{"in", func(p *PredicateJSON) bool { return len(p.In) == 0 },
+		func(dst []byte, p *PredicateJSON) ([]byte, error) {
+			return appendArray(dst, p.In, func(dst []byte, v *string) ([]byte, error) { return AppendString(dst, *v), nil })
+		},
+		func(s *Scanner, p *PredicateJSON) {
+			p.In = scanArray(s, 0, func(s *Scanner, v *string) { *v = s.String() })
+		}},
+}
+
+var aggregateFields = fields[AggregateJSON]{
+	{"op", nil,
+		func(dst []byte, a *AggregateJSON) ([]byte, error) { return AppendString(dst, a.Op), nil },
+		func(s *Scanner, a *AggregateJSON) { a.Op = s.String() }},
+	{"col", func(a *AggregateJSON) bool { return a.Col == "" },
+		func(dst []byte, a *AggregateJSON) ([]byte, error) { return AppendString(dst, a.Col), nil },
+		func(s *Scanner, a *AggregateJSON) { a.Col = s.String() }},
+}
+
+var batchRequestFields = fields[BatchRequest]{
+	{"queries", nil,
+		func(dst []byte, b *BatchRequest) ([]byte, error) {
+			return appendArray(dst, b.Queries, queryRequestFields.appendObject)
+		},
+		func(s *Scanner, b *BatchRequest) { b.Queries = scanArray(s, 0, queryRequestFields.scanObject) }},
+}
+
+var queryResponseFields = fields[QueryResponse]{
+	{"results", nil,
+		func(dst []byte, r *QueryResponse) ([]byte, error) {
+			return appendArray(dst, r.Results, tableResultFields.appendObject)
+		},
+		func(s *Scanner, r *QueryResponse) { r.Results = scanArray(s, 0, tableResultFields.scanObject) }},
+}
+
+var batchResponseFields = fields[BatchResponse]{
+	{"results", nil,
+		func(dst []byte, r *BatchResponse) ([]byte, error) {
+			return appendArray(dst, r.Results, batchItemFields.appendObject)
+		},
+		func(s *Scanner, r *BatchResponse) { r.Results = scanArray(s, 0, batchItemFields.scanObject) }},
+}
+
+var batchItemFields = fields[BatchItem]{
+	{"index", nil,
+		func(dst []byte, it *BatchItem) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(it.Index), 10), nil
+		},
+		func(s *Scanner, it *BatchItem) { it.Index = s.Int() }},
+	{"id", func(it *BatchItem) bool { return it.ID == 0 },
+		func(dst []byte, it *BatchItem) ([]byte, error) { return strconv.AppendInt(dst, int64(it.ID), 10), nil },
+		func(s *Scanner, it *BatchItem) { it.ID = s.Int() }},
+	{"results", func(it *BatchItem) bool { return len(it.Results) == 0 },
+		func(dst []byte, it *BatchItem) ([]byte, error) {
+			return appendArray(dst, it.Results, tableResultFields.appendObject)
+		},
+		func(s *Scanner, it *BatchItem) { it.Results = scanArray(s, 0, tableResultFields.scanObject) }},
+	{"error", func(it *BatchItem) bool { return it.Error == "" },
+		func(dst []byte, it *BatchItem) ([]byte, error) { return AppendString(dst, it.Error), nil },
+		func(s *Scanner, it *BatchItem) { it.Error = s.String() }},
+}
+
+var tableResultFields = fields[TableResult]{
+	{"table", nil,
+		func(dst []byte, r *TableResult) ([]byte, error) { return AppendString(dst, r.Table), nil },
+		func(s *Scanner, r *TableResult) { r.Table = s.String() }},
+	{"cost", nil,
+		func(dst []byte, r *TableResult) ([]byte, error) { return AppendFloat(dst, r.Cost) },
+		func(s *Scanner, r *TableResult) { r.Cost = s.Float64() }},
+	{"layout", nil,
+		func(dst []byte, r *TableResult) ([]byte, error) { return AppendString(dst, r.Layout), nil },
+		func(s *Scanner, r *TableResult) { r.Layout = s.String() }},
+	{"num_partitions", nil,
+		func(dst []byte, r *TableResult) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(r.NumPartitions), 10), nil
+		},
+		func(s *Scanner, r *TableResult) { r.NumPartitions = s.Int() }},
+	{"survivor_partitions", nil,
+		func(dst []byte, r *TableResult) ([]byte, error) {
+			return appendArray(dst, r.SurvivorPartitions, func(dst []byte, p *int) ([]byte, error) { return strconv.AppendInt(dst, int64(*p), 10), nil })
+		},
+		func(s *Scanner, r *TableResult) { r.SurvivorPartitions = s.Ints() }},
+	{"reorganizing", func(r *TableResult) bool { return !r.Reorganizing },
+		func(dst []byte, r *TableResult) ([]byte, error) { return AppendBool(dst, r.Reorganizing), nil },
+		func(s *Scanner, r *TableResult) { r.Reorganizing = s.Bool() }},
+	{"pending_layout", func(r *TableResult) bool { return r.PendingLayout == "" },
+		func(dst []byte, r *TableResult) ([]byte, error) { return AppendString(dst, r.PendingLayout), nil },
+		func(s *Scanner, r *TableResult) { r.PendingLayout = s.String() }},
+	{"delta_rows", func(r *TableResult) bool { return r.DeltaRows == 0 },
+		func(dst []byte, r *TableResult) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(r.DeltaRows), 10), nil
+		},
+		func(s *Scanner, r *TableResult) { r.DeltaRows = s.Int() }},
+	{"observed", nil,
+		func(dst []byte, r *TableResult) ([]byte, error) { return AppendBool(dst, r.Observed), nil },
+		func(s *Scanner, r *TableResult) { r.Observed = s.Bool() }},
+	{"query_id", func(r *TableResult) bool { return r.QueryID == 0 },
+		func(dst []byte, r *TableResult) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(r.QueryID), 10), nil
+		},
+		func(s *Scanner, r *TableResult) { r.QueryID = s.Int() }},
+	{"execution", func(r *TableResult) bool { return r.Execution == nil },
+		func(dst []byte, r *TableResult) ([]byte, error) {
+			return executionFields.appendObject(dst, r.Execution)
+		},
+		func(s *Scanner, r *TableResult) {
+			r.Execution = new(ExecutionJSON)
+			executionFields.scanObject(s, r.Execution)
+		}},
+}
+
+var executionFields = fields[ExecutionJSON]{
+	{"matched_rows", nil,
+		func(dst []byte, e *ExecutionJSON) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(e.MatchedRows), 10), nil
+		},
+		func(s *Scanner, e *ExecutionJSON) { e.MatchedRows = s.Int() }},
+	{"partitions_read", nil,
+		func(dst []byte, e *ExecutionJSON) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(e.PartitionsRead), 10), nil
+		},
+		func(s *Scanner, e *ExecutionJSON) { e.PartitionsRead = s.Int() }},
+	{"partitions_total", nil,
+		func(dst []byte, e *ExecutionJSON) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(e.PartitionsTotal), 10), nil
+		},
+		func(s *Scanner, e *ExecutionJSON) { e.PartitionsTotal = s.Int() }},
+	{"rows_examined", nil,
+		func(dst []byte, e *ExecutionJSON) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(e.RowsExamined), 10), nil
+		},
+		func(s *Scanner, e *ExecutionJSON) { e.RowsExamined = s.Int() }},
+	{"rows_total", nil,
+		func(dst []byte, e *ExecutionJSON) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(e.RowsTotal), 10), nil
+		},
+		func(s *Scanner, e *ExecutionJSON) { e.RowsTotal = s.Int() }},
+	{"delta_rows", func(e *ExecutionJSON) bool { return e.DeltaRows == 0 },
+		func(dst []byte, e *ExecutionJSON) ([]byte, error) {
+			return strconv.AppendInt(dst, int64(e.DeltaRows), 10), nil
+		},
+		func(s *Scanner, e *ExecutionJSON) { e.DeltaRows = s.Int() }},
+	{"aggregates", func(e *ExecutionJSON) bool { return len(e.Aggregates) == 0 },
+		func(dst []byte, e *ExecutionJSON) ([]byte, error) {
+			return appendArray(dst, e.Aggregates, aggregateResultFields.appendObject)
+		},
+		func(s *Scanner, e *ExecutionJSON) { e.Aggregates = scanArray(s, 0, aggregateResultFields.scanObject) }},
+}
+
+var aggregateResultFields = fields[AggregateResultJSON]{
+	{"op", nil,
+		func(dst []byte, a *AggregateResultJSON) ([]byte, error) { return AppendString(dst, a.Op), nil },
+		func(s *Scanner, a *AggregateResultJSON) { a.Op = s.String() }},
+	{"col", func(a *AggregateResultJSON) bool { return a.Col == "" },
+		func(dst []byte, a *AggregateResultJSON) ([]byte, error) { return AppendString(dst, a.Col), nil },
+		func(s *Scanner, a *AggregateResultJSON) { a.Col = s.String() }},
+	{"type", nil,
+		func(dst []byte, a *AggregateResultJSON) ([]byte, error) { return AppendString(dst, a.Type), nil },
+		func(s *Scanner, a *AggregateResultJSON) { a.Type = s.String() }},
+	{"valid", nil,
+		func(dst []byte, a *AggregateResultJSON) ([]byte, error) { return AppendBool(dst, a.Valid), nil },
+		func(s *Scanner, a *AggregateResultJSON) { a.Valid = s.Bool() }},
+	{"value_i", nil,
+		func(dst []byte, a *AggregateResultJSON) ([]byte, error) {
+			return strconv.AppendInt(dst, a.ValueI, 10), nil
+		},
+		func(s *Scanner, a *AggregateResultJSON) { a.ValueI = s.Int64() }},
+	{"value_f", nil,
+		func(dst []byte, a *AggregateResultJSON) ([]byte, error) { return AppendFloat(dst, a.ValueF) },
+		func(s *Scanner, a *AggregateResultJSON) { a.ValueF = s.Float64() }},
+	{"value_s", nil,
+		func(dst []byte, a *AggregateResultJSON) ([]byte, error) { return AppendString(dst, a.ValueS), nil },
+		func(s *Scanner, a *AggregateResultJSON) { a.ValueS = s.String() }},
+}
+
+// appendObject appends v as json.Marshal encodes a struct: every field
+// of the table in order, less those its omitempty test leaves out.
+func (fs fields[T]) appendObject(dst []byte, v *T) ([]byte, error) {
+	dst = append(dst, '{')
+	start := len(dst)
+	for i := range fs {
+		f := &fs[i]
+		if f.omit != nil && f.omit(v) {
+			continue
+		}
+		if len(dst) > start {
+			dst = append(dst, ',')
+		}
+		dst = append(append(append(dst, '"'), f.key...), '"', ':')
+		var err error
+		if dst, err = f.put(dst, v); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// scanObject reads an object into v. A key the table does not list
+// declines, and so does one it has read already — encoding/json lets
+// the last occurrence win, and merges into slices, which is not worth
+// matching; a key's seen-bit is its index in the table.
+func (fs fields[T]) scanObject(s *Scanner, v *T) {
+	var seen uint64
+	s.Begin('{')
+	for n := 0; s.Elem('}', n); n++ {
+		i := fs.find(s.Key())
+		if i < 0 || seen&(1<<i) != 0 {
+			s.Decline()
+			return
+		}
+		seen |= 1 << i
+		fs[i].get(s, v)
+	}
+}
+
+// find returns the index of key in the table, or -1.
+func (fs fields[T]) find(key []byte) int {
+	for i := range fs {
+		if fs[i].key == string(key) {
+			return i
+		}
+	}
+	return -1
+}
+
+// decode scans a whole body into out. It scans in place, so it keeps
+// out's old value to put back when the body is not canonical.
+func (fs fields[T]) decode(body []byte, out *T) bool {
+	s := Scan(body)
+	old := *out
+	*out = *new(T)
+	fs.scanObject(&s, out)
 	if !s.Done() {
+		*out = old
 		return false
 	}
-	*out = item
 	return true
 }
 
-func scanBatchItem(s *Scanner, it *BatchItem) {
-	var seen uint
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		switch string(s.Key()) {
-		case "index":
-			s.Once(&seen, 1<<0)
-			it.Index = s.Int()
-		case "id":
-			s.Once(&seen, 1<<1)
-			it.ID = s.Int()
-		case "results":
-			s.Once(&seen, 1<<2)
-			it.Results = scanTableResults(s)
-		case "error":
-			s.Once(&seen, 1<<3)
-			it.Error = s.String()
-		default:
-			s.Decline()
-		}
-	}
-}
-
-func appendTableResults(dst []byte, results []TableResult) ([]byte, error) {
-	if results == nil {
+// appendArray appends es as json.Marshal encodes a slice, each element
+// by put: null when es is nil.
+func appendArray[E any](dst []byte, es []E, put func([]byte, *E) ([]byte, error)) ([]byte, error) {
+	if es == nil {
 		return append(dst, "null"...), nil
 	}
 	dst = append(dst, '[')
-	for i := range results {
+	for i := range es {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		var err error
-		if dst, err = appendTableResult(dst, &results[i]); err != nil {
+		if dst, err = put(dst, &es[i]); err != nil {
 			return dst, err
 		}
 	}
 	return append(dst, ']'), nil
 }
 
-// scanTableResults reads an array of results; never nil, as
-// encoding/json decodes [].
-func scanTableResults(s *Scanner) []TableResult {
-	results := []TableResult{}
+// scanArray reads an array into a slice of capacity size, each element
+// by get. The result is never nil: encoding/json decodes [] to an empty
+// slice.
+func scanArray[E any](s *Scanner, size int, get func(*Scanner, *E)) []E {
+	es := make([]E, 0, size)
 	s.Begin('[')
 	for n := 0; s.Elem(']', n); n++ {
-		results = append(results, TableResult{})
-		scanTableResult(s, &results[n])
+		es = append(es, *new(E))
+		get(s, &es[n])
 	}
-	return results
-}
-
-func appendTableResult(dst []byte, r *TableResult) ([]byte, error) {
-	dst = AppendString(append(dst, `{"table":`...), r.Table)
-	dst, err := AppendFloat(append(dst, `,"cost":`...), r.Cost)
-	if err != nil {
-		return dst, err
-	}
-	dst = AppendString(append(dst, `,"layout":`...), r.Layout)
-	dst = strconv.AppendInt(append(dst, `,"num_partitions":`...), int64(r.NumPartitions), 10)
-	dst = append(dst, `,"survivor_partitions":`...)
-	if r.SurvivorPartitions == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, p := range r.SurvivorPartitions {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(p), 10)
-		}
-		dst = append(dst, ']')
-	}
-	if r.Reorganizing {
-		dst = append(dst, `,"reorganizing":true`...)
-	}
-	if r.PendingLayout != "" {
-		dst = AppendString(append(dst, `,"pending_layout":`...), r.PendingLayout)
-	}
-	if r.DeltaRows != 0 {
-		dst = strconv.AppendInt(append(dst, `,"delta_rows":`...), int64(r.DeltaRows), 10)
-	}
-	dst = AppendBool(append(dst, `,"observed":`...), r.Observed)
-	if r.QueryID != 0 {
-		dst = strconv.AppendInt(append(dst, `,"query_id":`...), int64(r.QueryID), 10)
-	}
-	if r.Execution != nil {
-		if dst, err = appendExecution(append(dst, `,"execution":`...), r.Execution); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, '}'), nil
-}
-
-func scanTableResult(s *Scanner, r *TableResult) {
-	var seen uint
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		switch string(s.Key()) {
-		case "table":
-			s.Once(&seen, 1<<0)
-			r.Table = s.String()
-		case "cost":
-			s.Once(&seen, 1<<1)
-			r.Cost = s.Float64()
-		case "layout":
-			s.Once(&seen, 1<<2)
-			r.Layout = s.String()
-		case "num_partitions":
-			s.Once(&seen, 1<<3)
-			r.NumPartitions = s.Int()
-		case "survivor_partitions":
-			s.Once(&seen, 1<<4)
-			r.SurvivorPartitions = s.Ints()
-		case "reorganizing":
-			s.Once(&seen, 1<<5)
-			r.Reorganizing = s.Bool()
-		case "pending_layout":
-			s.Once(&seen, 1<<6)
-			r.PendingLayout = s.String()
-		case "delta_rows":
-			s.Once(&seen, 1<<7)
-			r.DeltaRows = s.Int()
-		case "observed":
-			s.Once(&seen, 1<<8)
-			r.Observed = s.Bool()
-		case "query_id":
-			s.Once(&seen, 1<<9)
-			r.QueryID = s.Int()
-		case "execution":
-			s.Once(&seen, 1<<10)
-			r.Execution = new(ExecutionJSON)
-			scanExecution(s, r.Execution)
-		default:
-			s.Decline()
-		}
-	}
-}
-
-func appendExecution(dst []byte, e *ExecutionJSON) ([]byte, error) {
-	dst = strconv.AppendInt(append(dst, `{"matched_rows":`...), int64(e.MatchedRows), 10)
-	dst = strconv.AppendInt(append(dst, `,"partitions_read":`...), int64(e.PartitionsRead), 10)
-	dst = strconv.AppendInt(append(dst, `,"partitions_total":`...), int64(e.PartitionsTotal), 10)
-	dst = strconv.AppendInt(append(dst, `,"rows_examined":`...), int64(e.RowsExamined), 10)
-	dst = strconv.AppendInt(append(dst, `,"rows_total":`...), int64(e.RowsTotal), 10)
-	if e.DeltaRows != 0 {
-		dst = strconv.AppendInt(append(dst, `,"delta_rows":`...), int64(e.DeltaRows), 10)
-	}
-	if len(e.Aggregates) > 0 {
-		dst = append(dst, `,"aggregates":[`...)
-		for i := range e.Aggregates {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			var err error
-			if dst, err = appendAggregateResult(dst, &e.Aggregates[i]); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}'), nil
-}
-
-func scanExecution(s *Scanner, e *ExecutionJSON) {
-	var seen uint
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		switch string(s.Key()) {
-		case "matched_rows":
-			s.Once(&seen, 1<<0)
-			e.MatchedRows = s.Int()
-		case "partitions_read":
-			s.Once(&seen, 1<<1)
-			e.PartitionsRead = s.Int()
-		case "partitions_total":
-			s.Once(&seen, 1<<2)
-			e.PartitionsTotal = s.Int()
-		case "rows_examined":
-			s.Once(&seen, 1<<3)
-			e.RowsExamined = s.Int()
-		case "rows_total":
-			s.Once(&seen, 1<<4)
-			e.RowsTotal = s.Int()
-		case "delta_rows":
-			s.Once(&seen, 1<<5)
-			e.DeltaRows = s.Int()
-		case "aggregates":
-			s.Once(&seen, 1<<6)
-			e.Aggregates = []AggregateResultJSON{}
-			s.Begin('[')
-			for n := 0; s.Elem(']', n); n++ {
-				e.Aggregates = append(e.Aggregates, AggregateResultJSON{})
-				scanAggregateResult(s, &e.Aggregates[n])
-			}
-		default:
-			s.Decline()
-		}
-	}
-}
-
-func appendAggregateResult(dst []byte, a *AggregateResultJSON) ([]byte, error) {
-	dst = AppendString(append(dst, `{"op":`...), a.Op)
-	if a.Col != "" {
-		dst = AppendString(append(dst, `,"col":`...), a.Col)
-	}
-	dst = AppendString(append(dst, `,"type":`...), a.Type)
-	dst = AppendBool(append(dst, `,"valid":`...), a.Valid)
-	dst = strconv.AppendInt(append(dst, `,"value_i":`...), a.ValueI, 10)
-	dst, err := AppendFloat(append(dst, `,"value_f":`...), a.ValueF)
-	if err != nil {
-		return dst, err
-	}
-	dst = AppendString(append(dst, `,"value_s":`...), a.ValueS)
-	return append(dst, '}'), nil
-}
-
-func scanAggregateResult(s *Scanner, a *AggregateResultJSON) {
-	var seen uint
-	s.Begin('{')
-	for n := 0; s.Elem('}', n); n++ {
-		switch string(s.Key()) {
-		case "op":
-			s.Once(&seen, 1<<0)
-			a.Op = s.String()
-		case "col":
-			s.Once(&seen, 1<<1)
-			a.Col = s.String()
-		case "type":
-			s.Once(&seen, 1<<2)
-			a.Type = s.String()
-		case "valid":
-			s.Once(&seen, 1<<3)
-			a.Valid = s.Bool()
-		case "value_i":
-			s.Once(&seen, 1<<4)
-			a.ValueI = s.Int64()
-		case "value_f":
-			s.Once(&seen, 1<<5)
-			a.ValueF = s.Float64()
-		case "value_s":
-			s.Once(&seen, 1<<6)
-			a.ValueS = s.String()
-		default:
-			s.Decline()
-		}
-	}
+	return es
 }

@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -207,6 +209,173 @@ func TestWireRoundTripSeeds(t *testing.T) {
 	for _, sh := range shapes {
 		for seed := int64(0); seed < 1000; seed++ {
 			checkRoundTrip(t, sh, -1, seed)
+		}
+	}
+}
+
+// A table is one shape's field table as the tests see it: its keys and
+// omitempty marks, and its decoder.
+type table struct {
+	typ   reflect.Type
+	keys  []string
+	omits []bool
+	// decode decodes b into a value that holds a sentinel beforehand,
+	// and reports whether it took b and whether a declined b left the
+	// sentinel whole.
+	decode func(b []byte) (ok, untouched bool)
+}
+
+// tableOf wraps one shape's table; dec is the shape's exported decoder,
+// or nil for a nested shape, which has only the table's own decode.
+func tableOf[T any](fs fields[T], dec func([]byte, *T) bool) table {
+	if dec == nil {
+		dec = fs.decode
+	}
+	t := table{typ: reflect.TypeOf((*T)(nil)).Elem()}
+	for _, f := range fs {
+		t.keys = append(t.keys, f.key)
+		t.omits = append(t.omits, f.omit != nil)
+	}
+	t.decode = func(b []byte) (bool, bool) {
+		var out, sentinel T
+		full(reflect.ValueOf(&out).Elem(), 8)
+		full(reflect.ValueOf(&sentinel).Elem(), 8)
+		ok := dec(b, &out)
+		return ok, ok || reflect.DeepEqual(out, sentinel)
+	}
+	return t
+}
+
+// tables are the codec's ten shapes: the five whole values and the five
+// objects nested in them.
+var tables = []table{
+	tableOf(queryRequestFields, DecodeQueryRequest),
+	tableOf(batchRequestFields, DecodeBatchRequest),
+	tableOf(queryResponseFields, DecodeQueryResponse),
+	tableOf(batchResponseFields, DecodeBatchResponse),
+	tableOf(batchItemFields, DecodeBatchItem),
+	tableOf(predicateFields, nil),
+	tableOf(aggregateFields, nil),
+	tableOf(tableResultFields, nil),
+	tableOf(executionFields, nil),
+	tableOf(aggregateResultFields, nil),
+}
+
+// full sets every field of v from n > 0: scalars non-zero and finite,
+// one element in every slice, pointers followed. Marshalled, it writes
+// every key.
+func full(v reflect.Value, n int) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			full(v.Field(i), n)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		full(v.Elem(), n)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		full(v.Index(0), n)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(n))
+	case reflect.Float64:
+		v.SetFloat(float64(n) / 4)
+	default:
+		panic("full: no rule for " + v.Type().String())
+	}
+}
+
+// TestFieldTablesMatchTags holds every field table to its struct: the
+// exported fields' json keys in struct order, omitempty exactly where
+// the tag has it. It then takes the shape's canonical body with every
+// key written, and checks that the decoder takes it, and declines it —
+// leaving its out value untouched — with any one key repeated or with a
+// key the table does not list.
+func TestFieldTablesMatchTags(t *testing.T) {
+	for _, tb := range tables {
+		var keys []string
+		var omits []bool
+		for i := 0; i < tb.typ.NumField(); i++ {
+			sf := tb.typ.Field(i)
+			if !sf.IsExported() {
+				continue
+			}
+			name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
+			keys = append(keys, name)
+			omits = append(omits, opts == "omitempty")
+		}
+		if !slices.Equal(tb.keys, keys) || !slices.Equal(tb.omits, omits) {
+			t.Errorf("%s: table keys %q omitempty %v; struct tags %q omitempty %v", tb.typ.Name(), tb.keys, tb.omits, keys, omits)
+			continue
+		}
+
+		v := reflect.New(tb.typ)
+		full(v.Elem(), 7)
+		body, err := json.Marshal(v.Interface())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, _ := tb.decode(body); !ok {
+			t.Errorf("%s: declined its canonical body %s", tb.typ.Name(), body)
+			continue
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatal(err)
+		}
+		open := body[:len(body)-1]
+		for _, k := range keys {
+			repeated := fmt.Appendf(bytes.Clone(open), `,%q:%s}`, k, raw[k])
+			if ok, untouched := tb.decode(repeated); ok || !untouched {
+				t.Errorf("%s: %s decoded %v, out untouched %v; want declined and untouched", tb.typ.Name(), repeated, ok, untouched)
+			}
+		}
+		unknown := append(bytes.Clone(open), `,"unknown":1}`...)
+		if ok, untouched := tb.decode(unknown); ok || !untouched {
+			t.Errorf("%s: %s decoded %v, out untouched %v; want declined and untouched", tb.typ.Name(), unknown, ok, untouched)
+		}
+	}
+}
+
+// TestEncodeAllocations pins the encoders the server answers with, and
+// the SDK's request encoder, at zero allocations into a warmed buffer.
+func TestEncodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	survivors := make([]int, 28)
+	for i := range survivors {
+		survivors[i] = 3 * i
+	}
+	results := []TableResult{{Table: "lineitem", Cost: 0.21875, Layout: "sort(l_shipdate)", NumPartitions: 128,
+		SurvivorPartitions: survivors, Reorganizing: true, PendingLayout: "zorder(l_shipdate)", DeltaRows: 64, Observed: true, QueryID: 4211,
+		Execution: &ExecutionJSON{MatchedRows: 90, PartitionsRead: 28, PartitionsTotal: 128, RowsExamined: 2000, RowsTotal: 9000, DeltaRows: 64,
+			Aggregates: []AggregateResultJSON{{Op: "count", Type: "int64", Valid: true, ValueI: 90}, {Op: "sum", Col: "l_discount", Type: "float64", Valid: true, ValueF: 4.5}}}}}
+	answer := QueryResponse{Results: results}
+	item := BatchItem{Index: 3, ID: 4211, Results: results, Error: "none"}
+	request := QueryRequest{Table: "lineitem", ID: 4211, Execute: true,
+		Preds: []PredicateJSON{{Col: "l_shipdate", HasLo: true, HasHi: true, LoI: 9131, HiI: 9496}, {Col: "l_discount", HasLo: true, HasHi: true, LoF: 0.05, HiF: 0.07},
+			{Col: "l_returnflag", In: []string{"A", "R"}}},
+		Aggs: []AggregateJSON{{Op: "count"}, {Op: "sum", Col: "l_discount"}}}
+
+	buf := make([]byte, 0, 4096)
+	for name, enc := range map[string]func([]byte) ([]byte, error){
+		"AppendQueryResponse": func(dst []byte) ([]byte, error) { return AppendQueryResponse(dst, &answer) },
+		"AppendBatchItem":     func(dst []byte) ([]byte, error) { return AppendBatchItem(dst, &item) },
+		"AppendQueryRequest":  func(dst []byte) ([]byte, error) { return AppendQueryRequest(dst, &request) },
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if buf, err = enc(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.0f times into a warmed buffer, want 0", name, allocs)
 		}
 	}
 }

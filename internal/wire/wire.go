@@ -36,7 +36,7 @@ import (
 
 // A Scanner makes one forward pass over a JSON document. Declining is
 // sticky: after the first byte outside the canonical shape every method
-// returns a zero value and Done reports false, so per-type code reads
+// returns a zero value and Done reports false, so the codec reads
 // straight through and checks once at the end.
 type Scanner struct {
 	b   []byte
@@ -48,19 +48,10 @@ type Scanner struct {
 // no reference to it beyond its own lifetime: String copies.
 func Scan(b []byte) Scanner { return Scanner{b: b} }
 
-// Decline marks the document as outside the canonical shape. Per-type
-// code calls it for what only it can see: an unknown or repeated key.
+// Decline marks the document as outside the canonical shape. The codec's
+// scanObject calls it for what only a field table can see: an unknown
+// or repeated key.
 func (s *Scanner) Decline() { s.bad = true }
-
-// Once declines a key seen before, for per-type code that gives each
-// key of an object one bit of seen: encoding/json lets the last
-// occurrence win (and merges into slices), which is not worth matching.
-func (s *Scanner) Once(seen *uint, bit uint) {
-	if *seen&bit != 0 {
-		s.bad = true
-	}
-	*seen |= bit
-}
 
 // Done reports whether the document was canonical and is exhausted:
 // nothing was declined and only white space follows the value read.
@@ -95,9 +86,11 @@ func (s *Scanner) Begin(open byte) { s.byteIs(open) }
 
 // Elem advances to element n of the object or array opened by Begin and
 // reports whether there is one; at the closing byte it consumes it and
-// reports false. Loops have the shape
+// reports false. The codec's two loops, scanObject's and scanArray's,
+// have the shape
 //
-//	for n := 0; s.Elem('}', n); n++ { switch string(s.Key()) { ... } }
+//	for n := 0; s.Elem('}', n); n++ { key := s.Key(); /* the key's value */ }
+//	for n := 0; s.Elem(']', n); n++ { /* element n */ }
 func (s *Scanner) Elem(closer byte, n int) bool {
 	s.space()
 	if s.bad || s.i >= len(s.b) {

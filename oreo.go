@@ -336,8 +336,9 @@
 //
 // Failover is the same loop's other output. When the leader fails its
 // health poll FailThreshold ticks in a row, the controller promotes
-// the most caught-up healthy follower (highest layout epochs — the
-// most replicated state preserved): POST /v2/cluster/promote asks the
+// the healthy follower that is at least as far along as every other on
+// every table's (generation, epoch) — none if no follower is, and the
+// next tick retries: POST /v2/cluster/promote asks the
 // follower to build a live optimizer per table over the base, delta,
 // layout and counters its core already holds (all engines before any
 // table flips), flip its serve.Core to the leader role, and activate
