@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -35,6 +36,24 @@ func BenchmarkQdTreeGenerateTPCH(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Generate(d, qs, 66).Part.Meta()
+	}
+}
+
+// BenchmarkSortGenerateTPCH is the layout every optimizer boots with at
+// the benchmark's sizes: TPC-H rows sorted by o_orderdate (the default
+// initial sort) into k = 66 partitions. Statistics are built on first
+// read, so the figure is the sort, the chop and the partition count.
+func BenchmarkSortGenerateTPCH(b *testing.B) {
+	for _, rows := range []int{100000, 400000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			d := datagen.GenerateTPCH(rows, rand.New(rand.NewSource(1)))
+			g := NewSortGenerator("o_orderdate")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Generate(d, nil, 66)
+			}
+		})
 	}
 }
 

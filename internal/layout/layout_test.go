@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -230,38 +231,64 @@ func TestZOrderClustersQueriedColumns(t *testing.T) {
 // few distinct values per column so every key ties often, NaN (unordered
 // against everything, so the comparison is not even a weak order and the
 // result depends on the exact sequence of comparisons made), and -0.0
-// beside +0.0.
+// beside +0.0. A lone Int64 key takes the radix sort, so it also meets
+// the int64 extremes, negative-only and all-equal columns, spans wide
+// enough that every byte varies, and row counts around one radix digit.
 func TestSortedRowsMatchesValueCompare(t *testing.T) {
 	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -2, math.Inf(1), math.Inf(-1)}
 	cats := []string{"", "a", "ab", "b", "é"}
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(3000)
+	check := func(d *table.Dataset, cols []int, what string) {
+		t.Helper()
+		want := make([]int, d.NumRows())
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			for _, c := range cols {
+				if cmp := d.ValueAt(c, want[a]).Compare(d.ValueAt(c, want[b])); cmp != 0 {
+					return cmp < 0
+				}
+			}
+			return false
+		})
+		if got := sortedRows(d, cols); !slices.Equal(got, want) {
+			t.Fatalf("%s, %d rows, columns %v: typed sort order differs from ValueAt().Compare order", what, d.NumRows(), cols)
+		}
+	}
+	build := func(rng *rand.Rand, n int, int64At func() int64) *table.Dataset {
 		b := table.NewBuilder(testSchema(), n)
 		for i := 0; i < n; i++ {
 			b.AppendRow(
-				table.Int(int64(rng.Intn(7))-3),
+				table.Int(int64At()),
 				table.Float(floats[rng.Intn(len(floats))]),
 				table.Str(cats[rng.Intn(len(cats))]),
 			)
 		}
-		d := b.Build()
+		return b.Build()
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(3000)
+		d := build(rng, n, func() int64 { return int64(rng.Intn(7)) - 3 })
 		for _, cols := range [][]int{{0}, {1}, {2}, {2, 0}, {1, 2}, {0, 1, 2}, {2, 1, 0}} {
-			want := make([]int, n)
-			for i := range want {
-				want[i] = i
-			}
-			sort.SliceStable(want, func(a, b int) bool {
-				for _, c := range cols {
-					if cmp := d.ValueAt(c, want[a]).Compare(d.ValueAt(c, want[b])); cmp != 0 {
-						return cmp < 0
-					}
-				}
-				return false
-			})
-			if got := sortedRows(d, cols); !slices.Equal(got, want) {
-				t.Fatalf("seed %d, %d rows, columns %v: typed sort order differs from ValueAt().Compare order", seed, n, cols)
-			}
+			check(d, cols, fmt.Sprintf("seed %d", seed))
+		}
+	}
+
+	rng := rand.New(rand.NewSource(21))
+	ints := []struct {
+		name string
+		draw func() int64
+	}{
+		{"extremes", func() int64 { return []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, -1, 0, 1}[rng.Intn(6)] }},
+		{"negative", func() int64 { return -1 - rng.Int63n(5000) }},
+		{"equal", func() int64 { return -7 }},
+		{"wide", func() int64 { return rng.Int63n(1<<62) - 1<<61 }},
+		{"above 2^40", func() int64 { return 1<<40 + rng.Int63n(1<<42) }},
+	}
+	for _, c := range ints {
+		for _, n := range []int{0, 1, 255, 256, 257, 70000} {
+			check(build(rng, n, c.draw), []int{0}, c.name)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -26,13 +27,19 @@ import (
 //
 // The whole of it is columnar. Everything that does not depend on the
 // tree node is computed once per Generate: how many window queries
-// provably skip each cut's left and right side, the sample values of
-// every column a cut reads (gathered once into one contiguous run per
-// column), and each cut evaluated over that run into a bitset. A leaf is
-// a bitset over sample positions plus, per cut, how many of its rows the
-// cut sends left; scoring every cut at a leaf reads those counts. A
-// split is an AND and an AND-NOT, and only the smaller child's counts
-// are popcounted: the larger child's are the parent's minus the
+// provably skip each cut's left and right side (two binary searches per
+// numeric cut into its column's sorted per-query bounds), and each cut
+// evaluated over the sample into a bitset. A column's cuts differ only
+// by threshold, so its distinct thresholds are sorted once and every
+// sample value is placed, by one binary search, in the bucket between
+// the two thresholds that enclose it; a cut's mask is then the OR of the
+// buckets below its threshold, and one prefix-OR sweep yields every mask
+// of the column. A string column's buckets are the dictionary codes its
+// cuts' IN sets name, and a cut's mask is the OR of its set's buckets.
+// A leaf is a bitset over sample positions plus, per cut, how many of
+// its rows the cut sends left; scoring every cut at a leaf reads those
+// counts. A split is an AND and an AND-NOT, and only the smaller child's
+// counts are popcounted: the larger child's are the parent's minus the
 // smaller's. The finished tree routes the dataset one node at a time,
 // each node a single branch-free sweep of one typed column over the
 // rows that reached it.
@@ -78,10 +85,6 @@ type cut struct {
 	// skipping gain of the cut at a node holding nl left and nr right
 	// sample rows is nl*avoidL + nr*avoidR.
 	avoidL, avoidR int
-	// lastL / lastR hold 1 + the index of the last query counted into
-	// avoidL / avoidR, so a query with several predicates on the cut's
-	// column counts once.
-	lastL, lastR int
 }
 
 // cutKey identifies a cut for deduplication. hi separates a float cut
@@ -137,7 +140,13 @@ func (c *cut) has(v string) bool {
 
 // harvestCuts extracts deduplicated candidate cuts from the workload,
 // in first-appearance order, and tallies each cut's avoidL / avoidR
-// over the same workload.
+// over the same workload. A query counts once per cut however many of
+// its predicates read the cut's column, so the tally works on each
+// query's tightest bounds per column: a query avoids the left side of a
+// numeric cut at t when its largest lower bound is at least t, and the
+// right side when its smallest upper bound is below t. Each column's
+// bounds are sorted once, and a numeric cut's two tallies are a binary
+// search each. A string cut tests each query's predicates on its column.
 func harvestCuts(schema *table.Schema, qs []query.Query) []cut {
 	seen := make(map[cutKey]struct{})
 	var cuts []cut
@@ -200,35 +209,105 @@ func harvestCuts(schema *table.Schema, qs []query.Query) []cut {
 		}
 	}
 
-	// Tally the avoid counts: each predicate meets only the cuts on its
-	// own column.
 	byCol := make([][]int32, schema.NumCols())
 	for x := range cuts {
 		byCol[cuts[x].col] = append(byCol[cuts[x].col], int32(x))
 	}
+	ints := make([]queryBounds[int64], schema.NumCols())
+	floats := make([]queryBounds[float64], schema.NumCols())
+	var cols []int // the schema column of each of a query's predicates; -1 when no cut reads it
 	for qi := range qs {
 		preds := qs[qi].Preds
+		cols = cols[:0]
 		for pi := range preds {
-			p := &preds[pi]
-			ci, ok := schema.Index(p.Col)
-			if !ok {
-				continue
+			ci, ok := schema.Index(preds[pi].Col)
+			if !ok || len(byCol[ci]) == 0 {
+				ci = -1
 			}
-			for _, x := range byCol[ci] {
-				c := &cuts[x]
-				left, right := c.avoids(p)
-				if left && c.lastL != qi+1 {
-					c.lastL = qi + 1
-					c.avoidL++
-				}
-				if right && c.lastR != qi+1 {
-					c.lastR = qi + 1
-					c.avoidR++
+			cols = append(cols, ci)
+		}
+		for pi, ci := range cols {
+			if ci < 0 || slices.Contains(cols[:pi], ci) {
+				continue // the column was taken with an earlier predicate
+			}
+			switch cuts[byCol[ci][0]].kind {
+			case cutIntLT:
+				ints[ci].add(preds[pi:], cols[pi:], ci, func(p *query.Predicate) (int64, int64) { return p.LoI, p.HiI })
+			case cutFloatLT:
+				floats[ci].add(preds[pi:], cols[pi:], ci, func(p *query.Predicate) (float64, float64) { return p.LoF, p.HiF })
+			case cutStrIn:
+				for _, x := range byCol[ci] {
+					c := &cuts[x]
+					left, right := false, false
+					for pj := pi; pj < len(preds); pj++ {
+						if cols[pj] == ci {
+							l, r := c.avoids(&preds[pj])
+							left, right = left || l, right || r
+						}
+					}
+					c.avoidL += int(b2u(left))
+					c.avoidR += int(b2u(right))
 				}
 			}
 		}
 	}
+	for ci := range byCol {
+		slices.Sort(ints[ci].lo)
+		slices.Sort(ints[ci].hi)
+		slices.Sort(floats[ci].lo)
+		slices.Sort(floats[ci].hi)
+	}
+	for x := range cuts {
+		c := &cuts[x]
+		switch c.kind {
+		case cutIntLT:
+			c.avoidL, c.avoidR = ints[c.col].avoids(c.i)
+		case cutFloatLT:
+			c.avoidL, c.avoidR = floats[c.col].avoids(c.f)
+		}
+	}
 	return cuts
+}
+
+// queryBounds holds one numeric column's tightest per-query bounds: for
+// each window query with a lower (upper) bound on the column, the
+// largest lower (smallest upper) one. A NaN bound proves nothing, since
+// no comparison with it holds, and is left out.
+type queryBounds[T int64 | float64] struct{ lo, hi []T }
+
+// add folds one query's numeric predicates on column ci — those of preds
+// whose entry in cols is ci — into one lower and one upper bound.
+func (b *queryBounds[T]) add(preds []query.Predicate, cols []int, ci int, bounds func(*query.Predicate) (lo, hi T)) {
+	var lo, hi T
+	hasLo, hasHi := false, false
+	for pj := range preds {
+		p := &preds[pj]
+		if cols[pj] != ci || len(p.In) > 0 {
+			continue
+		}
+		l, h := bounds(p)
+		if p.HasLo && l == l && (!hasLo || l > lo) { // l == l: not NaN
+			lo, hasLo = l, true
+		}
+		if p.HasHi && h == h && (!hasHi || h < hi) {
+			hi, hasHi = h, true
+		}
+	}
+	if hasLo {
+		b.lo = append(b.lo, lo)
+	}
+	if hasHi {
+		b.hi = append(b.hi, hi)
+	}
+}
+
+// avoids counts, over sorted bounds, the queries that provably skip the
+// left side of a cut at t (lower bound >= t) and its right side (upper
+// bound < t). A NaN t satisfies neither comparison, so both are 0.
+func (b *queryBounds[T]) avoids(t T) (left, right int) {
+	left = len(b.lo) - sort.Search(len(b.lo), func(i int) bool { return b.lo[i] >= t })
+	right = sort.Search(len(b.hi), func(i int) bool { return !(b.hi[i] < t) })
+	return left, right
 }
 
 // codeSet translates a string cut's IN set into a bitmap over the
@@ -251,43 +330,6 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// lessMask sets bit j of mask when vals[j] < t, a word at a time.
-func lessMask[T int64 | float64](vals []T, t T, mask []uint64) {
-	for w := range mask {
-		var m uint64
-		for j, v := range vals[w*64 : min(w*64+64, len(vals))] {
-			m |= b2u(v < t) << uint(j)
-		}
-		mask[w] = m
-	}
-}
-
-// inMask sets bit j of mask when codes[j] is in set, a word at a time.
-func inMask(codes []uint32, set, mask []uint64) {
-	for w := range mask {
-		var m uint64
-		for j, code := range codes[w*64 : min(w*64+64, len(codes))] {
-			m |= (set[code>>6] >> (code & 63) & 1) << uint(j)
-		}
-		mask[w] = m
-	}
-}
-
-// sampleMask sets bit j of mask when sample position j routes left,
-// reading the cut column's gathered sample values.
-func (c *cut) sampleMask(d *table.Dataset, mask []uint64, sc *qdScratch) {
-	ns, off := len(sc.sample), int(sc.gathered[c.col])
-	switch c.kind {
-	case cutIntLT:
-		lessMask(sc.ints[off:off+ns], c.i, mask)
-	case cutFloatLT:
-		lessMask(sc.floats[off:off+ns], c.f, mask)
-	case cutStrIn:
-		sc.codeSet = c.codeSet(d.Dict(c.col), sc.codeSet)
-		inMask(sc.codes[off:off+ns], sc.codeSet, mask)
-	}
 }
 
 // partition stably reorders rows so that those routing left come first,
@@ -375,24 +417,22 @@ type qdNode struct {
 // through qdPool, so steady-state candidate generation allocates only
 // what it returns.
 type qdScratch struct {
-	sample []int32 // stride-sampled dataset rows
-	// gathered maps a schema column to the offset of its sample values
-	// in ints, floats or codes (by the column's type), or -1 when no
-	// cut reads the column.
-	gathered []int32
-	ints     []int64
-	floats   []float64
-	codes    []uint32
-	masks    []uint64 // one left-mask per cut over sample positions
-	leaves   []uint64 // one bitset per leaf slot
-	counts   []int32  // per leaf slot, per cut: the leaf's rows the cut sends left
-	nonzero  []int32  // the non-zero words of the leaf being counted
-	nodes    []qdNode
-	order    []int32  // leaf order: position = partition ID
-	codeSet  []uint64 // a string cut's IN set over dictionary codes
-	rows     []int32  // dataset rows grouped by tree node while routing
-	tmp      []int32
-	key      []byte // the finished tree in preorder, hashed into the name
+	sample  []int32   // stride-sampled dataset rows
+	byCol   [][]int32 // per schema column, the cuts that read it
+	maskOf  []int32   // per cut, the offset of its sample mask in masks
+	masks   []uint64  // per column a cut reads, its bitsets (see bucketMasks)
+	ints    []int64   // a numeric column's sorted distinct thresholds
+	floats  []float64
+	codes   []uint32 // a string column's sorted distinct IN codes
+	leaves  []uint64 // one bitset per leaf slot
+	counts  []int32  // per leaf slot, per cut: the leaf's rows the cut sends left
+	nonzero []int32  // the non-zero words of the leaf being counted
+	nodes   []qdNode
+	order   []int32  // leaf order: position = partition ID
+	codeSet []uint64 // a string cut's IN set over dictionary codes
+	rows    []int32  // dataset rows grouped by tree node while routing
+	tmp     []int32
+	key     []byte // the finished tree in preorder, hashed into the name
 }
 
 var qdPool = sync.Pool{New: func() any { return new(qdScratch) }}
@@ -415,40 +455,132 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// gather copies the sample values of every column a cut reads into one
-// contiguous run per column, so the cuts' masks read sequential memory
-// instead of each striding across the whole column.
-func (sc *qdScratch) gather(d *table.Dataset, cuts []cut) {
-	sc.gathered = sized(sc.gathered, d.Schema().NumCols())
-	for c := range sc.gathered {
-		sc.gathered[c] = -1
+// bucketMasks evaluates every cut over the sample, a column at a time.
+// A numeric column's distinct non-NaN thresholds t_0 < … < t_{m-1} are
+// sorted once, and each sample value v lands in bucket b(v), the number
+// of thresholds at or below it (m for NaN, which is below nothing). Entry
+// p of the column's m+1 bitsets holds the positions with b(v) < p, built
+// as one prefix-OR over the buckets, and a cut at t_i reads entry i+1:
+// v < t_i exactly when b(v) <= i. A NaN cut sends nothing left and reads
+// the empty entry 0; -0 and +0 are one threshold, so their cuts share an
+// entry. A string column's buckets are the sorted distinct dictionary
+// codes its cuts' IN sets name (values no row holds have no code), and
+// each of its cuts gets its own entry, the OR of its set's buckets.
+func (sc *qdScratch) bucketMasks(d *table.Dataset, cuts []cut, words int) {
+	sc.byCol = sized(sc.byCol, d.Schema().NumCols())
+	for c := range sc.byCol {
+		sc.byCol[c] = sc.byCol[c][:0]
 	}
-	sc.ints, sc.floats, sc.codes = sc.ints[:0], sc.floats[:0], sc.codes[:0]
 	for x := range cuts {
 		c := cuts[x].col
-		if sc.gathered[c] >= 0 {
+		sc.byCol[c] = append(sc.byCol[c], int32(x))
+	}
+	sc.maskOf = sized(sc.maskOf, len(cuts))
+	sc.masks = sc.masks[:0]
+	for c, xs := range sc.byCol {
+		if len(xs) == 0 {
 			continue
 		}
-		switch cuts[x].kind {
+		switch cuts[xs[0]].kind {
 		case cutIntLT:
-			sc.gathered[c] = int32(len(sc.ints))
-			sc.ints = appendAt(sc.ints, d.Int64Col(c), sc.sample)
+			sc.ints = prefixMasks(sc, xs, d.Int64Col(c), sc.ints[:0], words, func(x int32) int64 { return cuts[x].i })
 		case cutFloatLT:
-			sc.gathered[c] = int32(len(sc.floats))
-			sc.floats = appendAt(sc.floats, d.Float64Col(c), sc.sample)
+			sc.floats = prefixMasks(sc, xs, d.Float64Col(c), sc.floats[:0], words, func(x int32) float64 { return cuts[x].f })
 		case cutStrIn:
-			sc.gathered[c] = int32(len(sc.codes))
-			sc.codes = appendAt(sc.codes, d.StringCodes(c), sc.sample)
+			sc.setMasks(d, c, xs, cuts, words)
 		}
 	}
 }
 
-// appendAt appends col[r] for each of rows to dst.
-func appendAt[T any](dst, col []T, rows []int32) []T {
-	for _, r := range rows {
-		dst = append(dst, col[r])
+// prefixMasks builds one numeric column's entries (see bucketMasks) from
+// its values col and its cuts xs, whose thresholds it sorts into ts,
+// NaN left out. It returns ts for reuse as scratch.
+func prefixMasks[T int64 | float64](sc *qdScratch, xs []int32, col, ts []T, words int, threshold func(int32) T) []T {
+	for _, x := range xs {
+		if t := threshold(x); t == t { // not NaN
+			ts = append(ts, t)
+		}
 	}
-	return dst
+	slices.Sort(ts)
+	ts = slices.Compact(ts)
+	m := len(ts)
+	base := sc.grow(m+1, words)
+	for j, r := range sc.sample {
+		if b := rank(ts, col[r]); b < m {
+			sc.masks[base+(b+1)*words+j>>6] |= 1 << (uint(j) & 63)
+		}
+	}
+	for at := base + 2*words; at < base+(m+1)*words; at++ {
+		sc.masks[at] |= sc.masks[at-words]
+	}
+	for _, x := range xs {
+		p := 0
+		if t := threshold(x); t == t { // a NaN cut reads the empty entry
+			p = rank(ts, t)
+		}
+		sc.maskOf[x] = int32(base + p*words)
+	}
+	return ts
+}
+
+// setMasks builds string column c's entries (see bucketMasks) for its
+// cuts xs.
+func (sc *qdScratch) setMasks(d *table.Dataset, c int, xs []int32, cuts []cut, words int) {
+	dict := d.Dict(c)
+	sc.codes = sc.codes[:0]
+	for _, x := range xs {
+		for _, v := range cuts[x].set {
+			if code, ok := dict.Code(v); ok {
+				sc.codes = append(sc.codes, code)
+			}
+		}
+	}
+	slices.Sort(sc.codes)
+	sc.codes = slices.Compact(sc.codes)
+	buckets := sc.grow(len(sc.codes), words)
+	codes := d.StringCodes(c)
+	for j, r := range sc.sample {
+		if k, ok := slices.BinarySearch(sc.codes, codes[r]); ok {
+			sc.masks[buckets+k*words+j>>6] |= 1 << (uint(j) & 63)
+		}
+	}
+	for _, x := range xs {
+		at := sc.grow(1, words)
+		sc.maskOf[x] = int32(at)
+		for _, v := range cuts[x].set {
+			if code, ok := dict.Code(v); ok {
+				k, _ := slices.BinarySearch(sc.codes, code)
+				for w, m := range sc.masks[buckets+k*words : buckets+(k+1)*words] {
+					sc.masks[at+w] |= m
+				}
+			}
+		}
+	}
+}
+
+// rank returns the number of ts (sorted ascending) at or below v: the
+// index of the first t with v < t, or len(ts) when there is none, as for
+// a NaN v.
+func rank[T int64 | float64](ts []T, v T) int {
+	lo, hi := 0, len(ts)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if v < ts[h] {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo
+}
+
+// grow appends n zeroed bitsets of words each to masks and returns the
+// offset of the first.
+func (sc *qdScratch) grow(n, words int) int {
+	at := len(sc.masks)
+	sc.masks = slices.Grow(sc.masks, n*words)[:at+n*words]
+	clear(sc.masks[at:])
+	return at
 }
 
 // Generate implements Generator.
@@ -477,11 +609,11 @@ func (g *QdTreeGenerator) Generate(d *table.Dataset, qs []query.Query, k int) *L
 
 	// Evaluate every cut once over the stride sample (deterministic).
 	sc.sample = strideSample(sc.sample, n, sampleSize)
-	sc.gather(d, cuts)
 	words := (len(sc.sample) + 63) / 64
-	sc.masks = sized(sc.masks, nc*words)
-	for x := range cuts {
-		cuts[x].sampleMask(d, sc.masks[x*words:(x+1)*words], sc)
+	sc.bucketMasks(d, cuts, words)
+	mask := func(x int) []uint64 {
+		at := int(sc.maskOf[x])
+		return sc.masks[at : at+words]
 	}
 
 	// The root holds every sample position. Every other leaf holds at
@@ -531,7 +663,7 @@ func (g *QdTreeGenerator) Generate(d *table.Dataset, qs []query.Query, k int) *L
 	rootCounts := counts(0)
 	for x := range rootCounts {
 		nl := 0
-		for _, m := range sc.masks[x*words : (x+1)*words] {
+		for _, m := range mask(x) {
 			nl += bits.OnesCount64(m)
 		}
 		rootCounts[x] = int32(nl)
@@ -568,9 +700,8 @@ func (g *QdTreeGenerator) Generate(d *table.Dataset, qs []query.Query, k int) *L
 		}
 		big := parent.slot
 		bs, bb := bitset(small), bitset(big)
-		mask := sc.masks[best*words : (best+1)*words]
 		sc.nonzero = sc.nonzero[:0]
-		for w, m := range mask {
+		for w, m := range mask(best) {
 			p := bb[w]
 			bs[w], bb[w] = p&(m^flip), p&^(m^flip)
 			if bs[w] != 0 {
@@ -579,7 +710,7 @@ func (g *QdTreeGenerator) Generate(d *table.Dataset, qs []query.Query, k int) *L
 		}
 		cs, cb := counts(small), counts(big)
 		for x := range cs {
-			m := sc.masks[x*words : (x+1)*words]
+			m := mask(x)
 			c := 0
 			for _, w := range sc.nonzero {
 				c += bits.OnesCount64(bs[w] & m[w])

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -500,6 +501,119 @@ func FuzzQdTreeMatchesOracle(f *testing.F) {
 			t.Fatalf("%d rows, %d queries, k=%d, %+v: %v", d.NumRows(), len(qs), k, *g, err)
 		}
 	})
+}
+
+// TestQdTreeMatchesOracleSharedThresholds aims the oracle comparison at
+// the bucket layout: every window draws its bounds and IN values from a
+// small pool per column, so cuts share thresholds and buckets, and sample
+// values sit exactly on thresholds. A pool holds values present in the
+// sample; a float pool also holds -0 beside +0 (one threshold, two cuts),
+// NaN and ±Inf, an int pool MinInt64 and MaxInt64 (whose HiI+1 wraps), a
+// string pool a value no row holds. Queries put several predicates on
+// one column. The datasets are qdRandomCase's.
+func TestQdTreeMatchesOracleSharedThresholds(t *testing.T) {
+	cases := 200
+	if testing.Short() {
+		cases = 40
+	}
+	for seed := int64(0); seed < int64(cases); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, _, k, g := qdRandomCase(rng)
+		schema := d.Schema()
+		size := g.SampleSize
+		if size <= 0 {
+			size = 2048
+		}
+		sample := strideSample(nil, d.NumRows(), size)
+		at := func() int { return int(sample[rng.Intn(len(sample))]) }
+		pools := make([][]query.Predicate, schema.NumCols()) // each entry one bound or one IN value
+		for c := range pools {
+			var pool []query.Predicate
+			switch schema.Col(c).Type {
+			case table.Int64:
+				for v := 0; v < 3 && len(sample) > 0; v++ {
+					pool = append(pool, query.Predicate{LoI: d.Int64At(c, at())})
+				}
+				for _, v := range []int64{math.MinInt64, math.MaxInt64, 0} {
+					pool = append(pool, query.Predicate{LoI: v})
+				}
+			case table.Float64:
+				for v := 0; v < 3 && len(sample) > 0; v++ {
+					pool = append(pool, query.Predicate{LoF: d.Float64At(c, at())})
+				}
+				for _, v := range []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+					pool = append(pool, query.Predicate{LoF: v})
+				}
+			case table.String:
+				for v := 0; v < 3 && len(sample) > 0; v++ {
+					pool = append(pool, query.Predicate{In: []string{d.StringAt(c, at())}})
+				}
+				pool = append(pool, query.Predicate{In: []string{"absent"}})
+			}
+			pools[c] = pool
+		}
+
+		qs := make([]query.Query, 1+rng.Intn(50))
+		for qi := range qs {
+			qs[qi].ID = qi
+			cols := []int{rng.Intn(schema.NumCols()), rng.Intn(schema.NumCols())}
+			for np := 1 + rng.Intn(4); np > 0; np-- {
+				c := cols[rng.Intn(len(cols))]
+				pool := pools[c]
+				pick := func() query.Predicate { return pool[rng.Intn(len(pool))] }
+				p := query.Predicate{Col: schema.Col(c).Name}
+				switch schema.Col(c).Type {
+				case table.Int64:
+					p.HasLo, p.HasHi = rng.Intn(3) > 0, rng.Intn(3) > 0
+					p.LoI, p.HiI = pick().LoI, pick().LoI
+				case table.Float64:
+					p.HasLo, p.HasHi = rng.Intn(3) > 0, rng.Intn(3) > 0
+					p.LoF, p.HiF = pick().LoF, pick().LoF
+				case table.String:
+					for n := 1 + rng.Intn(3); n > 0; n-- {
+						p.In = append(p.In, pick().In...)
+					}
+				}
+				qs[qi].Preds = append(qs[qi].Preds, p)
+			}
+		}
+
+		if err := sameTallies(schema, qs); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := sameLayout(g.Generate(d, qs, k), oracleGenerate(g, d, qs, k)); err != nil {
+			t.Fatalf("seed %d (%d rows, %d queries, k=%d, %+v): %v", seed, d.NumRows(), len(qs), k, *g, err)
+		}
+	}
+}
+
+// sameTallies compares harvestCuts' cuts and avoid tallies with the
+// oracle's harvest and its per-(cut, query) queryAvoids.
+func sameTallies(schema *table.Schema, qs []query.Query) error {
+	cuts, want := harvestCuts(schema, qs), oracleHarvestCuts(schema, qs)
+	if len(cuts) != len(want) {
+		return fmt.Errorf("harvested %d cuts, oracle %d", len(cuts), len(want))
+	}
+	for x, oc := range want {
+		c := cuts[x]
+		set := make(map[string]bool, len(c.set))
+		for _, v := range c.set {
+			set[v] = true
+		}
+		if c.col != oc.col || c.kind != oc.kind || c.i != oc.i || math.Float64bits(c.f) != math.Float64bits(oc.f) || !maps.Equal(set, oc.set) {
+			return fmt.Errorf("cut %d = %+v, oracle %+v", x, c, oc)
+		}
+		wantL, wantR := 0, 0
+		for _, q := range qs {
+			aL, aR := oc.queryAvoids(schema, q)
+			wantL += int(b2u(aL))
+			wantR += int(b2u(aR))
+		}
+		if c.avoidL != wantL || c.avoidR != wantR {
+			return fmt.Errorf("cut %d (%s): tallies (%d,%d), oracle (%d,%d)", x, oc.key, c.avoidL, c.avoidR, wantL, wantR)
+		}
+	}
+	return nil
 }
 
 // maxColsOfOneType is the largest number of schema columns sharing a

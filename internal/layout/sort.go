@@ -48,8 +48,14 @@ func (g *SortGenerator) Generate(d *table.Dataset, _ []query.Query, k int) *Layo
 }
 
 // sortedRows returns the row indices of d stably sorted by the given
-// columns, major to minor.
+// columns, major to minor. One Int64 key, the boot layout's arrival-time
+// sort, takes a radix sort; every other key list a stable merge sort,
+// which alone defines the order a NaN (a tie with everything, so the
+// comparison is not a strict weak order) leaves behind.
 func sortedRows(d *table.Dataset, cols []int) []int {
+	if len(cols) == 1 && d.Schema().Col(cols[0]).Type == table.Int64 {
+		return radixRows(d.Int64Col(cols[0]))
+	}
 	keys := make([]sortKey, len(cols))
 	for i, c := range cols {
 		keys[i] = newSortKey(d, c)
@@ -66,6 +72,50 @@ func sortedRows(d *table.Dataset, cols []int) []int {
 		}
 		return 0
 	})
+	return order
+}
+
+// radixRows returns the indices of vals in stable ascending order of
+// value: a least-significant-digit radix sort over the bytes of
+// uint64(v) ^ 1<<63, which order as the int64s do. Every byte's
+// histogram comes from one sweep of vals, and a byte every value shares
+// is skipped, since its pass would move nothing; a date column varies in
+// two of its eight bytes.
+func radixRows(vals []int64) []int {
+	order := make([]int, len(vals))
+	for i := range order {
+		order[i] = i
+	}
+	if len(vals) < 2 {
+		return order
+	}
+	key := func(v int64) uint64 { return uint64(v) ^ 1<<63 }
+	var counts [8][256]int
+	for _, v := range vals {
+		for b := range counts {
+			counts[b][byte(key(v)>>(8*b))]++
+		}
+	}
+	var tmp []int
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(key(vals[0])>>(8*b))] == len(vals) {
+			continue
+		}
+		sum := 0
+		for d, n := range c {
+			c[d], sum = sum, sum+n
+		}
+		if tmp == nil {
+			tmp = make([]int, len(vals))
+		}
+		for _, r := range order {
+			d := byte(key(vals[r]) >> (8 * b))
+			tmp[c[d]] = r
+			c[d]++
+		}
+		order, tmp = tmp, order
+	}
 	return order
 }
 
