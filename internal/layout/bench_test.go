@@ -39,6 +39,22 @@ func BenchmarkQdTreeGenerateTPCH(b *testing.B) {
 	}
 }
 
+// BenchmarkQdTreeGenerateTPCHWithoutMeta is BenchmarkQdTreeGenerateTPCH
+// on the same inputs without the Meta() call: Generate alone (harvest,
+// masks, split, routing and the eager part of BuildPartitioning), so a
+// change to the sample phase is not read under the column statistics'
+// spread.
+func BenchmarkQdTreeGenerateTPCHWithoutMeta(b *testing.B) {
+	d := datagen.GenerateTPCH(100000, rand.New(rand.NewSource(1)))
+	qs := tpchDriftWindow(200, 2)
+	g := NewQdTreeGenerator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Generate(d, qs, 66)
+	}
+}
+
 // BenchmarkSortGenerateTPCH is the layout every optimizer boots with at
 // the benchmark's sizes: TPC-H rows sorted by o_orderdate (the default
 // initial sort) into k = 66 partitions. Statistics are built on first

@@ -99,37 +99,24 @@ type cutKey struct {
 	set  string
 }
 
-// avoids reports, from predicate p on the cut's column alone, whether a
-// query carrying p can be proven to never need the left (respectively
-// right) child subtree. Conservative: (false, false) when nothing can
-// be proven.
+// avoids reports, from predicate p on a string cut's column alone,
+// whether a query carrying p can be proven to never need the left
+// (respectively right) child subtree: no IN value in the cut's set, or
+// none outside it. Numeric cuts take their tallies from queryBounds.
+// Conservative: (false, false) for a predicate with no IN set.
 func (c *cut) avoids(p *query.Predicate) (left, right bool) {
-	numeric := len(p.In) == 0
-	switch c.kind {
-	case cutIntLT:
-		if numeric {
-			left = p.HasLo && p.LoI >= c.i
-			right = p.HasHi && p.HiI < c.i
-		}
-	case cutFloatLT:
-		if numeric {
-			left = p.HasLo && p.LoF >= c.f
-			right = p.HasHi && p.HiF < c.f
-		}
-	case cutStrIn:
-		if !numeric {
-			anyIn, anyOut := false, false
-			for _, v := range p.In {
-				if c.has(v) {
-					anyIn = true
-				} else {
-					anyOut = true
-				}
-			}
-			left, right = !anyIn, !anyOut
+	if len(p.In) == 0 {
+		return false, false
+	}
+	anyIn, anyOut := false, false
+	for _, v := range p.In {
+		if c.has(v) {
+			anyIn = true
+		} else {
+			anyOut = true
 		}
 	}
-	return left, right
+	return !anyIn, !anyOut
 }
 
 // has reports whether v is in a string cut's IN set.

@@ -180,8 +180,8 @@ func TestHarvestCutsDedup(t *testing.T) {
 	}
 }
 
-// avoidsOf reports whether query q provably skips cut c's left and
-// right side: the OR of cut.avoids over q's predicates on c's column,
+// avoidsOf reports whether query q provably skips string cut c's left
+// and right side: the OR of cut.avoids over q's predicates on c's column,
 // which is what harvestCuts tallies per query.
 func avoidsOf(t *testing.T, schema *table.Schema, c cut, q query.Query) (left, right bool) {
 	t.Helper()
@@ -194,22 +194,40 @@ func avoidsOf(t *testing.T, schema *table.Schema, c cut, q query.Query) (left, r
 	return left, right
 }
 
+// boundsAvoid reports whether the one-query workload q provably skips
+// the left and right side of the Int64 cut "col < at": harvestCuts'
+// numeric tallies, taken from queryBounds over q alone.
+func boundsAvoid(schema *table.Schema, col int, at int64, q query.Query) (left, right bool) {
+	cols := make([]int, len(q.Preds))
+	for i := range q.Preds {
+		if ci, ok := schema.Index(q.Preds[i].Col); ok {
+			cols[i] = ci
+		} else {
+			cols[i] = -1
+		}
+	}
+	var b queryBounds[int64]
+	b.add(q.Preds, cols, col, func(p *query.Predicate) (int64, int64) { return p.LoI, p.HiI })
+	l, r := b.avoids(at)
+	return l == 1, r == 1
+}
+
 func TestCutQueryAvoids(t *testing.T) {
 	schema := testSchema()
-	c := cut{col: schema.MustIndex("ts"), kind: cutIntLT, i: 100}
+	ts := schema.MustIndex("ts")
 
 	q := query.Query{Preds: []query.Predicate{query.IntGE("ts", 100)}}
-	aL, aR := avoidsOf(t, schema, c, q)
+	aL, aR := boundsAvoid(schema, ts, 100, q)
 	if !aL || aR {
 		t.Errorf("q[ts>=100] vs cut ts<100: avoids = (%v,%v), want (true,false)", aL, aR)
 	}
 	q2 := query.Query{Preds: []query.Predicate{query.IntLE("ts", 99)}}
-	aL, aR = avoidsOf(t, schema, c, q2)
+	aL, aR = boundsAvoid(schema, ts, 100, q2)
 	if aL || !aR {
 		t.Errorf("q[ts<=99] vs cut ts<100: avoids = (%v,%v), want (false,true)", aL, aR)
 	}
 	q3 := query.Query{Preds: []query.Predicate{query.IntRange("ts", 50, 150)}}
-	aL, aR = avoidsOf(t, schema, c, q3)
+	aL, aR = boundsAvoid(schema, ts, 100, q3)
 	if aL || aR {
 		t.Errorf("straddling query avoids = (%v,%v), want (false,false)", aL, aR)
 	}

@@ -440,14 +440,32 @@ func (s *shard) handleCompact() eventAck {
 // keeps it deterministic and cheap; BuildPartitioning recomputes all
 // metadata exactly afterwards. Every comparison is exact, so any
 // process replaying the same stream places rows identically.
+//
+// A string cell's answer depends only on its value and the partition,
+// so each string column asks ColumnStats.ContainsString once per
+// distinct delta value and partition (codeHolders), and the row loop
+// reads the answers by dictionary code.
 func extendAssignment(part *table.Partitioning, delta *table.Dataset) []int {
 	assign := make([]int, 0, len(part.Assign)+delta.NumRows())
 	assign = append(assign, part.Assign...)
 	meta := part.Meta()
+	schema := delta.Schema()
+	holders := make([]codeHolders, schema.NumCols())
+	for c := range holders {
+		if schema.Col(c).Type == table.String {
+			holders[c] = newCodeHolders(meta, delta, c)
+		}
+	}
+	held := make([][]bool, schema.NumCols()) // row r's answers per string column, by partition
 	for r := 0; r < delta.NumRows(); r++ {
-		best, bestWiden, bestRows := 0, delta.Schema().NumCols()+1, int(^uint(0)>>1)
+		for c := range holders {
+			if holders[c].slot != nil {
+				held[c] = holders[c].partitions(delta.StringCodes(c)[r])
+			}
+		}
+		best, bestWiden, bestRows := 0, schema.NumCols()+1, int(^uint(0)>>1)
 		for pid, m := range meta {
-			w := widening(m, delta, r)
+			w := widen(m, pid, delta, r, held)
 			if w < bestWiden || (w == bestWiden && m.NumRows < bestRows) {
 				best, bestWiden, bestRows = pid, w, m.NumRows
 			}
@@ -457,13 +475,14 @@ func extendAssignment(part *table.Partitioning, delta *table.Dataset) []int {
 	return assign
 }
 
-// widening counts the columns of delta row r that partition metadata m
-// cannot already cover. Empty column stats count zero — a row landing
-// in an empty partition gets perfectly tight metadata, so empty
-// partitions are preferred absorbers. NaN floats never widen a range,
-// matching ColumnStats.AddFloat, whose min/max comparisons a NaN also
-// falls through.
-func widening(m *table.PartitionMeta, delta *table.Dataset, r int) int {
+// widen counts the columns of delta row r that partition pid's
+// metadata m cannot already cover; held[c][pid] is whether m's value
+// set for string column c holds the row's value. Empty column stats
+// count zero — a row landing in an empty partition gets perfectly
+// tight metadata, so empty partitions are preferred absorbers. NaN
+// floats never widen a range, matching ColumnStats.AddFloat, whose
+// min/max comparisons a NaN also falls through.
+func widen(m *table.PartitionMeta, pid int, delta *table.Dataset, r int, held [][]bool) int {
 	w := 0
 	schema := delta.Schema()
 	for c := 0; c < schema.NumCols(); c++ {
@@ -481,12 +500,52 @@ func widening(m *table.PartitionMeta, delta *table.Dataset, r int) int {
 				w++
 			}
 		case table.String:
-			if !cs.ContainsString(delta.StringAt(c, r)) {
+			if !held[c][pid] {
 				w++
 			}
 		}
 	}
 	return w
+}
+
+// codeHolders is one string column's ContainsString answers for a
+// fold: for each distinct code the delta's rows hold, one answer per
+// partition. The answers are sized by the codes the delta uses, not by
+// its dictionary, which a delta may share with a larger table.
+type codeHolders struct {
+	slot  []int32 // dictionary code → its answers' row in holds; -1 when no delta row uses it
+	holds []bool  // (distinct codes) × k answers, one row per code
+	k     int
+}
+
+// newCodeHolders asks, for every distinct value of delta's string
+// column c, whether each partition's metadata may contain it.
+func newCodeHolders(meta []*table.PartitionMeta, delta *table.Dataset, c int) codeHolders {
+	dict := delta.Dict(c)
+	h := codeHolders{slot: make([]int32, dict.Len()), k: len(meta)}
+	for i := range h.slot {
+		h.slot[i] = -1
+	}
+	distinct := int32(0)
+	for _, code := range delta.StringCodes(c) {
+		if h.slot[code] >= 0 {
+			continue
+		}
+		h.slot[code] = distinct
+		distinct++
+		v := dict.Value(code)
+		for _, m := range meta {
+			h.holds = append(h.holds, m.Stats[c].ContainsString(v))
+		}
+	}
+	return h
+}
+
+// partitions returns, by partition ID, whether each partition's
+// metadata may contain the value of dictionary code code.
+func (h *codeHolders) partitions(code uint32) []bool {
+	i := int(h.slot[code]) * h.k
+	return h.holds[i : i+h.k]
 }
 
 // combinedSnapshot returns the engine's snapshot with the cumulative
