@@ -177,6 +177,13 @@ func main() {
 				log.Fatalf("oreoserve: replication failed: %v", err)
 			}
 			log.Printf("oreoserve: follower caught up with %s", *follow)
+			// A terminal failure after catch-up (diverged data, a
+			// rejected or fenced stream) stops replication for good:
+			// exit rather than serve a frozen epoch behind an "ok"
+			// /healthz. A promotion detaches the follower without
+			// failing it, so a promoted process stays up.
+			<-fol.Failed()
+			log.Fatalf("oreoserve: replication failed: %v", fol.Err())
 		}()
 	} else {
 		// A restart is archive replay + promotion; with no -archive, or a

@@ -18,9 +18,9 @@ import (
 
 // TestLinkReachability is the gate that keeps production packages to
 // what the repository's programs run. It builds every main package
-// (cmd/*, examples/* and the bench module) with inlining off, so every
-// reached function keeps its own symbol, and compares the text symbols
-// the linker kept with every function declared in a non-test file. A
+// (cmd/* and the bench module) with inlining off, so every reached
+// function keeps its own symbol, and compares the text symbols the
+// linker kept with every function declared in a non-test file. A
 // function no binary links fails the test unless linked.allow names it
 // with a kind and a reason; an allow-list line whose function is now
 // linked, or is declared nowhere, fails it too, so the list only

@@ -172,13 +172,6 @@ func (c *Controller) Leader() string {
 	return c.leader
 }
 
-// Signals returns the fleet signals from the last completed tick.
-func (c *Controller) Signals() Signals {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.signals
-}
-
 // Run drives the control loop until ctx ends.
 func (c *Controller) Run(ctx context.Context) {
 	t := time.NewTicker(c.cfg.Interval)

@@ -197,7 +197,7 @@ func TestControllerScalesOnSignals(t *testing.T) {
 	if tgt, _ := act.lastTarget(); tgt != 2 {
 		t.Fatalf("latency-pressure target = %d, want 2", tgt)
 	}
-	if sig := ctl.Signals(); sig.P99 < 5*time.Millisecond || sig.QPS <= 0 {
+	if sig := ctl.signals; sig.P99 < 5*time.Millisecond || sig.QPS <= 0 {
 		t.Fatalf("signals after slow interval = %+v; want p99 over ceiling and positive QPS", sig)
 	}
 
@@ -208,7 +208,7 @@ func TestControllerScalesOnSignals(t *testing.T) {
 	if tgt, _ := act.lastTarget(); tgt != 2 {
 		t.Fatalf("lag-pressure target = %d, want 2", tgt)
 	}
-	if sig := ctl.Signals(); sig.MaxLagEpochs != 80 {
+	if sig := ctl.signals; sig.MaxLagEpochs != 80 {
 		t.Fatalf("MaxLagEpochs = %v, want 80", sig.MaxLagEpochs)
 	}
 }

@@ -74,23 +74,17 @@ func (l *Layout) CostCompiled(cq *prune.CompiledQuery) float64 {
 	return l.eng.CostCompiled(cq)
 }
 
-// CostSurvivors returns the service cost together with the survivor
-// partition skip-list: the ascending IDs of partitions whose metadata
-// cannot rule the query out — exactly the partitions an execution layer
-// must read (all others are provably skippable). The cost equals the
-// row mass of the list divided by the table size and is bit-for-bit
-// equal to Cost(q); the evaluation also warms the layout's cost memo.
-func (l *Layout) CostSurvivors(q query.Query) (float64, []int) {
-	return l.eng.CostSurvivors(q)
-}
-
-// CostSurvivorsSnapshot is CostSurvivors evaluated memo-free: it
-// compiles against the schema and sweeps the partitioning's immutable
-// statistics block without ever touching the layout's shared cost memo,
-// so concurrent readers holding the layout (serving snapshots, the
+// CostSurvivorsSnapshot returns the service cost together with the
+// survivor partition skip-list: the ascending IDs of partitions whose
+// metadata cannot rule the query out — exactly the partitions an
+// execution layer must read (all others are provably skippable). The
+// cost equals the row mass of the list divided by the table size and is
+// bit-for-bit equal to Cost(q). It is evaluated memo-free: it compiles
+// against the schema and sweeps the partitioning's immutable statistics
+// block without ever touching the layout's shared cost memo, so
+// concurrent readers holding the layout (serving snapshots, the
 // execution layer's store states) scale with cores instead of
-// serializing on the memo lock. The cost and skip-list are bit-for-bit
-// equal to CostSurvivors.
+// serializing on the memo lock.
 func (l *Layout) CostSurvivorsSnapshot(q query.Query) (float64, []int) {
 	ids, c := prune.Compile(l.schema, q).Survivors(l.Part)
 	return c, ids

@@ -79,18 +79,6 @@ func (e *Engine) CostCompiled(cq *CompiledQuery) float64 {
 	return c
 }
 
-// CostSurvivors returns the service cost of q together with the
-// survivor partition skip-list (ascending partition IDs the metadata
-// cannot rule out). The list is always evaluated fresh — the memo only
-// stores scalar costs — but the evaluation's cost is stored, so a
-// survivor request also warms subsequent Cost calls for the same query.
-func (e *Engine) CostSurvivors(q query.Query) (float64, []int) {
-	cq := Compile(e.schema, q)
-	ids, c := cq.Survivors(e.part)
-	e.store(cq.fp, c)
-	return c, ids
-}
-
 // MemoEntry is one exported (fingerprint, cost) pair; see ExportMemo.
 type MemoEntry struct {
 	// FP is the query's binary structural fingerprint.

@@ -36,12 +36,11 @@ func equalIDs(a, b []int) bool {
 // across fuzzed schemas, datasets, partitionings, and queries the
 // compiled survivor list equals the interpreted per-partition MayMatch
 // verdicts, and the fraction returned alongside it is bit-for-bit equal
-// to both cost paths.
+// to the interpreted cost.
 func TestSurvivorsEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 120; trial++ {
 		schema, part := randomScenario(rng)
-		eng := NewEngine(schema, part)
 		for i := 0; i < 25; i++ {
 			q := randomQuery(rng, schema)
 			want := interpretedSurvivors(schema, part, q)
@@ -54,16 +53,6 @@ func TestSurvivorsEquivalenceProperty(t *testing.T) {
 			}
 			if cost != wantCost {
 				t.Fatalf("survivor cost %v != interpreted %v\nquery: %+v", cost, wantCost, q.Preds)
-			}
-
-			ec, eids := eng.CostSurvivors(q)
-			if !equalIDs(eids, want) || ec != wantCost {
-				t.Fatalf("engine survivors (%v, %v) != interpreted (%v, %v)", eids, ec, want, wantCost)
-			}
-			// The survivor evaluation must have warmed the memo: the
-			// scalar path now answers from it, bitwise-identically.
-			if got := eng.Cost(q); got != wantCost {
-				t.Fatalf("post-survivor memoized cost %v != %v", got, wantCost)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // it. So an acknowledged update is in the archive by construction: a
 // write that has returned survives kill -9 in the page cache, and only an
 // OS crash can take the un-fsynced tail (at most archiveSyncEvery
-// records). The archive buys three things:
+// records). The archive buys two things:
 //
 //   - A leader restarts from it: Recover replays the archive into a
 //     replica core and promotes that, so the process comes back at the
@@ -31,10 +31,6 @@ import (
 //   - New followers bootstrap from it: FollowerConfig.ArchiveDir
 //     replays the archive through the normal apply path, so a fresh
 //     follower reaches the archive's tail epoch entirely offline.
-//   - Point-in-time replay: ReplayArchiveUpTo rebuilds the fleet's
-//     exact state at any archived epoch, for debugging — the stream is
-//     deterministic, so the replayed state is bit-identical to what
-//     the fleet served at that epoch.
 //
 // # Segment format
 //
@@ -248,24 +244,6 @@ func scanSegment(path string, fn func(line []byte) error) error {
 	return nil
 }
 
-// ReplayArchive streams the archive's live records, in order, through
-// fn — the replay a bootstrapping follower or a restarting leader
-// performs. It returns the number of records delivered. fn errors abort
-// the replay.
-func ReplayArchive(dir string, fn func(*Record) error) (int, error) {
-	return ReplayArchiveUpTo(dir, 0, fn)
-}
-
-// ReplayArchiveUpTo is ReplayArchive bounded to a point in time:
-// records with an epoch above maxEpoch are skipped (0 means
-// unbounded). Because every table's records carry that table's own
-// monotonic epoch, replaying up to E rebuilds exactly the state the
-// fleet served when each table was at min(E, its tail) — the
-// debugging time machine the archive exists for.
-func ReplayArchiveUpTo(dir string, maxEpoch uint64, fn func(*Record) error) (int, error) {
-	return replayLive(dir, maxEpoch, nil, fn)
-}
-
 // archivePos locates an archived line: its segment's index in replay
 // order, then the 1-based count of non-empty lines within it.
 type archivePos struct{ seg, line int }
@@ -284,7 +262,8 @@ var snapshotMark = []byte(`"type":"snapshot"`)
 // segment. The second pass decodes from that segment on and skips what
 // lies above maxEpoch (0 means unbounded) or before its own table's
 // snapshot: what a later snapshot supersedes is never applied, and the
-// segments before the walk's end are never opened.
+// segments before the walk's end are never opened. It returns the
+// number of records delivered; an error from fn aborts the replay.
 func replayLive(dir string, maxEpoch uint64, tables []string, fn func(*Record) error) (int, error) {
 	segs, err := segments(dir)
 	if err != nil {

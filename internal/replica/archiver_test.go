@@ -65,7 +65,7 @@ func TestArchiverRoundTripAndBootstrap(t *testing.T) {
 	// Point-in-time replay: bounding the replay must deliver only
 	// records at or below the bound.
 	mid := want / 2
-	n, err := ReplayArchiveUpTo(dir, mid, func(rec *Record) error {
+	n, err := replayLive(dir, mid, nil, func(rec *Record) error {
 		if rec.Epoch > mid {
 			return fmt.Errorf("record at epoch %d leaked past bound %d", rec.Epoch, mid)
 		}
@@ -99,10 +99,9 @@ func TestArchiverRoundTripAndBootstrap(t *testing.T) {
 	if pos, _ := fol.Core().ReplicaPosition("orders"); pos.Epoch != want {
 		t.Fatalf("bootstrap left the follower at epoch %d, want %d (before any live stream)", pos.Epoch, want)
 	}
-	waitFor(t, "live resume", func() bool { return fol.Stats().Resumes >= 1 })
-	st := fol.Stats()
-	if st.Snapshots != 1 {
-		t.Fatalf("follower applied %d snapshots, want exactly the archived one", st.Snapshots)
+	waitFor(t, "live resume", func() bool { return fol.stats.resumes.Load() >= 1 })
+	if n := fol.stats.snapshots.Load(); n != 1 {
+		t.Fatalf("follower applied %d snapshots, want exactly the archived one", n)
 	}
 	assertLiveBitIdentical(t, leader, fol.Core(), rows, true)
 
@@ -110,7 +109,7 @@ func TestArchiverRoundTripAndBootstrap(t *testing.T) {
 	// at the leader's term and ends at the final epoch.
 	var first *Record
 	var last uint64
-	total, err := ReplayArchive(dir, func(rec *Record) error {
+	total, err := replayLive(dir, 0, nil, func(rec *Record) error {
 		if first == nil {
 			first = rec
 		}
@@ -156,7 +155,7 @@ func TestReplayArchiveTornTail(t *testing.T) {
 	// Torn tail: the last line is half a record — a crash mid-append.
 	dir := t.TempDir()
 	writeSegment(dir, "segment-00000001.ndjson", mkRecord(1), mkRecord(2), []byte(`{"type":"deci`))
-	n, err := ReplayArchive(dir, func(*Record) error { return nil })
+	n, err := replayLive(dir, 0, nil, func(*Record) error { return nil })
 	if err != nil {
 		t.Fatalf("torn tail must be tolerated, got: %v", err)
 	}
@@ -168,7 +167,7 @@ func TestReplayArchiveTornTail(t *testing.T) {
 	// corruption, not a crash.
 	dir = t.TempDir()
 	writeSegment(dir, "segment-00000001.ndjson", mkRecord(1), []byte("not json at all\n"), mkRecord(2))
-	if _, err := ReplayArchive(dir, func(*Record) error { return nil }); err == nil {
+	if _, err := replayLive(dir, 0, nil, func(*Record) error { return nil }); err == nil {
 		t.Fatal("mid-segment corruption replayed without error")
 	}
 
@@ -177,7 +176,7 @@ func TestReplayArchiveTornTail(t *testing.T) {
 	dir = t.TempDir()
 	writeSegment(dir, "segment-00000001.ndjson", mkRecord(1), mkRecord(2))
 	sentinel := errors.New("apply failed")
-	_, err = ReplayArchive(dir, func(rec *Record) error {
+	_, err = replayLive(dir, 0, nil, func(rec *Record) error {
 		if rec.Epoch == 2 {
 			return sentinel
 		}
@@ -227,9 +226,10 @@ func TestFollowerBootstrapsFromParentArchive(t *testing.T) {
 	if got, want := pos.Snapshot.Stats.Queries, 13; got != want {
 		t.Fatalf("replicated decision count %d, want %d", got, want)
 	}
-	st := fol.Stats()
-	if st.Snapshots != 1 || st.Decisions != 13 || st.Appends != 3 || st.Compactions != 1 || st.Gaps != 0 {
-		t.Fatalf("applied-record counters %+v, want 1 snapshot, 13 decisions, 3 appends, 1 compaction", st)
+	st := &fol.stats
+	if st.snapshots.Load() != 1 || st.decisions.Load() != 13 || st.appends.Load() != 3 || st.compactions.Load() != 1 || st.gaps.Load() != 0 {
+		t.Fatalf("applied-record counters: %d snapshots, %d decisions, %d appends, %d compactions, %d gaps; want 1, 13, 3, 1, 0",
+			st.snapshots.Load(), st.decisions.Load(), st.appends.Load(), st.compactions.Load(), st.gaps.Load())
 	}
 	if fol.Generation() != 1 {
 		t.Fatalf("generation %d, want the archived term 1", fol.Generation())
@@ -301,7 +301,7 @@ func TestReplaySkipsWhatASnapshotSupersedes(t *testing.T) {
 	if _, err := replayLive(dir, 0, []string{"b"}, func(*Record) error { return nil }); err != nil {
 		t.Fatalf("replay of the newest session read an older segment: %v", err)
 	}
-	if _, err := ReplayArchive(dir, func(*Record) error { return nil }); err == nil {
+	if _, err := replayLive(dir, 0, nil, func(*Record) error { return nil }); err == nil {
 		t.Fatal("mid-segment garbage past a table's start went unreported")
 	}
 }

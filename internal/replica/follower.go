@@ -74,30 +74,6 @@ type FollowerConfig struct {
 	ArchiveDir string
 }
 
-// FollowerStats is a point-in-time view of a follower's replication
-// and forwarding counters.
-type FollowerStats struct {
-	// Snapshots / Decisions / Resumes count applied records; Gaps
-	// counts epoch discontinuities that forced a reconnect, and
-	// Reconnects the subscription attempts after the first.
-	Snapshots  uint64
-	Decisions  uint64
-	Resumes    uint64
-	Gaps       uint64
-	Reconnects uint64
-	// Appends / Compactions count applied live-write records: append
-	// batches landed in the replica's delta, and delta folds grown into
-	// its base.
-	Appends     uint64
-	Compactions uint64
-	// Forwarded / ForwardDropped / ForwardRejected count upstream
-	// observation outcomes (ForwardDropped includes local queue
-	// overflow and failed upstream posts).
-	Forwarded       uint64
-	ForwardDropped  uint64
-	ForwardRejected uint64
-}
-
 // Follower is the replica half of replication: it subscribes to a
 // leader's decision stream, applies every record to a replica
 // serve.Core (which serves the full read surface bit-identically to
@@ -370,6 +346,13 @@ func (f *Follower) Err() error {
 	}
 }
 
+// Failed returns a channel that is closed when replication fails
+// terminally, after which Err reports the failure. WaitReady only
+// watches for a failure before catch-up; a caller that must not keep
+// serving a frozen epoch waits on this channel after it. Close and
+// Detach do not close it.
+func (f *Follower) Failed() <-chan struct{} { return f.failed }
+
 // Position returns the last applied epoch for the table (0 before its
 // first snapshot).
 func (f *Follower) Position(table string) uint64 {
@@ -382,25 +365,6 @@ func (f *Follower) Position(table string) uint64 {
 // on resubscription and surfaced on the core's /healthz; a stream
 // regressing below it is a deposed leader and is fenced terminally.
 func (f *Follower) Generation() uint64 { return f.core.Generation() }
-
-// Stats returns the follower's replication and forwarding counters.
-func (f *Follower) Stats() FollowerStats {
-	st := FollowerStats{
-		Snapshots:   f.stats.snapshots.Load(),
-		Decisions:   f.stats.decisions.Load(),
-		Resumes:     f.stats.resumes.Load(),
-		Gaps:        f.stats.gaps.Load(),
-		Reconnects:  f.stats.reconnects.Load(),
-		Appends:     f.stats.appends.Load(),
-		Compactions: f.stats.compactions.Load(),
-	}
-	if f.fwd != nil {
-		st.Forwarded = f.fwd.forwarded.Load()
-		st.ForwardDropped = f.fwd.dropped.Load()
-		st.ForwardRejected = f.fwd.rejected.Load()
-	}
-	return st
-}
 
 // Close stops the replication and forwarding loops and closes the
 // replica core. Idempotent; safe to combine with a Server.Close over

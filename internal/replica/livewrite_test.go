@@ -182,23 +182,23 @@ func TestFollowerLiveWritesBitIdentity(t *testing.T) {
 			if lpos.Delta == nil || lpos.Delta.NumRows() == 0 {
 				t.Fatal("resync scheduled on an empty delta; mid-append property not exercised")
 			}
-			before := fol.Stats().Snapshots
+			before := fol.stats.snapshots.Load()
 			pub.mu.Lock()
 			for s := range pub.subs {
 				s.markGapped()
 			}
 			pub.mu.Unlock()
-			waitFor(t, "in-stream re-snapshot", func() bool { return fol.Stats().Snapshots > before })
+			waitFor(t, "in-stream re-snapshot", func() bool { return fol.stats.snapshots.Load() > before })
 			assertLiveBitIdentical(t, leader, fol.Core(), rows, true)
 		}
 	}
 
 	// The run must have exercised every record kind and left the final
 	// state grown: base past the boot source, delta non-empty.
-	st := fol.Stats()
-	if st.Appends == 0 || st.Compactions < 2 || st.Snapshots < 2 {
+	st := &fol.stats
+	if st.appends.Load() == 0 || st.compactions.Load() < 2 || st.snapshots.Load() < 2 {
 		t.Errorf("stats = appends %d, compactions %d, snapshots %d; want >0, >=2, >=2",
-			st.Appends, st.Compactions, st.Snapshots)
+			st.appends.Load(), st.compactions.Load(), st.snapshots.Load())
 	}
 	lpos, _ := leader.ReplicaPosition("orders")
 	if lpos.Dataset.NumRows() <= rows {

@@ -75,7 +75,7 @@ func TestClusterMetrics(t *testing.T) {
 	}
 	const total = decided + 1
 	waitFor(t, "follower converged", func() bool { return fol.Position("orders") == total })
-	waitFor(t, "forward acknowledged", func() bool { return fol.Stats().Forwarded == 1 })
+	waitFor(t, "forward acknowledged", func() bool { return fol.fwd.forwarded.Load() == 1 })
 
 	lb := scrapeURL(t, lts.URL)
 	fb := scrapeURL(t, fts.URL)

@@ -217,14 +217,17 @@ func TestPromotionBitIdentityEveryEpoch(t *testing.T) {
 // replica's dataset is its boot source — so a fresh follower booted
 // from the same source subscribes to it and reaches its epoch
 // bit-identically, over a base that compaction has grown past that
-// source on both sides of the promotion.
+// source on both sides of the promotion. So does a follower that
+// bootstraps from the deposed leader's archive: it replays to the
+// pre-failover epoch offline, then follows the promoted term.
 func TestPromoteDerivesBootRows(t *testing.T) {
 	testleak.Check(t)
 	const rows, batch, total = 2000, 7, 40
 	compactAt := map[int]bool{9: true, 29: true}
 	ops := promoteSchedule(total, rows, batch, compactAt)
 
-	leader, _, ts := newLeader(t, rows, 1.5, 0)
+	dir := t.TempDir()
+	leader, _, ts := newArchivingLeader(t, rows, 1.5, 0, dir)
 	fol := newFollowerFixture(t, rows, ts.URL, false)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -265,12 +268,34 @@ func TestPromoteDerivesBootRows(t *testing.T) {
 	if err := fresh.WaitReady(ctx); err != nil {
 		t.Fatalf("fresh follower of the promoted leader: %v", err)
 	}
+	archived, err := NewFollower(FollowerConfig{
+		Upstream:     pts.URL,
+		Tables:       []TableData{{Name: "orders", Dataset: buildOrders(rows)}},
+		ArchiveDir:   dir,
+		ForwardQueue: -1,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("follower bootstrapped from the deposed leader's archive: %v", err)
+	}
+	t.Cleanup(archived.Close)
+	if got := archived.Position("orders"); got != want {
+		t.Fatalf("archive bootstrap reached epoch %d offline, want the pre-failover %d", got, want)
+	}
+	if err := archived.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
 	for _, op := range ops[total/2:] {
 		want += applyOp(ctx, t, promoted, op, rows, batch)
 	}
 	syncTo("promoted", promoted)
 	syncTo("fresh follower", fresh.Core())
+	syncTo("archive-bootstrapped follower", archived.Core())
 	assertLiveBitIdentical(t, promoted, fresh.Core(), rows, true)
+	assertLiveBitIdentical(t, promoted, archived.Core(), rows, true)
+	if archived.Generation() != 2 {
+		t.Fatalf("archive-bootstrapped follower at generation %d, want the promoted term 2", archived.Generation())
+	}
 }
 
 // TestSubscribeFencedByGeneration pins the subscribe-side fence: a
@@ -392,9 +417,21 @@ func TestFollowerFencesStaleStream(t *testing.T) {
 		return pos.Epoch == 1 && fol.Generation() == 5
 	})
 
+	select {
+	case <-fol.Failed():
+		t.Fatalf("follower failed before the stale stream: %v", fol.Err())
+	default:
+	}
+
+	// The fence trips after WaitReady has returned nil, so it must
+	// surface through Failed: that is what a serving process waits on.
 	staleMode.Store(true)
 	pub.DropSubscribers()
-	waitFor(t, "terminal fencing error", func() bool { return fol.Err() != nil })
+	select {
+	case <-fol.Failed():
+	case <-time.After(20 * time.Second):
+		t.Fatal("fenced stream after catch-up never closed Failed")
+	}
 	if !errors.Is(fol.Err(), errFenced) {
 		t.Fatalf("follower error = %v, want errFenced", fol.Err())
 	}

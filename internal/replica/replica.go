@@ -78,9 +78,9 @@
 // (PublisherConfig.ArchiveDir): each record is appended to an NDJSON
 // segment inside the decision hook, so an update is on disk before the
 // shard acknowledges it. Recover brings a leader back from that
-// directory, a follower bootstraps from it (FollowerConfig.ArchiveDir),
-// and ReplayArchiveUpTo replays it to any epoch; archiver.go holds the
-// writer, the format and the readers.
+// directory, and a follower bootstraps from it
+// (FollowerConfig.ArchiveDir); archiver.go holds the writer, the format
+// and the reader.
 //
 // # Observations flow upstream
 //

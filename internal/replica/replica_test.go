@@ -277,19 +277,19 @@ func TestFollowerBitIdentityEveryEpoch(t *testing.T) {
 		case resyncAt:
 			// Forced gap repair: the publisher discards the subscriber's
 			// backlog and re-snapshots in-stream.
-			before := fol.Stats().Snapshots
+			before := fol.stats.snapshots.Load()
 			pub.mu.Lock()
 			for s := range pub.subs {
 				s.markGapped()
 			}
 			pub.mu.Unlock()
-			waitFor(t, "in-stream re-snapshot", func() bool { return fol.Stats().Snapshots > before })
+			waitFor(t, "in-stream re-snapshot", func() bool { return fol.stats.snapshots.Load() > before })
 		case dropAt:
 			// Severed stream: the follower reconnects and negotiates
 			// resume-or-snapshot from its current position.
-			before := fol.Stats().Reconnects
+			before := fol.stats.reconnects.Load()
 			pub.DropSubscribers()
-			waitFor(t, "reconnect", func() bool { return fol.Stats().Reconnects > before })
+			waitFor(t, "reconnect", func() bool { return fol.stats.reconnects.Load() > before })
 			waitFor(t, "re-sync after reconnect", func() bool {
 				pos, _ := fol.Core().ReplicaPosition("orders")
 				return pos.Epoch == want && fol.Err() == nil
@@ -297,12 +297,11 @@ func TestFollowerBitIdentityEveryEpoch(t *testing.T) {
 		}
 	}
 
-	st := fol.Stats()
-	if st.Snapshots < 2 {
-		t.Errorf("snapshots applied = %d, want >= 2 (initial + forced)", st.Snapshots)
+	if n := fol.stats.snapshots.Load(); n < 2 {
+		t.Errorf("snapshots applied = %d, want >= 2 (initial + forced)", n)
 	}
-	if st.Reconnects < 1 {
-		t.Errorf("reconnects = %d, want >= 1", st.Reconnects)
+	if n := fol.stats.reconnects.Load(); n < 1 {
+		t.Errorf("reconnects = %d, want >= 1", n)
 	}
 	// The workload must actually have reorganized, or the property is
 	// vacuous.
@@ -335,10 +334,10 @@ func TestSubscribeResume(t *testing.T) {
 	}
 	waitFor(t, "catch-up", func() bool { return fol.Position("orders") == 10 })
 
-	snapsBefore := fol.Stats().Snapshots
+	snapsBefore := fol.stats.snapshots.Load()
 	pub.DropSubscribers()
-	waitFor(t, "resume", func() bool { return fol.Stats().Resumes >= 1 })
-	if got := fol.Stats().Snapshots; got != snapsBefore {
+	waitFor(t, "resume", func() bool { return fol.stats.resumes.Load() >= 1 })
+	if got := fol.stats.snapshots.Load(); got != snapsBefore {
 		t.Errorf("reconnect at matching position re-sent a snapshot (%d -> %d)", snapsBefore, got)
 	}
 
@@ -471,8 +470,8 @@ func TestObservationForwarding(t *testing.T) {
 	if snap.Stats.Reorganizations == 0 {
 		t.Error("forwarded workload never reorganized the leader; loop not exercised")
 	}
-	if st := fol.Stats(); st.Forwarded != total {
-		t.Errorf("forwarded = %d, want %d (dropped %d, rejected %d)", st.Forwarded, total, st.ForwardDropped, st.ForwardRejected)
+	if fw := fol.fwd; fw.forwarded.Load() != total {
+		t.Errorf("forwarded = %d, want %d (dropped %d, rejected %d)", fw.forwarded.Load(), total, fw.dropped.Load(), fw.rejected.Load())
 	}
 }
 

@@ -156,8 +156,9 @@
 // only, speaking both surfaces with the query-log predicate encoding,
 // mapping failures back to typed errors, and bulk-replaying traces
 // through one stream (Client.Replay; cmd/oreoreplay -mode serve drives
-// it against a live server and reports QPS). See examples/serving for
-// the raw wire loop and examples/client for the SDK loop.
+// it against a live server and reports QPS). See Example_serving in
+// internal/serve for the raw wire loop and client's ExampleClient for
+// the SDK loop.
 // SaveStateWithData/LoadStateWithData round-trip a layout together
 // with its statistics block, cost memo and live-written rows; that
 // document is the framing of the replication stream's snapshot
@@ -229,8 +230,8 @@
 // consistent (layout, data) pair. Real data comes in through
 // internal/ingest: CSV files with header rows become typed datasets
 // via schema inference (int64 → float64 → string widening), booted by
-// oreoserve -csv DIR — see examples/execution for the loop in
-// miniature.
+// oreoserve -csv DIR — see Example_execution in internal/serve for the
+// loop in miniature.
 //
 // # Live writes
 //
@@ -267,8 +268,8 @@
 // — so a leader restarting from its archive (see Cluster below) serves
 // every appended row the archive holds. Per-table oreo_rows_appended_total, oreo_delta_rows, and
 // oreo_compactions_total land on /metrics, and /healthz reports each
-// table's live delta size. See examples/append for a leader + follower
-// converging over live appends.
+// table's live delta size. See client's ExampleClient_BulkLoad for a
+// leader + follower converging over live appends.
 //
 // # Replication
 //
@@ -303,7 +304,7 @@
 // re-snapshots, and a severed connection or leader restart is survived
 // by resubscribe-with-resume. Both sides expose per-table
 // layout_epochs on /healthz, so replication lag is two curls. See
-// examples/replication for a leader + two followers in
+// ExampleFollower in internal/replica for a leader + two followers in
 // miniature.
 //
 // # Cluster
@@ -384,19 +385,22 @@
 // liveness: a follower started with -archive DIR replays the archive
 // offline before touching the network, so its first live subscription
 // is a cheap resume instead of a full leader snapshot — new capacity
-// does not tax the leader it is meant to relieve. The same archive
-// gives point-in-time replay (ReplayArchiveUpTo) for debugging a
-// decision sequence. And it is how a leader comes back: oreoserve
-// -archive on a leader keeps the fleet's own log, and a restart is
-// replica.Recover — the archive replayed through the follower's apply
-// path (from each table's newest snapshot on), then promoted in place —
-// so a cold boot, a promotion and a restart are the only ways to lead a
+// does not tax the leader it is meant to relieve. And it is how a
+// leader comes back: oreoserve -archive on a leader keeps the fleet's
+// own log, and a restart is replica.Recover — the archive replayed
+// through the follower's apply path (from each table's newest snapshot
+// on), then promoted in place — so a cold boot, a promotion and a restart are the only ways to lead a
 // table, and the last two are one. A restart stands at the archive's
 // tail, which holds every acknowledged update: a kill -9 loses nothing
-// acknowledged, an OS crash at most the un-fsynced last 256 records. See
-// examples/cluster for the whole arc — scale-up
-// under load, leader kill, promotion, fenced old leader — in one
-// script.
+// acknowledged, an OS crash at most the un-fsynced last 256 records.
+// The whole arc is pinned piece by piece: scale-up under load
+// (cluster's TestControllerScalesOnSignals), leader kill, promotion and
+// survivor retarget (TestControllerPromotesOnLeaderFailure,
+// TestProcessActuatorRetarget), the fenced old generation (replica's
+// TestObserveFencedWithoutStateChange), the promoted leader serving on
+// bit-identically (TestPromotionBitIdentityEveryEpoch), and a follower
+// bootstrapped from the deposed leader's archive tracking the promoted
+// one (TestArchiverRoundTripAndBootstrap, TestPromoteDerivesBootRows).
 //
 // # Observability
 //
@@ -459,7 +463,8 @@
 // four workloads, with a traced read ladder from Core through unary
 // and stream to a follower); cmd/oreoreplay -mode serve
 // reports in-stream replay percentiles next to QPS. See
-// examples/metrics for a leader + follower pair scraped under load.
+// Example_metrics in internal/replica for a leader + follower pair
+// scraped under load.
 //
 // # Static analysis
 //
@@ -679,7 +684,7 @@ func (d Decision) SurvivorPartitions() []int {
 	if d.Layout == nil {
 		return []int{}
 	}
-	_, ids := d.Layout.CostSurvivors(d.query)
+	_, ids := d.Layout.CostSurvivorsSnapshot(d.query)
 	if ids == nil {
 		ids = []int{}
 	}
