@@ -16,10 +16,23 @@
 // machinery: -dataset fixture (default) targets the synthetic
 // orders/events fixtures oreoserve boots with (use -rows to match the
 // server's), while tpch, tpcds, and telemetry target the built-in
-// evaluation datasets. -in replays a captured query log instead.
+// evaluation datasets.
+//
+// -in draws the pool from a JSON-lines query log instead (the format
+// cmd/oreoreplay -mode record writes). With -n equal to the log's
+// length and the closed loop's default single worker, every line is
+// sent once, in order; -concurrency N feeds it in parallel. -table pins
+// every line to one served table; -table "" keeps the log's own
+// addressing (a line with no table routes by predicate, the server's
+// multi-table rule):
+//
+//	oreoload -url http://localhost:8080 -in trace.jsonl -table orders -execute -stream -n 500 -duration 2m
+//
 // -stream sends each worker's queries down one /v2/query/stream
 // connection in ping-pong mode; -execute asks for row-level execution
-// with a count aggregate, exercising the scan path.
+// with a count aggregate, exercising the scan path, and the report
+// then prints "executed N, matched rows M": the executions the answers
+// carried and the rows they matched.
 //
 // -append-ratio r mixes live writes into the run: every round(1/r)-th
 // operation appends a deterministic row batch through
@@ -177,15 +190,7 @@ func buildPool(table, dataset, in string, rows, poolN, segs int, seed int64, exe
 		if len(qs) == 0 {
 			return nil, fmt.Errorf("query log %s is empty", in)
 		}
-		for i := range qs {
-			if table != "" {
-				qs[i].Table = table
-			}
-			qs[i].Execute = execute
-			if execute {
-				qs[i].Aggs = []client.Aggregate{client.Count()}
-			}
-		}
+		load.Pin(qs, table, execute)
 		return qs, nil
 	}
 	var templates []workload.Template

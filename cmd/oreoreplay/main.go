@@ -13,35 +13,17 @@
 // Replaying the same log twice with the same seed is bit-identical, so
 // logs are the unit of exchange for debugging reorganization decisions.
 //
-// Serve mode replays the log against a LIVE oreoserve instance instead
-// of an in-process simulation, streaming every query through one
-// POST /v2/query/stream connection via the client SDK and reporting
-// wall-clock throughput next to the served cost ledger:
-//
-//	oreoreplay -mode serve -url http://localhost:8080 -in workload.jsonl
-//	oreoreplay -mode serve -url http://localhost:8080 -in workload.jsonl -table orders -execute
-//
-// -table pins every query to one served table, overriding any table
-// addressing captured in the log (without it, each line keeps its own
-// — and lines with none route by predicate, the server's multi-table
-// rule); -execute asks the
-// server to scan the survivor partitions and count matched rows, which
-// the summary then totals.
+// oreoreplay runs in process only. To send a log to a live oreoserve,
+// use oreoload -in (see cmd/oreoload).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
-	"sync/atomic"
-	"time"
 
-	"oreo/client"
 	"oreo/internal/experiments"
-	"oreo/internal/metrics"
 	"oreo/internal/persist"
 	"oreo/internal/policy"
 	"oreo/internal/sim"
@@ -50,7 +32,7 @@ import (
 
 func main() {
 	var (
-		mode     = flag.String("mode", "replay", "record | replay | serve")
+		mode     = flag.String("mode", "replay", "record | replay")
 		dataset  = flag.String("dataset", "tpch", "built-in dataset: tpch|tpcds|telemetry")
 		rows     = flag.Int("rows", 100000, "dataset rows (replay)")
 		queries  = flag.Int("queries", 30000, "stream length (record)")
@@ -62,9 +44,6 @@ func main() {
 		alpha    = flag.Float64("alpha", 80, "relative reorganization cost")
 		delay    = flag.Int("delay", 0, "background-reorganization delay (queries)")
 		seed     = flag.Int64("seed", 1, "seed for data, workload, and policies")
-		url      = flag.String("url", "", "base URL of a live oreoserve (serve mode)")
-		table    = flag.String("table", "", "pin every query to one served table (serve mode; overrides the log's addressing, empty keeps it)")
-		execute  = flag.Bool("execute", false, "ask the server to execute each query and report matched rows (serve mode)")
 	)
 	flag.Parse()
 
@@ -74,8 +53,6 @@ func main() {
 		err = record(*dataset, *queries, *segments, *out, *seed)
 	case "replay":
 		err = replay(*dataset, *rows, *in, *polName, *gen, *alpha, *delay, *seed)
-	case "serve":
-		err = serveReplay(*url, *in, *table, *execute)
 	default:
 		err = fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -184,156 +161,4 @@ func replay(dataset string, rows int, in, polName, genName string, alpha float64
 		res.QueryCost, res.ReorgCost, res.Switches, res.Total())
 	fmt.Printf("final layout: %s\n", res.FinalLayout)
 	return nil
-}
-
-// serveReplay streams a captured query log through a live server's
-// /v2/query/stream endpoint via the client SDK and reports wall-clock
-// QPS next to the cost the server billed — the live-system counterpart
-// of the in-process replay mode, and the fastest way to feed a
-// production log into a running optimizer.
-func serveReplay(url, in, table string, execute bool) error {
-	if url == "" {
-		return fmt.Errorf("-url is required in serve mode")
-	}
-	if in == "" {
-		return fmt.Errorf("-in is required in serve mode")
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	qs, err := client.LoadTrace(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if len(qs) == 0 {
-		return fmt.Errorf("query log %s is empty", in)
-	}
-	for i := range qs {
-		// IDs number from 1 so every answer is attributable (a wire ID
-		// of 0 means "no ID"). -table overrides the log's addressing;
-		// without it, lines keep whatever table they captured (none
-		// means predicate routing, the server's multi-table rule).
-		qs[i].ID = i + 1
-		if table != "" {
-			qs[i].Table = table
-		}
-		qs[i].Execute = execute
-	}
-
-	c, err := client.New(url)
-	if err != nil {
-		return err
-	}
-	// Per-query latency is measured inside the pipelined stream: the
-	// send goroutine stamps each line's send time (atomically — the
-	// recv loop reads the slice concurrently) and each answer observes
-	// now minus its line's stamp. That includes in-stream queueing,
-	// which is exactly what a query in a replay waits.
-	sendNanos := make([]atomic.Int64, len(qs))
-	hist := metrics.NewHistogram(metrics.LatencyBuckets())
-	onItem := func(it client.BatchItem) {
-		if it.Index >= 0 && it.Index < len(sendNanos) {
-			if sent := sendNanos[it.Index].Load(); sent != 0 {
-				hist.Observe(float64(time.Now().UnixNano()-sent) / 1e9)
-			}
-		}
-	}
-	start := time.Now()
-	items, err := replayTimed(context.Background(), c, qs, sendNanos, onItem)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	var (
-		answered, failed, matched int
-		costSum                   float64
-	)
-	for _, it := range items {
-		if it.Error != "" {
-			failed++
-			if failed == 1 {
-				fmt.Fprintf(os.Stderr, "first failure (query %d): %s\n", it.ID, it.Error)
-			}
-			continue
-		}
-		answered++
-		for _, r := range it.Results {
-			costSum += r.Cost
-			if r.Execution != nil {
-				matched += r.Execution.MatchedRows
-			}
-		}
-	}
-
-	qps := float64(len(items)) / elapsed.Seconds()
-	fmt.Printf("replayed %d queries from %s to %s in %v (%.0f qps)\n",
-		len(items), in, url, elapsed.Round(time.Millisecond), qps)
-	fmt.Printf("in-stream latency p50 %v  p99 %v  max %v\n",
-		time.Duration(hist.Quantile(0.50)*1e9).Round(time.Microsecond),
-		time.Duration(hist.Quantile(0.99)*1e9).Round(time.Microsecond),
-		time.Duration(hist.Max()*1e9).Round(time.Microsecond))
-	fmt.Printf("answered %d, failed %d; served cost %.2f (avg %.4f/query)\n",
-		answered, failed, costSum, costSum/float64(max(answered, 1)))
-	if execute {
-		fmt.Printf("matched rows %d\n", matched)
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d queries failed", failed, len(items))
-	}
-	return nil
-}
-
-// replayTimed is client.Replay with send-time stamping: queries stream
-// up one pipelined connection while answers drain concurrently, and
-// each query's send instant lands in sendNanos before its line hits
-// the pipe — so onItem can turn answer arrival into a latency sample.
-func replayTimed(ctx context.Context, c *client.Client, qs []client.Query,
-	sendNanos []atomic.Int64, onItem func(client.BatchItem)) ([]client.BatchItem, error) {
-	st, err := c.OpenStream(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-
-	sendErr := make(chan error, 1)
-	go func() {
-		for i, q := range qs {
-			sendNanos[i].Store(time.Now().UnixNano())
-			if err := st.Send(q); err != nil {
-				sendErr <- err
-				return
-			}
-		}
-		sendErr <- st.CloseSend()
-	}()
-
-	items := make([]client.BatchItem, 0, len(qs))
-	for {
-		item, err := st.Recv()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			select {
-			case serr := <-sendErr:
-				if serr != nil {
-					return nil, serr
-				}
-			default:
-			}
-			return nil, err
-		}
-		onItem(*item)
-		items = append(items, *item)
-	}
-	if err := <-sendErr; err != nil {
-		return nil, err
-	}
-	if len(items) != len(qs) {
-		return nil, fmt.Errorf("replay answered %d of %d queries", len(items), len(qs))
-	}
-	return items, nil
 }

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"time"
 
 	"oreo/internal/metrics"
@@ -386,7 +387,7 @@ func (a *ProcessActuator) stopRetiring(p *followerProc) {
 // stop terminates one process: SIGTERM, a bounded grace wait, SIGKILL.
 func (a *ProcessActuator) stop(p *followerProc) {
 	if p.cmd.Process != nil {
-		p.cmd.Process.Signal(os.Interrupt)
+		p.cmd.Process.Signal(syscall.SIGTERM)
 	}
 	select {
 	case <-p.done:

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -359,14 +362,15 @@ func TestControllerPromotesOnlyADominatingFollower(t *testing.T) {
 // trivially spawnable command: spawn toward a target one action per
 // call, respect the cool-down and max, release a promoted follower
 // without reusing its slot, and retire on scale-down. The command is
-// a shell no-op that ignores the appended -addr/-follow/-advertise
-// flags (they land in unused positional parameters).
+// a shell that execs a sleeper, so the stop signal reaches the
+// sleeper itself; the appended -addr/-follow/-advertise flags land in
+// unused positional parameters.
 func TestProcessActuatorLifecycle(t *testing.T) {
 	const cooldown = 150 * time.Millisecond
 	reg := metrics.NewRegistry()
 	a, err := NewProcessActuator(ProcessActuatorConfig{
 		Binary:      "/bin/sh",
-		BaseArgs:    []string{"-c", "sleep 60", "follower"},
+		BaseArgs:    []string{"-c", "exec sleep 60", "follower"},
 		PortBase:    42000,
 		Max:         3,
 		Cooldown:    cooldown,
@@ -400,7 +404,7 @@ func TestProcessActuatorLifecycle(t *testing.T) {
 	a.mu.Lock()
 	args := a.procs[1].cmd.Args[1:]
 	a.mu.Unlock()
-	if want := []string{"-c", "sleep 60", "follower", "-addr", "127.0.0.1:42001", "-follow", "http://leader", "-advertise", "http://127.0.0.1:42001"}; !slices.Equal(args, want) {
+	if want := []string{"-c", "exec sleep 60", "follower", "-addr", "127.0.0.1:42001", "-follow", "http://leader", "-advertise", "http://127.0.0.1:42001"}; !slices.Equal(args, want) {
 		t.Fatalf("spawned args = %q; want %q", args, want)
 	}
 
@@ -450,6 +454,69 @@ func TestProcessActuatorLifecycle(t *testing.T) {
 	}
 }
 
+// TestProcessActuatorKillsAfterGrace pins the stop's second half: a
+// follower that ignores SIGTERM is killed once RetireGrace has passed,
+// not before, and the retire is counted.
+func TestProcessActuatorKillsAfterGrace(t *testing.T) {
+	const (
+		cooldown = 10 * time.Millisecond
+		grace    = 300 * time.Millisecond
+	)
+	ready := filepath.Join(t.TempDir(), "ready")
+	reg := metrics.NewRegistry()
+	a, err := NewProcessActuator(ProcessActuatorConfig{
+		Binary:      "/bin/sh",
+		BaseArgs:    []string{"-c", "trap '' TERM; : > '" + ready + "'; exec sleep 60", "follower"},
+		PortBase:    44000,
+		Cooldown:    cooldown,
+		RetireGrace: grace,
+		Logf:        t.Logf,
+		Reg:         reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.StopAll)
+
+	if n, err := a.Ensure(1, "http://leader"); err != nil || n != 1 {
+		t.Fatalf("Ensure = %d,%v; want 1", n, err)
+	}
+	a.mu.Lock()
+	p := a.procs[0]
+	a.mu.Unlock()
+	// The file appears after the trap is set: from then on SIGTERM is
+	// ignored, by the shell and by the sleeper it execs.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, err := os.Stat(ready); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("follower never set its SIGTERM trap")
+		}
+	}
+	time.Sleep(cooldown)
+
+	start := time.Now()
+	if n, err := a.Ensure(0, "http://leader"); err != nil || n != 0 {
+		t.Fatalf("scale-down Ensure = %d,%v; want 0", n, err)
+	}
+	if elapsed := time.Since(start); elapsed < grace {
+		t.Fatalf("a SIGTERM-ignoring follower was gone after %v, inside the %v grace", elapsed, grace)
+	}
+	select {
+	case <-p.done:
+	default:
+		t.Fatal("retire returned with the follower still running")
+	}
+	if ws, ok := p.cmd.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+		t.Fatalf("follower ended with %v; want SIGKILL", p.cmd.ProcessState)
+	}
+	sc := scrapeRegistry(t, reg)
+	if v, _ := sc.Value("oreo_cluster_retires_total", nil); v != 1 {
+		t.Fatalf("retires_total = %v, want 1", v)
+	}
+}
+
 // TestProcessActuatorRetarget pins the post-promotion convergence path:
 // Retarget replaces every managed follower with a fresh process aimed
 // at the new leader — immediately, ignoring the cool-down — while the
@@ -459,7 +526,7 @@ func TestProcessActuatorRetarget(t *testing.T) {
 	reg := metrics.NewRegistry()
 	a, err := NewProcessActuator(ProcessActuatorConfig{
 		Binary:      "/bin/sh",
-		BaseArgs:    []string{"-c", "sleep 60", "follower"},
+		BaseArgs:    []string{"-c", "exec sleep 60", "follower"},
 		PortBase:    43000,
 		Max:         3,
 		Cooldown:    cooldown,

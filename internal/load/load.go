@@ -41,8 +41,8 @@ type Spec struct {
 	// URL is the target server's base URL.
 	URL string
 	// Queries is the pool the run cycles through, in order. Required.
-	// Set Execute on the pool entries beforehand if the run should
-	// execute scans rather than only cost queries.
+	// Pin sets Execute on the pool entries if the run should execute
+	// scans rather than only cost queries.
 	Queries []client.Query
 
 	// Count stops the run after this many sends; Duration after this
@@ -118,6 +118,11 @@ type Report struct {
 	// appends contribute to neither.
 	AppendOps uint64
 	Appended  uint64
+	// Executed counts the executions successful answers carried, one
+	// per table result (the unit of the server's executions counter);
+	// Matched sums their MatchedRows. Both stay zero when costing only.
+	Executed uint64
+	Matched  uint64
 	// Latency percentiles over successful and failed completions alike.
 	P50, P90, P99, Max time.Duration
 }
@@ -132,6 +137,9 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "), %d failed\n", r.Failed)
 	if r.AppendOps > 0 {
 		fmt.Fprintf(&b, "appended %d rows in %d batches\n", r.Appended, r.AppendOps)
+	}
+	if r.Executed > 0 {
+		fmt.Fprintf(&b, "executed %d, matched rows %d\n", r.Executed, r.Matched)
 	}
 	fmt.Fprintf(&b, "latency p50 %v  p90 %v  p99 %v  max %v",
 		r.P50.Round(time.Microsecond), r.P90.Round(time.Microsecond),
@@ -151,6 +159,8 @@ type run struct {
 	failed    atomic.Uint64
 	appendOps atomic.Uint64
 	appended  atomic.Uint64
+	executed  atomic.Uint64
+	matched   atomic.Uint64
 	hist      *metrics.Histogram
 	started   time.Time
 }
@@ -234,6 +244,8 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		TargetQPS: spec.QPS,
 		AppendOps: r.appendOps.Load(),
 		Appended:  r.appended.Load(),
+		Executed:  r.executed.Load(),
+		Matched:   r.matched.Load(),
 		P50:       secondsToDuration(r.hist.Quantile(0.50)),
 		P90:       secondsToDuration(r.hist.Quantile(0.90)),
 		P99:       secondsToDuration(r.hist.Quantile(0.99)),
@@ -284,13 +296,14 @@ func (r *run) appendOnce(seq int) {
 		r.appendOps.Add(1)
 		r.appended.Add(uint64(ack.Appended))
 	}
-	r.record(time.Since(start), err)
+	r.record(time.Since(start), nil, err)
 }
 
-// record accounts one completed request. Failures caused only by the
-// run ending (deadline or cancellation) are ignored: they measure the
+// record accounts one completed request and, for a successful query,
+// the executions its answer carried. Failures caused only by the run
+// ending (deadline or cancellation) are ignored: they measure the
 // harness, not the server.
-func (r *run) record(d time.Duration, err error) {
+func (r *run) record(d time.Duration, results []client.TableResult, err error) {
 	if err != nil && r.ctx.Err() != nil {
 		return
 	}
@@ -298,6 +311,13 @@ func (r *run) record(d time.Duration, err error) {
 	r.hist.ObserveDuration(d)
 	if err != nil {
 		r.failed.Add(1)
+		return
+	}
+	for _, res := range results {
+		if res.Execution != nil {
+			r.executed.Add(1)
+			r.matched.Add(uint64(res.Execution.MatchedRows))
+		}
 	}
 }
 
@@ -391,18 +411,21 @@ func (r *run) worker(tickets <-chan struct{}) {
 			r.appendOnce(seq)
 			continue
 		}
-		var err error
+		var (
+			results []client.TableResult
+			err     error
+		)
 		start := time.Now()
 		if r.spec.Stream {
 			if st == nil {
 				st, err = r.c.OpenStream(r.ctx, client.WithFlushEvery(1))
 				if err != nil {
-					r.record(time.Since(start), err)
+					r.record(time.Since(start), nil, err)
 					continue
 				}
 			}
 			var fatal bool
-			err, fatal = pingPong(st, q)
+			results, err, fatal = pingPong(st, q)
 			if fatal {
 				// The stream is poisoned after a transport error; drop it
 				// and let the next iteration redial. A per-query error line
@@ -411,27 +434,27 @@ func (r *run) worker(tickets <-chan struct{}) {
 				st = nil
 			}
 		} else {
-			_, err = r.c.Query(r.ctx, q)
+			results, err = r.c.Query(r.ctx, q)
 		}
-		r.record(time.Since(start), err)
+		r.record(time.Since(start), results, err)
 	}
 }
 
-// pingPong sends one query down the stream and waits for its answer —
-// flush-every-1 keeps exactly one query in flight per connection, so
-// the measured time is a true per-query latency.
-func pingPong(st *client.Stream, q client.Query) (err error, fatal bool) {
+// pingPong sends one query down the stream and returns its answer's
+// results — flush-every-1 keeps exactly one query in flight per
+// connection, so the measured time is a true per-query latency.
+func pingPong(st *client.Stream, q client.Query) (results []client.TableResult, err error, fatal bool) {
 	if err := st.Send(q); err != nil {
-		return err, true
+		return nil, err, true
 	}
 	item, err := st.Recv()
 	if err != nil {
-		return err, true
+		return nil, err, true
 	}
 	if item.Error != "" {
-		return errors.New(item.Error), false
+		return nil, errors.New(item.Error), false
 	}
-	return nil, false
+	return item.Results, nil, false
 }
 
 // progressLoop emits snapshots until the run finishes.

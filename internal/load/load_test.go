@@ -4,20 +4,21 @@ import (
 	"context"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"oreo"
 	"oreo/client"
+	"oreo/internal/query"
 	"oreo/internal/serve"
 	"oreo/internal/workload"
 )
 
-// newLoadTarget boots a fixture server matching the oreoserve "orders"
-// fixture shape, as the target of load runs.
-func newLoadTarget(t *testing.T, rows int) *httptest.Server {
-	t.Helper()
+// ordersFixture builds the "orders" rows newLoadTarget serves,
+// deterministically, so a test can count a query's matches itself.
+func ordersFixture(rows int) *oreo.Dataset {
 	schema := oreo.NewSchema(
 		oreo.Column{Name: "order_ts", Type: oreo.Int64},
 		oreo.Column{Name: "status", Type: oreo.String},
@@ -29,8 +30,35 @@ func newLoadTarget(t *testing.T, rows int) *httptest.Server {
 	for i := 0; i < rows; i++ {
 		b.AppendRow(oreo.Int(int64(i)), oreo.Str(statuses[rng.Intn(4)]), oreo.Float(rng.Float64()*500))
 	}
+	return b.Build()
+}
+
+// matchedRows is the closed form of Report.Matched for a run of count
+// queries over pool against ordersFixture(rows): the rows each query
+// sent matches, summed, skipping the queries at the skip indexes.
+func matchedRows(rows int, pool []client.Query, count int, skip ...int) uint64 {
+	ds := ordersFixture(rows)
+	var n uint64
+	for i := 0; i < count; i++ {
+		if slices.Contains(skip, i%len(pool)) {
+			continue
+		}
+		q := query.Query{Preds: query.FromWire(pool[i%len(pool)].Preds)}
+		for r := 0; r < ds.NumRows(); r++ {
+			if q.MatchRow(ds, r) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// newLoadTarget boots a fixture server matching the oreoserve "orders"
+// fixture shape, as the target of load runs.
+func newLoadTarget(t *testing.T, rows int) *httptest.Server {
+	t.Helper()
 	m := oreo.NewMulti()
-	if err := m.AddTable("orders", b.Build(), oreo.Config{
+	if err := m.AddTable("orders", ordersFixture(rows), oreo.Config{
 		Partitions: 16, InitialSort: []string{"order_ts"}, Seed: 7,
 	}); err != nil {
 		t.Fatal(err)
@@ -45,8 +73,9 @@ func newLoadTarget(t *testing.T, rows int) *httptest.Server {
 }
 
 // TestClosedLoopCount pins the count-bounded closed loop: exactly Count
-// queries are sent, none fail, and the report's percentiles are
-// populated and ordered.
+// queries are sent, none fail, every one is executed and the matched
+// rows add up to the fixture's closed form, and the report's
+// percentiles are populated and ordered.
 func TestClosedLoopCount(t *testing.T) {
 	const rows = 4000
 	ts := newLoadTarget(t, rows)
@@ -72,6 +101,12 @@ func TestClosedLoopCount(t *testing.T) {
 	if rep.Failed != 0 {
 		t.Errorf("failed = %d, want 0", rep.Failed)
 	}
+	if rep.Executed != 200 {
+		t.Errorf("executed = %d, want 200", rep.Executed)
+	}
+	if want := matchedRows(rows, pool, 200); rep.Matched != want || want == 0 {
+		t.Errorf("matched = %d, want %d", rep.Matched, want)
+	}
 	if rep.QPS <= 0 {
 		t.Errorf("achieved qps = %v", rep.QPS)
 	}
@@ -82,11 +117,12 @@ func TestClosedLoopCount(t *testing.T) {
 
 // TestStreamLoop runs the same bounded run over one long-lived stream
 // connection per worker, including failed queries (unknown table) which
-// must count as failures without poisoning the connection.
+// must count as failures without poisoning the connection, and neither
+// as executed nor as matched.
 func TestStreamLoop(t *testing.T) {
 	const rows = 4000
 	ts := newLoadTarget(t, rows)
-	pool, err := BuildPool(workload.FixtureTemplates("orders", rows), "orders", 50, 2, false, 3)
+	pool, err := BuildPool(workload.FixtureTemplates("orders", rows), "orders", 50, 2, true, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +144,12 @@ func TestStreamLoop(t *testing.T) {
 	}
 	if rep.Failed != 1 {
 		t.Errorf("failed = %d, want exactly the poisoned query", rep.Failed)
+	}
+	if rep.Executed != 49 {
+		t.Errorf("executed = %d, want 49 (every query but the poisoned one)", rep.Executed)
+	}
+	if want := matchedRows(rows, pool, 50, 7); rep.Matched != want || want == 0 {
+		t.Errorf("matched = %d, want %d", rep.Matched, want)
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 
 // BuildPool materializes a query pool from a workload template library:
 // n queries over the given number of template segments, pinned to one
-// served table, deterministically from the seed. With execute set each
-// query asks the server to scan its survivors and count matched rows —
-// the full read path rather than costing alone.
+// served table, deterministically from the seed; execute is set as
+// Pin sets it.
 func BuildPool(templates []workload.Template, table string, n, segments int, execute bool, seed int64) ([]client.Query, error) {
 	if len(templates) == 0 {
 		return nil, fmt.Errorf("load: empty template library")
@@ -30,11 +29,24 @@ func BuildPool(templates []workload.Template, table string, n, segments int, exe
 	}
 	pool := make([]client.Query, len(stream.Queries))
 	for i, q := range stream.Queries {
-		cq := client.Query{Table: table, Preds: query.ToWire(q.Preds), Execute: execute}
-		if execute {
-			cq.Aggs = []client.Aggregate{client.Count()}
-		}
-		pool[i] = cq
+		pool[i] = client.Query{Preds: query.ToWire(q.Preds)}
 	}
+	Pin(pool, table, execute)
 	return pool, nil
+}
+
+// Pin addresses every query of a pool to table (an empty table keeps
+// each query's own addressing) and sets whether it executes: with
+// execute set, each query asks the server to scan its survivors and
+// count matched rows — the full read path rather than costing alone.
+func Pin(pool []client.Query, table string, execute bool) {
+	for i := range pool {
+		if table != "" {
+			pool[i].Table = table
+		}
+		pool[i].Execute = execute
+		if execute {
+			pool[i].Aggs = []client.Aggregate{client.Count()}
+		}
+	}
 }

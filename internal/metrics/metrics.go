@@ -215,9 +215,9 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // LatencyBuckets is the default latency histogram shape, in seconds:
 // 50µs to ~52s in 40 exponential steps (factor 1.425), fine enough for
 // sub-millisecond in-memory serving and wide enough for a stalled
-// follower re-snapshot. Shared by the HTTP middleware, oreoload, and
-// oreoreplay so every latency figure in the system is bucketed the
-// same way.
+// follower re-snapshot. Shared by the HTTP middleware and by oreoload,
+// the one client-side driver, so every latency figure in the system
+// is bucketed the same way.
 func LatencyBuckets() []float64 { return ExpBuckets(50e-6, 1.425, 40) }
 
 // series is one registered (labels, cell) pair inside a family.

@@ -226,7 +226,7 @@ func NewServer(core *Core, cfg Config) *Server {
 	}
 	// The stream histogram measures whole-stream wall time (one sample
 	// per connection, not per NDJSON line); per-query stream latency is
-	// a client-side measurement (oreoload, oreoreplay).
+	// a client-side measurement (oreoload).
 	s.mux.HandleFunc("POST /v2/query/stream", s.instrument("stream", s.handleStream))
 	// The live write path is /v2-only: /v1 is the frozen read-replay
 	// contract and gains no routes.

@@ -155,8 +155,8 @@
 // as flags); the public client package is the typed Go SDK — stdlib-
 // only, speaking both surfaces with the query-log predicate encoding,
 // mapping failures back to typed errors, and bulk-replaying traces
-// through one stream (Client.Replay; cmd/oreoreplay -mode serve drives
-// it against a live server and reports QPS). See Example_serving in
+// through one stream (Client.Replay; cmd/oreoload -in LOG -stream
+// -execute replays a log against a live server). See Example_serving in
 // internal/serve for the raw wire loop and client's ExampleClient for
 // the SDK loop.
 // SaveStateWithData/LoadStateWithData round-trip a layout together
@@ -461,8 +461,8 @@
 // p50/p90/p99/max from the same histogram buckets the server exports.
 // BENCHMARK.json declares the repo's own benchmark (go run -C bench .:
 // four workloads, with a traced read ladder from Core through unary
-// and stream to a follower); cmd/oreoreplay -mode serve
-// reports in-stream replay percentiles next to QPS. See
+// and stream to a follower); cmd/oreoload -in LOG -stream -execute
+// reports a replayed log's percentiles, QPS and matched rows. See
 // Example_metrics in internal/replica for a leader + follower pair
 // scraped under load.
 //
