@@ -69,8 +69,8 @@ func BenchmarkFig3EndToEnd(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rows := experiments.Fig3(s, p)
 				for _, r := range rows {
-					if r.Generator == experiments.GenQdTree {
-						b.ReportMetric(r.TotalHours, "h_"+sanitize(r.Policy))
+					if r.Group == string(experiments.GenQdTree) {
+						b.ReportMetric(r.TotalSeconds()/3600, "h_"+sanitize(r.Policy))
 					}
 				}
 			}
@@ -92,12 +92,12 @@ func BenchmarkFig4GapToOptimal(b *testing.B) {
 				series := experiments.Fig4(s, p)
 				var offline, oreoTotal float64
 				for _, sr := range series {
-					b.ReportMetric(sr.Total, "cost_"+sanitize(sr.Policy))
+					b.ReportMetric(sr.Total(), "cost_"+sanitize(sr.Policy))
 					switch sr.Policy {
 					case "Offline Optimal":
-						offline = sr.Total
+						offline = sr.Total()
 					case "OREO":
-						oreoTotal = sr.Total
+						oreoTotal = sr.Total()
 					}
 				}
 				if offline > 0 {
@@ -117,8 +117,8 @@ func BenchmarkFig5AlphaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiments.Fig5(s, p, nil)
 		for _, r := range rows {
-			b.ReportMetric(r.Total, fmt.Sprintf("total_a%.0f", r.Alpha))
-			b.ReportMetric(float64(r.Switches), fmt.Sprintf("switches_a%.0f", r.Alpha))
+			b.ReportMetric(r.Total(), "total_a"+r.Variant)
+			b.ReportMetric(float64(r.Switches), "switches_a"+r.Variant)
 		}
 	}
 }
@@ -132,8 +132,8 @@ func BenchmarkFig6EpsilonSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiments.Fig6(s, p, nil)
 		for _, r := range rows {
-			b.ReportMetric(float64(r.MaxSpace), fmt.Sprintf("maxS_e%g", r.Epsilon))
-			b.ReportMetric(r.Total, fmt.Sprintf("total_e%g", r.Epsilon))
+			b.ReportMetric(float64(r.MaxSpace), "maxS_e"+r.Variant)
+			b.ReportMetric(r.Total(), "total_e"+r.Variant)
 		}
 	}
 }

@@ -124,7 +124,10 @@ func run(exp, dataset, scale string, seed int64, f report.Format) error {
 				if err != nil {
 					return err
 				}
-				if err := emit(table2Table(s)); err != nil {
+				t := labelledTable(fmt.Sprintf("Table II: ablations, dataset=%s (logical costs)", s.Cfg.Dataset),
+					[]string{"group", "variant", "query_cost", "reorg_cost", "switches", "default"},
+					experiments.Table2(s, experiments.DefaultParams()))
+				if err := emit(t); err != nil {
 					return err
 				}
 			}
@@ -133,7 +136,11 @@ func run(exp, dataset, scale string, seed int64, f report.Format) error {
 			if err != nil {
 				return err
 			}
-			if err := emit(ablationTable(s)); err != nil {
+			p := experiments.DefaultParams()
+			t := labelledTable(fmt.Sprintf("Ablations: design choices (dataset=%s, qd-tree)", s.Cfg.Dataset),
+				[]string{"ablation", "variant", "query_cost", "reorg_cost", "reorgs", "default"},
+				append(experiments.AblationStayInPlace(s, p), experiments.AblationMultiCopy(s, p, nil)...))
+			if err := emit(t); err != nil {
 				return err
 			}
 		case "appendixa":
@@ -190,8 +197,8 @@ func fig3Table(s *experiments.Scenario) *report.Table {
 		Header: []string{"gen", "policy", "query_h", "reorg_h", "total_h", "qcost", "rcost", "switches"},
 	}
 	for _, r := range experiments.Fig3(s, experiments.DefaultParams()) {
-		t.AddRow(string(r.Generator), r.Policy,
-			round2(r.QueryHours), round2(r.ReorgHours), round2(r.TotalHours),
+		t.AddRow(r.Group, r.Policy,
+			round2(r.QuerySeconds/3600), round2(r.ReorgSeconds/3600), round2(r.TotalSeconds()/3600),
 			round0(r.QueryCost), round0(r.ReorgCost), r.Switches)
 	}
 	return t
@@ -204,7 +211,7 @@ func fig4Tables(s *experiments.Scenario) (summary, curves *report.Table) {
 		Header: []string{"policy", "total", "switches"},
 	}
 	for _, sr := range series {
-		summary.AddRow(sr.Policy, round0(sr.Total), sr.Switches)
+		summary.AddRow(sr.Policy, round0(sr.Total()), sr.Switches)
 	}
 
 	curves = &report.Table{
@@ -221,7 +228,7 @@ func fig4Tables(s *experiments.Scenario) (summary, curves *report.Table) {
 			step = 1
 		}
 		for i := 0; i < n; i += step {
-			row := []interface{}{(i + 1) * series[0].Stride}
+			row := []interface{}{(i + 1) * series[0].CurveStride}
 			for _, sr := range series {
 				v := 0.0
 				if i < len(sr.Curve) {
@@ -241,7 +248,7 @@ func fig5Table(s *experiments.Scenario) *report.Table {
 		Header: []string{"alpha", "query_cost", "reorg_cost", "total", "switches"},
 	}
 	for _, r := range experiments.Fig5(s, experiments.DefaultParams(), nil) {
-		t.AddRow(r.Alpha, round0(r.QueryCost), round0(r.ReorgCost), round0(r.Total), r.Switches)
+		t.AddRow(r.Variant, round0(r.QueryCost), round0(r.ReorgCost), round0(r.Total()), r.Switches)
 	}
 	return t
 }
@@ -252,41 +259,22 @@ func fig6Table(s *experiments.Scenario) *report.Table {
 		Header: []string{"epsilon", "avg_states", "max_states", "query_cost", "reorg_cost", "total"},
 	}
 	for _, r := range experiments.Fig6(s, experiments.DefaultParams(), nil) {
-		t.AddRow(r.Epsilon, round2(r.AvgSpace), r.MaxSpace,
-			round0(r.QueryCost), round0(r.ReorgCost), round0(r.Total))
+		t.AddRow(r.Variant, round2(r.AvgSpace), r.MaxSpace,
+			round0(r.QueryCost), round0(r.ReorgCost), round0(r.Total()))
 	}
 	return t
 }
 
-func table2Table(s *experiments.Scenario) *report.Table {
-	t := &report.Table{
-		Title:  fmt.Sprintf("Table II: ablations, dataset=%s (logical costs)", s.Cfg.Dataset),
-		Header: []string{"group", "variant", "query_cost", "reorg_cost", "switches", "default"},
-	}
-	for _, r := range experiments.Table2(s, experiments.DefaultParams()) {
-		def := ""
-		if r.Default {
-			def = "*"
-		}
-		t.AddRow(r.Group, r.Variant, round0(r.QueryCost), round0(r.ReorgCost), r.Switches, def)
-	}
-	return t
-}
-
-func ablationTable(s *experiments.Scenario) *report.Table {
-	t := &report.Table{
-		Title:  fmt.Sprintf("Ablations: design choices (dataset=%s, qd-tree)", s.Cfg.Dataset),
-		Header: []string{"ablation", "variant", "query_cost", "reorg_cost", "reorgs", "default"},
-	}
-	p := experiments.DefaultParams()
-	rows := experiments.AblationStayInPlace(s, p)
-	rows = append(rows, experiments.AblationMultiCopy(s, p, nil)...)
+// labelledTable renders Table II and the design-choice ablations: one
+// line per labelled run, the default configuration starred.
+func labelledTable(title string, header []string, rows []experiments.Row) *report.Table {
+	t := &report.Table{Title: title, Header: header}
 	for _, r := range rows {
 		def := ""
 		if r.Default {
 			def = "*"
 		}
-		t.AddRow(r.Ablation, r.Variant, round0(r.QueryCost), round0(r.ReorgCost), r.Switches, def)
+		t.AddRow(r.Group, r.Variant, round0(r.QueryCost), round0(r.ReorgCost), r.Switches, def)
 	}
 	return t
 }
@@ -310,7 +298,7 @@ func sweepTable(s *experiments.Scenario) *report.Table {
 		Header: []string{"source", "query_cost", "reorg_cost", "switches"},
 	}
 	for _, r := range experiments.ColumnSweep(s, experiments.DefaultParams(), 300) {
-		t.AddRow(r.Source, round0(r.QueryCost), round0(r.ReorgCost), r.Switches)
+		t.AddRow(r.Variant, round0(r.QueryCost), round0(r.ReorgCost), r.Switches)
 	}
 	return t
 }

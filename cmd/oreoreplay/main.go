@@ -26,7 +26,6 @@ import (
 	"oreo/internal/experiments"
 	"oreo/internal/persist"
 	"oreo/internal/policy"
-	"oreo/internal/sim"
 	"oreo/internal/workload"
 )
 
@@ -153,7 +152,7 @@ func replay(dataset string, rows int, in, polName, genName string, alpha float64
 		return fmt.Errorf("unknown policy %q", polName)
 	}
 
-	res := sim.Run(qs, pol, sim.Config{Alpha: alpha, Delay: delay})
+	res := s.Run(pol, p)
 	fmt.Printf("replayed %d queries from %s on %s (%d rows, k=%d)\n",
 		len(qs), in, dataset, rows, s.Partitions)
 	fmt.Printf("policy=%s generator=%s alpha=%.0f delay=%d\n", res.Policy, genName, alpha, delay)

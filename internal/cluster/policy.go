@@ -32,10 +32,25 @@ type Policy interface {
 	Target(sig Signals) int
 }
 
+// scaleDownFraction guards ThresholdPolicy's shrink decisions: one
+// follower is removed only when QPS per node would stay under
+// scaleDownFraction × MaxQPSPerNode with one node fewer AND p99 is
+// under scaleDownFraction × MaxP99. Keeping the up and down thresholds
+// apart is what prevents flapping at a boundary.
+const scaleDownFraction = 0.5
+
+// maxUtilization caps QueueingPolicy's per-node utilization ρ = λ/(cμ),
+// and maxNodes bounds its search.
+const (
+	maxUtilization = 0.8
+	maxNodes       = 64
+)
+
 // ThresholdPolicy is the first-order scaling rule: add a follower when
 // any pressure signal crosses its ceiling, remove one when every
-// signal is comfortably below what the smaller fleet could absorb.
-// Zero-valued thresholds disable their signal.
+// signal is comfortably below what the smaller fleet could absorb
+// (scaleDownFraction of its ceiling). Zero-valued thresholds disable
+// their signal.
 type ThresholdPolicy struct {
 	// MaxQPSPerNode scales up when achieved QPS per serving node
 	// (followers + the leader) exceeds it.
@@ -45,13 +60,6 @@ type ThresholdPolicy struct {
 	// MaxLagEpochs scales up when any follower's replication lag
 	// exceeds it — an overloaded follower lags before it errors.
 	MaxLagEpochs float64
-	// ScaleDownFraction guards shrink decisions: one follower is
-	// removed only when QPS per node would stay under
-	// ScaleDownFraction × MaxQPSPerNode with one node fewer AND p99 is
-	// under ScaleDownFraction × MaxP99. Zero selects 0.5. Keeping the
-	// up and down thresholds apart is what prevents flapping at a
-	// boundary.
-	ScaleDownFraction float64
 }
 
 // Target implements Policy.
@@ -66,19 +74,15 @@ func (p ThresholdPolicy) Target(sig Signals) int {
 	if p.MaxLagEpochs > 0 && sig.MaxLagEpochs > p.MaxLagEpochs {
 		return sig.Followers + 1
 	}
-	frac := p.ScaleDownFraction
-	if frac <= 0 {
-		frac = 0.5
-	}
 	if sig.Followers > 0 {
 		downOK := true
-		if p.MaxQPSPerNode > 0 && sig.QPS/(nodes-1) > frac*p.MaxQPSPerNode {
+		if p.MaxQPSPerNode > 0 && sig.QPS/(nodes-1) > scaleDownFraction*p.MaxQPSPerNode {
 			downOK = false
 		}
-		if p.MaxP99 > 0 && float64(sig.P99) > frac*float64(p.MaxP99) {
+		if p.MaxP99 > 0 && float64(sig.P99) > scaleDownFraction*float64(p.MaxP99) {
 			downOK = false
 		}
-		if p.MaxLagEpochs > 0 && sig.MaxLagEpochs > frac*p.MaxLagEpochs {
+		if p.MaxLagEpochs > 0 && sig.MaxLagEpochs > scaleDownFraction*p.MaxLagEpochs {
 			downOK = false
 		}
 		if downOK {
@@ -93,7 +97,8 @@ func (p ThresholdPolicy) Target(sig Signals) int {
 // each sustaining ServiceRate queries per second, fed by one Poisson
 // stream at the observed QPS. The policy picks the smallest c whose
 // Erlang-C mean queueing delay is at or under TargetWait and whose
-// utilization stays under MaxUtilization, then asks for c−1 followers.
+// utilization stays under maxUtilization, then asks for c−1 followers
+// (at most maxNodes−1).
 // It is deliberately a planning estimate, not a controller on its own:
 // the observed QPS is the *achieved* rate, which under saturation
 // understates offered load, so QueueingPolicy is best combined with a
@@ -105,11 +110,6 @@ type QueueingPolicy struct {
 	// TargetWait is the acceptable mean queueing delay; zero selects
 	// 10ms.
 	TargetWait time.Duration
-	// MaxUtilization caps per-node utilization ρ = λ/(cμ); zero
-	// selects 0.8.
-	MaxUtilization float64
-	// MaxNodes bounds the search; zero selects 64.
-	MaxNodes int
 }
 
 // Target implements Policy.
@@ -121,21 +121,13 @@ func (p QueueingPolicy) Target(sig Signals) int {
 	if wait <= 0 {
 		wait = 10 * time.Millisecond
 	}
-	maxUtil := p.MaxUtilization
-	if maxUtil <= 0 || maxUtil >= 1 {
-		maxUtil = 0.8
-	}
-	maxNodes := p.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 64
-	}
 	lambda := sig.QPS
 	if lambda <= 0 {
 		return 0
 	}
 	for c := 1; c <= maxNodes; c++ {
 		rho := lambda / (float64(c) * p.ServiceRate)
-		if rho >= maxUtil {
+		if rho >= maxUtilization {
 			continue
 		}
 		wq := erlangCWait(lambda, p.ServiceRate, c)
@@ -159,9 +151,9 @@ func erlangCWait(lambda, mu float64, c int) float64 {
 	// Erlang-B recurrence: B(0) = 1, B(k) = a·B(k−1) / (k + a·B(k−1)).
 	b := 1.0
 	for k := 1; k <= c; k++ {
-		b = a * b / (float64(k) + a*b)
+		b = a * b / (float64(k) + float64(a*b))
 	}
 	// Erlang-C from Erlang-B.
-	pw := b / (1 - rho*(1-b))
-	return pw / (float64(c)*mu - lambda)
+	pw := b / (1 - float64(rho*(1-b)))
+	return pw / (float64(float64(c)*mu) - lambda)
 }

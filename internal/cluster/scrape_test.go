@@ -134,7 +134,7 @@ func TestThresholdPolicy(t *testing.T) {
 }
 
 func TestQueueingPolicy(t *testing.T) {
-	p := QueueingPolicy{ServiceRate: 100, TargetWait: 10 * time.Millisecond, MaxUtilization: 0.8}
+	p := QueueingPolicy{ServiceRate: 100, TargetWait: 10 * time.Millisecond}
 	// No load: no followers needed.
 	if got := p.Target(Signals{QPS: 0}); got != 0 {
 		t.Fatalf("idle target = %d, want 0", got)

@@ -7,30 +7,17 @@ import (
 	"oreo/internal/manager"
 	"oreo/internal/mts"
 	"oreo/internal/policy"
+	"oreo/internal/sim"
 )
-
-// AblationRow is one variant of a design-choice ablation.
-type AblationRow struct {
-	// Ablation names the design choice ("stay-in-place", "multi-copy").
-	Ablation string
-	// Variant labels the setting.
-	Variant string
-	// Default marks the configuration the paper (and this repo) ships.
-	Default bool
-
-	QueryCost float64
-	ReorgCost float64
-	Switches  int
-}
 
 // AblationStayInPlace quantifies the paper's §IV-A optimization: at a
 // phase start, keep the current state rather than jumping to a random
 // one (the original BLS behaviour). The paper reports the optimization
 // "significantly improves the reorganization cost"; this ablation
 // regenerates that comparison on a scenario.
-func AblationStayInPlace(s *Scenario, p RunParams) []AblationRow {
+func AblationStayInPlace(s *Scenario, p RunParams) []Row {
 	gen := s.Generator(GenQdTree)
-	var rows []AblationRow
+	var rows []Row
 	for _, disable := range []bool{false, true} {
 		pp := p
 		pp.DisableStayInPlace = disable
@@ -39,14 +26,7 @@ func AblationStayInPlace(s *Scenario, p RunParams) []AblationRow {
 		if disable {
 			variant = "random-restart"
 		}
-		rows = append(rows, AblationRow{
-			Ablation:  "stay-in-place",
-			Variant:   variant,
-			Default:   !disable,
-			QueryCost: r.QueryCost,
-			ReorgCost: r.ReorgCost,
-			Switches:  r.Switches,
-		})
+		rows = append(rows, Row{Group: "stay-in-place", Variant: variant, Default: !disable, Result: r})
 	}
 	return rows
 }
@@ -56,36 +36,30 @@ func AblationStayInPlace(s *Scenario, p RunParams) []AblationRow {
 // every query on the cheapest resident copy, and paying α only to
 // materialize a non-resident layout. B = 1 approximates the single-copy
 // algorithm; larger budgets trade storage for reorganization cost.
-func AblationMultiCopy(s *Scenario, p RunParams, budgets []int) []AblationRow {
+func AblationMultiCopy(s *Scenario, p RunParams, budgets []int) []Row {
 	if budgets == nil {
 		budgets = []int{1, 2, 4}
 	}
 	gen := s.Generator(GenQdTree)
-	rows := make([]AblationRow, 0, len(budgets))
+	rows := make([]Row, 0, len(budgets))
 	for _, b := range budgets {
-		q, r, mats := runMultiCopy(s, gen, b, p)
-		rows = append(rows, AblationRow{
-			Ablation:  "multi-copy",
-			Variant:   fmt.Sprintf("B=%d", b),
-			Default:   b == 1,
-			QueryCost: q,
-			ReorgCost: r,
-			Switches:  mats,
-		})
+		r := runMultiCopy(s, gen, b, p)
+		rows = append(rows, Row{Group: "multi-copy", Variant: fmt.Sprintf("B=%d", b), Default: b == 1, Result: r})
 	}
 	return rows
 }
 
 // runMultiCopy drives the multi-copy decision maker over the scenario
 // stream on the LAYOUT MANAGER OREO runs on: same seeded feed, same
-// ε-admission, same state space.
-func runMultiCopy(s *Scenario, gen layout.Generator, budget int, p RunParams) (queryCost, reorgCost float64, materializations int) {
+// ε-admission, same state space. Switches counts materializations.
+func runMultiCopy(s *Scenario, gen layout.Generator, budget int, p RunParams) sim.Result {
 	cfg := p.oreoConfig(s.Partitions)
 	mgr, rng := policy.NewManager(s.Data, gen, s.Default, cfg, p.Seed)
 	mc := mts.NewMultiCopy(cfg.MTS, budget, rng)
 	mc.AddState(manager.InitialState)
 	mc.MakeResident(manager.InitialState)
 
+	res := sim.Result{Policy: "MultiCopy", Queries: len(s.Stream.Queries)}
 	for _, q := range s.Stream.Queries {
 		for _, c := range mgr.Observe(q) {
 			if id, verdict := mgr.Offer(c.Layout); verdict == manager.Admitted {
@@ -99,10 +73,10 @@ func runMultiCopy(s *Scenario, gen layout.Generator, budget int, p RunParams) (q
 			return mgr.Layout(id).CostCompiled(cq)
 		})
 		if materialized {
-			reorgCost += p.Alpha
-			materializations++
+			res.ReorgCost += p.Alpha
+			res.Switches++
 		}
-		queryCost += mgr.Layout(serveIn).CostCompiled(cq)
+		res.QueryCost += mgr.Layout(serveIn).CostCompiled(cq)
 	}
-	return queryCost, reorgCost, materializations
+	return res
 }

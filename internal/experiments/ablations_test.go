@@ -15,7 +15,7 @@ func TestAblationStayInPlace(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	var with, without AblationRow
+	var with, without Row
 	for _, r := range rows {
 		if r.Variant == "stay-in-place" {
 			with = r

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"oreo/internal/manager"
-	"oreo/internal/policy"
 	"oreo/internal/sim"
 	"oreo/internal/workload"
 )
@@ -57,43 +56,24 @@ func AppendixA(s *Scenario) []AppendixARow {
 	return rows
 }
 
-// ColumnSweepComparison runs the §V-A column-sweep workload under
-// sliding-window and reservoir-sample candidate generation, reproducing
-// the argument for the SW default: on a workload that visits one column
-// at a time, reservoir-sourced layouts are blends over multiple columns
-// and lose to per-column specialists.
-type ColumnSweepResult struct {
-	Source    string
-	QueryCost float64
-	ReorgCost float64
-	Switches  int
-}
-
-// ColumnSweep builds the sweep workload over the scenario's dataset
-// (queriesPerCol per column) and runs OREO once per candidate source.
-func ColumnSweep(s *Scenario, p RunParams, queriesPerCol int) []ColumnSweepResult {
+// ColumnSweep runs the §V-A column-sweep workload under sliding-window
+// and reservoir-sample candidate generation, reproducing the argument
+// for the SW default: on a workload that visits one column at a time,
+// reservoir-sourced layouts are blends over multiple columns and lose
+// to per-column specialists. It builds the sweep over the scenario's
+// dataset (queriesPerCol per column) and runs OREO once per candidate
+// source, labelled in Variant.
+func ColumnSweep(s *Scenario, p RunParams, queriesPerCol int) []Row {
 	rng := rand.New(rand.NewSource(s.Cfg.Seed + 17))
 	stream := workload.GenerateColumnSweep(s.Data, queriesPerCol, rng)
 
-	var out []ColumnSweepResult
+	gen := s.Generator(GenQdTree)
+	var rows []Row
 	for _, src := range []manager.Source{manager.SourceWindow, manager.SourceReservoir} {
 		pp := p
 		pp.Source = src
-		pol := s.newOREOOverStream(pp)
-		res := sim.Run(stream.Queries, pol, pp.simConfig())
-		out = append(out, ColumnSweepResult{
-			Source:    src.String(),
-			QueryCost: res.QueryCost,
-			ReorgCost: res.ReorgCost,
-			Switches:  res.Switches,
-		})
+		r := sim.Run(stream.Queries, s.NewOREO(gen, pp), pp.Config)
+		rows = append(rows, Row{Variant: src.String(), Result: r})
 	}
-	return out
-}
-
-// newOREOOverStream builds an OREO policy bound to the scenario's
-// dataset but independent of its synthetic stream (used by workloads
-// generated outside the scenario, like the column sweep).
-func (s *Scenario) newOREOOverStream(p RunParams) policy.Policy {
-	return s.NewOREO(s.Generator(GenQdTree), p)
+	return rows
 }

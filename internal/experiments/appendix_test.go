@@ -49,9 +49,9 @@ func TestColumnSweepSWBeatsRS(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
-	var sw, rs ColumnSweepResult
+	var sw, rs Row
 	for _, r := range results {
-		switch r.Source {
+		switch r.Variant {
 		case "SW":
 			sw = r
 		case "RS":

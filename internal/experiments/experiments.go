@@ -17,7 +17,6 @@ import (
 	"oreo/internal/policy"
 	"oreo/internal/query"
 	"oreo/internal/sim"
-	"oreo/internal/storage"
 	"oreo/internal/table"
 	"oreo/internal/workload"
 )
@@ -156,14 +155,15 @@ func (s *Scenario) Generator(kind GeneratorKind) layout.Generator {
 	}
 }
 
-// RunParams are the policy-level knobs with the paper's defaults.
+// RunParams are the policy-level knobs with the paper's defaults. The
+// embedded sim.Config is the run's ledger: α (80), Δ (0), the disk
+// model and the curve and state-space sampling strides.
 type RunParams struct {
-	Alpha     float64        // 80
+	sim.Config
 	Gamma     float64        // 1
 	Epsilon   float64        // 0.08
 	Window    int            // 200
 	Period    int            // 200
-	Delay     int            // 0
 	Source    manager.Source // SourceWindow
 	MaxStates int            // 0 = unbounded
 	// DisableStayInPlace reverts the MTS phase-start behaviour to the
@@ -171,33 +171,17 @@ type RunParams struct {
 	// optimization).
 	DisableStayInPlace bool
 	Seed               int64
-	// Harness extras.
-	CurveStride int
-	SpaceStride int
-	Disk        *storage.DiskModel
-	TableMB     float64
 }
 
 // DefaultParams returns the paper's default parameter configuration.
 func DefaultParams() RunParams {
 	return RunParams{
-		Alpha:   policy.DefaultAlpha,
+		Config:  sim.Config{Alpha: policy.DefaultAlpha},
 		Gamma:   policy.DefaultGamma,
 		Epsilon: policy.DefaultEpsilon,
 		Window:  policy.DefaultWindow,
 		Period:  policy.DefaultWindow,
 		Seed:    7,
-	}
-}
-
-func (p RunParams) simConfig() sim.Config {
-	return sim.Config{
-		Alpha:       p.Alpha,
-		Delay:       p.Delay,
-		Disk:        p.Disk,
-		TableMB:     p.TableMB,
-		CurveStride: p.CurveStride,
-		SpaceStride: p.SpaceStride,
 	}
 }
 
@@ -289,5 +273,20 @@ func (s *Scenario) NewOfflineOptimal(perTemplate map[int]*layout.Layout) *policy
 
 // Run executes one policy over the scenario's stream.
 func (s *Scenario) Run(pol policy.Policy, p RunParams) sim.Result {
-	return sim.Run(s.Stream.Queries, pol, p.simConfig())
+	return sim.Run(s.Stream.Queries, pol, p.Config)
+}
+
+// Row is one labelled policy run: a bar of Figure 3, a point of Figure 5
+// or 6, a cell of Table II or of an ablation, a source of the column
+// sweep. The embedded sim.Result carries its costs.
+type Row struct {
+	// Group is the row's family: the generator kind in Figure 3, the
+	// group of Table II ("gamma", "sampling", "delay") and the ablation
+	// ("stay-in-place", "multi-copy").
+	Group string
+	// Variant labels the setting: the swept α or ε, "γ=1", "SW", "B=2".
+	Variant string
+	// Default marks the configuration the paper ships.
+	Default bool
+	sim.Result
 }

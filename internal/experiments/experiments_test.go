@@ -6,6 +6,7 @@ import (
 	"oreo/internal/datagen"
 	"oreo/internal/manager"
 	"oreo/internal/policy"
+	"oreo/internal/sim"
 )
 
 // tinyScenario keeps integration tests fast while exercising every
@@ -144,10 +145,10 @@ func TestFig3SmallShapes(t *testing.T) {
 	if len(rows) != 8 {
 		t.Fatalf("Fig3 rows = %d, want 8 (4 policies x 2 generators)", len(rows))
 	}
-	byKey := make(map[string]Fig3Row)
+	byKey := make(map[string]Row)
 	for _, r := range rows {
-		byKey[string(r.Generator)+"/"+r.Policy] = r
-		if r.QueryCost < 0 || r.ReorgCost < 0 || r.TotalHours < 0 {
+		byKey[r.Group+"/"+r.Policy] = r
+		if r.QueryCost < 0 || r.ReorgCost < 0 || r.TotalSeconds() < 0 {
 			t.Errorf("negative costs: %+v", r)
 		}
 		if r.ReorgCost != float64(r.Switches)*tinyParams().Alpha {
@@ -178,7 +179,7 @@ func TestFig4Shapes(t *testing.T) {
 	if len(series) != 4 {
 		t.Fatalf("Fig4 series = %d", len(series))
 	}
-	var offline, static Fig4Series
+	var offline, static sim.Result
 	for _, sr := range series {
 		if len(sr.Curve) == 0 {
 			t.Errorf("%s: empty curve", sr.Policy)
@@ -196,8 +197,8 @@ func TestFig4Shapes(t *testing.T) {
 		}
 	}
 	// The full-knowledge oracle must not lose to never-switching.
-	if offline.Total > static.Total {
-		t.Errorf("Offline Optimal (%.0f) worse than Static (%.0f)", offline.Total, static.Total)
+	if offline.Total() > static.Total() {
+		t.Errorf("Offline Optimal (%.0f) worse than Static (%.0f)", offline.Total(), static.Total())
 	}
 	// Offline switches exactly at template changes.
 	if want := s.Stream.NumSwitches(); offline.Switches > want+1 || offline.Switches == 0 {
@@ -218,9 +219,11 @@ func TestFig5SwitchesDecreaseWithAlpha(t *testing.T) {
 		t.Errorf("switches did not decrease with alpha: %d@10 vs %d@300",
 			rows[0].Switches, rows[2].Switches)
 	}
-	for _, r := range rows {
-		if r.Total != r.QueryCost+r.ReorgCost {
-			t.Errorf("total inconsistent: %+v", r)
+	// Each row is labelled with the α it ran with, as Figure 5's first
+	// column prints it.
+	for i, want := range []string{"10", "80", "300"} {
+		if rows[i].Variant != want {
+			t.Errorf("row %d: Variant = %q, want %q", i, rows[i].Variant, want)
 		}
 	}
 }
@@ -237,6 +240,13 @@ func TestFig6SpaceShrinksWithEpsilon(t *testing.T) {
 	if rows[0].MaxSpace < rows[1].MaxSpace {
 		t.Errorf("state space did not shrink with epsilon: %d@0.01 vs %d@0.4",
 			rows[0].MaxSpace, rows[1].MaxSpace)
+	}
+	// Each row is labelled with the ε it ran with, as Figure 6's first
+	// column prints it.
+	for i, want := range []string{"0.01", "0.4"} {
+		if rows[i].Variant != want {
+			t.Errorf("row %d: Variant = %q, want %q", i, rows[i].Variant, want)
+		}
 	}
 }
 
@@ -286,7 +296,7 @@ func TestTable2DelayOnlyAffectsQueryCost(t *testing.T) {
 	}
 	s := tinyScenario(t, datagen.TPCH)
 	rows := Table2(s, tinyParams())
-	var d0, d80 Table2Row
+	var d0, d80 Row
 	for _, r := range rows {
 		if r.Group == "delay" {
 			switch r.Variant {
@@ -312,9 +322,8 @@ func TestRunParamsPlumbing(t *testing.T) {
 	if p.Alpha != 80 || p.Gamma != 1 || p.Epsilon != 0.08 || p.Window != 200 {
 		t.Errorf("paper defaults wrong: %+v", p)
 	}
-	sc := p.simConfig()
-	if sc.Alpha != 80 || sc.Delay != 0 {
-		t.Errorf("simConfig = %+v", sc)
+	if sc := p.Config; sc.Alpha != 80 || sc.Delay != 0 {
+		t.Errorf("Config = %+v", sc)
 	}
 	oc := p.oreoConfig(32)
 	if fc := oc.Feed; fc.Partitions != 32 || fc.WindowSize != 200 || fc.Source != manager.SourceWindow {

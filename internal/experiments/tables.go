@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"oreo/internal/manager"
 	"oreo/internal/storage"
 )
@@ -11,42 +13,19 @@ func Table1() []storage.AlphaRow {
 	return storage.DefaultDiskModel().MeasureAlpha(nil)
 }
 
-// Table2Row is one ablation cell of Table II: a named variant's logical
-// query and reorganization costs on one dataset.
-type Table2Row struct {
-	// Group is "gamma", "sampling", or "delay".
-	Group string
-	// Variant is the setting label (e.g. "γ=1", "SW", "Δ=40").
-	Variant string
-	// Default marks the paper's default configuration row.
-	Default bool
-
-	Dataset   string
-	QueryCost float64
-	ReorgCost float64
-	Switches  int
-}
-
 // Table2 reproduces Table II on one scenario: the effect of the
 // transition-distribution bias γ ∈ {0,1,2,3}, of the candidate
 // workload-sampling strategy (SW, RS, SW+RS), and of the
 // reorganization delay Δ ∈ {0, 40, 80} — all with Qd-tree layouts and
-// logical costs, as in the paper.
-func Table2(s *Scenario, p RunParams) []Table2Row {
+// logical costs, as in the paper. Group is "gamma", "sampling" or
+// "delay"; Variant the setting ("γ=1", "SW", "Δ=40").
+func Table2(s *Scenario, p RunParams) []Row {
 	gen := s.Generator(GenQdTree)
-	var rows []Table2Row
+	var rows []Row
 
 	run := func(group, variant string, def bool, pp RunParams) {
 		r := s.Run(s.NewOREO(gen, pp), pp)
-		rows = append(rows, Table2Row{
-			Group:     group,
-			Variant:   variant,
-			Default:   def,
-			Dataset:   s.Cfg.Dataset,
-			QueryCost: r.QueryCost,
-			ReorgCost: r.ReorgCost,
-			Switches:  r.Switches,
-		})
+		rows = append(rows, Row{Group: group, Variant: variant, Default: def, Result: r})
 	}
 
 	// γ sweep (default γ=1).
@@ -54,7 +33,7 @@ func Table2(s *Scenario, p RunParams) []Table2Row {
 		pp := p
 		pp.Gamma = g
 		//oreovet:ignore floatbits compares a literal sweep constant to the config default; both are exact compile-time values
-		run("gamma", gammaLabel(g), g == p.Gamma, pp)
+		run("gamma", fmt.Sprintf("γ=%g", g), g == p.Gamma, pp)
 	}
 
 	// Sampling-source sweep (default SW).
@@ -68,35 +47,7 @@ func Table2(s *Scenario, p RunParams) []Table2Row {
 	for _, d := range []int{0, 40, 80} {
 		pp := p
 		pp.Delay = d
-		run("delay", deltaLabel(d), d == p.Delay, pp)
+		run("delay", fmt.Sprintf("Δ=%d", d), d == p.Delay, pp)
 	}
 	return rows
-}
-
-func gammaLabel(g float64) string {
-	switch g {
-	case 0:
-		return "γ=0"
-	case 1:
-		return "γ=1"
-	case 2:
-		return "γ=2"
-	case 3:
-		return "γ=3"
-	default:
-		return "γ=?"
-	}
-}
-
-func deltaLabel(d int) string {
-	switch d {
-	case 0:
-		return "Δ=0"
-	case 40:
-		return "Δ=40"
-	case 80:
-		return "Δ=80"
-	default:
-		return "Δ=?"
-	}
 }

@@ -159,7 +159,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	var cum float64
 	for i := range h.bounds {
 		cnt := h.counts[i].Load()

@@ -222,7 +222,7 @@ func (s *Scrape) HistQuantile(name string, q float64, prev *Scrape) (float64, bo
 	if total <= 0 {
 		return 0, false
 	}
-	rank := q * total
+	rank := float64(q * total)
 	lower, below := 0.0, 0.0
 	for _, le := range les {
 		count := cur[le]

@@ -101,23 +101,10 @@ func TestStateWithDataRoundTrip(t *testing.T) {
 
 	// Grow the base past the boot source and build a layout over the
 	// grown dataset — the state a leader holds after one compaction.
-	extra := boot.Sample([]int{1, 3, 5, 7, 9, 11, 13, 15})
-	tail := table.NewBuilder(boot.Schema(), extra.NumRows())
-	rows := make([]int, extra.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	// Rebuild the tail over boot's schema pointer (Sample preserves it,
-	// but keep the intent explicit).
-	tail.AppendRows(extra, rows)
-	base := table.Concat(boot, tail.Build())
+	base := table.Concat(boot, pickRows(boot, 1, 3, 5, 7, 9, 11, 13, 15))
 	grownLayout := layout.NewSortGenerator("ts").Generate(base, nil, 8)
 
-	delta := boot.Sample([]int{2, 4, 6})
-	deltaDS := table.NewBuilder(boot.Schema(), delta.NumRows())
-	deltaDS.AppendRows(delta, []int{0, 1, 2})
-
-	doc, err := CaptureStateWithData(grownLayout, base, boot.NumRows(), deltaDS.Build())
+	doc, err := CaptureStateWithData(grownLayout, base, boot.NumRows(), pickRows(boot, 2, 4, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +143,7 @@ func TestStateWithDataRoundTrip(t *testing.T) {
 	}
 
 	// A shrunk/grown boot source must be an explicit error.
-	if _, _, err := back.BindData(boot.Sample([]int{0, 1, 2})); err == nil {
+	if _, _, err := back.BindData(pickRows(boot, 0, 1, 2)); err == nil {
 		t.Error("mismatched boot source accepted")
 	}
 }
@@ -231,10 +218,10 @@ func TestUnknownVersionsRejected(t *testing.T) {
 func TestSaveLoadStateWithData(t *testing.T) {
 	boot, _, _ := stateFixture(t, 300, 4)
 
-	tailSrc := boot.Sample([]int{10, 20, 30, 40, 50})
+	tailSrc := pickRows(boot, 10, 20, 30, 40, 50)
 	base := table.Concat(boot, tailSrc)
 	grown := layout.NewSortGenerator("ts").Generate(base, nil, 6)
-	deltaSrc := boot.Sample([]int{60, 70})
+	deltaSrc := pickRows(boot, 60, 70)
 
 	var buf bytes.Buffer
 	if err := SaveStateWithData(&buf, grown, base, boot.NumRows(), deltaSrc); err != nil {
@@ -276,4 +263,12 @@ func TestSaveLoadStateWithData(t *testing.T) {
 	if !warm2 || l2 == nil || base2 != ds || delta2 != nil {
 		t.Fatalf("write-free round trip: warm=%v base==boot=%v delta=%v", warm2, base2 == ds, delta2)
 	}
+}
+
+// pickRows copies the given rows of d, in order, into a new dataset
+// over d's schema and dictionaries.
+func pickRows(d *table.Dataset, rows ...int) *table.Dataset {
+	b := table.NewBuilder(d.Schema(), len(rows))
+	b.AppendRows(d, rows)
+	return b.Build()
 }

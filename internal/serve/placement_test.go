@@ -125,7 +125,9 @@ func TestExtendAssignmentMatchesPerRowOracle(t *testing.T) {
 		}
 		rng.Shuffle(len(assign), func(a, b int) { assign[a], assign[b] = assign[b], assign[a] })
 		rows := rng.Perm(pool.NumRows())
-		base := pool.Sample(rows[:len(assign)])
+		bb := table.NewBuilder(pool.Schema(), len(assign))
+		bb.AppendRows(pool, rows[:len(assign)])
+		base := bb.Build()
 		part := table.MustBuildPartitioning(base, assign, k)
 		for _, m := range part.Meta() {
 			switch cs := &m.Stats[3]; {
@@ -141,7 +143,9 @@ func TestExtendAssignmentMatchesPerRowOracle(t *testing.T) {
 		// One delta shares the pool's dictionary (codes no delta row uses,
 		// values no partition holds); the other is coded against its own,
 		// with values the base dictionary never saw.
-		shared := pool.Sample(rows[len(assign) : len(assign)+200])
+		sb := table.NewBuilder(pool.Schema(), 200)
+		sb.AppendRows(pool, rows[len(assign):len(assign)+200])
+		shared := sb.Build()
 		ob := table.NewBuilder(placementSchema, 200)
 		for r := 0; r < 200; r++ {
 			ob.AppendRow(placementRow(rng, 5)...)

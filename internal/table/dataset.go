@@ -66,22 +66,6 @@ func (d *Dataset) StringCodes(col int) []uint32 { return d.codes[col] }
 // and may hold values none of this dataset's rows use.
 func (d *Dataset) Dict(col int) *StringDict { return d.dicts[col] }
 
-// Sample returns a new dataset containing the rows at the given indices,
-// in order. Numeric cells and string codes are copied; the string
-// dictionaries are shared with the original (both are immutable).
-// Layout generators use this to build layouts from small row samples,
-// as the paper prescribes for Qd-tree construction.
-func (d *Dataset) Sample(rows []int) *Dataset {
-	for _, r := range rows {
-		if r < 0 || r >= d.numRows {
-			panic(fmt.Sprintf("table: sample row %d out of range [0,%d)", r, d.numRows))
-		}
-	}
-	b := NewBuilder(d.schema, len(rows))
-	b.AppendRows(d, rows)
-	return b.Build()
-}
-
 // Builder accumulates rows for a Dataset. It is not safe for concurrent
 // use. Build may be called once; the builder must not be reused after.
 //

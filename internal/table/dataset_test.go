@@ -99,44 +99,6 @@ func TestBuildTwicePanics(t *testing.T) {
 	b.Build()
 }
 
-func TestSample(t *testing.T) {
-	d := buildTestDataset(t, 20)
-	s := d.Sample([]int{0, 5, 19})
-	if s.NumRows() != 3 {
-		t.Fatalf("sample NumRows = %d, want 3", s.NumRows())
-	}
-	for i, want := range []int64{0, 5, 19} {
-		if got := s.Int64At(0, i); got != want {
-			t.Errorf("sample row %d id = %d, want %d", i, got, want)
-		}
-	}
-	// Sample must be independent of the original.
-	if &s.ints[0][0] == &d.ints[0][0] {
-		t.Error("sample shares backing storage with original")
-	}
-}
-
-func TestSampleOutOfRangePanics(t *testing.T) {
-	d := buildTestDataset(t, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range sample did not panic")
-		}
-	}()
-	d.Sample([]int{7})
-}
-
-func TestSampleEmpty(t *testing.T) {
-	d := buildTestDataset(t, 5)
-	s := d.Sample(nil)
-	if s.NumRows() != 0 {
-		t.Errorf("empty sample NumRows = %d", s.NumRows())
-	}
-	if s.Schema() != d.Schema() {
-		t.Error("sample schema differs")
-	}
-}
-
 func TestLargeRandomRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 1000

@@ -162,7 +162,7 @@ func TestAppendRowsMixedDictionaries(t *testing.T) {
 	s := strSchema()
 	a := strDataset(s, "m", "n", "m")
 	b := strDataset(s, "n", "o")
-	c := a.Sample([]int{1, 0}) // shares a's dictionary
+	c := pick(a, 1, 0) // shares a's dictionary
 
 	bld := NewBuilder(s, 0)
 	bld.AppendRow(Str("z"))
@@ -176,18 +176,26 @@ func TestAppendRowsMixedDictionaries(t *testing.T) {
 		[]string{"z", "m", "n", "o"})
 }
 
-func TestSampleSharesDictionary(t *testing.T) {
+// pick copies the given rows of d, in order, into a new dataset over
+// d's schema.
+func pick(d *Dataset, rows ...int) *Dataset {
+	b := NewBuilder(d.Schema(), len(rows))
+	b.AppendRows(d, rows)
+	return b.Build()
+}
+
+func TestAppendRowsSharesDictionary(t *testing.T) {
 	s := strSchema()
 	d := strDataset(s, "p", "q", "r", "q", "p")
-	smp := d.Sample([]int{3, 3, 0})
+	smp := pick(d, 3, 3, 0)
 	if smp.Dict(0) != d.Dict(0) {
-		t.Fatal("Sample copied the dictionary")
+		t.Fatal("AppendRows copied the dictionary")
 	}
 	checkCoded(t, smp, []string{"q", "q", "p"}, []string{"p", "q", "r"})
-	// A sample of a sample still shares it, and growing a dataset from
-	// a sample leaves the original untouched.
-	if smp.Sample([]int{1}).Dict(0) != d.Dict(0) {
-		t.Fatal("Sample of a sample copied the dictionary")
+	// Rows copied from a copy still share it, and growing a dataset
+	// from a copy leaves the original untouched.
+	if pick(smp, 1).Dict(0) != d.Dict(0) {
+		t.Fatal("AppendRows from a copy copied the dictionary")
 	}
 	grown := Concat(smp, strDataset(s, "new"))
 	checkCoded(t, grown, []string{"q", "q", "p", "new"}, []string{"p", "q", "r", "new"})

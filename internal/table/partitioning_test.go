@@ -155,14 +155,15 @@ func randomPartitioningCase(rng *rand.Rand) (*Dataset, []int, int) {
 	}
 	d := b.Build()
 	if rows > 1 && rng.Intn(3) == 0 {
-		// A sample keeps its parent's dictionaries: codes are sparse.
+		// Rows copied out of a dataset keep its dictionaries: codes are
+		// sparse.
 		keep := make([]int, 0, rows)
 		for r := 0; r < rows; r++ {
 			if rng.Intn(3) > 0 {
 				keep = append(keep, r)
 			}
 		}
-		d = d.Sample(keep)
+		d = pick(d, keep...)
 	}
 
 	k := []int{1, 2, 7, 70}[rng.Intn(4)]

@@ -70,7 +70,7 @@ func FixtureTemplates(table string, rows int) []Template {
 				// [0, 500).
 				Name: "amount-band",
 				Make: func(rng *rand.Rand) []query.Predicate {
-					lo := rng.Float64() * 400
+					lo := float64(rng.Float64() * 400)
 					return []query.Predicate{query.FloatRange("amount", lo, lo+60)}
 				},
 			},
@@ -96,7 +96,7 @@ func FixtureTemplates(table string, rows int) []Template {
 				// with mean 80, so 200+ is a sparse tail.
 				Name: "slow-events",
 				Make: func(rng *rand.Rand) []query.Predicate {
-					return []query.Predicate{query.FloatGE("latency", 200+rng.Float64()*200)}
+					return []query.Predicate{query.FloatGE("latency", 200+float64(rng.Float64()*200))}
 				},
 			},
 			{
