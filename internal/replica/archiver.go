@@ -186,10 +186,20 @@ func segments(dir string) ([]string, error) {
 }
 
 // newSegment creates the directory if missing and the next segment
-// file in it, numbered above everything already there.
+// file in it, numbered above everything already there. It fsyncs the
+// directory after creating the segment, and the directory's parent
+// after creating the directory, so a segment synced later cannot lose
+// its name to a power cut. That is once per publisher lifetime, not
+// once per record.
 func newSegment(dir string) (*os.File, error) {
+	_, statErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("creating archive directory: %w", err)
+	}
+	if errors.Is(statErr, fs.ErrNotExist) {
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return nil, fmt.Errorf("syncing the archive directory's parent: %w", err)
+		}
 	}
 	segs, err := segments(dir)
 	if err != nil {
@@ -208,7 +218,25 @@ func newSegment(dir string) (*os.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("creating archive segment: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("syncing the archive directory: %w", err)
+	}
 	return f, nil
+}
+
+// syncDir fsyncs directory dir, making the entries created in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // scanSegment streams one segment's lines through fn. A final line

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -256,4 +257,101 @@ func TestFollowerLateJoinAfterWrites(t *testing.T) {
 		t.Fatalf("leader shape: base %d delta %d, want %d/50", lpos.Dataset.NumRows(), lpos.Delta.NumRows(), rows+50)
 	}
 	assertLiveBitIdentical(t, leader, fol.Core(), rows, true)
+}
+
+// parkedGenerator is a Qd-tree generator whose first Generate blocks
+// until release is closed, holding the leader's consumer inside a
+// candidate generation; entered is closed once it is parked there.
+type parkedGenerator struct {
+	oreo.Generator
+	entered, release chan struct{}
+	park             sync.Once
+}
+
+func (g *parkedGenerator) Generate(d *oreo.Dataset, qs []oreo.Query, k int) *oreo.Layout {
+	g.park.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.Generator.Generate(d, qs, k)
+}
+
+// TestFollowerBitIdentityAppendsOvertakeDecisions feeds a follower the
+// record order appends make when they skip the decision queue: with
+// the leader's consumer parked in a candidate generation and
+// observations queued behind it, appends take the epochs below the
+// parked decision's. The follower applies that stream — and a fold
+// after it — and ends bit-identical to the leader.
+func TestFollowerBitIdentityAppendsOvertakeDecisions(t *testing.T) {
+	testleak.Check(t)
+	const rows, queries, batches, batch = 2000, 60, 4, 7
+	gen := &parkedGenerator{Generator: oreo.NewQdTreeGenerator(), entered: make(chan struct{}), release: make(chan struct{})}
+	cfg := leaderConfig(1.5 /* reorganize eagerly */, 0)
+	cfg.Generator = gen
+	leader, _, ts := bootLeader(t, rows, cfg, "")
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gen.release)
+		}
+	}
+	t.Cleanup(release)
+	fol := newFollowerFixture(t, rows, ts.URL, false)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := fol.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < queries; i++ {
+		if _, err := leader.Answer(ctx, workloadQuery(i, rows)); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	select {
+	case <-gen.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the leader's consumer never entered a candidate generation")
+	}
+	next := rows
+	var acks []uint64
+	for b := 0; b < batches; b++ {
+		batchRows := make([]map[string]any, batch)
+		for j := range batchRows {
+			batchRows[j] = appendRow(next)
+			next++
+		}
+		done := make(chan error, 1)
+		go func() {
+			ack, err := leader.Append(ctx, "orders", batchRows)
+			acks = append(acks, ack.Epoch)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("append %d: %v", b, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("append %d waited for the parked generation", b)
+		}
+	}
+	if acks[0] >= queries {
+		t.Fatalf("first append acked at epoch %d; the %d queued decisions did not all follow it", acks[0], queries)
+	}
+	release()
+	if _, err := leader.Compact(ctx, "orders"); err != nil {
+		t.Fatal(err)
+	}
+	const want = queries + batches + 1
+	waitFor(t, "leader processed every observation", func() bool {
+		pos, _ := leader.ReplicaPosition("orders")
+		return pos.Epoch == want
+	})
+	waitFor(t, "follower converged", func() bool { return fol.Position("orders") == want })
+	assertLiveBitIdentical(t, leader, fol.Core(), rows, true)
+	if fol.Err() != nil {
+		t.Errorf("follower failed: %v", fol.Err())
+	}
 }

@@ -54,15 +54,26 @@ func newLeader(t *testing.T, rows int, alpha float64, reorgDelay int) (*serve.Co
 // ("" archives nothing).
 func newArchivingLeader(t *testing.T, rows int, alpha float64, reorgDelay int, dir string) (*serve.Core, *Publisher, *httptest.Server) {
 	t.Helper()
-	m := oreo.NewMulti()
-	if err := m.AddTable("orders", buildOrders(rows), oreo.Config{
+	return bootLeader(t, rows, leaderConfig(alpha, reorgDelay), dir)
+}
+
+// leaderConfig is the fixture leader's optimizer configuration.
+func leaderConfig(alpha float64, reorgDelay int) oreo.Config {
+	return oreo.Config{
 		Alpha:       alpha,
 		WindowSize:  40,
 		Partitions:  16,
 		InitialSort: []string{"order_ts"},
 		Seed:        7,
 		ReorgDelay:  reorgDelay,
-	}); err != nil {
+	}
+}
+
+// bootLeader is newArchivingLeader over an optimizer built with cfg.
+func bootLeader(t *testing.T, rows int, cfg oreo.Config, dir string) (*serve.Core, *Publisher, *httptest.Server) {
+	t.Helper()
+	m := oreo.NewMulti()
+	if err := m.AddTable("orders", buildOrders(rows), cfg); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := serve.New(m, serve.Config{QueueSize: 4096})
@@ -470,7 +481,11 @@ func TestObservationForwarding(t *testing.T) {
 	if snap.Stats.Reorganizations == 0 {
 		t.Error("forwarded workload never reorganized the leader; loop not exercised")
 	}
-	if fw := fol.fwd; fw.forwarded.Load() != total {
+	// The forwarder counts a batch only once the leader's answer to it is
+	// decoded, which may be after the leader has processed it.
+	fw := fol.fwd
+	waitFor(t, "forwarder counted every observation", func() bool { return fw.forwarded.Load() == total })
+	if fw.forwarded.Load() != total {
 		t.Errorf("forwarded = %d, want %d (dropped %d, rejected %d)", fw.forwarded.Load(), total, fw.dropped.Load(), fw.rejected.Load())
 	}
 }

@@ -22,12 +22,16 @@ const DefaultCompactThreshold = 8192
 // the leader-side live write path. Rows are JSON objects mapping every
 // schema column to a value (numbers decoded with json.Number so int64
 // precision survives the wire); missing or extra columns and
-// mistyped cells are client errors that land nothing. The call returns
-// after the consumer has made the rows visible — a client holding the
-// response sees its rows in every subsequent query, on the reported
-// epoch. Appends never feed layout decisions directly; the rows sit in
-// the unpartitioned delta (scanned by every query) until a compaction
-// folds them into the base.
+// mistyped cells are client errors that land nothing. The rows land on
+// the caller's goroutine, serialized with every other change to the
+// table but never waiting for a layout decision, and the call returns
+// once they are published (and, on an archiving leader, archived) — a
+// client holding the response sees its rows in every subsequent query,
+// on the reported epoch. Appends never feed layout decisions directly;
+// the rows sit in the unpartitioned delta (scanned by every query)
+// until a compaction folds them into the base. The append that brings
+// the delta to Config.CompactThreshold also waits for that fold, which
+// runs on the table's consumer, and reports it.
 func (c *Core) Append(ctx context.Context, table string, rows []map[string]any) (AppendResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return AppendResponse{}, errCanceled(err)
@@ -81,19 +85,28 @@ func (c *Core) writeShard(table string) (*shard, *Error) {
 	return sh, nil
 }
 
-// appendDataset runs the shared append tail: hand the batch to the
-// shard's event consumer and shape the acknowledgment. An ack error is
-// an auto-compaction failure after the rows already landed — reported
-// as an internal error, with the rows durable in the delta.
+// appendDataset runs the shared append tail: land the batch, run the
+// fold it may owe on the shard's consumer, and shape the
+// acknowledgment. A fold error is an auto-compaction failure after the
+// rows already landed — reported as an internal error, with the rows
+// durable in the delta.
 func (c *Core) appendDataset(sh *shard, rows *oreo.Dataset) (AppendResponse, error) {
-	ack, serr := sh.send(shardEvent{kind: evAppend, rows: rows})
-	if serr != nil {
-		return AppendResponse{}, serr
+	upd, fold, err := sh.land(rows)
+	if err != nil {
+		return AppendResponse{}, err
 	}
-	if ack.err != nil {
-		return AppendResponse{}, errInternal("auto-compacting %q after append: %s", sh.table, ack.err)
+	if fold {
+		// A shard closed since the rows landed refuses the fold; the rows
+		// are acked at their own epoch regardless, since a 503 would make a
+		// retrying client append them twice.
+		if ack, serr := sh.send(shardEvent{kind: evCompact}); serr == nil {
+			if ack.err != nil {
+				return AppendResponse{}, errInternal("auto-compacting %q after append: %s", sh.table, ack.err)
+			}
+			upd = ack.upd
+		}
 	}
-	return AppendResponse{Table: sh.table, Epoch: ack.upd.Epoch, Appended: rows.NumRows(), DeltaRows: ack.upd.DeltaRows}, nil
+	return AppendResponse{Table: sh.table, Epoch: upd.Epoch, Appended: rows.NumRows(), DeltaRows: upd.DeltaRows}, nil
 }
 
 // buildAppendRows converts decoded wire rows into a typed dataset over

@@ -247,7 +247,7 @@ func (c *Core) ReplicaPosition(table string) (Position, bool) {
 // overlap after a re-snapshot. Errors leave the state untouched and
 // wrap ErrEpochGap or ErrDiverged where a follower must tell them
 // apart. Fails on leaders, whose state advances only through their own
-// event loops; calls for one table must not overlap.
+// appends and event loops.
 func (c *Core) Apply(table string, upd DecisionUpdate) (applied bool, err error) {
 	sh, ok := c.shards[table]
 	if !ok {
@@ -261,7 +261,10 @@ func (c *Core) Apply(table string, upd DecisionUpdate) (applied bool, err error)
 		// deciding side may.
 		return false, errInvalid("replayed %s update for %q carries no epoch", upd.Kind, table)
 	}
-	if _, applied, err = sh.advance(upd); err != nil {
+	sh.advMu.Lock()
+	_, applied, err = sh.advance(upd)
+	sh.advMu.Unlock()
+	if err != nil {
 		return false, fmt.Errorf("applying %s update to %q: %w", upd.Kind, table, err)
 	}
 	return applied, nil
@@ -325,11 +328,12 @@ func (c *Core) Promote(engines map[string]oreo.Config) error {
 	return nil
 }
 
-// SetDecisionHook attaches fn to every table's decision consumer: it
-// is called after each processed query with the table name and the
-// post-decision update, serialized per table (one consumer goroutine
-// each) but concurrent across tables. This is the replication publish
-// point. Safe to call on a running core; pass nil to detach.
+// SetDecisionHook attaches fn to every table's state changes: it is
+// called after each processed query, append and compaction with the
+// table name and the update as applied, serialized per table (by the
+// lock every change to the table's state takes, whichever goroutine
+// makes it) but concurrent across tables. This is the replication
+// publish point. Safe to call on a running core; pass nil to detach.
 func (c *Core) SetDecisionHook(fn func(table string, upd DecisionUpdate)) {
 	for _, name := range c.names {
 		if fn == nil {

@@ -42,12 +42,21 @@ func NewStepReplica(ds *oreo.Dataset) *StepTable {
 
 func (t *StepTable) Observe(q oreo.Query) { t.s.handleObserve(q) }
 
-func (t *StepTable) Append(rows *oreo.Dataset) error { return t.s.handleAppend(rows).err }
+// Append is Core.Append's tail, the fold it may owe run in place.
+func (t *StepTable) Append(rows *oreo.Dataset) error {
+	_, fold, err := t.s.land(rows)
+	if err == nil && fold {
+		err = t.s.handleCompact().err
+	}
+	return err
+}
 
 func (t *StepTable) Compact() error { return t.s.handleCompact().err }
 
 // Apply is Core.Apply's tail: the replica write path.
 func (t *StepTable) Apply(upd DecisionUpdate) (bool, error) {
+	t.s.advMu.Lock()
+	defer t.s.advMu.Unlock()
 	_, applied, err := t.s.advance(upd)
 	return applied, err
 }

@@ -28,8 +28,10 @@ import (
 //     which computes what only a leader can — ProcessQuery's result and
 //     the optimizer's snapshot after it for an observation
 //     (evObserve); the extended assignment, repartitioned base and fresh
-//     engine for a fold (evCompact); nothing for an append (evAppend:
-//     the batch is the update) — and lets the transition mint the epoch.
+//     engine for a fold (evCompact) — and lets the transition mint the
+//     epoch. An append needs nothing computed (the batch is the update),
+//     so it skips the queue: Core.Append advances the state on the
+//     caller's goroutine and never waits for a decision.
 //   - A replica shard has no optimizer and no event loop. A replication
 //     follower (internal/replica) decodes each stream record into the
 //     update the leader's hook emitted and Core.Apply hands it to the
@@ -38,7 +40,9 @@ import (
 //     upstream. Until its first snapshot update the shard answers
 //     unavailable.
 //
-// Both roles run one function over the same inputs, so a follower is
+// Every advance runs under advMu, so epochs and decision-hook calls form
+// one total order whichever goroutine made them. Both roles run one
+// function over the same inputs, so a follower is
 // bit-identical to its leader at every epoch by construction, and
 // promote has no state to convert: the replica already owns its grown
 // base and write tail.
@@ -52,10 +56,10 @@ import (
 // (counted in dropped) rather than blocking the request — under
 // overload OREO sees a uniform sample of the stream, which its
 // sliding-window machinery is built for. Appends and compactions are
-// never dropped: the sender blocks until the consumer has advanced the
-// state, then gets an acknowledgment carrying the new epoch. Every
-// event advances the table's single epoch counter, so layout decisions
-// and data changes share one totally ordered stream.
+// never dropped: an append returns once its rows are published, a
+// compaction once the consumer has folded, each with the new epoch.
+// Every change advances the table's single epoch counter, so layout
+// decisions and data changes share one totally ordered stream.
 type shard struct {
 	table string
 	// ds is the boot-time dataset — the schema anchor (the schema
@@ -113,15 +117,27 @@ type shard struct {
 	// engine rebuilds. Consumer-owned.
 	statsBase oreo.Stats
 
+	// advMu serializes every change to the published state: each
+	// advance — an append on its caller's goroutine, a decision on the
+	// consumer, a replayed update on a replica — and the whole of a fold,
+	// whose Bind reads the state it folds while appends would grow its
+	// tail. ProcessQuery, candidate generation included, runs outside it.
+	advMu sync.Mutex
+	// foldQueued marks an auto-compaction an append has asked the
+	// consumer for and the consumer has not yet begun, so the appends
+	// landing meanwhile do not queue folds of their own. Guarded by advMu.
+	foldQueued bool
+
 	queue     chan shardEvent
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	// obsMu guards the handoff into queue against close: senders hold
 	// the read side (cheap, shared), close holds the write side, so a
 	// request racing a shutdown observes obsClosed instead of panicking
-	// on a closed channel.
+	// on a closed channel. obsClosed is atomic as well, so an append can
+	// read it under advMu without taking obsMu there.
 	obsMu     sync.RWMutex
-	obsClosed bool
+	obsClosed atomic.Bool
 
 	// The serving counters are metrics-registry instruments — the one
 	// source of truth that /stats, /healthz, and a /metrics scrape all
@@ -163,12 +179,11 @@ type execState struct {
 	delta  *oreo.Dataset // nil ≡ empty
 }
 
-// shardEvent is one unit of the consumer's totally ordered stream.
+// shardEvent is one unit of the consumer's work.
 type shardEvent struct {
 	kind evKind
-	q    oreo.Query    // evObserve
-	rows *oreo.Dataset // evAppend
-	// resp acknowledges appends and compactions (buffered, capacity 1).
+	q    oreo.Query // evObserve
+	// resp acknowledges a compaction (buffered, capacity 1).
 	resp chan eventAck
 }
 
@@ -176,14 +191,13 @@ type evKind int
 
 const (
 	evObserve evKind = iota
-	evAppend
 	evCompact
 )
 
-// eventAck is the consumer's acknowledgment of an append or compact
-// event: the update as applied (or the no-op a fold of an empty delta
-// reports), taken after the new state is published — a client that has
-// its ack is guaranteed to see its rows on the very next read.
+// eventAck is the consumer's acknowledgment of a compact event: the
+// update as applied (or the no-op a fold of an empty delta reports),
+// taken after the new state is published — a client that has its ack
+// is guaranteed to see the folded base on the very next read.
 type eventAck struct {
 	upd DecisionUpdate
 	err error
@@ -303,10 +317,11 @@ func (s *shard) registerMetrics(reg *metrics.Registry) {
 		snapFn(func(st *repState) float64 { return float64(st.snap.Serving.Engine().Stats().Entries) }))
 }
 
-// consume is the leader's event consumer — the serialization point for
-// everything that advances the table's epoch: layout decisions, row
-// appends, and compactions. Each arm computes its update and hands it
-// to advance. Engine rebuilds and store rebuilds (full data rewrites)
+// consume is the leader's event consumer: the optimizer's one caller,
+// and so the one goroutine that makes layout decisions and folds. Each
+// arm computes its update and hands it to advance under advMu; appends
+// advance between its turns on their own goroutines. Candidate
+// generation, engine rebuilds and store rebuilds (full data rewrites)
 // run here, on the consumer goroutine — they are the physical
 // reorganization cost the optimizer's α models, and they must never
 // land on a request.
@@ -316,9 +331,6 @@ func (s *shard) consume() {
 		switch ev.kind {
 		case evObserve:
 			s.handleObserve(ev.q)
-		case evAppend:
-			//oreovet:ignore blockingsend reply on the caller-owned cap-1 ack channel; the single send cannot block
-			ev.resp <- s.handleAppend(ev.rows)
 		case evCompact:
 			//oreovet:ignore blockingsend reply on the caller-owned cap-1 ack channel; the single send cannot block
 			ev.resp <- s.handleCompact()
@@ -335,8 +347,8 @@ func (s *shard) consume() {
 // this node already serves, and an acked writer knows its rows are
 // in-stream and, on an archiving leader, in the archive (the publisher
 // writes each record there before its hook returns). Callers are
-// serialized per shard: the leader's consumer,
-// or the one goroutine applying a follower's stream.
+// serialized per shard by advMu, which they hold: a leader's appenders
+// and consumer, or the one goroutine applying a follower's stream.
 func (s *shard) advance(in DecisionUpdate) (out DecisionUpdate, applied bool, err error) {
 	cur := s.rep.Load()
 	next, out, err := step(cur, in)
@@ -364,26 +376,42 @@ func (s *shard) advance(in DecisionUpdate) (out DecisionUpdate, applied bool, er
 }
 
 // handleObserve feeds one observation to the decision engine and
-// advances the state by its result.
+// advances the state by its result. Only the advance holds advMu:
+// appends land while the engine decides, and a decision's epoch is
+// minted when it is published, after theirs.
 func (s *shard) handleObserve(q oreo.Query) {
 	opt := s.copt.Load()
 	d := opt.ProcessQuery(q)
-	if _, _, err := s.advance(DecisionUpdate{Kind: UpdateDecision, Cost: d.Cost, Snapshot: combinedSnapshot(s.statsBase, opt)}); err != nil {
+	snap := combinedSnapshot(s.statsBase, opt)
+	// A switched-to layout's columns are built here, not in advance
+	// under the lock; the base they cover changes only on this goroutine.
+	snap.Serving.Part.Meta()
+	s.advMu.Lock()
+	defer s.advMu.Unlock()
+	if _, _, err := s.advance(DecisionUpdate{Kind: UpdateDecision, Cost: d.Cost, Snapshot: snap}); err != nil {
 		// The engine's own layouts over the engine's own dataset: only a
 		// bug can make the transition refuse them.
 		panic(fmt.Sprintf("serve: table %q: decision rejected by its own transition: %v", s.table, err))
 	}
 }
 
-// handleAppend lands one row batch in the delta segment and — when the
-// delta has reached the auto-compaction threshold — folds it
-// immediately, all under the same consumer turn.
-func (s *shard) handleAppend(rows *oreo.Dataset) eventAck {
-	out, _, err := s.advance(DecisionUpdate{Kind: UpdateAppend, Rows: rows})
-	if err == nil && s.compactThreshold > 0 && out.DeltaRows >= s.compactThreshold {
-		return s.handleCompact()
+// land lands one row batch in the delta segment on the caller's
+// goroutine and reports whether the caller owes the consumer a fold:
+// the delta has reached the auto-compaction threshold and no fold is
+// queued yet. A closed shard lands nothing.
+func (s *shard) land(rows *oreo.Dataset) (out DecisionUpdate, fold bool, err error) {
+	s.advMu.Lock()
+	defer s.advMu.Unlock()
+	if s.obsClosed.Load() {
+		return out, false, errUnavailable("table %q is shutting down", s.table)
 	}
-	return eventAck{out, err}
+	if out, _, err = s.advance(DecisionUpdate{Kind: UpdateAppend, Rows: rows}); err != nil {
+		// The batch is built over this table's schema: only a bug lands here.
+		return out, false, errInternal("appending to %q: %s", s.table, err)
+	}
+	fold = s.compactThreshold > 0 && out.DeltaRows >= s.compactThreshold && !s.foldQueued
+	s.foldQueued = s.foldQueued || fold
+	return out, fold, nil
 }
 
 // handleCompact folds the delta into the base. The transition grows the
@@ -397,7 +425,13 @@ func (s *shard) handleAppend(rows *oreo.Dataset) eventAck {
 // stats survive the engine swap via statsBase. The compacted layout is
 // named after the epoch the fold lands at: epochs never repeat, not
 // across a promotion or a restart either, so neither do fold names.
+//
+// advMu is held throughout: the fold extends the assignment over the
+// delta it loads here, so no append may grow the tail before advance.
 func (s *shard) handleCompact() eventAck {
+	s.advMu.Lock()
+	defer s.advMu.Unlock()
+	s.foldQueued = false
 	cur := s.rep.Load()
 	installed := false
 	out, _, err := s.advance(DecisionUpdate{Kind: UpdateCompact, Bind: func(grown *oreo.Dataset, epoch uint64) (oreo.OptimizerSnapshot, error) {
@@ -629,17 +663,22 @@ func (s *shard) execStore() *execState {
 }
 
 // close stops the shard: no further observations or writes are
-// accepted, the consumer (leader mode) drains what was already queued
-// — including blocked appenders, which receive their acknowledgments —
-// and the call returns once the event loop has gone quiet. Idempotent
-// — a follower teardown may close the same core twice — and safe to
-// call while requests are still in flight: late observations are
-// dropped, not panicked on.
+// accepted, an append already landing finishes, the consumer (leader
+// mode) drains what was already queued — including blocked
+// compactions, which receive their acknowledgments — and the call
+// returns once the event loop has gone quiet, so no update reaches the
+// decision hook after it. Idempotent — a follower teardown may close
+// the same core twice — and safe to call while requests are still in
+// flight: late observations are dropped, not panicked on.
 func (s *shard) close() {
 	s.closeOnce.Do(func() {
 		s.obsMu.Lock()
-		s.obsClosed = true
+		s.obsClosed.Store(true)
 		s.obsMu.Unlock()
+		// Wait out an append that saw the shard open; every later one sees
+		// obsClosed under advMu and lands nothing.
+		s.advMu.Lock()
+		s.advMu.Unlock()
 		if s.queue != nil {
 			close(s.queue)
 		}
@@ -659,13 +698,6 @@ func (s *shard) isReplica() bool {
 	s.obsMu.RLock()
 	defer s.obsMu.RUnlock()
 	return s.replica
-}
-
-// isClosed reports whether close has begun.
-func (s *shard) isClosed() bool {
-	s.obsMu.RLock()
-	defer s.obsMu.RUnlock()
-	return s.obsClosed
 }
 
 // queueDepth returns the decision queue's current depth (0 on a
@@ -696,7 +728,7 @@ func (s *shard) promotionEngine(cfg oreo.Config) (*oreo.Optimizer, error) {
 	if verr != nil {
 		return nil, verr
 	}
-	if s.isClosed() {
+	if s.obsClosed.Load() {
 		return nil, errUnavailable("table %q is shutting down", s.table)
 	}
 	cfg.Initial = st.snap.Serving
@@ -718,7 +750,7 @@ func (s *shard) promote(opt *oreo.Optimizer, cfg Config) {
 	st := s.rep.Load()
 	s.obsMu.Lock()
 	defer s.obsMu.Unlock()
-	if s.obsClosed {
+	if s.obsClosed.Load() {
 		return // Close won the race: a consumer started now would never be stopped
 	}
 	s.lead(opt, st.snap.Stats, cfg)
@@ -732,7 +764,7 @@ func (s *shard) promote(opt *oreo.Optimizer, cfg Config) {
 func (s *shard) observe(q oreo.Query) bool {
 	s.obsMu.RLock()
 	defer s.obsMu.RUnlock()
-	if s.obsClosed {
+	if s.obsClosed.Load() {
 		return false
 	}
 	if s.replica {
@@ -746,22 +778,22 @@ func (s *shard) observe(q oreo.Query) bool {
 	}
 }
 
-// send enqueues an append or compact event and waits for the
-// consumer's acknowledgment. Unlike observations these are never
-// sampled out: the send blocks when the queue is full (writers get
-// backpressure, reads never do). The obsMu read lock is held only
+// send enqueues a compact event and waits for the consumer's
+// acknowledgment. Unlike observations it is never sampled out: the
+// send blocks when the queue is full (writers get backpressure, reads
+// never do). The obsMu read lock is held only
 // across the enqueue — close() cannot close the channel mid-send
 // because it needs the write lock, and the consumer keeps draining
 // during shutdown, so a blocked send always completes and an enqueued
 // event is always acknowledged.
 func (s *shard) send(ev shardEvent) (eventAck, *Error) {
 	s.obsMu.RLock()
-	if s.obsClosed {
+	if s.obsClosed.Load() {
 		s.obsMu.RUnlock()
 		return eventAck{}, errUnavailable("table %q is shutting down", s.table)
 	}
 	ev.resp = make(chan eventAck, 1)
-	//oreovet:ignore blockingsend append/compact writes take deliberate backpressure (see doc above); reads never reach this send and shutdown keeps draining
+	//oreovet:ignore blockingsend compactions take deliberate backpressure (see doc above); reads never reach this send and shutdown keeps draining
 	s.queue <- ev
 	s.obsMu.RUnlock()
 	return <-ev.resp, nil

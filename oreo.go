@@ -245,11 +245,13 @@
 // executes re-check its rows row-by-row after the survivor blocks and
 // merge its aggregate partial last, and therefore pruned ≡ unpruned and kernel ≡
 // interpreted stay bitwise with writes in flight. Appended rows are
-// queryable on the leader immediately — the append is an epoch-
-// advancing event on the same per-table decision loop that serializes
-// reorganizations, and every event moves the table's (epoch, snapshot,
-// base, delta) state through one transition function (serve's step), so
-// readers always see a coherent (layout, store, delta) triple.
+// queryable on the leader immediately — an append advances the table's
+// epoch on the caller's goroutine, under the per-table lock that every
+// epoch takes, so it never waits for a layout decision (candidate
+// generation runs outside that lock, on the table's decision loop),
+// and every change moves the table's (epoch, snapshot, base, delta)
+// state through one transition function (serve's step), so readers
+// always see a coherent (layout, store, delta) triple.
 //
 // A compaction folds the delta into the base: the transition
 // concatenates the delta rows onto the dataset and starts a fresh
